@@ -15,7 +15,7 @@ from .evidence import ObservedTrajectory, OcclusionPolicy, occlude_observed
 from .inference import ZeroProbabilityEvidenceError, forward_backward, smoothed_marginal
 from .learning import EmConfig, SemConfig, em, score_dataset, sem
 from .markov import sample_trajectories
-from .model import JointSpaceTooLargeError, amalgamate
+from .model import DEFAULT_JOINT_CAP, JointSpaceTooLargeError, amalgamate
 from .phase import PhaseSpec, expand_phases
 
 EXIT_OK = 0
@@ -30,13 +30,17 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _add_fit_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--init", choices=["given", "random"], default="given")
+    p.add_argument("--tolerance", type=float, default=EmConfig.tol)
+    p.add_argument("--max-iter", type=int, default=EmConfig.max_iter)
+    p.add_argument("--restarts", type=int, default=EmConfig.restarts)
+    p.add_argument(
+        "--init", choices=["given", "random"], default="given",
+        help="start from the model file's parameters (default here) or from random ones "
+        "(the default of the library's EmConfig)",
+    )
     p.add_argument("--freeze-initial", action="store_true")
-    p.add_argument("--quad-tol", type=float, default=1e-8)
-    p.add_argument("--joint-cap", type=int, default=4096)
+    p.add_argument("--quad-tol", type=float, default=EmConfig.quad_tol)
+    p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
     p.add_argument("--phases", default=None, help="phase expansion, e.g. 'X=3,Y=2'")
     p.add_argument("--phase-topology", choices=["chain", "unrestricted"], default="unrestricted")
 
@@ -50,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--joint-cap", type=int, default=4096)
+    p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
     _add_common(p)
 
     p = sub.add_parser("occlude", help="hide random windows of each variable")
@@ -72,22 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("trajectories")
     p.add_argument("out")
-    p.add_argument("--max-parents", type=int, default=2)
-    p.add_argument("--em-iters", type=int, default=5)
+    p.add_argument("--max-parents", type=int, default=SemConfig.max_parents)
+    p.add_argument("--em-iters", type=int, default=SemConfig.em_iters)
     _add_fit_flags(p)
     _add_common(p)
 
     p = sub.add_parser("score", help="log-likelihood of each record")
     p.add_argument("model")
     p.add_argument("trajectories")
-    p.add_argument("--joint-cap", type=int, default=4096)
+    p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
 
     p = sub.add_parser("smooth", help="posterior state marginals at query times")
     p.add_argument("model")
     p.add_argument("trajectories")
     p.add_argument("--record", type=int, default=0)
     p.add_argument("--times", required=True, help="comma-separated query times")
-    p.add_argument("--joint-cap", type=int, default=4096)
+    p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
 
     return parser
 

@@ -52,15 +52,15 @@ class CtbnEmEstimator(_ParamsMixin):
     def __init__(
         self,
         template: CtbnModel | None = None,
-        max_iter: int = 200,
-        tol: float = 1e-6,
-        restarts: int = 3,
-        init: str = "random",
-        rate_range: tuple = (0.1, 10.0),
-        freeze_initial: bool = False,
-        quad_tol: float = 1e-8,
-        joint_cap: int = 4096,
-        random_state: int = 0,
+        max_iter: int = EmConfig.max_iter,
+        tol: float = EmConfig.tol,
+        restarts: int = EmConfig.restarts,
+        init: str = EmConfig.init,
+        rate_range: tuple = EmConfig.rate_range,
+        freeze_initial: bool = EmConfig.freeze_initial,
+        quad_tol: float = EmConfig.quad_tol,
+        joint_cap: int = EmConfig.joint_cap,
+        random_state: int = EmConfig.seed,
     ):
         self.template = template
         self.max_iter = max_iter
@@ -105,7 +105,10 @@ class CtbnEmEstimator(_ParamsMixin):
 
     def fit(self, X, y=None):
         dataset = self._as_evidence(X)
-        result = em(self._template(), dataset, self._em_config())
+        return self._publish(em(self._template(), dataset, self._em_config()))
+
+    def _publish(self, result):
+        """Set the fitted attributes both estimators share."""
         self.model_ = result.model
         self.trace_ = np.asarray(result.trace)
         self.converged_ = result.converged
@@ -138,18 +141,18 @@ class CtbnSemEstimator(CtbnEmEstimator):
     def __init__(
         self,
         template: CtbnModel | None = None,
-        max_parents: int = 2,
-        em_iters: int = 5,
-        max_rounds: int = 30,
-        max_iter: int = 200,
-        tol: float = 1e-6,
-        restarts: int = 3,
-        init: str = "random",
-        rate_range: tuple = (0.1, 10.0),
-        freeze_initial: bool = False,
-        quad_tol: float = 1e-8,
-        joint_cap: int = 4096,
-        random_state: int = 0,
+        max_parents: int = SemConfig.max_parents,
+        em_iters: int = SemConfig.em_iters,
+        max_rounds: int = SemConfig.max_rounds,
+        max_iter: int = EmConfig.max_iter,
+        tol: float = EmConfig.tol,
+        restarts: int = EmConfig.restarts,
+        init: str = EmConfig.init,
+        rate_range: tuple = EmConfig.rate_range,
+        freeze_initial: bool = EmConfig.freeze_initial,
+        quad_tol: float = EmConfig.quad_tol,
+        joint_cap: int = EmConfig.joint_cap,
+        random_state: int = EmConfig.seed,
     ):
         super().__init__(
             template=template,
@@ -176,12 +179,7 @@ class CtbnSemEstimator(CtbnEmEstimator):
             max_rounds=self.max_rounds,
         )
         result = sem(self._template(), dataset, config)
-        self.model_ = result.model
-        self.trace_ = np.asarray(result.trace)
-        self.converged_ = result.converged
-        self.n_iter_ = result.n_iter
-        self.stats_ = result.stats
-        self.log_likelihood_ = result.log_likelihood
+        self._publish(result)
         self.bic_trace_ = np.asarray(result.bic_trace)
         self.graph_ = result.model.graph()
         return self

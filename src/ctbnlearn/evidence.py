@@ -149,14 +149,25 @@ class Evidence:
         return cls(segs, traj.horizon)
 
 
+def _masked(q: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Q with every entry outside rows x cols zeroed. Stacked masks of shape
+    (m, n) give a stack of m matrices."""
+    return np.where(rows[..., :, None] & cols[..., None, :], q, 0.0)
+
+
+def _off_diagonal(q: np.ndarray) -> np.ndarray:
+    """The nonnegative off-diagonal rates of Q, diagonal zeroed."""
+    w = np.clip(q, 0.0, None)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
 def restrict_intensity(q: IntensityMatrix, s: Subsystem) -> IntensityMatrix:
     """Zero every rate except transitions within s; diagonals of states in s
     are kept in full, so rows may leak (sum negative)."""
     if s.n != q.n:
         raise ValueError("subsystem dimension does not match the matrix")
-    m = s.mask
-    entries = q.entries * (m[:, None] & m[None, :])
-    return IntensityMatrix(entries, "restricted")
+    return IntensityMatrix(_masked(q.entries, s.mask, s.mask), "restricted")
 
 
 def transition_restrict(q: IntensityMatrix, s1: Subsystem, s2: Subsystem) -> np.ndarray:
@@ -165,11 +176,7 @@ def transition_restrict(q: IntensityMatrix, s1: Subsystem, s2: Subsystem) -> np.
     nonnegative matrix, not an intensity matrix."""
     if s1.n != q.n or s2.n != q.n:
         raise ValueError("subsystem dimension does not match the matrix")
-    w = q.entries * (s1.mask[:, None] & s2.mask[None, :])
-    w = w.copy()
-    np.fill_diagonal(w, 0.0)
-    np.clip(w, 0.0, None, out=w)
-    return w
+    return _masked(_off_diagonal(q.entries), s1.mask, s2.mask)
 
 
 @dataclass(frozen=True)

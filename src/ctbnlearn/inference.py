@@ -1,21 +1,28 @@
 """Exact smoothing and expected sufficient statistics under subsystem evidence.
 
-A forward-backward sweep propagates scaled messages across evidence
-segments. Between consecutive segments whose subsystems are disjoint, the
-evidence asserts a transition and the boundary factor is the matrix of
-cross-subsystem rates; when the subsystems overlap, the boundary is a
-projection onto the next subsystem (zero-length segments therefore act as
-plain indicators). Expected dwell times and transition counts reduce to
-pairwise convolution integrals over each segment, all n^2 of which are
-computed in one adaptive Runge-Kutta pass per segment.
+Evidence only restricts the joint process: while a segment holds it in a
+subsystem S, its generator is Q masked to S x S. A forward-backward sweep
+propagates scaled messages across evidence segments. Between consecutive
+segments whose subsystems are disjoint, the evidence asserts a transition
+and the boundary factor is Q's off-diagonal masked to S1 x S2, applied as
+masked vector products with the one shared off-diagonal; when the
+subsystems overlap, the boundary is a projection onto the next subsystem
+(zero-length segments therefore act as plain indicators). The message
+cache keeps the joint Q, the segment masks, durations and boundary kinds,
+and the O(boundaries * n) scaled messages; each restricted generator is
+derived from (Q, mask) where it is used. Expected dwell times and
+transition counts reduce to pairwise convolution integrals over each
+segment, all n^2 of which are computed in one adaptive Runge-Kutta pass
+per segment.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .evidence import Evidence
+from .evidence import Evidence, _masked, _off_diagonal
 from .markov import IntensityMatrix, expm, validate_distribution
 
 __all__ = [
@@ -34,8 +41,6 @@ __all__ = [
 
 #: Default relative tolerance of the adaptive quadrature.
 DEFAULT_QUAD_TOL = 1e-8
-#: Forward and backward log-likelihoods must agree within this.
-CONSISTENCY_TOL = 1e-8
 
 _SCALE_FLOOR = 1e-30
 _MIN_STEP = 1e-12
@@ -92,6 +97,10 @@ class MessageCache:
     projection boundary onto the same subsystem) so the messages renormalize
     often enough to stay inside the floating-point range; ``times`` holds
     the resulting boundary times, a refinement of the evidence boundaries.
+    Segment i is described by its mask ``seg_masks[i]`` and duration
+    ``seg_dt[i]`` only: its generator is ``q`` masked to the mask, and
+    ``factor_kind[i]`` says whether the boundary after it asserts a
+    transition or projects.
     """
 
     evidence: Evidence
@@ -99,11 +108,8 @@ class MessageCache:
     p0: np.ndarray
     times: np.ndarray
     seg_masks: np.ndarray
-    seg_q: np.ndarray
-    seg_exp: np.ndarray
     seg_dt: np.ndarray
     factor_kind: np.ndarray
-    factors: list
     fwd: np.ndarray
     fwd_log: np.ndarray
     fwd_pre: np.ndarray
@@ -122,30 +128,25 @@ class MessageCache:
         return not np.isfinite(self.log_prob)
 
 
-def _segment_generators(q: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    keep = masks[:, :, None] & masks[:, None, :]
-    return np.where(keep, q[None, :, :], 0.0)
-
-
-def _rate_factor(q: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    w = np.where(m1[:, None] & m2[None, :], q, 0.0)
-    np.fill_diagonal(w, 0.0)
-    np.clip(w, 0.0, None, out=w)
-    return w
-
-
 # Subdivide constant-evidence segments so that max|diag(Q_S)| * dt stays
 # below this; the split bounds the dynamic range the scaled messages and the
 # quadrature transport have to traverse in one stretch.
 _SEGMENT_STIFFNESS_CAP = 16.0
 
 
-def _split_segments(masks, dts, times, seg_q):
-    stiff = np.abs(np.diagonal(seg_q, axis1=1, axis2=2)).max(axis=1) * dts
-    chunks = np.maximum(1, np.ceil(stiff / _SEGMENT_STIFFNESS_CAP).astype(int))
+def _stiffness(q: np.ndarray, masks: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """max_{i in S} |q_ii| * dt for every segment."""
+    return np.where(masks, np.abs(np.diagonal(q)), 0.0).max(axis=1) * dts
+
+
+def _split_segments(q: np.ndarray, masks, dts, times):
+    """Split segments stiffer than the cap into equal pieces. Returns the
+    split masks, durations and boundary times, and the split-level index of
+    every original boundary."""
+    chunks = np.maximum(1, np.ceil(_stiffness(q, masks, dts) / _SEGMENT_STIFFNESS_CAP).astype(int))
     if (chunks == 1).all():
-        return masks, dts, times, seg_q, np.arange(len(dts) + 1)
-    new_masks, new_dts, new_times, new_q = [], [], [times[0]], []
+        return masks, dts, times, np.arange(len(dts) + 1)
+    new_masks, new_dts, new_times = [], [], [times[0]]
     orig_boundary = [0]
     for i in range(len(dts)):
         c = int(chunks[i])
@@ -153,65 +154,62 @@ def _split_segments(masks, dts, times, seg_q):
             new_masks.append(masks[i])
             new_dts.append(dts[i] / c)
             new_times.append(times[i] + dts[i] * (piece + 1) / c)
-            new_q.append(seg_q[i])
         new_times[-1] = times[i + 1]
         orig_boundary.append(len(new_dts))
-    return (
-        np.stack(new_masks),
-        np.asarray(new_dts),
-        np.asarray(new_times),
-        np.stack(new_q),
-        np.asarray(orig_boundary),
-    )
+    return np.stack(new_masks), np.asarray(new_dts), np.asarray(new_times), np.asarray(orig_boundary)
 
 
-def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
-    """Run the scaled forward-backward sweep over the evidence."""
+def _norm(vec):
+    np.maximum(vec, 0.0, out=vec)
+    return (vec, float(vec.sum()))
+
+
+class _ForwardSweep(NamedTuple):
+    """The split segments, their exponentials and the forward messages."""
+
+    p0: np.ndarray
+    times: np.ndarray
+    masks: np.ndarray
+    dts: np.ndarray
+    kind: np.ndarray
+    exps: np.ndarray
+    fwd: np.ndarray
+    fwd_log: np.ndarray
+    fwd_pre: np.ndarray
+    fwd_pre_log: np.ndarray
+    log_prob: float
+    dead: int | None
+
+
+def _forward(q: IntensityMatrix, p0, ev: Evidence) -> _ForwardSweep:
+    """Split the evidence segments and run the scaled forward sweep. The
+    restricted generators and their exponentials exist only here and in the
+    backward sweep of ``forward_backward``, which reuses them."""
     if q.kind != "proper":
         raise ValueError("forward-backward needs a proper intensity matrix")
     if ev.n != q.n:
         raise ValueError("evidence dimension does not match the matrix")
     p0 = validate_distribution(p0, q.n)
     n = q.n
-    masks = ev.masks
-    dts = ev.durations
-    seg_q = _segment_generators(q.entries, masks)
-    orig_kind = {}
-    for i in range(ev.n_segments - 1):
-        if not (masks[i] & masks[i + 1]).any():
-            orig_kind[i] = _rate_factor(q.entries, masks[i], masks[i + 1])
-    masks, dts, times, seg_q, orig_boundary = _split_segments(
-        masks, dts, ev.boundaries, seg_q
-    )
+    masks, dts, times, orig_boundary = _split_segments(q.entries, ev.masks, ev.durations, ev.boundaries)
     nseg = len(dts)
-    seg_exp = expm(seg_q * dts[:, None, None])
+    exps = expm(_masked(q.entries, masks, masks) * dts[:, None, None])
+    w = _off_diagonal(q.entries)
 
-    factor_kind = np.zeros(max(nseg - 1, 0), dtype=np.int64)
-    factors: list = [None] * max(nseg - 1, 0)
-    for i, fac in orig_kind.items():
-        # The factor between original segments i and i+1 sits just before
-        # split-level boundary orig_boundary[i + 1].
-        pos = int(orig_boundary[i + 1]) - 1
-        factor_kind[pos] = _RATE
-        factors[pos] = fac
+    # The factor between original segments i and i+1 sits just before
+    # split-level boundary orig_boundary[i + 1].
+    kind = np.zeros(max(nseg - 1, 0), dtype=np.int64)
+    disjoint = ~(ev.masks[:-1] & ev.masks[1:]).any(axis=1)
+    kind[orig_boundary[1:-1][disjoint] - 1] = _RATE
 
     nb = nseg + 1
     fwd = np.zeros((nb, n))
     fwd_log = np.full(nb, -np.inf)
     fwd_pre = np.zeros((nb, n))
     fwd_pre_log = np.full(nb, -np.inf)
-    bwd = np.zeros((nb, n))
-    bwd_log = np.full(nb, -np.inf)
-    bwd_post = np.zeros((nb, n))
-    bwd_post_log = np.full(nb, -np.inf)
-
     dead: int | None = None
 
-    def _norm(vec):
-        np.maximum(vec, 0.0, out=vec)
-        return (vec, float(vec.sum()))
-
-    # Forward sweep. Boundary 0 projects p0 onto the first subsystem.
+    # Boundary 0 projects p0 onto the first subsystem.
     fwd_pre[0] = p0
     fwd_pre_log[0] = 0.0
     v, s = _norm(p0 * masks[0])
@@ -219,7 +217,7 @@ def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
         fwd[0] = v / s
         fwd_log[0] = np.log(s)
         for i in range(nseg):
-            v, s = _norm(fwd[i] @ seg_exp[i])
+            v, s = _norm(fwd[i] @ exps[i])
             if s <= 0.0:
                 dead = i + 1
                 break
@@ -229,8 +227,8 @@ def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
                 fwd[i + 1] = fwd_pre[i + 1]
                 fwd_log[i + 1] = fwd_pre_log[i + 1]
                 break
-            if factor_kind[i] == _RATE:
-                v, s = _norm(fwd_pre[i + 1] @ factors[i])
+            if kind[i] == _RATE:
+                v, s = _norm(((fwd_pre[i + 1] * masks[i]) @ w) * masks[i + 1])
             else:
                 v, s = _norm(fwd_pre[i + 1] * masks[i + 1])
             if s <= 0.0:
@@ -241,7 +239,22 @@ def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
     else:
         dead = 0
 
-    log_prob = fwd_log[nseg] if dead is None else -np.inf
+    log_prob = float(fwd_log[nseg]) if dead is None else -np.inf
+    return _ForwardSweep(p0, times, masks, dts, kind, exps, fwd, fwd_log, fwd_pre, fwd_pre_log, log_prob, dead)
+
+
+def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
+    """Run the scaled forward-backward sweep over the evidence."""
+    f = _forward(q, p0, ev)
+    n = q.n
+    masks, exps, kind = f.masks, f.exps, f.kind
+    w = _off_diagonal(q.entries)
+    nseg = len(f.dts)
+    nb = nseg + 1
+    bwd = np.zeros((nb, n))
+    bwd_log = np.full(nb, -np.inf)
+    bwd_post = np.zeros((nb, n))
+    bwd_post_log = np.full(nb, -np.inf)
 
     # Backward sweep; at the horizon the message is all ones.
     bwd[nseg] = np.full(n, 1.0 / n)
@@ -250,7 +263,7 @@ def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
     bwd_post_log[nseg] = bwd_log[nseg]
     alive = True
     for i in range(nseg - 1, -1, -1):
-        v, s = _norm(seg_exp[i] @ bwd[i + 1])
+        v, s = _norm(exps[i] @ bwd[i + 1])
         if s <= 0.0:
             alive = False
             break
@@ -258,8 +271,8 @@ def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
         bwd_post_log[i] = bwd_log[i + 1] + np.log(s)
         if i == 0:
             v, s = _norm(bwd_post[0] * masks[0])
-        elif factor_kind[i - 1] == _RATE:
-            v, s = _norm(factors[i - 1] @ bwd_post[i])
+        elif kind[i - 1] == _RATE:
+            v, s = _norm(masks[i - 1] * (w @ (bwd_post[i] * masks[i])))
         else:
             v, s = _norm(bwd_post[i] * masks[i])
         if s <= 0.0:
@@ -269,7 +282,7 @@ def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
         bwd_log[i] = bwd_post_log[i] + np.log(s)
 
     if alive:
-        mass = float(p0 @ bwd[0])
+        mass = float(f.p0 @ bwd[0])
         log_prob_backward = np.log(mass) + bwd_log[0] if mass > 0.0 else -np.inf
     else:
         log_prob_backward = -np.inf
@@ -277,25 +290,22 @@ def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
     return MessageCache(
         evidence=ev,
         q=q,
-        p0=p0,
-        times=times,
+        p0=f.p0,
+        times=f.times,
         seg_masks=masks,
-        seg_q=seg_q,
-        seg_exp=seg_exp,
-        seg_dt=dts,
-        factor_kind=factor_kind,
-        factors=factors,
-        fwd=fwd,
-        fwd_log=fwd_log,
-        fwd_pre=fwd_pre,
-        fwd_pre_log=fwd_pre_log,
+        seg_dt=f.dts,
+        factor_kind=kind,
+        fwd=f.fwd,
+        fwd_log=f.fwd_log,
+        fwd_pre=f.fwd_pre,
+        fwd_pre_log=f.fwd_pre_log,
         bwd=bwd,
         bwd_log=bwd_log,
         bwd_post=bwd_post,
         bwd_post_log=bwd_post_log,
-        log_prob=float(log_prob),
+        log_prob=f.log_prob,
         log_prob_backward=float(log_prob_backward),
-        dead_boundary=dead,
+        dead_boundary=f.dead,
     )
 
 
@@ -318,8 +328,10 @@ def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:
         raw = cache.fwd[i] * cache.bwd_post[i]
     else:
         i = int(np.searchsorted(bounds, t)) - 1
-        a = cache.fwd[i] @ expm(cache.seg_q[i] * (t - bounds[i]))
-        b = expm(cache.seg_q[i] * (bounds[i + 1] - t)) @ cache.bwd[i + 1]
+        mask = cache.seg_masks[i]
+        gen = _masked(cache.q.entries, mask, mask)
+        a = cache.fwd[i] @ expm(gen * (t - bounds[i]))
+        b = expm(gen * (bounds[i + 1] - t)) @ cache.bwd[i + 1]
         raw = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
     s = raw.sum()
     if s <= 0.0:
@@ -327,36 +339,22 @@ def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:
     return raw / s
 
 
-class _GroupedGenerators:
-    """Segment batch whose rows are grouped into contiguous runs sharing one
-    restricted generator, so the transport terms of the derivative reduce to
-    one dense matrix product per distinct generator."""
+class _Transport:
+    """Derivative of the forward/backward transport pair of a segment batch
+    on the normalized interval [0, 1]: row r evolves under Q masked to its
+    mask S_r, as (f Q)_S dt and -(Q b)_S dt, with one product by the shared
+    Q for the whole batch. Rows start inside their masks and stay there."""
 
-    def __init__(self, qs: np.ndarray, dts: np.ndarray, group_ids):
-        order = np.lexsort((np.arange(len(dts)), np.asarray(group_ids)))
-        self.order = order
-        self.dts = dts[order]
-        self.slices = []
-        ids = np.asarray(group_ids)[order]
-        lo = 0
-        for hi in range(1, len(ids) + 1):
-            if hi == len(ids) or ids[hi] != ids[lo]:
-                self.slices.append((slice(lo, hi), qs[order[lo]], qs[order[lo]].T.copy()))
-                lo = hi
-        self.qmax = np.abs(np.diagonal(qs[order], axis1=1, axis2=2)).max(axis=1)
+    def __init__(self, q: np.ndarray, masks: np.ndarray, dts: np.ndarray):
+        self.q = q
+        self.dts = dts
+        self.scale = masks * dts[:, None]
 
     def deriv(self, f, b):
-        fd = f * self.dts[:, None]
-        bd = b * self.dts[:, None]
-        df = np.empty_like(f)
-        db = np.empty_like(b)
-        for sl, q, qt in self.slices:
-            df[sl] = fd[sl] @ q
-            db[sl] = -(bd[sl] @ qt)
-        return df, db
+        return (f @ self.q) * self.scale, -((b @ self.q.T) * self.scale)
 
 
-def _rk4_step(gen: _GroupedGenerators, f, b, h, k1=None):
+def _rk4_step(gen: _Transport, f, b, h, k1=None):
     if k1 is None:
         k1 = gen.deriv(f, b)
     k2 = gen.deriv(f + 0.5 * h * k1[0], b + 0.5 * h * k1[1])
@@ -368,14 +366,13 @@ def _rk4_step(gen: _GroupedGenerators, f, b, h, k1=None):
     return fn, bn
 
 
-def _convolution_core(gen: _GroupedGenerators, f0: np.ndarray, b0: np.ndarray, tol: float) -> np.ndarray:
+def _convolution_core(gen: _Transport, stiff: np.ndarray, f0: np.ndarray, b0: np.ndarray, tol: float) -> np.ndarray:
     m, n = f0.shape
     f = f0.astype(float).copy()
     b = b0.astype(float).copy()
     j = np.zeros((m, n, n))
     tol = tol * _STEP_SAFETY
 
-    stiff = gen.qmax * gen.dts
     with np.errstate(divide="ignore"):
         h0 = np.where(stiff > 0.0, 0.1 / np.where(stiff > 0, stiff, 1.0), 1.0)
     h = float(min(1.0, h0.min()))
@@ -414,44 +411,42 @@ def _convolution_core(gen: _GroupedGenerators, f0: np.ndarray, b0: np.ndarray, t
 
 
 def _convolution_batch(
-    qs: np.ndarray,
+    q: np.ndarray,
+    masks: np.ndarray,
     dts: np.ndarray,
     f0: np.ndarray,
     b0: np.ndarray,
     tol: float,
-    group_ids=None,
 ) -> np.ndarray:
     """All pairwise integrals J[m, j, k] = int_0^dt f_j(s) b_k(s) ds per
-    segment m, where f(s) = f0 exp(Q s) and b(s) = exp(Q (dt - s)) b0.
+    segment m, where f(s) = f0 exp(Q_S s), b(s) = exp(-Q_S s) b0 and Q_S
+    is Q masked to the segment's mask S; f0 and b0 are first projected
+    onto S, so J vanishes outside S x S.
 
-    The transport pair (df = f Q, db = -Q b) is advanced on the normalized
-    interval [0, 1] by fourth-order Runge-Kutta with step-doubling error
-    control shared across the batch, and dJ = outer(f, b) is accumulated
-    along the accepted steps by Simpson quadrature of matching order.
-    Segments are bucketed by stiffness so slow segments do not pay for
-    stiff ones, and ``group_ids`` marks rows sharing a generator matrix.
+    The transport pair (df = f Q_S, db = -Q_S b) is advanced on the
+    normalized interval [0, 1] by fourth-order Runge-Kutta with
+    step-doubling error control shared across the batch, and dJ = outer(f,
+    b) is accumulated along the accepted steps by Simpson quadrature of
+    matching order. Segments are bucketed by stiffness so slow segments do
+    not pay for stiff ones.
     """
-    m = f0.shape[0]
+    m, n = f0.shape
+    j = np.zeros((m, n, n))
     if m == 0:
-        return np.zeros_like(qs)
-    if group_ids is None:
-        group_ids = np.arange(m)
-    group_ids = np.asarray(group_ids)
-    stiffness = np.abs(np.diagonal(qs, axis1=1, axis2=2)).max(axis=1) * dts
+        return j
+    f0 = f0 * masks
+    b0 = b0 * masks
+    stiffness = _stiffness(q, masks, dts)
     order = np.argsort(stiffness, kind="stable")
-    j = np.zeros_like(qs)
     bounds = np.quantile(stiffness, [0.25, 0.5, 0.75]) if m > 1 else []
     lo = 0
-    buckets = []
     for cut in list(bounds) + [np.inf]:
         hi = int(np.searchsorted(stiffness[order], cut, side="right"))
         if hi > lo:
-            buckets.append(order[lo:hi])
+            idx = order[lo:hi]
+            gen = _Transport(q, masks[idx], dts[idx])
+            j[idx] = _convolution_core(gen, stiffness[idx], f0[idx], b0[idx], tol)
         lo = hi
-    for idx in buckets:
-        gen = _GroupedGenerators(qs[idx], dts[idx], group_ids[idx])
-        inner = gen.order
-        j[idx[inner]] = _convolution_core(gen, f0[idx][inner], b0[idx][inner], tol)
     return j
 
 
@@ -469,56 +464,56 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
         raise ValueError("dt must be nonnegative")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    n = q.shape[0]
     if dt == 0.0:
-        return np.zeros((q.shape[0], q.shape[0]))
+        return np.zeros((n, n))
     b0 = expm(q * dt) @ beta
-    return _convolution_batch(q[None], np.array([dt]), alpha[None], b0[None], tol)[0]
+    return _convolution_batch(q, np.ones((1, n), dtype=bool), np.array([dt]), alpha[None], b0[None], tol)[0]
 
 
 def _closed_form_stats(cache: MessageCache):
     """Singleton-segment dwell (exact closed form: the integrand is
-    constant) plus asserted-transition boundary counts; returns the general
-    segments still needing quadrature as (indices, f0, b0)."""
+    constant) plus asserted-transition boundary counts; returns the indices
+    of the general segments still needing quadrature."""
     n = cache.evidence.n
     tbar = np.zeros(n)
     mbar = np.zeros((n, n))
-    sizes = cache.seg_masks.sum(axis=1)
+    masks = cache.seg_masks
+    sizes = masks.sum(axis=1)
     dts = cache.seg_dt
     pos = dts > 0.0
 
     sing = np.flatnonzero(pos & (sizes == 1))
     if sing.size:
-        jj = cache.seg_masks[sing].argmax(axis=1)
-        alive = cache.fwd[sing, jj] * cache.seg_exp[sing, jj, jj] * cache.bwd[sing + 1, jj] > 0.0
+        jj = masks[sing].argmax(axis=1)
+        alive = cache.fwd[sing, jj] * cache.bwd_post[sing, jj] > 0.0
         np.add.at(tbar, jj[alive], dts[sing][alive])
 
-    rate_bounds = np.flatnonzero(cache.factor_kind == _RATE)
-    if rate_bounds.size:
-        fac = np.stack([cache.factors[i] for i in rate_bounds])
-        contrib = fac * cache.fwd_pre[rate_bounds + 1][:, :, None] * cache.bwd_post[rate_bounds + 1][:, None, :]
-        totals = contrib.sum(axis=(1, 2))
+    # The factor after segment i acts at boundary i + 1, from mask i into
+    # mask i + 1; its posterior counts are W o outer(a, b) / (a W b).
+    rate = np.flatnonzero(cache.factor_kind == _RATE)
+    if rate.size:
+        w = _off_diagonal(cache.q.entries)
+        a = cache.fwd_pre[rate + 1] * masks[rate]
+        b = cache.bwd_post[rate + 1] * masks[rate + 1]
+        totals = ((a @ w) * b).sum(axis=1)
         alive = totals > 0.0
         if alive.any():
-            mbar += (contrib[alive] / totals[alive, None, None]).sum(axis=0)
+            mbar += w * ((a[alive] / totals[alive, None]).T @ b[alive])
 
-    general = np.flatnonzero(pos & (sizes > 1))
-    if general.size:
-        f0 = cache.fwd[general]
-        b0 = np.einsum("mij,mj->mi", cache.seg_exp[general], cache.bwd[general + 1])
-        return tbar, mbar, (general, f0, b0)
-    return tbar, mbar, None
+    return tbar, mbar, np.flatnonzero(pos & (sizes > 1))
 
 
-def _scatter_quadrature(cache, tbar, mbar, general, f0, b0, j):
+def _scatter_quadrature(cache, tbar, mbar, general, j):
     """Fold quadrature results back into one trajectory's statistics,
-    normalizing each segment by its own evidence mass."""
-    n = tbar.shape[0]
-    inner = np.einsum("mi,mi->m", f0, b0)
+    normalizing each segment by its own evidence mass. The right vector of
+    segment i is bwd_post[i], exp(Q_S dt) bwd[i + 1] up to a scale that the
+    normalization cancels."""
+    inner = np.einsum("mi,mi->m", cache.fwd[general], cache.bwd_post[general])
     w = np.where(inner > 0.0, 1.0 / np.where(inner > 0.0, inner, 1.0), 0.0)
-    tbar += np.einsum("m,mii->i", w, j)
-    rates = cache.seg_q[general].copy()
-    rates[:, np.arange(n), np.arange(n)] = 0.0
-    mbar += np.einsum("m,mjk,mjk->jk", w, rates, j)
+    jw = np.einsum("m,mjk->jk", w, j)
+    tbar += np.diagonal(jw)
+    mbar += _off_diagonal(cache.q.entries) * jw
     np.clip(tbar, 0.0, None, out=tbar)
     np.clip(mbar, 0.0, None, out=mbar)
     return FlatStatistics(tbar, mbar)
@@ -526,13 +521,10 @@ def _scatter_quadrature(cache, tbar, mbar, general, f0, b0, j):
 
 def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[FlatStatistics]:
     """Expected statistics for many trajectories at once; all segments that
-    need quadrature share a handful of batched integrator passes, which is
-    what keeps dataset-scale E-steps fast."""
-    pending = []
+    need quadrature under one joint generator share a handful of batched
+    integrator passes, which is what keeps dataset-scale E-steps fast."""
     results: list = [None] * len(caches)
-    parts = []
-    group_keys: dict = {}
-    group_parts = []
+    pending: dict = {}
     for idx, cache in enumerate(caches):
         if cache.impossible:
             raise ZeroProbabilityEvidenceError(cache.dead_boundary, idx)
@@ -540,35 +532,29 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
         if hit is not None:
             results[idx] = hit
             continue
-        tbar, mbar, gen = _closed_form_stats(cache)
-        if gen is None:
+        tbar, mbar, general = _closed_form_stats(cache)
+        if general.size == 0:
             np.clip(tbar, 0.0, None, out=tbar)
             np.clip(mbar, 0.0, None, out=mbar)
             results[idx] = FlatStatistics(tbar, mbar)
             cache._stats[tol] = results[idx]
             continue
-        pending.append((idx, cache, tbar, mbar, gen))
-        parts.append((cache.seg_q[gen[0]], cache.seg_dt[gen[0]], gen[1], gen[2]))
-        ids = []
-        for seg in gen[0]:
-            key = (id(cache.q.entries), cache.seg_masks[seg].tobytes())
-            ids.append(group_keys.setdefault(key, len(group_keys)))
-        group_parts.append(np.asarray(ids))
+        pending.setdefault(id(cache.q), []).append((idx, cache, tbar, mbar, general))
 
-    if pending:
-        qs = np.concatenate([p[0] for p in parts])
-        dts = np.concatenate([p[1] for p in parts])
-        f0 = np.concatenate([p[2] for p in parts])
-        b0 = np.concatenate([p[3] for p in parts])
-        j_all = _convolution_batch(qs, dts, f0, b0, tol, np.concatenate(group_parts))
+    for batch in pending.values():
+        j_all = _convolution_batch(
+            batch[0][1].q.entries,
+            np.concatenate([c.seg_masks[g] for _, c, _, _, g in batch]),
+            np.concatenate([c.seg_dt[g] for _, c, _, _, g in batch]),
+            np.concatenate([c.fwd[g] for _, c, _, _, g in batch]),
+            np.concatenate([c.bwd_post[g] for _, c, _, _, g in batch]),
+            tol,
+        )
         offset = 0
-        for (idx, cache, tbar, mbar, gen), part in zip(pending, parts):
-            count = part[1].shape[0]
-            j = j_all[offset : offset + count]
-            offset += count
-            stats = _scatter_quadrature(cache, tbar, mbar, gen[0], gen[1], gen[2], j)
-            results[idx] = stats
-            cache._stats[tol] = stats
+        for idx, cache, tbar, mbar, general in batch:
+            j = j_all[offset : offset + general.size]
+            offset += general.size
+            results[idx] = cache._stats[tol] = _scatter_quadrature(cache, tbar, mbar, general, j)
     return results
 
 

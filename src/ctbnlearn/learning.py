@@ -19,7 +19,9 @@ import numpy as np
 from .evidence import Evidence
 from .inference import (
     DEFAULT_QUAD_TOL,
+    FlatStatistics,
     ZeroProbabilityEvidenceError,
+    _forward,
     expected_statistics_many,
     forward_backward,
     smoothed_marginal,
@@ -30,6 +32,7 @@ from .model import (
     CtbnModel,
     FamilyStatistics,
     _xlogy,
+    aggregate_statistics,
     amalgamate,
     family_tables,
 )
@@ -179,16 +182,6 @@ def _flat_e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float,
     return space, tbar, mbar, init_sums, lls
 
 
-def _aggregate_families(model: CtbnModel, space: StateSpace, tbar, mbar, init_sums, n_records) -> FamilyStatistics:
-    time, trans = {}, {}
-    for vi, var in enumerate(model.variables):
-        parent_ids = tuple(space.index_of[p] for p in model.parents(var.name))
-        t, m = family_tables(space, tbar, mbar, vi, parent_ids)
-        time[var.name] = t
-        trans[var.name] = m
-    return FamilyStatistics(time=time, trans=trans, initial=init_sums, n_records=n_records)
-
-
 def e_step(
     model: CtbnModel,
     dataset: Sequence[Evidence],
@@ -208,8 +201,8 @@ def e_step(
         )
         return stats, 0.0
     space, tbar, mbar, init_sums, lls = _flat_e_step(model, dataset, quad_tol, joint_cap)
-    stats = _aggregate_families(model, space, tbar, mbar, init_sums, len(dataset))
-    return stats, math.fsum(lls)
+    stats = aggregate_statistics(FlatStatistics(tbar, mbar), space, model)
+    return replace(stats, initial=init_sums, n_records=len(dataset)), math.fsum(lls)
 
 
 def _n_instantiations(model: CtbnModel, name: str) -> int:
@@ -223,10 +216,10 @@ def score_dataset(
     q, _, p0 = amalgamate(model, joint_cap)
     out = []
     for idx, ev in enumerate(dataset):
-        cache = forward_backward(q, p0, ev)
-        if cache.impossible:
-            raise ZeroProbabilityEvidenceError(cache.dead_boundary, idx)
-        out.append(cache.log_prob)
+        sweep = _forward(q, p0, ev)
+        if not np.isfinite(sweep.log_prob):
+            raise ZeroProbabilityEvidenceError(sweep.dead, idx)
+        out.append(sweep.log_prob)
     return out
 
 
@@ -321,6 +314,13 @@ def _family_max_ll(t: np.ndarray, m: np.ndarray) -> float:
     return float(ll)
 
 
+def _family_bic(t: np.ndarray, m: np.ndarray, support_count: int, n_eff: float) -> float:
+    """A family's BIC term: its maximized expected log-likelihood minus
+    (ln n_eff)/2 per free parameter, one per allowed exit per parent
+    instantiation."""
+    return _family_max_ll(t, m) - 0.5 * math.log(n_eff) * t.shape[0] * support_count
+
+
 def _effective_sample_size(config_mode: str, w: int, total_time: float | None) -> float:
     if config_mode == "total-time":
         if total_time is None or total_time <= 0:
@@ -344,9 +344,8 @@ def bic_score(
     n_eff = _effective_sample_size(sample_size, w, total_time)
     per_family = {}
     for name in model.names:
-        cim = model.cims[name]
-        n_free = cim.n_instantiations * int(cim.support.sum())
-        per_family[name] = _family_max_ll(stats.time[name], stats.trans[name]) - 0.5 * math.log(n_eff) * n_free
+        support_count = int(model.cims[name].support.sum())
+        per_family[name] = _family_bic(stats.time[name], stats.trans[name], support_count, n_eff)
     return math.fsum(per_family.values()), per_family
 
 
@@ -392,9 +391,7 @@ def structure_search(
         best_score = -math.inf
         for size in range(min(max_parents, len(pool)) + 1):
             for combo in itertools.combinations(pool, size):
-                t, m = provider.family(name, combo)
-                n_u = t.shape[0]
-                score = _family_max_ll(t, m) - 0.5 * math.log(n_eff) * n_u * support_count
+                score = _family_bic(*provider.family(name, combo), support_count, n_eff)
                 if score > best_score:
                     best_score = score
                     best_set = combo
@@ -451,7 +448,8 @@ def sem(model0: CtbnModel, dataset: Sequence[Evidence], config: SemConfig = SemC
         flat = None
         for _ in range(config.em_iters):
             space, tbar, mbar, init_sums, _ = _flat_e_step(model, dataset, em_cfg.quad_tol, em_cfg.joint_cap)
-            stats = _aggregate_families(model, space, tbar, mbar, init_sums, w)
+            stats = aggregate_statistics(FlatStatistics(tbar, mbar), space, model)
+            stats = replace(stats, initial=init_sums, n_records=w)
             flat = (space, tbar, mbar)
             model = m_step(stats, model, em_cfg.freeze_initial)
         provider = FlatFamilyProvider(*flat)
@@ -461,10 +459,8 @@ def sem(model0: CtbnModel, dataset: Sequence[Evidence], config: SemConfig = SemC
         )
         score = 0.0
         for name in model.names:
-            t, m = provider.family(name, new_graph[name])
-            n_u = t.shape[0]
             support_count = int(model.cims[name].support.sum())
-            score += _family_max_ll(t, m) - 0.5 * math.log(n_eff) * n_u * support_count
+            score += _family_bic(*provider.family(name, new_graph[name]), support_count, n_eff)
         if bic_trace and score <= bic_trace[-1] + em_cfg.tol * max(1.0, abs(bic_trace[-1])):
             converged = True
             break

@@ -37,8 +37,6 @@ __all__ = [
 
 #: Exact inference flattens the model; refuse joint spaces larger than this.
 DEFAULT_JOINT_CAP = 4096
-#: Statistic cells below this are treated as unvisited.
-EXIT_CONSISTENCY_TOL = 1e-9
 
 
 class JointSpaceTooLargeError(RuntimeError):

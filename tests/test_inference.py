@@ -5,6 +5,7 @@ import pytest
 
 from ctbnlearn import (
     Evidence,
+    ObservedTrajectory,
     StepUnderflowError,
     Subsystem,
     ZeroProbabilityEvidenceError,
@@ -111,6 +112,55 @@ class TestForwardBackward:
         assert cache.impossible
         with pytest.raises(ZeroProbabilityEvidenceError):
             expected_statistics(cache)
+
+
+def _arrays(obj, seen):
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return
+    for item in items:
+        yield from _arrays(item, seen)
+
+
+class TestMessageCacheSize:
+    def test_cache_holds_no_per_segment_matrices(self):
+        # Six independent binary variables: joint n = 64. The long hidden
+        # stretch is split for stiffness, the observed flip of x0 at t = 3.5
+        # is a rate boundary.
+        names = tuple(f"x{i}" for i in range(6))
+        model = independent_binary_model(names, ((1.0, 2.0),) * 6)
+        q, space, p0 = amalgamate(model)
+        hidden = (None,) * 6
+        record = ObservedTrajectory(
+            (
+                (0.0, 3.0, hidden),
+                (3.0, 3.5, (0, 0, 0, 0, 0, 0)),
+                (3.5, 4.0, (1, 0, 0, 0, 0, 0)),
+                (4.0, 5.0, (None, 0, 0, 0, 0, None)),
+                (5.0, 5.5, (0, 0, 0, 0, 0, 1)),
+                (5.5, 6.0, hidden),
+            ),
+            6.0,
+        )
+        ev = record.to_evidence(space)
+        cache = forward_backward(q, p0, ev)
+        assert not cache.impossible
+        assert (cache.factor_kind == 1).any()
+        assert len(cache.seg_dt) > ev.n_segments
+        bound = (len(cache.times) + 1) * q.n
+        sizes = [a.size for a in _arrays(cache, {id(cache.q)})]
+        assert sizes and max(sizes) <= bound
 
 
 class TestSmoothedMarginal:

@@ -9,6 +9,7 @@ from ctbnlearn import (
     EmConfig,
     Evidence,
     FlatFamilyProvider,
+    ObservedTrajectory,
     SemConfig,
     Subsystem,
     Variable,
@@ -19,6 +20,7 @@ from ctbnlearn import (
     e_step,
     em,
     family_log_likelihood,
+    forward_backward,
     m_step,
     random_parameters,
     sample_trajectory,
@@ -47,6 +49,32 @@ def exact_family_stats(model, trajs, space):
     t = sum((tr.dwell_times(space.n_joint) for tr in trajs), np.zeros(space.n_joint))
     m = sum((tr.transition_counts(space.n_joint) for tr in trajs), np.zeros((space.n_joint,) * 2))
     return aggregate_statistics(FlatStatistics(t, m), space, model)
+
+
+class TestScoreDataset:
+    def test_forward_pass_scores_occluded_evidence(self):
+        # The hidden stretch [0, 4) is split for stiffness; the observed
+        # flip of a at t = 4.5 is a rate boundary; the third record asserts
+        # a simultaneous flip of a and b, which has probability zero.
+        model = binary_chain_model()
+        q, space, p0 = amalgamate(model)
+        hidden = (None, None, None)
+        good = [
+            ObservedTrajectory(
+                ((0.0, 4.0, hidden), (4.0, 4.5, (0, 0, 0)), (4.5, 5.0, (1, 0, 0)), (5.0, 6.0, (None, 0, None))),
+                6.0,
+            ),
+            ObservedTrajectory(((0.0, 1.0, (0, None, 1)), (1.0, 6.0, hidden)), 6.0),
+        ]
+        bad = ObservedTrajectory(((0.0, 1.0, (0, 0, 0)), (1.0, 2.0, (1, 1, 0))), 2.0)
+        dataset = [rec.to_evidence(space) for rec in good]
+        caches = [forward_backward(q, p0, ev) for ev in dataset]
+        assert (caches[0].factor_kind == 1).any()
+        assert len(caches[0].seg_dt) > dataset[0].n_segments
+        assert score_dataset(model, dataset) == [c.log_prob for c in caches]
+        with pytest.raises(ZeroProbabilityEvidenceError) as err:
+            score_dataset(model, dataset + [bad.to_evidence(space)])
+        assert err.value.trajectory_index == 2
 
 
 class TestEStep:
