@@ -7,7 +7,9 @@ segments whose subsystems are disjoint, the evidence asserts a transition
 and the boundary factor is Q's off-diagonal masked to S1 x S2, applied as
 masked vector products with the one shared off-diagonal; when the
 subsystems overlap, the boundary is a projection onto the next subsystem
-(zero-length segments therefore act as plain indicators). The message
+(zero-length segments therefore act as plain indicators). Many
+trajectories under one Q are swept in lockstep, one row each, so the
+Python loop runs once per segment position of a batch. The message
 cache keeps the joint Q, the segment masks, durations and boundary kinds,
 and the O(boundaries * n) scaled messages; each restricted generator is
 derived from (Q, mask) where it is used. Expected dwell times and
@@ -17,6 +19,7 @@ per segment.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -159,154 +162,221 @@ def _split_segments(q: np.ndarray, masks, dts, times):
     return np.stack(new_masks), np.asarray(new_dts), np.asarray(new_times), np.asarray(orig_boundary)
 
 
-def _norm(vec):
-    np.maximum(vec, 0.0, out=vec)
-    return (vec, float(vec.sum()))
+# Trajectories are swept in lockstep, one batch at a time, so the Python
+# loop over segment positions runs once per batch rather than once per
+# trajectory. A batch is a run of consecutive trajectories whose evidence
+# segments need at most this many entries of n x n exponentials in all
+# (always at least one trajectory), which keeps large joint spaces at one
+# trajectory's worth of memory.
+_BATCH_ELEMENTS = 1 << 16
+
+
+def _batches(evs: list, n: int):
+    lo, size = 0, 0
+    for t, ev in enumerate(evs):
+        size += ev.n_segments * n * n
+        if size > _BATCH_ELEMENTS and t > lo:
+            yield evs[lo:t]
+            lo, size = t, ev.n_segments * n * n
+    if lo < len(evs):
+        yield evs[lo:]
+
+
+def _normalize_rows(v: np.ndarray):
+    """Clip the fresh array v to nonnegative and scale its rows to unit sum
+    in place. Returns v and the log scales; a row without mass stays zero
+    with log scale -inf, and so does everything swept from it."""
+    np.maximum(v, 0.0, out=v)
+    s = np.add.reduce(v, axis=1)
+    ok = s > 0.0
+    v /= np.where(ok, s, 1.0)[:, None]
+    return v, np.log(s, out=np.full_like(s, -np.inf), where=ok)
 
 
 class _ForwardSweep(NamedTuple):
-    """The split segments, their exponentials and the forward messages."""
+    """A batch of trajectories split into segments and swept forward.
+
+    The rows of all trajectories are stacked: trajectory t owns segments
+    ``seg_off[t]`` up to ``seg_off[t] + counts[t]`` and boundaries
+    ``seg_off[t] + t`` up to ``seg_off[t] + t + counts[t]`` inclusive.
+    ``rate_before[k]`` marks a segment entered through an asserted
+    transition.
+    """
 
     p0: np.ndarray
-    times: np.ndarray
+    times: list
     masks: np.ndarray
     dts: np.ndarray
-    kind: np.ndarray
+    rate_before: np.ndarray
     exps: np.ndarray
+    counts: np.ndarray
+    seg_off: np.ndarray
     fwd: np.ndarray
     fwd_log: np.ndarray
     fwd_pre: np.ndarray
     fwd_pre_log: np.ndarray
-    log_prob: float
-    dead: int | None
+
+    def bounds(self, t: int) -> slice:
+        lo = self.seg_off[t] + t
+        return slice(lo, lo + self.counts[t] + 1)
+
+    def log_prob(self, t: int) -> float:
+        return float(self.fwd_log[self.bounds(t)][-1])
+
+    def dead(self, t: int) -> int | None:
+        """The first boundary whose forward message has no mass, if any."""
+        hit = np.flatnonzero(np.isneginf(self.fwd_log[self.bounds(t)]))
+        return int(hit[0]) if hit.size else None
 
 
-def _forward(q: IntensityMatrix, p0, ev: Evidence) -> _ForwardSweep:
-    """Split the evidence segments and run the scaled forward sweep. The
-    restricted generators and their exponentials exist only here and in the
-    backward sweep of ``forward_backward``, which reuses them."""
+def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
+    """Trajectory rows ordered by descending segment count, so the rows that
+    still have a segment at position i are a prefix of length sizes[i]."""
+    order = np.argsort(-counts, kind="stable")
+    cnt = counts[order]
+    sizes = np.searchsorted(-cnt, -np.arange(cnt[0] + 1), side="left")
+    return cnt, seg_off[order], seg_off[order] + order, sizes
+
+
+def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
+    """Split the evidence segments of a batch and run the scaled forward
+    sweep. The restricted generators and their exponentials exist only here
+    and in ``_backward``, which reuses them."""
     if q.kind != "proper":
         raise ValueError("forward-backward needs a proper intensity matrix")
-    if ev.n != q.n:
+    if any(ev.n != q.n for ev in evs):
         raise ValueError("evidence dimension does not match the matrix")
     p0 = validate_distribution(p0, q.n)
     n = q.n
-    masks, dts, times, orig_boundary = _split_segments(q.entries, ev.masks, ev.durations, ev.boundaries)
-    nseg = len(dts)
+    parts = [_split_segments(q.entries, ev.masks, ev.durations, ev.boundaries) for ev in evs]
+    counts = np.array([len(p[1]) for p in parts])
+    seg_off = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    masks = np.concatenate([p[0] for p in parts])
+    dts = np.concatenate([p[1] for p in parts])
     exps = expm(_masked(q.entries, masks, masks) * dts[:, None, None])
     w = _off_diagonal(q.entries)
+    # The factor between original segments i and i + 1 enters split-level
+    # segment orig_boundary[i + 1].
+    rate_before = np.zeros(len(dts), dtype=bool)
+    for ev, (_, _, _, orig_boundary), off in zip(evs, parts, seg_off):
+        disjoint = ~(ev.masks[:-1] & ev.masks[1:]).any(axis=1)
+        rate_before[off + orig_boundary[1:-1][disjoint]] = True
 
-    # The factor between original segments i and i+1 sits just before
-    # split-level boundary orig_boundary[i + 1].
-    kind = np.zeros(max(nseg - 1, 0), dtype=np.int64)
-    disjoint = ~(ev.masks[:-1] & ev.masks[1:]).any(axis=1)
-    kind[orig_boundary[1:-1][disjoint] - 1] = _RATE
-
-    nb = nseg + 1
+    nb = len(dts) + len(evs)
     fwd = np.zeros((nb, n))
     fwd_log = np.full(nb, -np.inf)
     fwd_pre = np.zeros((nb, n))
     fwd_pre_log = np.full(nb, -np.inf)
-    dead: int | None = None
+    cnt, soff, boff, sizes = _lockstep(counts, seg_off)
 
     # Boundary 0 projects p0 onto the first subsystem.
-    fwd_pre[0] = p0
-    fwd_pre_log[0] = 0.0
-    v, s = _norm(p0 * masks[0])
-    if s > 0.0:
-        fwd[0] = v / s
-        fwd_log[0] = np.log(s)
-        for i in range(nseg):
-            v, s = _norm(fwd[i] @ exps[i])
-            if s <= 0.0:
-                dead = i + 1
-                break
-            fwd_pre[i + 1] = v / s
-            fwd_pre_log[i + 1] = fwd_log[i] + np.log(s)
-            if i == nseg - 1:
-                fwd[i + 1] = fwd_pre[i + 1]
-                fwd_log[i + 1] = fwd_pre_log[i + 1]
-                break
-            if kind[i] == _RATE:
-                v, s = _norm(((fwd_pre[i + 1] * masks[i]) @ w) * masks[i + 1])
-            else:
-                v, s = _norm(fwd_pre[i + 1] * masks[i + 1])
-            if s <= 0.0:
-                dead = i + 1
-                break
-            fwd[i + 1] = v / s
-            fwd_log[i + 1] = fwd_pre_log[i + 1] + np.log(s)
-    else:
-        dead = 0
+    fwd_pre[boff] = p0
+    fwd_pre_log[boff] = 0.0
+    v, lf = _normalize_rows(p0 * masks[soff])
+    fwd[boff] = v
+    fwd_log[boff] = lf
+    for i in range(cnt[0]):
+        # Segment i of every trajectory that has one; where it is the last,
+        # the boundary after it carries no factor.
+        a = sizes[i]
+        seg = soff[:a] + i
+        v, ls = _normalize_rows(np.einsum("tj,tjk->tk", v[:a], exps[seg]))
+        lf = lf[:a] + ls
+        b = boff[:a] + i + 1
+        fwd_pre[b] = fwd[b] = v
+        fwd_pre_log[b] = fwd_log[b] = lf
+        a = sizes[i + 1]
+        seg, b = seg[:a], b[:a]
+        v = np.where(rate_before[seg + 1, None], (v[:a] * masks[seg]) @ w, v[:a]) * masks[seg + 1]
+        v, ls = _normalize_rows(v)
+        lf = lf[:a] + ls
+        fwd[b] = v
+        fwd_log[b] = lf
 
-    log_prob = float(fwd_log[nseg]) if dead is None else -np.inf
-    return _ForwardSweep(p0, times, masks, dts, kind, exps, fwd, fwd_log, fwd_pre, fwd_pre_log, log_prob, dead)
+    return _ForwardSweep(
+        p0, [p[2] for p in parts], masks, dts, rate_before, exps, counts, seg_off,
+        fwd, fwd_log, fwd_pre, fwd_pre_log,
+    )
 
 
-def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
-    """Run the scaled forward-backward sweep over the evidence."""
-    f = _forward(q, p0, ev)
+def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep) -> list[MessageCache]:
+    """The backward sweep of a forward-swept batch; returns one message
+    cache per trajectory."""
     n = q.n
-    masks, exps, kind = f.masks, f.exps, f.kind
+    masks = f.masks
     w = _off_diagonal(q.entries)
-    nseg = len(f.dts)
-    nb = nseg + 1
+    nb = len(f.dts) + len(evs)
     bwd = np.zeros((nb, n))
     bwd_log = np.full(nb, -np.inf)
     bwd_post = np.zeros((nb, n))
     bwd_post_log = np.full(nb, -np.inf)
+    cnt, soff, boff, sizes = _lockstep(f.counts, f.seg_off)
 
-    # Backward sweep; at the horizon the message is all ones.
-    bwd[nseg] = np.full(n, 1.0 / n)
-    bwd_log[nseg] = np.log(n)
-    bwd_post[nseg] = bwd[nseg]
-    bwd_post_log[nseg] = bwd_log[nseg]
-    alive = True
-    for i in range(nseg - 1, -1, -1):
-        v, s = _norm(exps[i] @ bwd[i + 1])
-        if s <= 0.0:
-            alive = False
-            break
-        bwd_post[i] = v / s
-        bwd_post_log[i] = bwd_log[i + 1] + np.log(s)
-        if i == 0:
-            v, s = _norm(bwd_post[0] * masks[0])
-        elif kind[i - 1] == _RATE:
-            v, s = _norm(masks[i - 1] * (w @ (bwd_post[i] * masks[i])))
-        else:
-            v, s = _norm(bwd_post[i] * masks[i])
-        if s <= 0.0:
-            alive = False
-            break
-        bwd[i] = v / s
-        bwd_log[i] = bwd_post_log[i] + np.log(s)
+    # At the horizon the message is all ones.
+    v = np.full((len(evs), n), 1.0 / n)
+    lb = np.full(len(evs), math.log(n))
+    bwd[boff + cnt] = bwd_post[boff + cnt] = v
+    bwd_log[boff + cnt] = bwd_post_log[boff + cnt] = lb
+    for j in range(cnt[0]):
+        # The j-th segment from the end of every trajectory that has one,
+        # then the boundary before it; a first segment's boundary projects.
+        a = sizes[j]
+        i = cnt[:a] - 1 - j
+        seg = soff[:a] + i
+        b = boff[:a] + i
+        v, ls = _normalize_rows(np.einsum("tjk,tk->tj", f.exps[seg], v[:a]))
+        lb = lb[:a] + ls
+        bwd_post[b] = v
+        bwd_post_log[b] = lb
+        v = v * masks[seg]
+        v, ls = _normalize_rows(np.where(f.rate_before[seg, None], masks[seg - 1] * (v @ w.T), v))
+        lb = lb + ls
+        bwd[b] = v
+        bwd_log[b] = lb
 
-    if alive:
-        mass = float(f.p0 @ bwd[0])
-        log_prob_backward = np.log(mass) + bwd_log[0] if mass > 0.0 else -np.inf
-    else:
-        log_prob_backward = -np.inf
+    caches = []
+    for t, ev in enumerate(evs):
+        segs = slice(f.seg_off[t], f.seg_off[t] + f.counts[t])
+        bounds = f.bounds(t)
+        b0 = bounds.start
+        mass = float(f.p0 @ bwd[b0])
+        caches.append(
+            MessageCache(
+                evidence=ev,
+                q=q,
+                p0=f.p0,
+                times=f.times[t],
+                seg_masks=masks[segs].copy(),
+                seg_dt=f.dts[segs].copy(),
+                factor_kind=np.where(f.rate_before[segs][1:], _RATE, _PROJECT),
+                fwd=f.fwd[bounds].copy(),
+                fwd_log=f.fwd_log[bounds].copy(),
+                fwd_pre=f.fwd_pre[bounds].copy(),
+                fwd_pre_log=f.fwd_pre_log[bounds].copy(),
+                bwd=bwd[bounds].copy(),
+                bwd_log=bwd_log[bounds].copy(),
+                bwd_post=bwd_post[bounds].copy(),
+                bwd_post_log=bwd_post_log[bounds].copy(),
+                log_prob=f.log_prob(t),
+                log_prob_backward=math.log(mass) + bwd_log[b0] if mass > 0.0 else -np.inf,
+                dead_boundary=f.dead(t),
+            )
+        )
+    return caches
 
-    return MessageCache(
-        evidence=ev,
-        q=q,
-        p0=f.p0,
-        times=f.times,
-        seg_masks=masks,
-        seg_dt=f.dts,
-        factor_kind=kind,
-        fwd=f.fwd,
-        fwd_log=f.fwd_log,
-        fwd_pre=f.fwd_pre,
-        fwd_pre_log=f.fwd_pre_log,
-        bwd=bwd,
-        bwd_log=bwd_log,
-        bwd_post=bwd_post,
-        bwd_post_log=bwd_post_log,
-        log_prob=f.log_prob,
-        log_prob_backward=float(log_prob_backward),
-        dead_boundary=f.dead,
-    )
+
+def _forward_backward_many(q: IntensityMatrix, p0, evs) -> list[MessageCache]:
+    """``forward_backward`` over many trajectories, swept a batch at a time."""
+    evs = list(evs)
+    caches: list[MessageCache] = []
+    for batch in _batches(evs, q.n):
+        caches.extend(_backward(q, batch, _forward(q, p0, batch)))
+    return caches
+
+
+def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
+    """Run the scaled forward-backward sweep over the evidence."""
+    return _forward_backward_many(q, p0, [ev])[0]
 
 
 def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:

@@ -21,9 +21,10 @@ from .inference import (
     DEFAULT_QUAD_TOL,
     FlatStatistics,
     ZeroProbabilityEvidenceError,
+    _batches,
     _forward,
+    _forward_backward_many,
     expected_statistics_many,
-    forward_backward,
     smoothed_marginal,
 )
 from .model import (
@@ -163,12 +164,10 @@ def _flat_e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float,
     lls = []
     for lo in range(0, len(dataset), _ESTEP_CHUNK):
         chunk = dataset[lo : lo + _ESTEP_CHUNK]
-        caches = []
-        for off, ev in enumerate(chunk):
-            cache = forward_backward(q, p0, ev)
+        caches = _forward_backward_many(q, p0, chunk)
+        for off, cache in enumerate(caches):
             if cache.impossible:
                 raise ZeroProbabilityEvidenceError(cache.dead_boundary, lo + off)
-            caches.append(cache)
         try:
             stats = expected_statistics_many(caches, quad_tol)
         except ZeroProbabilityEvidenceError as exc:
@@ -214,12 +213,13 @@ def score_dataset(
 ) -> list[float]:
     """Per-trajectory observed-data log-likelihoods (forward pass only)."""
     q, _, p0 = amalgamate(model, joint_cap)
-    out = []
-    for idx, ev in enumerate(dataset):
-        sweep = _forward(q, p0, ev)
-        if not np.isfinite(sweep.log_prob):
-            raise ZeroProbabilityEvidenceError(sweep.dead, idx)
-        out.append(sweep.log_prob)
+    out: list[float] = []
+    for batch in _batches(list(dataset), q.n):
+        sweep = _forward(q, p0, batch)
+        for t in range(len(batch)):
+            if not np.isfinite(sweep.log_prob(t)):
+                raise ZeroProbabilityEvidenceError(sweep.dead(t), len(out))
+            out.append(sweep.log_prob(t))
     return out
 
 

@@ -20,6 +20,7 @@ from ctbnlearn import (
     transient_distribution,
     validate_intensity,
 )
+from ctbnlearn.inference import _forward_backward_many
 from helpers import (
     chain_oracle,
     independent_binary_model,
@@ -161,6 +162,37 @@ class TestMessageCacheSize:
         bound = (len(cache.times) + 1) * q.n
         sizes = [a.size for a in _arrays(cache, {id(cache.q)})]
         assert sizes and max(sizes) <= bound
+
+
+class TestLockstepSweep:
+    def test_batched_caches_match_single_sweeps(self):
+        # Joint n = 64, so the batch budget spans several batches. The
+        # trajectories differ in segment count; one has a rate boundary and
+        # a split segment, one dies at a simultaneous double flip.
+        names = tuple(f"x{i}" for i in range(6))
+        model = independent_binary_model(names, ((1.0, 2.0),) * 6)
+        q, space, p0 = amalgamate(model)
+        hidden = (None,) * 6
+        zeros = (0,) * 6
+        records = [
+            ((0.0, 3.0, hidden), (3.0, 3.5, zeros), (3.5, 4.0, (1, 0, 0, 0, 0, 0)), (4.0, 6.0, hidden)),
+            ((0.0, 6.0, hidden),),
+            ((0.0, 1.0, zeros), (1.0, 2.0, (1, 1, 0, 0, 0, 0)), (2.0, 6.0, hidden)),
+            ((0.0, 2.0, (0, None, 0, None, 0, None)), (2.0, 2.0, zeros), (2.0, 6.0, hidden)),
+        ] * 3
+        evs = [ObservedTrajectory(segs, 6.0).to_evidence(space) for segs in records]
+        batched = _forward_backward_many(q, p0, evs)
+        assert [c.impossible for c in batched] == [False, False, True, False] * 3
+        # A batch shares the squaring count of its matrix exponentials, so
+        # the numbers agree to rounding and the structure exactly.
+        for got, ev in zip(batched, evs):
+            want = forward_backward(q, p0, ev)
+            assert got.dead_boundary == want.dead_boundary
+            for name in ("times", "seg_masks", "seg_dt", "factor_kind"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            for name in ("log_prob", "log_prob_backward", "fwd", "fwd_log", "fwd_pre", "fwd_pre_log",
+                         "bwd", "bwd_log", "bwd_post", "bwd_post_log"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-14)
 
 
 class TestSmoothedMarginal:
