@@ -39,7 +39,11 @@ def _add_fit_flags(p: argparse.ArgumentParser):
         "(the default of the library's EmConfig)",
     )
     p.add_argument("--freeze-initial", action="store_true")
-    p.add_argument("--quad-tol", type=float, default=EmConfig.quad_tol)
+    p.add_argument(
+        "--quad-tol", type=float, default=EmConfig.quad_tol,
+        help="Poisson tail bound where the E-step's uniformization series is cut "
+        "(at least double-precision epsilon)",
+    )
     p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
     p.add_argument("--phases", default=None, help="phase expansion, e.g. 'X=3,Y=2'")
     p.add_argument("--phase-topology", choices=["chain", "unrestricted"], default="unrestricted")

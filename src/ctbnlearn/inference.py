@@ -14,8 +14,8 @@ cache keeps the joint Q, the segment masks, durations and boundary kinds,
 and the O(boundaries * n) scaled messages; each restricted generator is
 derived from (Q, mask) where it is used. Expected dwell times and
 transition counts reduce to pairwise convolution integrals over each
-segment, all n^2 of which are computed in one adaptive Runge-Kutta pass
-per segment.
+segment, all n^2 of which come in closed form from the uniformization
+series of the segment's generator, truncated at a Poisson tail bound.
 """
 from __future__ import annotations
 
@@ -42,14 +42,11 @@ __all__ = [
     "convolution_integrals",
 ]
 
-#: Default relative tolerance of the adaptive quadrature.
+#: Default bound on the Poisson tail where the uniformization series of the
+#: convolution integrals is cut; the error of a segment's integrals is at
+#: most this times dt * |f0|_1 * max(beta).
 DEFAULT_QUAD_TOL = 1e-8
 
-_SCALE_FLOOR = 1e-30
-_MIN_STEP = 1e-12
-# Per-step acceptance is tightened by this factor so the accumulated global
-# quadrature error stays within the caller's tolerance with margin.
-_STEP_SAFETY = 0.125
 # Boundary factor kinds.
 _PROJECT = 0
 _RATE = 1
@@ -71,7 +68,9 @@ class ZeroProbabilityEvidenceError(RuntimeError):
 
 
 class StepUnderflowError(RuntimeError):
-    """The adaptive step controller drove the step below dt * 1e-12."""
+    """The quadrature tolerance is below double-precision epsilon, a Poisson
+    tail bound the uniformization series cannot certify. (The name dates
+    from the adaptive integrator the series replaced.)"""
 
 
 @dataclass
@@ -132,21 +131,21 @@ class MessageCache:
 
 
 # Subdivide constant-evidence segments so that max|diag(Q_S)| * dt stays
-# below this; the split bounds the dynamic range the scaled messages and the
-# quadrature transport have to traverse in one stretch.
+# below this; the split bounds the dynamic range the scaled messages have to
+# traverse in one stretch and the length of the uniformization series.
 _SEGMENT_STIFFNESS_CAP = 16.0
 
 
-def _stiffness(q: np.ndarray, masks: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """max_{i in S} |q_ii| * dt for every segment."""
-    return np.where(masks, np.abs(np.diagonal(q)), 0.0).max(axis=1) * dts
+def _max_rate(q: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """max_{i in S} |q_ii| for every segment."""
+    return np.where(masks, np.abs(np.diagonal(q)), 0.0).max(axis=1)
 
 
 def _split_segments(q: np.ndarray, masks, dts, times):
     """Split segments stiffer than the cap into equal pieces. Returns the
     split masks, durations and boundary times, and the split-level index of
     every original boundary."""
-    chunks = np.maximum(1, np.ceil(_stiffness(q, masks, dts) / _SEGMENT_STIFFNESS_CAP).astype(int))
+    chunks = np.maximum(1, np.ceil(_max_rate(q, masks) * dts / _SEGMENT_STIFFNESS_CAP).astype(int))
     if (chunks == 1).all():
         return masks, dts, times, np.arange(len(dts) + 1)
     new_masks, new_dts, new_times = [], [], [times[0]]
@@ -409,75 +408,21 @@ def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:
     return raw / s
 
 
-class _Transport:
-    """Derivative of the forward/backward transport pair of a segment batch
-    on the normalized interval [0, 1]: row r evolves under Q masked to its
-    mask S_r, as (f Q)_S dt and -(Q b)_S dt, with one product by the shared
-    Q for the whole batch. Rows start inside their masks and stay there."""
-
-    def __init__(self, q: np.ndarray, masks: np.ndarray, dts: np.ndarray):
-        self.q = q
-        self.dts = dts
-        self.scale = masks * dts[:, None]
-
-    def deriv(self, f, b):
-        return (f @ self.q) * self.scale, -((b @ self.q.T) * self.scale)
+def _poisson_cutoff(mu: float, tol: float) -> int:
+    """The smallest K with P(Poisson(mu) > K) <= tol, mu > 0. The pmf is
+    summed in log space, so e^-mu underflowing does not end the series
+    early; the range searched leaves a tail far below epsilon."""
+    if tol < np.finfo(float).eps:
+        raise StepUnderflowError(f"tolerance {tol!r} is below double-precision epsilon")
+    k = np.arange(int(mu + 15.0 * math.sqrt(mu)) + 60)
+    log_pmf = k * math.log(mu) - mu - _log_factorials(len(k))
+    tail = np.cumsum(np.exp(log_pmf)[::-1])[::-1]
+    return int(np.argmax(tail <= tol)) - 1
 
 
-def _rk4_step(gen: _Transport, f, b, h, k1=None):
-    if k1 is None:
-        k1 = gen.deriv(f, b)
-    k2 = gen.deriv(f + 0.5 * h * k1[0], b + 0.5 * h * k1[1])
-    k3 = gen.deriv(f + 0.5 * h * k2[0], b + 0.5 * h * k2[1])
-    k4 = gen.deriv(f + h * k3[0], b + h * k3[1])
-    sixth = h / 6.0
-    fn = f + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-    bn = b + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-    return fn, bn
-
-
-def _convolution_core(gen: _Transport, stiff: np.ndarray, f0: np.ndarray, b0: np.ndarray, tol: float) -> np.ndarray:
-    m, n = f0.shape
-    f = f0.astype(float).copy()
-    b = b0.astype(float).copy()
-    j = np.zeros((m, n, n))
-    tol = tol * _STEP_SAFETY
-
-    with np.errstate(divide="ignore"):
-        h0 = np.where(stiff > 0.0, 0.1 / np.where(stiff > 0, stiff, 1.0), 1.0)
-    h = float(min(1.0, h0.min()))
-
-    s = 0.0
-    while s < 1.0 - 1e-15:
-        h = min(h, 1.0 - s)
-        k1 = gen.deriv(f, b)
-        f1, b1 = _rk4_step(gen, f, b, h, k1=k1)
-        fh, bh = _rk4_step(gen, f, b, 0.5 * h, k1=k1)
-        f2, b2 = _rk4_step(gen, fh, bh, 0.5 * h)
-
-        err = 0.0
-        for y, dy, y1, y2 in zip((f, b), k1, (f1, b1), (f2, b2)):
-            scale = np.abs(y) + np.abs(h * dy) + _SCALE_FLOOR
-            err = max(err, float((np.abs(y2 - y1) / scale).max()))
-        err /= 15.0
-
-        if err <= tol:
-            fe = f2 + (f2 - f1) / 15.0
-            be = b2 + (b2 - b1) / 15.0
-            # Simpson rule over the accepted step (same fifth-order local
-            # accuracy as the state update), using the half-step midpoint.
-            fw = np.stack((f, 4.0 * fh, fe))
-            bw = np.stack((b, bh, be))
-            j += (h / 6.0) * gen.dts[:, None, None] * np.einsum("smi,smj->mij", fw, bw)
-            f, b = fe, be
-            s += h
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (tol / err) ** 0.2)
-            h *= grow
-        else:
-            h *= max(0.1, 0.9 * (tol / err) ** 0.25)
-            if h < _MIN_STEP:
-                raise StepUnderflowError(f"step fell to {h!r} of the segment length")
-    return j
+def _log_factorials(count: int) -> np.ndarray:
+    """log k! for k = 0 .. count - 1."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, count)))))
 
 
 def _convolution_batch(
@@ -485,39 +430,68 @@ def _convolution_batch(
     masks: np.ndarray,
     dts: np.ndarray,
     f0: np.ndarray,
-    b0: np.ndarray,
+    beta: np.ndarray,
+    ends: np.ndarray,
     tol: float,
-) -> np.ndarray:
-    """All pairwise integrals J[m, j, k] = int_0^dt f_j(s) b_k(s) ds per
-    segment m, where f(s) = f0 exp(Q_S s), b(s) = exp(-Q_S s) b0 and Q_S
-    is Q masked to the segment's mask S; f0 and b0 are first projected
-    onto S, so J vanishes outside S x S.
+):
+    """Sums over row groups of the pairwise integrals
+    J[j, k] = int_0^dt f_j(s) b_k(s) ds, where row r has f(s) = f0 exp(Q_S s),
+    b(s) = exp(Q_S (dt - s)) beta and Q_S is Q masked to the row's mask S;
+    f0 and beta are first projected onto S, so J vanishes outside S x S,
+    and a row with dt = 0 contributes zero. Group g is the rows
+    ``ends[g - 1]`` up to ``ends[g]``; yields pairs (g, part) whose parts
+    add up to the group's sum.
 
-    The transport pair (df = f Q_S, db = -Q_S b) is advanced on the
-    normalized interval [0, 1] by fourth-order Runge-Kutta with
-    step-doubling error control shared across the batch, and dJ = outer(f,
-    b) is accumulated along the accepted steps by Simpson quadrature of
-    matching order. Segments are bucketed by stiffness so slow segments do
-    not pay for stiff ones.
+    Uniformization: with lambda = max_{i in S} |q_ii|, mu = lambda dt and
+    P = I + Q_S / lambda, exp(Q_S s) = sum_a e^{-lambda s} (lambda s)^a / a! P^a,
+    so J = sum_{a,b} c_{a+b} F_a^T G_b with F_a = f0 P^a, G_b = P^b beta and
+    c_k = dt e^{-mu} mu^k / (k+1)!. P is applied as the diagonal part
+    (lambda - |q_ii|) / lambda plus one product by the shared off-diagonal
+    of Q, so every term is a sum of nonnegative numbers. The series stops
+    where the Poisson tail is below tol, which bounds the error of every
+    column of J by tol * dt * |f0|_1 * max(beta). Rows go in chunks whose
+    stacks of F, G and the weighted sums H_a = sum_b c_{a+b} G_b stay
+    within _BATCH_ELEMENTS entries, so no (rows x n x n) array is built.
     """
     m, n = f0.shape
-    j = np.zeros((m, n, n))
     if m == 0:
-        return j
-    f0 = f0 * masks
-    b0 = b0 * masks
-    stiffness = _stiffness(q, masks, dts)
-    order = np.argsort(stiffness, kind="stable")
-    bounds = np.quantile(stiffness, [0.25, 0.5, 0.75]) if m > 1 else []
-    lo = 0
-    for cut in list(bounds) + [np.inf]:
-        hi = int(np.searchsorted(stiffness[order], cut, side="right"))
-        if hi > lo:
-            idx = order[lo:hi]
-            gen = _Transport(q, masks[idx], dts[idx])
-            j[idx] = _convolution_core(gen, stiffness[idx], f0[idx], b0[idx], tol)
-        lo = hi
-    return j
+        return
+    w = _off_diagonal(q)
+    lam = _max_rate(q, masks)
+    # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
+    lam[lam == 0.0] = 1.0
+    mu = np.maximum(lam * dts, np.finfo(float).tiny)
+    keep = masks * (lam[:, None] - np.abs(np.diagonal(q))) / lam[:, None]
+    jump = masks / lam[:, None]
+    kk = _poisson_cutoff(float(mu.max()), tol)
+    log_dt = np.log(dts, out=np.full(m, -np.inf), where=dts > 0.0)
+    log_c = log_dt[:, None] - mu[:, None] + np.arange(kk + 1) * np.log(mu)[:, None] - _log_factorials(kk + 2)[1:]
+    step = max(1, _BATCH_ELEMENTS // ((kk + 1) * n))
+    for lo in range(0, m, step):
+        rows = slice(lo, min(lo + step, m))
+        f = _powers(f0[rows] * masks[rows], w, keep[rows], jump[rows], kk)
+        g = _powers(beta[rows] * masks[rows], w.T, keep[rows], jump[rows], kk)
+        c = np.exp(log_c[rows])
+        h = np.empty_like(g)
+        for a in range(kk + 1):
+            h[:, a] = np.einsum("rb,rbj->rj", c[:, a:], g[:, : kk + 1 - a])
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, rows.stop - 1, side="right"))
+        for grp in range(first, last + 1):
+            r0 = max(ends[grp - 1] if grp else 0, lo) - lo
+            r1 = min(ends[grp], rows.stop) - lo
+            yield grp, f[r0:r1].reshape(-1, n).T @ h[r0:r1].reshape(-1, n)
+
+
+def _powers(v: np.ndarray, w: np.ndarray, keep: np.ndarray, jump: np.ndarray, kk: int) -> np.ndarray:
+    """The rows v P^a for a = 0 .. kk, stacked as (rows, kk + 1, n), where
+    row r has v P = v * keep[r] + (v @ w) * jump[r]."""
+    out = np.empty((len(v), kk + 1, v.shape[1]))
+    out[:, 0] = v
+    for a in range(kk):
+        v = v * keep + (v @ w) * jump
+        out[:, a + 1] = v
+    return out
 
 
 def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
@@ -525,7 +499,9 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
 
     The diagonal feeds expected dwell times, off-diagonals feed expected
     transition counts after multiplication by the corresponding rates.
-    dt == 0 yields the zero matrix.
+    dt == 0 yields the zero matrix. ``tol`` bounds the Poisson tail where
+    the uniformization series is cut; below double-precision epsilon it
+    raises ``StepUnderflowError``. The work grows like (max|q_ii| dt)^2.
     """
     q = q_s.entries if isinstance(q_s, IntensityMatrix) else np.asarray(q_s, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -535,10 +511,9 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = q.shape[0]
-    if dt == 0.0:
-        return np.zeros((n, n))
-    b0 = expm(q * dt) @ beta
-    return _convolution_batch(q, np.ones((1, n), dtype=bool), np.array([dt]), alpha[None], b0[None], tol)[0]
+    ones = np.ones((1, n), dtype=bool)
+    parts = _convolution_batch(q, ones, np.array([dt], dtype=float), alpha[None], beta[None], [1], tol)
+    return sum((part for _, part in parts), np.zeros((n, n)))
 
 
 def _closed_form_stats(cache: MessageCache):
@@ -574,25 +549,21 @@ def _closed_form_stats(cache: MessageCache):
     return tbar, mbar, np.flatnonzero(pos & (sizes > 1))
 
 
-def _scatter_quadrature(cache, tbar, mbar, general, j):
-    """Fold quadrature results back into one trajectory's statistics,
-    normalizing each segment by its own evidence mass. The right vector of
-    segment i is bwd_post[i], exp(Q_S dt) bwd[i + 1] up to a scale that the
-    normalization cancels."""
+def _right_vectors(cache: MessageCache, general: np.ndarray) -> np.ndarray:
+    """General segment i runs from fwd[i] to the end-of-segment message
+    bwd[i + 1]. Scaled by exp(bwd_log[i + 1] - bwd_post_log[i]), exp(Q_S dt)
+    carries bwd[i + 1] to bwd_post[i]; dividing by the segment's evidence
+    mass fwd[i] . bwd_post[i] (zero where it has none) normalizes it."""
     inner = np.einsum("mi,mi->m", cache.fwd[general], cache.bwd_post[general])
-    w = np.where(inner > 0.0, 1.0 / np.where(inner > 0.0, inner, 1.0), 0.0)
-    jw = np.einsum("m,mjk->jk", w, j)
-    tbar += np.diagonal(jw)
-    mbar += _off_diagonal(cache.q.entries) * jw
-    np.clip(tbar, 0.0, None, out=tbar)
-    np.clip(mbar, 0.0, None, out=mbar)
-    return FlatStatistics(tbar, mbar)
+    ok = inner > 0.0
+    log_scale = cache.bwd_log[general + 1] - np.where(ok, cache.bwd_post_log[general], 0.0)
+    return cache.bwd[general + 1] * np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)[:, None]
 
 
 def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[FlatStatistics]:
     """Expected statistics for many trajectories at once; all segments that
-    need quadrature under one joint generator share a handful of batched
-    integrator passes, which is what keeps dataset-scale E-steps fast."""
+    need quadrature under one joint generator share one batched pass of the
+    uniformization kernel, which is what keeps dataset-scale E-steps fast."""
     results: list = [None] * len(caches)
     pending: dict = {}
     for idx, cache in enumerate(caches):
@@ -603,28 +574,28 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
             results[idx] = hit
             continue
         tbar, mbar, general = _closed_form_stats(cache)
-        if general.size == 0:
-            np.clip(tbar, 0.0, None, out=tbar)
-            np.clip(mbar, 0.0, None, out=mbar)
-            results[idx] = FlatStatistics(tbar, mbar)
-            cache._stats[tol] = results[idx]
-            continue
         pending.setdefault(id(cache.q), []).append((idx, cache, tbar, mbar, general))
 
     for batch in pending.values():
-        j_all = _convolution_batch(
-            batch[0][1].q.entries,
+        q = batch[0][1].q.entries
+        w = _off_diagonal(q)
+        parts = _convolution_batch(
+            q,
             np.concatenate([c.seg_masks[g] for _, c, _, _, g in batch]),
             np.concatenate([c.seg_dt[g] for _, c, _, _, g in batch]),
             np.concatenate([c.fwd[g] for _, c, _, _, g in batch]),
-            np.concatenate([c.bwd_post[g] for _, c, _, _, g in batch]),
+            np.concatenate([_right_vectors(c, g) for _, c, _, _, g in batch]),
+            np.cumsum([g.size for _, _, _, _, g in batch]),
             tol,
         )
-        offset = 0
-        for idx, cache, tbar, mbar, general in batch:
-            j = j_all[offset : offset + general.size]
-            offset += general.size
-            results[idx] = cache._stats[tol] = _scatter_quadrature(cache, tbar, mbar, general, j)
+        for g, part in parts:
+            _, _, tbar, mbar, _ = batch[g]
+            tbar += np.diagonal(part)
+            mbar += w * part
+        for idx, cache, tbar, mbar, _ in batch:
+            np.clip(tbar, 0.0, None, out=tbar)
+            np.clip(mbar, 0.0, None, out=mbar)
+            results[idx] = cache._stats[tol] = FlatStatistics(tbar, mbar)
     return results
 
 
@@ -634,8 +605,9 @@ def expected_statistics(cache: MessageCache, tol: float = DEFAULT_QUAD_TOL) -> F
 
     Segments restricted to a single state use the closed form of the
     integral (the integrand is constant), which keeps fully observed
-    statistics exact; all other segments share one adaptive quadrature
-    pass. Results are cached per tolerance.
+    statistics exact; all other segments share one batched pass of the
+    uniformization series, cut where its Poisson tail falls below ``tol``.
+    Results are cached per tolerance.
     """
     if cache.impossible:
         raise ZeroProbabilityEvidenceError(cache.dead_boundary)

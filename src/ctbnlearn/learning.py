@@ -83,6 +83,8 @@ class EmConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("convergence threshold must be positive")
+        if not self.quad_tol >= np.finfo(float).eps:
+            raise ValueError("quadrature tolerance must be at least double-precision epsilon")
         lo, hi = self.rate_range
         if lo <= 0 or hi < lo:
             raise ValueError("rate range must be positive and ordered")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctbnlearn import (
     Evidence,
@@ -20,7 +22,8 @@ from ctbnlearn import (
     transient_distribution,
     validate_intensity,
 )
-from ctbnlearn.inference import _forward_backward_many
+from ctbnlearn import inference
+from ctbnlearn.inference import _convolution_batch, _forward_backward_many
 from helpers import (
     chain_oracle,
     independent_binary_model,
@@ -29,6 +32,7 @@ from helpers import (
     random_evidence,
     random_proper,
     rel_err,
+    taylor_expm,
     trapezoid_convolution,
 )
 
@@ -373,3 +377,101 @@ class TestConvolutionIntegrals:
         q = validate_intensity([[-5.0, 5.0], [5.0, -5.0]])
         with pytest.raises(StepUnderflowError):
             convolution_integrals([1.0, 0.0], q, [1.0, 1.0], 1.0, tol=1e-300)
+
+    def test_stiff_segments_match_van_loan(self):
+        # Van Loan: the upper-right block of exp([[Q^T, alpha^T beta^T], [0, Q^T]] dt)
+        # is J. max|q_ii| dt runs from what the E-step's split allows to far past it.
+        rng = np.random.default_rng(12)
+        n = 3
+        q = np.exp(rng.uniform(np.log(0.2), np.log(3.0), (n, n)))
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -(q.sum(axis=1) + rng.uniform(0.0, 1.0, n)))
+        alpha = random_distribution(rng, n)
+        beta = rng.uniform(0.1, 1.0, n)
+        for mu in (16.0, 100.0, 1000.0):
+            q_s = q * (mu / np.abs(np.diagonal(q)).max())
+            block = np.zeros((2 * n, 2 * n))
+            block[:n, :n] = block[n:, n:] = q_s.T
+            block[:n, n:] = np.outer(alpha, beta)
+            oracle = taylor_expm(block)[:n, n:]
+            j = convolution_integrals(alpha, validate_intensity(q_s, "restricted"), beta, 1.0, 1e-8)
+            assert np.isfinite(j).all()
+            assert np.abs(j - oracle).max() / np.abs(oracle).max() < 1e-8
+
+
+@st.composite
+def kernel_batches(draw):
+    """A proper generator with rates log-uniform on 1e-4..1e4 and a few rows,
+    each a random mask with nonnegative end vectors and a duration of zero
+    or of up to 2000 mean dwell times of the mask's fastest state."""
+    n = draw(st.integers(2, 4))
+    log_rate = st.floats(math.log(1e-4), math.log(1e4))
+    q = np.exp(np.array(draw(st.lists(log_rate, min_size=n * n, max_size=n * n))).reshape(n, n))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    m = draw(st.integers(1, 4))
+    masks = np.array([draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(m)])
+    masks[np.arange(m), draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))] = True
+    # J is linear in f0 and beta, so only zeros and relative sizes matter.
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    f0 = np.array(draw(st.lists(mass, min_size=m * n, max_size=m * n))).reshape(m, n)
+    beta = np.array(draw(st.lists(mass, min_size=m * n, max_size=m * n))).reshape(m, n)
+    spans = st.one_of(st.just(0.0), st.floats(math.log(1e-6), math.log(2e3)).map(math.exp))
+    lam = np.where(masks, -np.diagonal(q), 0.0).max(axis=1)
+    dts = np.array([draw(spans) for _ in range(m)]) / lam
+    return q, masks, dts, f0, beta
+
+
+class TestUniformizationKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kernel_batches())
+    def test_invariants(self, batch):
+        q, masks, dts, f0, beta = batch
+        m, n = f0.shape
+        tol = 1e-8
+        js = np.zeros((m, n, n))
+        for r, part in _convolution_batch(q, masks, dts, f0, beta, np.arange(1, m + 1), tol):
+            js[r] += part
+        for r in range(m):
+            s = masks[r]
+            q_s = np.where(np.outer(s, s), q, 0.0)
+            a, b = f0[r] * s, beta[r] * s
+            # f(s) . b(s) = alpha exp(Q_S dt) beta at every s.
+            ref = dts[r] * (a @ taylor_expm(q_s * dts[r]) @ b)
+            bound = tol * dts[r] * a.sum() * b.max()
+            assert abs(np.trace(js[r]) - ref) <= 1e-9 * ref + 2.0 * bound
+            assert (js[r] >= 0.0).all()
+            assert not js[r][~s].any() and not js[r][:, ~s].any()
+
+    def test_groups_split_across_chunks(self, monkeypatch):
+        # One row per chunk: a group's sum arrives in parts, one per row. Rows
+        # run on their own are cut at their own Poisson tail, so they agree
+        # with the batch to the tolerance rather than to rounding.
+        rng = np.random.default_rng(13)
+        n, m = 4, 7
+        q = random_proper(rng, n)
+        masks = rng.random((m, n)) < 0.7
+        masks[:, 0] = True
+        dts = rng.uniform(0.0, 2.0, m)
+        f0, beta = rng.random((m, n)), rng.random((m, n))
+        ends = np.array([2, 2, 5, 7])
+
+        def sums():
+            out = np.zeros((len(ends), n, n))
+            for g, part in _convolution_batch(q, masks, dts, f0, beta, ends, 1e-10):
+                out[g] += part
+            return out
+
+        whole = sums()
+        monkeypatch.setattr(inference, "_BATCH_ELEMENTS", 1)
+        parts = sums()
+        rows = [
+            sum(part for _, part in _convolution_batch(q, masks[r : r + 1], dts[r : r + 1], f0[r : r + 1],
+                                                       beta[r : r + 1], np.array([1]), 1e-10))
+            for r in range(m)
+        ]
+        assert not whole[1].any()
+        for g, (lo, hi) in enumerate(zip([0, 2, 2, 5], ends)):
+            expect = sum(rows[lo:hi], np.zeros((n, n)))
+            assert np.abs(whole[g] - expect).max() <= 1e-9 * np.abs(expect).max(initial=1.0)
+            assert np.abs(parts[g] - whole[g]).max() <= 1e-12 * np.abs(whole[g]).max(initial=1.0)

@@ -253,6 +253,12 @@ class TestMStep:
 
 
 class TestEm:
+    def test_config_rejects_quad_tol_below_epsilon(self):
+        for bad in (0.0, -1.0, 1e-300, float("nan")):
+            with pytest.raises(ValueError):
+                EmConfig(quad_tol=bad)
+        assert EmConfig(quad_tol=np.finfo(float).eps).quad_tol == np.finfo(float).eps
+
     def test_fully_observed_converges_in_one_step(self):
         model = binary_chain_model()
         dataset, trajs, space = fully_observed_dataset(model, 15, 3.0, seed=7)
