@@ -2,7 +2,12 @@
 
 Evidence only restricts the joint process: while a segment holds it in a
 subsystem S, its generator is Q masked to S x S. A forward-backward sweep
-propagates scaled messages across evidence segments. Between consecutive
+propagates scaled messages across evidence segments; one propagator
+carries them across each segment's exponential exp(Q_S dt). Below a joint
+size measured as the crossover it builds the exponentials of a batch in
+one batched Pade ``expm``; from it up it never builds them and applies the
+uniformization series of Q_S to the message rows instead, one product by
+the joint off-diagonal per term. Between consecutive
 segments whose subsystems are disjoint, the evidence asserts a transition
 and the boundary factor is Q's off-diagonal masked to S1 x S2, applied as
 masked vector products with the one shared off-diagonal; when the
@@ -30,8 +35,10 @@ from .markov import IntensityMatrix, expm, validate_distribution
 
 __all__ = [
     "DEFAULT_QUAD_TOL",
+    "FORWARD_BACKWARD_TOL",
     "ZeroProbabilityEvidenceError",
     "StepUnderflowError",
+    "ForwardBackwardMismatchError",
     "MessageCache",
     "FlatStatistics",
     "forward_backward",
@@ -46,6 +53,10 @@ __all__ = [
 #: convolution integrals is cut; the error of a segment's integrals is at
 #: most this times dt * |f0|_1 * max(beta).
 DEFAULT_QUAD_TOL = 1e-8
+
+#: Largest relative gap |log p_fwd - log p_bwd| / max(1, |log p_fwd|)
+#: between the two sweeps' log-likelihoods of one trajectory.
+FORWARD_BACKWARD_TOL = 1e-8
 
 # Boundary factor kinds.
 _PROJECT = 0
@@ -65,6 +76,20 @@ class ZeroProbabilityEvidenceError(RuntimeError):
         elif boundary_index is not None:
             where += f" (segment boundary {boundary_index})"
         super().__init__("evidence has probability zero under the model" + where)
+
+
+class ForwardBackwardMismatchError(RuntimeError):
+    """The forward and backward sweeps disagree on a trajectory's
+    log-likelihood by more than ``FORWARD_BACKWARD_TOL`` relative."""
+
+    def __init__(self, trajectory_index: int, log_prob: float, log_prob_backward: float):
+        self.trajectory_index = trajectory_index
+        self.log_prob = log_prob
+        self.log_prob_backward = log_prob_backward
+        super().__init__(
+            f"forward log-likelihood {log_prob!r} and backward {log_prob_backward!r} of trajectory "
+            f"{trajectory_index} differ by more than {FORWARD_BACKWARD_TOL:g} relative"
+        )
 
 
 class StepUnderflowError(RuntimeError):
@@ -93,7 +118,9 @@ class MessageCache:
     at and before t_i, ``fwd_pre`` excludes the factor at t_i, ``bwd``
     includes the factor at t_i, ``bwd_post`` excludes it. Each is scaled to
     unit 1-norm with its log scale stored alongside; log p(sigma) is exact
-    in log space regardless of trajectory length.
+    in log space regardless of trajectory length. ``bwd_post[i]`` is the
+    backward message projected onto segment i's mask (the horizon's
+    ``bwd_post`` is the all-ones message).
 
     Long constant-evidence segments are subdivided internally (a no-op
     projection boundary onto the same subsystem) so the messages renormalize
@@ -161,22 +188,37 @@ def _split_segments(q: np.ndarray, masks, dts, times):
     return np.stack(new_masks), np.asarray(new_dts), np.asarray(new_times), np.asarray(orig_boundary)
 
 
+# From this joint size up the sweeps apply each segment's exponential to the
+# messages as a uniformization series and build no n x n array per segment.
+# Below it one batched Pade expm of a batch's segments is cheaper: the series
+# takes one Python-level step per term. Measured on a 6-state phase model
+# the series E-step took 1.24x and scoring 1.75x the Pade time, on rings of
+# n = 8 both were even, at n = 16 the series took half (CHANGES.md has the
+# ladder).
+_SERIES_MIN_N = 16
+
+# The sweeps cut their series where the Poisson tail is at most this, so the
+# messages are exact to rounding.
+_SWEEP_TAIL = float(np.finfo(float).eps)
+
 # Trajectories are swept in lockstep, one batch at a time, so the Python
 # loop over segment positions runs once per batch rather than once per
 # trajectory. A batch is a run of consecutive trajectories whose evidence
-# segments need at most this many entries of n x n exponentials in all
-# (always at least one trajectory), which keeps large joint spaces at one
-# trajectory's worth of memory.
+# segments need at most this many entries of what the propagator holds per
+# segment: an n x n exponential below _SERIES_MIN_N, n-vectors of the series
+# from it up (always at least one trajectory), which keeps large joint
+# spaces at one trajectory's worth of memory.
 _BATCH_ELEMENTS = 1 << 16
 
 
 def _batches(evs: list, n: int):
+    per_segment = n * n if n < _SERIES_MIN_N else n
     lo, size = 0, 0
     for t, ev in enumerate(evs):
-        size += ev.n_segments * n * n
+        size += ev.n_segments * per_segment
         if size > _BATCH_ELEMENTS and t > lo:
             yield evs[lo:t]
-            lo, size = t, ev.n_segments * n * n
+            lo, size = t, ev.n_segments * per_segment
     if lo < len(evs):
         yield evs[lo:]
 
@@ -190,6 +232,86 @@ def _normalize_rows(v: np.ndarray):
     ok = s > 0.0
     v /= np.where(ok, s, 1.0)[:, None]
     return v, np.log(s, out=np.full_like(s, -np.inf), where=ok)
+
+
+def _rows_times(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The rows v[r] @ w, each its own vector-matrix product, so that a row's
+    result does not depend on the rows swept beside it (one matrix product
+    over the batch rounds differently from the product of a lone row)."""
+    return (v[:, None, :] @ w)[:, 0]
+
+
+def _poisson_terms(mu: np.ndarray, tol: float):
+    """The Poisson(mu_r) pmf over a = 0, 1, ... in row r, and per row the
+    number of terms K_r + 1, where K_r is the smallest K with
+    P(X > K) <= tol (mu_r = 0 gives K_r = 0). The pmf is summed in log
+    space, so e^-mu underflowing does not end the series early. The range
+    of a leaves a tail far below epsilon and is the same for every
+    mu <= _SEGMENT_STIFFNESS_CAP, so a row's cutoff then depends on its own
+    mu alone, not on the rows beside it."""
+    if tol < np.finfo(float).eps:
+        raise StepUnderflowError(f"tolerance {tol!r} is below double-precision epsilon")
+    top = max(_SEGMENT_STIFFNESS_CAP, float(mu.max()))
+    a = np.arange(int(top + 15.0 * math.sqrt(top)) + 60)
+    log_mu = np.log(mu, out=np.full(mu.shape, -np.inf), where=mu > 0.0)
+    log_pmf = np.multiply(a, log_mu[:, None], out=np.zeros((len(mu), len(a))), where=a > 0)
+    pmf = np.exp(log_pmf - mu[:, None] - _log_factorials(len(a)))
+    tail = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    return pmf, np.argmax(tail <= tol, axis=1)
+
+
+class _Propagator:
+    """exp(Q_S dt) of every segment (mask, dt) of a batch, applied to message
+    rows: ``forward(v, seg)`` gives the rows v[r] exp(Q_S dt) for segments
+    seg[r], where each v[r] vanishes outside its mask, and
+    ``backward(v, seg)`` the columns exp(Q_S dt) v[r] of v[r] projected onto
+    its mask.
+
+    Below _SERIES_MIN_N states one batched Pade ``expm`` builds the
+    exponentials of all segments. From it up none is built: with
+    lambda = max_{i in S} |q_ii|, mu = lambda dt and P = I + Q_S / lambda,
+    exp(Q_S dt) = sum_a Pois(a; mu) P^a, and P is applied to a row as its
+    diagonal part (lambda - |q_ii|) / lambda plus one product by the joint
+    off-diagonal W (by its transpose backward). Every term is nonnegative,
+    and each segment's series stops where its own Poisson tail falls to
+    _SWEEP_TAIL.
+    """
+
+    def __init__(self, q: np.ndarray, masks: np.ndarray, dts: np.ndarray):
+        self.masks = masks
+        if len(q) < _SERIES_MIN_N:
+            self.exps = expm(_masked(q, masks, masks) * dts[:, None, None])
+            return
+        self.exps = None
+        self.w = _off_diagonal(q)
+        lam = _max_rate(q, masks)
+        # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
+        lam[lam == 0.0] = 1.0
+        self.keep = masks * (lam[:, None] - np.abs(np.diagonal(q))) / lam[:, None]
+        self.jump = masks / lam[:, None]
+        pmf, self.terms = _poisson_terms(lam * dts, _SWEEP_TAIL)
+        width = int(self.terms.max())
+        self.weights = np.where(np.arange(width) < self.terms[:, None], pmf[:, :width], 0.0)
+
+    def forward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        if self.exps is not None:
+            return np.einsum("tj,tjk->tk", v, self.exps[seg])
+        return self._series(v, seg, self.w)
+
+    def backward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        v = v * self.masks[seg]
+        if self.exps is not None:
+            return np.einsum("tjk,tk->tj", self.exps[seg], v)
+        return self._series(v, seg, self.w.T)
+
+    def _series(self, v: np.ndarray, seg: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_a weights[r, a] v[r] P_r^a; a row past its own cutoff adds zeros."""
+        keep, jump, weights = self.keep[seg], self.jump[seg], self.weights[seg]
+        out = v * weights[:, :1]
+        for a in range(1, int(self.terms[seg].max())):
+            v = v * keep + _rows_times(v, w) * jump
+            out += v * weights[:, a, None]
+        return out
 
 
 class _ForwardSweep(NamedTuple):
@@ -207,7 +329,7 @@ class _ForwardSweep(NamedTuple):
     masks: np.ndarray
     dts: np.ndarray
     rate_before: np.ndarray
-    exps: np.ndarray
+    prop: _Propagator
     counts: np.ndarray
     seg_off: np.ndarray
     fwd: np.ndarray
@@ -239,8 +361,8 @@ def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
 
 def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
     """Split the evidence segments of a batch and run the scaled forward
-    sweep. The restricted generators and their exponentials exist only here
-    and in ``_backward``, which reuses them."""
+    sweep. The segment propagator exists only here and in ``_backward``,
+    which reuses it."""
     if q.kind != "proper":
         raise ValueError("forward-backward needs a proper intensity matrix")
     if any(ev.n != q.n for ev in evs):
@@ -252,7 +374,7 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
     seg_off = np.concatenate(([0], np.cumsum(counts)[:-1]))
     masks = np.concatenate([p[0] for p in parts])
     dts = np.concatenate([p[1] for p in parts])
-    exps = expm(_masked(q.entries, masks, masks) * dts[:, None, None])
+    prop = _Propagator(q.entries, masks, dts)
     w = _off_diagonal(q.entries)
     # The factor between original segments i and i + 1 enters split-level
     # segment orig_boundary[i + 1].
@@ -279,28 +401,30 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
         # the boundary after it carries no factor.
         a = sizes[i]
         seg = soff[:a] + i
-        v, ls = _normalize_rows(np.einsum("tj,tjk->tk", v[:a], exps[seg]))
+        v, ls = _normalize_rows(prop.forward(v[:a], seg))
         lf = lf[:a] + ls
         b = boff[:a] + i + 1
         fwd_pre[b] = fwd[b] = v
         fwd_pre_log[b] = fwd_log[b] = lf
         a = sizes[i + 1]
         seg, b = seg[:a], b[:a]
-        v = np.where(rate_before[seg + 1, None], (v[:a] * masks[seg]) @ w, v[:a]) * masks[seg + 1]
+        v = np.where(rate_before[seg + 1, None], _rows_times(v[:a] * masks[seg], w), v[:a]) * masks[seg + 1]
         v, ls = _normalize_rows(v)
         lf = lf[:a] + ls
         fwd[b] = v
         fwd_log[b] = lf
 
     return _ForwardSweep(
-        p0, [p[2] for p in parts], masks, dts, rate_before, exps, counts, seg_off,
+        p0, [p[2] for p in parts], masks, dts, rate_before, prop, counts, seg_off,
         fwd, fwd_log, fwd_pre, fwd_pre_log,
     )
 
 
-def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep) -> list[MessageCache]:
+def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep, first: int = 0) -> list[MessageCache]:
     """The backward sweep of a forward-swept batch; returns one message
-    cache per trajectory."""
+    cache per trajectory. Raises ``ForwardBackwardMismatchError`` where the
+    two sweeps' log-likelihoods of a trajectory disagree; its index counts
+    from ``first``."""
     n = q.n
     masks = f.masks
     w = _off_diagonal(q.entries)
@@ -323,12 +447,11 @@ def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep) -> list[MessageCa
         i = cnt[:a] - 1 - j
         seg = soff[:a] + i
         b = boff[:a] + i
-        v, ls = _normalize_rows(np.einsum("tjk,tk->tj", f.exps[seg], v[:a]))
+        v, ls = _normalize_rows(f.prop.backward(v[:a], seg))
         lb = lb[:a] + ls
         bwd_post[b] = v
         bwd_post_log[b] = lb
-        v = v * masks[seg]
-        v, ls = _normalize_rows(np.where(f.rate_before[seg, None], masks[seg - 1] * (v @ w.T), v))
+        v, ls = _normalize_rows(np.where(f.rate_before[seg, None], masks[seg - 1] * _rows_times(v, w.T), v))
         lb = lb + ls
         bwd[b] = v
         bwd_log[b] = lb
@@ -339,6 +462,11 @@ def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep) -> list[MessageCa
         bounds = f.bounds(t)
         b0 = bounds.start
         mass = float(f.p0 @ bwd[b0])
+        log_prob = f.log_prob(t)
+        log_prob_backward = math.log(mass) + bwd_log[b0] if mass > 0.0 else -np.inf
+        gap = abs(log_prob - log_prob_backward)
+        if np.isfinite(log_prob) and not gap <= FORWARD_BACKWARD_TOL * max(1.0, abs(log_prob)):
+            raise ForwardBackwardMismatchError(first + t, log_prob, log_prob_backward)
         caches.append(
             MessageCache(
                 evidence=ev,
@@ -356,20 +484,21 @@ def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep) -> list[MessageCa
                 bwd_log=bwd_log[bounds].copy(),
                 bwd_post=bwd_post[bounds].copy(),
                 bwd_post_log=bwd_post_log[bounds].copy(),
-                log_prob=f.log_prob(t),
-                log_prob_backward=math.log(mass) + bwd_log[b0] if mass > 0.0 else -np.inf,
+                log_prob=log_prob,
+                log_prob_backward=log_prob_backward,
                 dead_boundary=f.dead(t),
             )
         )
     return caches
 
 
-def _forward_backward_many(q: IntensityMatrix, p0, evs) -> list[MessageCache]:
-    """``forward_backward`` over many trajectories, swept a batch at a time."""
+def _forward_backward_many(q: IntensityMatrix, p0, evs, first: int = 0) -> list[MessageCache]:
+    """``forward_backward`` over many trajectories, swept a batch at a time;
+    trajectory indices in errors count from ``first``."""
     evs = list(evs)
     caches: list[MessageCache] = []
     for batch in _batches(evs, q.n):
-        caches.extend(_backward(q, batch, _forward(q, p0, batch)))
+        caches.extend(_backward(q, batch, _forward(q, p0, batch), first + len(caches)))
     return caches
 
 
@@ -396,28 +525,17 @@ def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:
         i = int(hits[-1])
         raw = cache.fwd[i] * cache.bwd_post[i]
     else:
+        # The segment's propagator over [bounds[i], t] carries fwd[i] to t,
+        # the one over [t, bounds[i + 1]] carries bwd[i + 1] back to it.
         i = int(np.searchsorted(bounds, t)) - 1
-        mask = cache.seg_masks[i]
-        gen = _masked(cache.q.entries, mask, mask)
-        a = cache.fwd[i] @ expm(gen * (t - bounds[i]))
-        b = expm(gen * (bounds[i + 1] - t)) @ cache.bwd[i + 1]
+        prop = _Propagator(cache.q.entries, cache.seg_masks[[i, i]], np.array([t - bounds[i], bounds[i + 1] - t]))
+        a = prop.forward(cache.fwd[i : i + 1], np.array([0]))[0]
+        b = prop.backward(cache.bwd[i + 1 : i + 2], np.array([1]))[0]
         raw = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
     s = raw.sum()
     if s <= 0.0:
         raise ZeroProbabilityEvidenceError(i)
     return raw / s
-
-
-def _poisson_cutoff(mu: float, tol: float) -> int:
-    """The smallest K with P(Poisson(mu) > K) <= tol, mu > 0. The pmf is
-    summed in log space, so e^-mu underflowing does not end the series
-    early; the range searched leaves a tail far below epsilon."""
-    if tol < np.finfo(float).eps:
-        raise StepUnderflowError(f"tolerance {tol!r} is below double-precision epsilon")
-    k = np.arange(int(mu + 15.0 * math.sqrt(mu)) + 60)
-    log_pmf = k * math.log(mu) - mu - _log_factorials(len(k))
-    tail = np.cumsum(np.exp(log_pmf)[::-1])[::-1]
-    return int(np.argmax(tail <= tol)) - 1
 
 
 def _log_factorials(count: int) -> np.ndarray:
@@ -463,7 +581,7 @@ def _convolution_batch(
     mu = np.maximum(lam * dts, np.finfo(float).tiny)
     keep = masks * (lam[:, None] - np.abs(np.diagonal(q))) / lam[:, None]
     jump = masks / lam[:, None]
-    kk = _poisson_cutoff(float(mu.max()), tol)
+    kk = int(_poisson_terms(mu.max(keepdims=True), tol)[1][0]) - 1
     log_dt = np.log(dts, out=np.full(m, -np.inf), where=dts > 0.0)
     log_c = log_dt[:, None] - mu[:, None] + np.arange(kk + 1) * np.log(mu)[:, None] - _log_factorials(kk + 2)[1:]
     step = max(1, _BATCH_ELEMENTS // ((kk + 1) * n))
@@ -501,7 +619,9 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
     transition counts after multiplication by the corresponding rates.
     dt == 0 yields the zero matrix. ``tol`` bounds the Poisson tail where
     the uniformization series is cut; below double-precision epsilon it
-    raises ``StepUnderflowError``. The work grows like (max|q_ii| dt)^2.
+    raises ``StepUnderflowError``. A segment with max|q_ii| dt above the
+    sweeps' stiffness cap is cut into equal pieces below it, so the work
+    grows linearly in max|q_ii| dt.
     """
     q = q_s.entries if isinstance(q_s, IntensityMatrix) else np.asarray(q_s, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -511,9 +631,32 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = q.shape[0]
-    ones = np.ones((1, n), dtype=bool)
-    parts = _convolution_batch(q, ones, np.array([dt], dtype=float), alpha[None], beta[None], [1], tol)
+    pieces = max(1, math.ceil(float(np.abs(np.diagonal(q)).max(initial=0.0)) * dt / _SEGMENT_STIFFNESS_CAP))
+    # Piece p runs from alpha exp(Q_S p h) to exp(Q_S (dt - (p + 1) h)) beta:
+    # alpha is carried forward and beta backward by one piece exponential,
+    # with their scales kept in log space.
+    f0 = np.empty((pieces, n))
+    b1 = np.empty((pieces, n))
+    f0[0], b1[-1] = alpha, beta
+    if pieces > 1:
+        # exp(Q_S h) of a generator is nonnegative; clip the Pade rounding.
+        e = np.maximum(expm(q * (dt / pieces)), 0.0)
+        lf = np.zeros(pieces)
+        lb = np.zeros(pieces)
+        for p in range(1, pieces):
+            f0[p], lf[p] = _rescaled(f0[p - 1] @ e, lf[p - 1])
+            b1[-1 - p], lb[-1 - p] = _rescaled(e @ b1[-p], lb[-p])
+        f0 *= np.exp(lf + lb)[:, None]
+    masks = np.ones((pieces, n), dtype=bool)
+    parts = _convolution_batch(q, masks, np.full(pieces, dt / pieces), f0, b1, [pieces], tol)
     return sum((part for _, part in parts), np.zeros((n, n)))
+
+
+def _rescaled(v: np.ndarray, log_scale: float):
+    """v scaled to unit max-norm and its log scale plus log_scale; a zero v
+    stays zero with log scale -inf."""
+    m = float(np.abs(v).max())
+    return (v / m, log_scale + math.log(m)) if m > 0.0 else (v, -np.inf)
 
 
 def _closed_form_stats(cache: MessageCache):

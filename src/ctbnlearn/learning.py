@@ -166,7 +166,7 @@ def _flat_e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float,
     lls = []
     for lo in range(0, len(dataset), _ESTEP_CHUNK):
         chunk = dataset[lo : lo + _ESTEP_CHUNK]
-        caches = _forward_backward_many(q, p0, chunk)
+        caches = _forward_backward_many(q, p0, chunk, lo)
         for off, cache in enumerate(caches):
             if cache.impossible:
                 raise ZeroProbabilityEvidenceError(cache.dead_boundary, lo + off)

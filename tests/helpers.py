@@ -297,6 +297,32 @@ def independent_binary_model(names=("x", "y"), rates=((1.0, 2.0), (0.5, 1.5))) -
     return CtbnModel(variables, cims, initial)
 
 
+def binary_ring_model(k: int, seed: int = 0) -> CtbnModel:
+    """k binary variables in a ring, each driven by its predecessor, with
+    rates drawn log-uniformly from 0.5..2 (joint n = 2^k)."""
+    rng = np.random.default_rng(seed)
+    names = [f"v{i}" for i in range(k)]
+    cims = {}
+    for i, name in enumerate(names):
+        rates = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (2, 2)))
+        cims[name] = Cim((names[i - 1],), (2,), np.array([[[-a, a], [b, -b]] for a, b in rates]))
+    return CtbnModel(tuple(Variable(n, ("0", "1")) for n in names), cims, {n: [0.5, 0.5] for n in names})
+
+
+def taylor_log_prob(q: np.ndarray, p0: np.ndarray, ev: Evidence) -> float:
+    """log p(evidence) by a plain forward pass over the unsplit segments,
+    each segment's exponential from ``taylor_expm``."""
+    w = q - np.diag(np.diag(q))
+    masks, dts = ev.masks, ev.durations
+    alpha = p0 * masks[0]
+    for i, (m, dt) in enumerate(zip(masks, dts)):
+        alpha = alpha @ taylor_expm(np.where(np.outer(m, m), q, 0.0) * dt)
+        if i + 1 < len(masks):
+            nxt = masks[i + 1]
+            alpha = (alpha if (m & nxt).any() else (alpha * m) @ w) * nxt
+    return float(np.log(alpha.sum()))
+
+
 def rel_err(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

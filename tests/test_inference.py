@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ctbnlearn import (
     Evidence,
+    ForwardBackwardMismatchError,
     ObservedTrajectory,
     StepUnderflowError,
     Subsystem,
@@ -20,11 +22,13 @@ from ctbnlearn import (
     sample_trajectory,
     smoothed_marginal,
     transient_distribution,
+    score_dataset,
     validate_intensity,
 )
 from ctbnlearn import inference
 from ctbnlearn.inference import _convolution_batch, _forward_backward_many
 from helpers import (
+    binary_ring_model,
     chain_oracle,
     independent_binary_model,
     observed_evidence,
@@ -33,6 +37,7 @@ from helpers import (
     random_proper,
     rel_err,
     taylor_expm,
+    taylor_log_prob,
     trapezoid_convolution,
 )
 
@@ -199,6 +204,80 @@ class TestLockstepSweep:
                 np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-14)
 
 
+def ring32_records():
+    """Occluded records of the n = 32 ring: a hidden stretch stiff enough to
+    be split, an observed flip of v0 (a rate boundary), a zero-length
+    observation and partly hidden stretches."""
+    hidden = (None,) * 5
+    zeros = (0,) * 5
+    segs = [
+        ((0.0, 4.0, hidden), (4.0, 4.5, zeros), (4.5, 5.0, (1, 0, 0, 0, 0)), (5.0, 5.0, (1, None, 0, 0, 0)),
+         (5.0, 8.0, (None, 0, None, None, None)), (8.0, 10.0, hidden)),
+        ((0.0, 10.0, hidden),),
+        ((0.0, 2.0, (None, 1, None, 0, None)), (2.0, 2.5, (1, 1, 0, 0, 1)), (2.5, 10.0, hidden)),
+    ]
+    return [ObservedTrajectory(s, 10.0) for s in segs]
+
+
+class TestSeriesForm:
+    """From _SERIES_MIN_N states up the sweeps apply the uniformization
+    series to the messages; below it, batched Pade exponentials."""
+
+    def setup_method(self):
+        self.model = binary_ring_model(5)
+        self.q, self.space, self.p0 = amalgamate(self.model)
+        self.evs = [rec.to_evidence(self.space) for rec in ring32_records()]
+        assert self.q.n >= inference._SERIES_MIN_N
+
+    def test_builds_no_exponential_and_matches_taylor_forward_pass(self, monkeypatch):
+        def no_expm(*args, **kwargs):
+            raise AssertionError("the series form builds no matrix exponential")
+
+        monkeypatch.setattr(inference, "expm", no_expm)
+        for ev in self.evs:
+            cache = forward_backward(self.q, self.p0, ev)
+            want = taylor_log_prob(self.q.entries, self.p0, ev)
+            assert abs(cache.log_prob - want) <= 1e-12 * max(1.0, abs(want))
+        first = forward_backward(self.q, self.p0, self.evs[0])
+        assert (first.factor_kind == 1).any()
+        assert (first.seg_dt == 0.0).any()
+        assert len(first.seg_dt) > self.evs[0].n_segments
+
+    def test_caches_agree_with_dense_form(self, monkeypatch):
+        series = [forward_backward(self.q, self.p0, ev) for ev in self.evs]
+        monkeypatch.setattr(inference, "_SERIES_MIN_N", self.q.n + 1)
+        dense = [forward_backward(self.q, self.p0, ev) for ev in self.evs]
+        for got, want in zip(series, dense):
+            for name in ("times", "seg_masks", "seg_dt", "factor_kind"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            for name in ("log_prob", "log_prob_backward", "fwd", "fwd_log", "fwd_pre", "fwd_pre_log",
+                         "bwd", "bwd_log", "bwd_post", "bwd_post_log"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-12,
+                                           err_msg=name)
+
+    def test_score_dataset_equals_lone_sweeps_bitwise(self):
+        dataset = self.evs * 2
+        assert len(list(inference._batches(dataset, self.q.n))) == 1
+        assert score_dataset(self.model, dataset) == [forward_backward(self.q, self.p0, ev).log_prob
+                                                      for ev in dataset]
+
+    def test_forward_backward_mismatch_is_an_error(self, monkeypatch):
+        # Both sweeps share each segment's truncated series, so cutting it
+        # early moves both log-likelihoods alike; a backward sweep whose
+        # series is cut at 1e-3 after an exact forward sweep does not.
+        ev = self.evs[0]
+        sweep = inference._forward(self.q, self.p0, [ev])
+        assert inference._backward(self.q, [ev], sweep)[0].log_prob == sweep.log_prob(0)
+        monkeypatch.setattr(inference, "_SWEEP_TAIL", 1e-3)
+        loose = sweep._replace(prop=inference._Propagator(self.q.entries, sweep.masks, sweep.dts))
+        with pytest.raises(ForwardBackwardMismatchError) as err:
+            inference._backward(self.q, [ev], loose, first=7)
+        assert err.value.trajectory_index == 7
+        assert err.value.log_prob == sweep.log_prob(0)
+        gap = abs(err.value.log_prob - err.value.log_prob_backward)
+        assert gap > inference.FORWARD_BACKWARD_TOL * abs(err.value.log_prob)
+
+
 class TestSmoothedMarginal:
     def test_point_mass_at_observed_instant(self):
         rng = np.random.default_rng(3)
@@ -243,6 +322,27 @@ class TestSmoothedMarginal:
         h = 1e-4
         _, _, _, gam = chain_oracle(q.entries, np.array([0.5, 0.5]), ev, h)
         assert np.abs(g - gam[int(round(0.5 / h))]).max() < 1e-3
+
+
+    def test_series_form_matches_taylor_at_n64(self):
+        # Queries inside a split hidden stretch, a partly observed one and
+        # a fully hidden tail, against the segment exponentials by Taylor.
+        model = binary_ring_model(6, seed=1)
+        q, space, p0 = amalgamate(model)
+        hidden = (None,) * 6
+        record = ObservedTrajectory(
+            ((0.0, 3.0, hidden), (3.0, 3.5, (0,) * 6), (3.5, 5.0, (1, None, 0, None, 0, None)), (5.0, 6.0, hidden)),
+            6.0,
+        )
+        cache = forward_backward(q, p0, record.to_evidence(space))
+        assert q.n >= inference._SERIES_MIN_N and len(cache.seg_dt) > 4
+        for t in (0.3, 2.9, 4.2, 5.5):
+            i = int(np.searchsorted(cache.times, t)) - 1
+            m = cache.seg_masks[i]
+            q_s = np.where(np.outer(m, m), q.entries, 0.0)
+            a = cache.fwd[i] @ taylor_expm(q_s * (t - cache.times[i]))
+            b = taylor_expm(q_s * (cache.times[i + 1] - t)) @ (cache.bwd[i + 1] * m)
+            np.testing.assert_allclose(smoothed_marginal(cache, t), a * b / (a * b).sum(), rtol=0, atol=1e-12)
 
 
 class TestExpectedStatistics:
@@ -397,6 +497,20 @@ class TestConvolutionIntegrals:
             j = convolution_integrals(alpha, validate_intensity(q_s, "restricted"), beta, 1.0, 1e-8)
             assert np.isfinite(j).all()
             assert np.abs(j - oracle).max() / np.abs(oracle).max() < 1e-8
+
+
+    def test_long_stiff_segment_is_split(self):
+        # mu = max|q_ii| dt = 1e5, far past the sweeps' stiffness cap.
+        q = np.array([[-3.0, 2.0, 1.0], [0.5, -1.5, 1.0], [2.0, 2.0, -4.0]])
+        alpha = np.array([0.2, 0.5, 0.3])
+        beta = np.array([0.4, 1.0, 0.7])
+        dt = 1e5 / 4.0
+        start = time.perf_counter()
+        j = convolution_integrals(alpha, validate_intensity(q), beta, dt)
+        assert time.perf_counter() - start < 1.0
+        assert (j >= 0.0).all()
+        want = dt * (alpha @ taylor_expm(q * dt) @ beta)
+        assert abs(np.trace(j) - want) <= 1e-8 * want
 
 
 @st.composite
