@@ -66,7 +66,12 @@ class Subsystem:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Subsystem":
-        return cls(mask.shape[0], frozenset(np.flatnonzero(mask).tolist()))
+        mask = np.array(mask, dtype=bool)
+        mask.setflags(write=False)
+        sub = cls(mask.shape[0], frozenset(mask.nonzero()[0].tolist()))
+        # Seed the cached mask: rebuilding it from the members is slower.
+        sub.__dict__["mask"] = mask
+        return sub
 
     @cached_property
     def mask(self) -> np.ndarray:

@@ -14,13 +14,19 @@ masked vector products with the one shared off-diagonal; when the
 subsystems overlap, the boundary is a projection onto the next subsystem
 (zero-length segments therefore act as plain indicators). Many
 trajectories under one Q are swept in lockstep, one row each, so the
-Python loop runs once per segment position of a batch. The message
-cache keeps the joint Q, the segment masks, durations and boundary kinds,
-and the O(boundaries * n) scaled messages; each restricted generator is
-derived from (Q, mask) where it is used. Expected dwell times and
-transition counts reduce to pairwise convolution integrals over each
-segment, all n^2 of which come in closed form from the uniformization
+Python loop runs once per segment position of a batch. Expected dwell
+times and transition counts reduce to pairwise convolution integrals over
+each segment, all n^2 of which come in closed form from the uniformization
 series of the segment's generator, truncated at a Poisson tail bound.
+
+One statistics kernel reads a batch's stacked messages and returns its
+dwell times, transition counts and time-zero posteriors summed over groups
+of trajectories, and every trajectory's log-likelihood. The E-step sums
+each batch as one group and builds nothing per trajectory. The public
+``forward_backward`` cuts one message cache per trajectory from the same
+sweeps: the joint Q, the segment masks, durations and boundary kinds, and
+the O(boundaries * n) scaled messages; ``expected_statistics_many`` stacks
+caches back into a batch and runs the kernel with one group per cache.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .evidence import Evidence, _masked, _off_diagonal
 from .markov import IntensityMatrix, expm, validate_distribution
@@ -168,24 +175,36 @@ def _max_rate(q: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.where(masks, np.abs(np.diagonal(q)), 0.0).max(axis=1)
 
 
-def _split_segments(q: np.ndarray, masks, dts, times):
-    """Split segments stiffer than the cap into equal pieces. Returns the
-    split masks, durations and boundary times, and the split-level index of
-    every original boundary."""
+def _split_batch(q: np.ndarray, evs: list):
+    """Split the evidence segments of a batch that are stiffer than the cap
+    into equal pieces, all trajectories in one step. Returns the stacked
+    split masks, durations and boundary times (trajectory t's boundaries
+    start at seg_off[t] + t), the split-segment count of every trajectory,
+    and the split segments entered through an asserted transition, where
+    consecutive evidence subsystems are disjoint."""
+    masks = np.concatenate([ev.masks for ev in evs])
+    dts = np.concatenate([ev.durations for ev in evs])
+    bounds = np.concatenate([ev.boundaries for ev in evs])
+    n_orig = np.array([ev.n_segments for ev in evs])
+    traj = np.repeat(np.arange(len(evs)), n_orig)
+    start = np.arange(len(dts)) + traj
     chunks = np.maximum(1, np.ceil(_max_rate(q, masks) * dts / _SEGMENT_STIFFNESS_CAP).astype(int))
-    if (chunks == 1).all():
-        return masks, dts, times, np.arange(len(dts) + 1)
-    new_masks, new_dts, new_times = [], [], [times[0]]
-    orig_boundary = [0]
-    for i in range(len(dts)):
-        c = int(chunks[i])
-        for piece in range(c):
-            new_masks.append(masks[i])
-            new_dts.append(dts[i] / c)
-            new_times.append(times[i] + dts[i] * (piece + 1) / c)
-        new_times[-1] = times[i + 1]
-        orig_boundary.append(len(new_dts))
-    return np.stack(new_masks), np.asarray(new_dts), np.asarray(new_times), np.asarray(orig_boundary)
+    src = np.repeat(np.arange(len(dts)), chunks)
+    first_piece = np.cumsum(chunks) - chunks
+    piece = np.arange(len(src)) - first_piece[src]
+    c = chunks[src]
+    ends = bounds[start[src]] + dts[src] * (piece + 1) / c
+    # The last piece ends exactly at the evidence boundary.
+    ends[first_piece + chunks - 1] = bounds[start + 1]
+    counts = np.bincount(traj[src], minlength=len(evs))
+    times = np.empty(len(src) + len(evs))
+    times[np.arange(len(src)) + traj[src] + 1] = ends
+    first = np.arange(len(evs))
+    times[np.cumsum(counts) - counts + first] = bounds[np.cumsum(n_orig) - n_orig + first]
+    disjoint = ~(masks[:-1] & masks[1:]).any(axis=1) & (traj[:-1] == traj[1:])
+    rate_before = np.zeros(len(src), dtype=bool)
+    rate_before[first_piece[1:][disjoint]] = True
+    return masks[src], dts[src] / c, times, counts, rate_before
 
 
 # From this joint size up the sweeps apply each segment's exponential to the
@@ -319,17 +338,18 @@ class _ForwardSweep(NamedTuple):
 
     The rows of all trajectories are stacked: trajectory t owns segments
     ``seg_off[t]`` up to ``seg_off[t] + counts[t]`` and boundaries
-    ``seg_off[t] + t`` up to ``seg_off[t] + t + counts[t]`` inclusive.
-    ``rate_before[k]`` marks a segment entered through an asserted
-    transition.
+    ``seg_off[t] + t`` up to ``seg_off[t] + t + counts[t]`` inclusive, so
+    segment s of trajectory t starts at boundary s + t in global indices.
+    ``times`` holds the boundary times, ``rate_before[k]`` marks a segment
+    entered through an asserted transition.
     """
 
     p0: np.ndarray
-    times: list
+    times: np.ndarray
     masks: np.ndarray
     dts: np.ndarray
     rate_before: np.ndarray
-    prop: _Propagator
+    prop: _Propagator | None
     counts: np.ndarray
     seg_off: np.ndarray
     fwd: np.ndarray
@@ -337,17 +357,45 @@ class _ForwardSweep(NamedTuple):
     fwd_pre: np.ndarray
     fwd_pre_log: np.ndarray
 
+    @property
+    def starts(self) -> np.ndarray:
+        """The first boundary of every trajectory."""
+        return self.seg_off + np.arange(len(self.counts))
+
+    @property
+    def log_probs(self) -> np.ndarray:
+        return self.fwd_log[self.starts + self.counts]
+
     def bounds(self, t: int) -> slice:
         lo = self.seg_off[t] + t
         return slice(lo, lo + self.counts[t] + 1)
 
     def log_prob(self, t: int) -> float:
-        return float(self.fwd_log[self.bounds(t)][-1])
+        return float(self.log_probs[t])
 
     def dead(self, t: int) -> int | None:
         """The first boundary whose forward message has no mass, if any."""
         hit = np.flatnonzero(np.isneginf(self.fwd_log[self.bounds(t)]))
         return int(hit[0]) if hit.size else None
+
+    def raise_if_impossible(self, first: int = 0):
+        """Raise ``ZeroProbabilityEvidenceError`` for the first trajectory
+        whose evidence has no mass; its index counts from ``first``."""
+        dead = np.flatnonzero(~np.isfinite(self.log_probs))
+        if dead.size:
+            t = int(dead[0])
+            raise ZeroProbabilityEvidenceError(self.dead(t), first + t)
+
+
+class _BackwardSweep(NamedTuple):
+    """The backward messages of a swept batch, stacked like the forward
+    ones, and each trajectory's backward log-likelihood."""
+
+    bwd: np.ndarray
+    bwd_log: np.ndarray
+    bwd_post: np.ndarray
+    bwd_post_log: np.ndarray
+    log_probs: np.ndarray
 
 
 def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
@@ -361,27 +409,18 @@ def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
 
 def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
     """Split the evidence segments of a batch and run the scaled forward
-    sweep. The segment propagator exists only here and in ``_backward``,
-    which reuses it."""
+    sweep. The segment propagator exists only here and in
+    ``_backward_sweep``, which reuses it."""
     if q.kind != "proper":
         raise ValueError("forward-backward needs a proper intensity matrix")
     if any(ev.n != q.n for ev in evs):
         raise ValueError("evidence dimension does not match the matrix")
     p0 = validate_distribution(p0, q.n)
     n = q.n
-    parts = [_split_segments(q.entries, ev.masks, ev.durations, ev.boundaries) for ev in evs]
-    counts = np.array([len(p[1]) for p in parts])
-    seg_off = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    masks = np.concatenate([p[0] for p in parts])
-    dts = np.concatenate([p[1] for p in parts])
+    masks, dts, times, counts, rate_before = _split_batch(q.entries, evs)
+    seg_off = np.cumsum(counts) - counts
     prop = _Propagator(q.entries, masks, dts)
     w = _off_diagonal(q.entries)
-    # The factor between original segments i and i + 1 enters split-level
-    # segment orig_boundary[i + 1].
-    rate_before = np.zeros(len(dts), dtype=bool)
-    for ev, (_, _, _, orig_boundary), off in zip(evs, parts, seg_off):
-        disjoint = ~(ev.masks[:-1] & ev.masks[1:]).any(axis=1)
-        rate_before[off + orig_boundary[1:-1][disjoint]] = True
 
     nb = len(dts) + len(evs)
     fwd = np.zeros((nb, n))
@@ -415,20 +454,18 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
         fwd_log[b] = lf
 
     return _ForwardSweep(
-        p0, [p[2] for p in parts], masks, dts, rate_before, prop, counts, seg_off,
-        fwd, fwd_log, fwd_pre, fwd_pre_log,
+        p0, times, masks, dts, rate_before, prop, counts, seg_off, fwd, fwd_log, fwd_pre, fwd_pre_log,
     )
 
 
-def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep, first: int = 0) -> list[MessageCache]:
-    """The backward sweep of a forward-swept batch; returns one message
-    cache per trajectory. Raises ``ForwardBackwardMismatchError`` where the
-    two sweeps' log-likelihoods of a trajectory disagree; its index counts
-    from ``first``."""
+def _backward_sweep(q: IntensityMatrix, f: _ForwardSweep, first: int = 0) -> _BackwardSweep:
+    """The backward sweep of a forward-swept batch. Raises
+    ``ForwardBackwardMismatchError`` where the two sweeps' log-likelihoods
+    of a trajectory disagree; its index counts from ``first``."""
     n = q.n
     masks = f.masks
     w = _off_diagonal(q.entries)
-    nb = len(f.dts) + len(evs)
+    nb = len(f.fwd)
     bwd = np.zeros((nb, n))
     bwd_log = np.full(nb, -np.inf)
     bwd_post = np.zeros((nb, n))
@@ -436,8 +473,8 @@ def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep, first: int = 0) -
     cnt, soff, boff, sizes = _lockstep(f.counts, f.seg_off)
 
     # At the horizon the message is all ones.
-    v = np.full((len(evs), n), 1.0 / n)
-    lb = np.full(len(evs), math.log(n))
+    v = np.full((len(cnt), n), 1.0 / n)
+    lb = np.full(len(cnt), math.log(n))
     bwd[boff + cnt] = bwd_post[boff + cnt] = v
     bwd_log[boff + cnt] = bwd_post_log[boff + cnt] = lb
     for j in range(cnt[0]):
@@ -456,49 +493,59 @@ def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep, first: int = 0) -
         bwd[b] = v
         bwd_log[b] = lb
 
+    b0 = f.starts
+    mass = np.einsum("tj,j->t", bwd[b0], f.p0)
+    log_probs = np.log(mass, out=np.full(len(mass), -np.inf), where=mass > 0.0) + bwd_log[b0]
+    forward = f.log_probs
+    with np.errstate(invalid="ignore"):
+        ok = np.abs(forward - log_probs) <= FORWARD_BACKWARD_TOL * np.maximum(1.0, np.abs(forward))
+    bad = np.flatnonzero(np.isfinite(forward) & ~ok)
+    if bad.size:
+        t = int(bad[0])
+        raise ForwardBackwardMismatchError(first + t, float(forward[t]), float(log_probs[t]))
+    return _BackwardSweep(bwd, bwd_log, bwd_post, bwd_post_log, log_probs)
+
+
+def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep, first: int = 0) -> list[MessageCache]:
+    """The backward sweep of a forward-swept batch, cut into one message
+    cache per trajectory; mismatch errors count trajectories from ``first``."""
+    b = _backward_sweep(q, f, first)
+    log_probs = f.log_probs
     caches = []
     for t, ev in enumerate(evs):
         segs = slice(f.seg_off[t], f.seg_off[t] + f.counts[t])
         bounds = f.bounds(t)
-        b0 = bounds.start
-        mass = float(f.p0 @ bwd[b0])
-        log_prob = f.log_prob(t)
-        log_prob_backward = math.log(mass) + bwd_log[b0] if mass > 0.0 else -np.inf
-        gap = abs(log_prob - log_prob_backward)
-        if np.isfinite(log_prob) and not gap <= FORWARD_BACKWARD_TOL * max(1.0, abs(log_prob)):
-            raise ForwardBackwardMismatchError(first + t, log_prob, log_prob_backward)
         caches.append(
             MessageCache(
                 evidence=ev,
                 q=q,
                 p0=f.p0,
-                times=f.times[t],
-                seg_masks=masks[segs].copy(),
+                times=f.times[bounds].copy(),
+                seg_masks=f.masks[segs].copy(),
                 seg_dt=f.dts[segs].copy(),
                 factor_kind=np.where(f.rate_before[segs][1:], _RATE, _PROJECT),
                 fwd=f.fwd[bounds].copy(),
                 fwd_log=f.fwd_log[bounds].copy(),
                 fwd_pre=f.fwd_pre[bounds].copy(),
                 fwd_pre_log=f.fwd_pre_log[bounds].copy(),
-                bwd=bwd[bounds].copy(),
-                bwd_log=bwd_log[bounds].copy(),
-                bwd_post=bwd_post[bounds].copy(),
-                bwd_post_log=bwd_post_log[bounds].copy(),
-                log_prob=log_prob,
-                log_prob_backward=log_prob_backward,
+                bwd=b.bwd[bounds].copy(),
+                bwd_log=b.bwd_log[bounds].copy(),
+                bwd_post=b.bwd_post[bounds].copy(),
+                bwd_post_log=b.bwd_post_log[bounds].copy(),
+                log_prob=float(log_probs[t]),
+                log_prob_backward=float(b.log_probs[t]),
                 dead_boundary=f.dead(t),
             )
         )
     return caches
 
 
-def _forward_backward_many(q: IntensityMatrix, p0, evs, first: int = 0) -> list[MessageCache]:
-    """``forward_backward`` over many trajectories, swept a batch at a time;
-    trajectory indices in errors count from ``first``."""
+def _forward_backward_many(q: IntensityMatrix, p0, evs) -> list[MessageCache]:
+    """``forward_backward`` over many trajectories, swept a batch at a time."""
     evs = list(evs)
     caches: list[MessageCache] = []
     for batch in _batches(evs, q.n):
-        caches.extend(_backward(q, batch, _forward(q, p0, batch), first + len(caches)))
+        caches.extend(_backward(q, batch, _forward(q, p0, batch), len(caches)))
     return caches
 
 
@@ -574,6 +621,7 @@ def _convolution_batch(
     m, n = f0.shape
     if m == 0:
         return
+    ends = np.asarray(ends)
     w = _off_diagonal(q)
     lam = _max_rate(q, masks)
     # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
@@ -589,16 +637,11 @@ def _convolution_batch(
         rows = slice(lo, min(lo + step, m))
         f = _powers(f0[rows] * masks[rows], w, keep[rows], jump[rows], kk)
         g = _powers(beta[rows] * masks[rows], w.T, keep[rows], jump[rows], kk)
-        c = np.exp(log_c[rows])
-        h = np.empty_like(g)
-        for a in range(kk + 1):
-            h[:, a] = np.einsum("rb,rbj->rj", c[:, a:], g[:, : kk + 1 - a])
-        first = int(np.searchsorted(ends, lo, side="right"))
-        last = int(np.searchsorted(ends, rows.stop - 1, side="right"))
-        for grp in range(first, last + 1):
-            r0 = max(ends[grp - 1] if grp else 0, lo) - lo
-            r1 = min(ends[grp], rows.stop) - lo
-            yield grp, f[r0:r1].reshape(-1, n).T @ h[r0:r1].reshape(-1, n)
+        # H_a = sum_b c_{a+b} G_b for every a in one product: the window
+        # view of c padded with kk zeros is the Hankel matrix of each row.
+        c = np.pad(np.exp(log_c[rows]), ((0, 0), (0, kk)))
+        h = sliding_window_view(c, kk + 1, axis=1) @ g
+        yield from _grouped_products(f.reshape(-1, n), h.reshape(-1, n), ends * (kk + 1), lo * (kk + 1))
 
 
 def _powers(v: np.ndarray, w: np.ndarray, keep: np.ndarray, jump: np.ndarray, kk: int) -> np.ndarray:
@@ -659,54 +702,127 @@ def _rescaled(v: np.ndarray, log_scale: float):
     return (v / m, log_scale + math.log(m)) if m > 0.0 else (v, -np.inf)
 
 
-def _closed_form_stats(cache: MessageCache):
-    """Singleton-segment dwell (exact closed form: the integrand is
-    constant) plus asserted-transition boundary counts; returns the indices
-    of the general segments still needing quadrature."""
-    n = cache.evidence.n
-    tbar = np.zeros(n)
-    mbar = np.zeros((n, n))
-    masks = cache.seg_masks
-    sizes = masks.sum(axis=1)
-    dts = cache.seg_dt
-    pos = dts > 0.0
+class _Statistics(NamedTuple):
+    """A swept batch's expected statistics summed over row groups of
+    trajectories, and each trajectory's log-likelihood."""
+
+    dwell: np.ndarray
+    transitions: np.ndarray
+    initial: np.ndarray
+    log_probs: np.ndarray
+
+
+def _statistics(
+    q: np.ndarray,
+    f: _ForwardSweep,
+    b: _BackwardSweep,
+    horizons: np.ndarray,
+    ends: np.ndarray,
+    tol: float,
+    first: int = 0,
+) -> _Statistics:
+    """Expected dwell times, transition counts and time-zero posteriors of
+    the stacked segments and boundaries of a swept batch, summed over the
+    groups of trajectories ``ends[g - 1]`` up to ``ends[g]``.
+
+    A positive-length segment restricted to one state adds its duration
+    where it carries mass (the integrand is constant). The factor of an
+    asserted transition into segment k acts at its first boundary i, from
+    mask k - 1 into mask k; its posterior counts are W o outer(a, b) /
+    (a W b) with a = fwd_pre[i] and b = bwd_post[i] on the two masks. Every
+    other positive-length segment runs from fwd[i] to the end-of-segment
+    message bwd[i + 1]; scaled by exp(bwd_log[i + 1] - bwd_post_log[i]),
+    exp(Q_S dt) carries that to bwd_post[i], and dividing by the segment's
+    evidence mass fwd[i] . bwd_post[i] (zero where it has none) makes it
+    the right vector of the segment's convolution integrals, all of which
+    go through one call of the uniformization kernel. The time-zero
+    posterior is fwd * bwd_post, normalized, at the last boundary at t = 0.
+    Raises ``ZeroProbabilityEvidenceError`` for a trajectory without mass,
+    its index counted from ``first``.
+    """
+    f.raise_if_impossible(first)
+    n = q.shape[0]
+    groups = len(ends)
+    traj_group = np.repeat(np.arange(groups), np.diff(ends, prepend=0))
+    seg_traj = np.repeat(np.arange(len(f.counts)), f.counts)
+    seg_group = traj_group[seg_traj]
+    start = np.arange(len(f.dts)) + seg_traj
+    w = _off_diagonal(q)
+    dwell = np.zeros((groups, n))
+    trans = np.zeros((groups, n, n))
+    sizes = f.masks.sum(axis=1)
+    pos = f.dts > 0.0
 
     sing = np.flatnonzero(pos & (sizes == 1))
-    if sing.size:
-        jj = masks[sing].argmax(axis=1)
-        alive = cache.fwd[sing, jj] * cache.bwd_post[sing, jj] > 0.0
-        np.add.at(tbar, jj[alive], dts[sing][alive])
+    jj = f.masks[sing].argmax(axis=1)
+    alive = f.fwd[start[sing], jj] * b.bwd_post[start[sing], jj] > 0.0
+    np.add.at(dwell, (seg_group[sing][alive], jj[alive]), f.dts[sing][alive])
 
-    # The factor after segment i acts at boundary i + 1, from mask i into
-    # mask i + 1; its posterior counts are W o outer(a, b) / (a W b).
-    rate = np.flatnonzero(cache.factor_kind == _RATE)
-    if rate.size:
-        w = _off_diagonal(cache.q.entries)
-        a = cache.fwd_pre[rate + 1] * masks[rate]
-        b = cache.bwd_post[rate + 1] * masks[rate + 1]
-        totals = ((a @ w) * b).sum(axis=1)
-        alive = totals > 0.0
-        if alive.any():
-            mbar += w * ((a[alive] / totals[alive, None]).T @ b[alive])
+    rate = np.flatnonzero(f.rate_before)
+    i = start[rate]
+    left = f.fwd_pre[i] * f.masks[rate - 1]
+    right = b.bwd_post[i] * f.masks[rate]
+    totals = ((left @ w) * right).sum(axis=1)
+    alive = totals > 0.0
+    rows = np.searchsorted(seg_group[rate][alive], np.arange(groups), side="right")
+    for g, part in _grouped_products(left[alive] / totals[alive, None], right[alive], rows):
+        trans[g] += w * part
 
-    return tbar, mbar, np.flatnonzero(pos & (sizes > 1))
-
-
-def _right_vectors(cache: MessageCache, general: np.ndarray) -> np.ndarray:
-    """General segment i runs from fwd[i] to the end-of-segment message
-    bwd[i + 1]. Scaled by exp(bwd_log[i + 1] - bwd_post_log[i]), exp(Q_S dt)
-    carries bwd[i + 1] to bwd_post[i]; dividing by the segment's evidence
-    mass fwd[i] . bwd_post[i] (zero where it has none) normalizes it."""
-    inner = np.einsum("mi,mi->m", cache.fwd[general], cache.bwd_post[general])
+    general = np.flatnonzero(pos & (sizes > 1))
+    i = start[general]
+    inner = np.einsum("mi,mi->m", f.fwd[i], b.bwd_post[i])
     ok = inner > 0.0
-    log_scale = cache.bwd_log[general + 1] - np.where(ok, cache.bwd_post_log[general], 0.0)
-    return cache.bwd[general + 1] * np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)[:, None]
+    log_scale = b.bwd_log[i + 1] - np.where(ok, b.bwd_post_log[i], 0.0)
+    beta = b.bwd[i + 1] * np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)[:, None]
+    seg_ends = np.concatenate(([0], np.cumsum(f.counts)))[ends]
+    parts = _convolution_batch(q, f.masks[general], f.dts[general], f.fwd[i], beta,
+                               np.searchsorted(general, seg_ends), tol)
+    for g, part in parts:
+        dwell[g] += np.diagonal(part)
+        trans[g] += w * part
+
+    at_zero = np.abs(f.times) <= 1e-12 * np.maximum(1.0, np.repeat(horizons, f.counts + 1))
+    i = np.maximum.reduceat(np.where(at_zero, np.arange(len(f.times)), -1), f.starts)
+    raw = f.fwd[i] * b.bwd_post[i]
+    mass = raw.sum(axis=1)
+    if not (mass > 0.0).all():
+        t = int(np.flatnonzero(~(mass > 0.0))[0])
+        raise ZeroProbabilityEvidenceError(int(i[t] - f.starts[t]), first + t)
+    initial = np.zeros((groups, n))
+    np.add.at(initial, traj_group, raw / mass[:, None])
+    return _Statistics(dwell, trans, initial, f.log_probs)
+
+
+def _grouped_products(a: np.ndarray, b: np.ndarray, ends: np.ndarray, lo: int = 0):
+    """Pairs (g, a[rows].T @ b[rows]) over the groups g with rows in a, where
+    a and b hold rows lo up to lo + len(a) and group g ends at row ends[g]."""
+    hi = lo + len(a)
+    first = int(np.searchsorted(ends, lo, side="right"))
+    last = int(np.searchsorted(ends, hi - 1, side="right"))
+    for grp in range(first, last + 1):
+        r0 = max(ends[grp - 1] if grp else 0, lo) - lo
+        r1 = min(ends[grp], hi) - lo
+        if r1 > r0:
+            yield grp, a[r0:r1].T @ b[r0:r1]
+
+
+def _e_step_batches(q: IntensityMatrix, p0, evs: list, tol: float):
+    """The E-step over many trajectories: per lockstep batch, its expected
+    statistics summed over the batch (one group) and its log-likelihoods.
+    Trajectory indices in errors count across batches."""
+    first = 0
+    for batch in _batches(evs, q.n):
+        f = _forward(q, p0, batch)
+        b = _backward_sweep(q, f, first)
+        horizons = np.array([ev.horizon for ev in batch])
+        yield _statistics(q.entries, f, b, horizons, np.array([len(batch)]), tol, first)
+        first += len(batch)
 
 
 def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[FlatStatistics]:
-    """Expected statistics for many trajectories at once; all segments that
-    need quadrature under one joint generator share one batched pass of the
-    uniformization kernel, which is what keeps dataset-scale E-steps fast."""
+    """Expected statistics for many trajectories at once. The caches under
+    one joint generator are stacked as one swept batch, one group per
+    cache, and go through the same statistics kernel as the E-step."""
     results: list = [None] * len(caches)
     pending: dict = {}
     for idx, cache in enumerate(caches):
@@ -715,30 +831,29 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
         hit = cache._stats.get(tol)
         if hit is not None:
             results[idx] = hit
-            continue
-        tbar, mbar, general = _closed_form_stats(cache)
-        pending.setdefault(id(cache.q), []).append((idx, cache, tbar, mbar, general))
+        else:
+            pending.setdefault(id(cache.q), []).append(idx)
 
-    for batch in pending.values():
-        q = batch[0][1].q.entries
-        w = _off_diagonal(q)
-        parts = _convolution_batch(
-            q,
-            np.concatenate([c.seg_masks[g] for _, c, _, _, g in batch]),
-            np.concatenate([c.seg_dt[g] for _, c, _, _, g in batch]),
-            np.concatenate([c.fwd[g] for _, c, _, _, g in batch]),
-            np.concatenate([_right_vectors(c, g) for _, c, _, _, g in batch]),
-            np.cumsum([g.size for _, _, _, _, g in batch]),
-            tol,
+    for idxs in pending.values():
+        batch = [caches[i] for i in idxs]
+
+        def cat(name):
+            return np.concatenate([getattr(c, name) for c in batch])
+
+        counts = np.array([len(c.seg_dt) for c in batch])
+        rate_before = np.concatenate([np.append(False, c.factor_kind == _RATE) for c in batch])
+        f = _ForwardSweep(
+            batch[0].p0, cat("times"), cat("seg_masks"), cat("seg_dt"), rate_before, None, counts,
+            np.cumsum(counts) - counts, cat("fwd"), cat("fwd_log"), cat("fwd_pre"), cat("fwd_pre_log"),
         )
-        for g, part in parts:
-            _, _, tbar, mbar, _ = batch[g]
-            tbar += np.diagonal(part)
-            mbar += w * part
-        for idx, cache, tbar, mbar, _ in batch:
-            np.clip(tbar, 0.0, None, out=tbar)
-            np.clip(mbar, 0.0, None, out=mbar)
-            results[idx] = cache._stats[tol] = FlatStatistics(tbar, mbar)
+        b = _BackwardSweep(
+            cat("bwd"), cat("bwd_log"), cat("bwd_post"), cat("bwd_post_log"),
+            np.array([c.log_prob_backward for c in batch]),
+        )
+        horizons = np.array([c.evidence.horizon for c in batch])
+        s = _statistics(batch[0].q.entries, f, b, horizons, np.arange(1, len(batch) + 1), tol)
+        for g, idx in enumerate(idxs):
+            results[idx] = caches[idx]._stats[tol] = FlatStatistics(s.dwell[g], s.transitions[g])
     return results
 
 

@@ -20,12 +20,9 @@ from .evidence import Evidence
 from .inference import (
     DEFAULT_QUAD_TOL,
     FlatStatistics,
-    ZeroProbabilityEvidenceError,
     _batches,
+    _e_step_batches,
     _forward,
-    _forward_backward_many,
-    expected_statistics_many,
-    smoothed_marginal,
 )
 from .model import (
     DEFAULT_JOINT_CAP,
@@ -152,34 +149,22 @@ def random_parameters(model: CtbnModel, rng: np.random.Generator, rate_range=(0.
     return model.with_cims(new_cims)
 
 
-_ESTEP_CHUNK = 512
-
-
 def _flat_e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float, cap: int):
     """One pass over the dataset: summed flat statistics, summed smoothed
-    time-zero state marginals, and per-trajectory log-likelihoods."""
+    time-zero state marginals, and per-trajectory log-likelihoods. Every
+    lockstep batch of trajectories adds its own sums."""
     q, space, p0 = amalgamate(model, cap)
     n = space.n_joint
     tbar = np.zeros(n)
     mbar = np.zeros((n, n))
-    init_sums = {v.name: np.zeros(v.n_states) for v in model.variables}
-    lls = []
-    for lo in range(0, len(dataset), _ESTEP_CHUNK):
-        chunk = dataset[lo : lo + _ESTEP_CHUNK]
-        caches = _forward_backward_many(q, p0, chunk, lo)
-        for off, cache in enumerate(caches):
-            if cache.impossible:
-                raise ZeroProbabilityEvidenceError(cache.dead_boundary, lo + off)
-        try:
-            stats = expected_statistics_many(caches, quad_tol)
-        except ZeroProbabilityEvidenceError as exc:
-            raise ZeroProbabilityEvidenceError(exc.boundary_index, lo + (exc.trajectory_index or 0)) from None
-        g0 = np.stack([smoothed_marginal(c, 0.0) for c in caches]).sum(axis=0)
-        for vi, var in enumerate(model.variables):
-            init_sums[var.name] += space.variable_state_marginal(g0, vi)
-        tbar += np.sum([s.dwell for s in stats], axis=0)
-        mbar += np.sum([s.transitions for s in stats], axis=0)
-        lls.extend(c.log_prob for c in caches)
+    g0 = np.zeros(n)
+    lls: list[float] = []
+    for batch in _e_step_batches(q, p0, list(dataset), quad_tol):
+        tbar += batch.dwell[0]
+        mbar += batch.transitions[0]
+        g0 += batch.initial[0]
+        lls.extend(batch.log_probs.tolist())
+    init_sums = {var.name: space.variable_state_marginal(g0, vi) for vi, var in enumerate(model.variables)}
     return space, tbar, mbar, init_sums, lls
 
 
@@ -218,10 +203,8 @@ def score_dataset(
     out: list[float] = []
     for batch in _batches(list(dataset), q.n):
         sweep = _forward(q, p0, batch)
-        for t in range(len(batch)):
-            if not np.isfinite(sweep.log_prob(t)):
-                raise ZeroProbabilityEvidenceError(sweep.dead(t), len(out))
-            out.append(sweep.log_prob(t))
+        sweep.raise_if_impossible(len(out))
+        out.extend(sweep.log_probs.tolist())
     return out
 
 

@@ -219,6 +219,34 @@ def ring32_records():
     return [ObservedTrajectory(s, 10.0) for s in segs]
 
 
+class TestBatchSplit:
+    def test_matches_per_segment_pieces_bitwise(self):
+        # Pieces of a segment stiffer than the cap are equal; piece p of
+        # segment i ends at t_i + dt_i (p + 1) / c_i, and the last piece at
+        # the evidence boundary t_{i + 1} itself.
+        model = binary_ring_model(5)
+        q, space, p0 = amalgamate(model)
+        evs = [rec.to_evidence(space) for rec in ring32_records()] * 2
+        masks, dts, times, counts, rate_before = inference._split_batch(q.entries, evs)
+        want_masks, want_dts, want_times, want_rate = [], [], [], []
+        for ev in evs:
+            want_times.append(ev.boundaries[0])
+            for i, (mask, dt) in enumerate(zip(ev.masks, ev.durations)):
+                mu = np.abs(np.diagonal(q.entries))[mask].max() * dt
+                c = max(1, math.ceil(mu / inference._SEGMENT_STIFFNESS_CAP))
+                for piece in range(c):
+                    want_masks.append(mask)
+                    want_dts.append(dt / c)
+                    want_times.append(ev.boundaries[i] + dt * (piece + 1) / c)
+                    want_rate.append(piece == 0 and i > 0 and not (ev.masks[i - 1] & mask).any())
+                want_times[-1] = ev.boundaries[i + 1]
+        assert counts.sum() > sum(ev.n_segments for ev in evs)
+        assert np.array_equal(masks, want_masks)
+        assert dts.tobytes() == np.array(want_dts).tobytes()
+        assert times.tobytes() == np.array(want_times).tobytes()
+        assert np.array_equal(rate_before, want_rate) and rate_before.any()
+
+
 class TestSeriesForm:
     """From _SERIES_MIN_N states up the sweeps apply the uniformization
     series to the messages; below it, batched Pade exponentials."""

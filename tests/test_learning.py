@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctbnlearn import (
     Cim,
@@ -9,7 +11,9 @@ from ctbnlearn import (
     EmConfig,
     Evidence,
     FlatFamilyProvider,
+    ForwardBackwardMismatchError,
     ObservedTrajectory,
+    OcclusionPolicy,
     SemConfig,
     Subsystem,
     Variable,
@@ -19,19 +23,23 @@ from ctbnlearn import (
     bic_score,
     e_step,
     em,
+    expected_statistics,
     family_log_likelihood,
     forward_backward,
     m_step,
+    occlude_observed,
     random_parameters,
     sample_trajectory,
     score_dataset,
     sem,
+    smoothed_marginal,
     structure_search,
 )
+from ctbnlearn import inference
 from ctbnlearn.inference import FlatStatistics
 from ctbnlearn.learning import _flat_e_step
 from ctbnlearn.model import FamilyStatistics
-from helpers import binary_chain_model, chain_oracle, independent_binary_model
+from helpers import binary_chain_model, binary_ring_model, chain_oracle, independent_binary_model, rel_err
 
 
 def fully_observed_dataset(model, count, horizon, seed):
@@ -147,6 +155,196 @@ class TestEStep:
         with pytest.raises(ZeroProbabilityEvidenceError) as err:
             e_step(model, [good, bad])
         assert err.value.trajectory_index == 1
+
+
+def chain_records():
+    """Occluded records of the n = 8 chain: a zero-length observation at
+    t = 0, a hidden stretch stiff enough to be split, fully observed
+    (singleton) segments with observed flips (rate boundaries) and partly
+    hidden stretches."""
+    hidden = (None, None, None)
+    segs = [
+        ((0.0, 0.0, (0, 0, 0)), (0.0, 7.0, hidden), (7.0, 7.5, (0, 0, 0)), (7.5, 8.0, (1, 0, 0)),
+         (8.0, 9.0, (None, 0, None))),
+        ((0.0, 1.0, (0, None, 1)), (1.0, 9.0, hidden)),
+        ((0.0, 1.0, (0, 0, 0)), (1.0, 2.5, (0, 1, 0)), (2.5, 3.0, (0, 1, 1)), (3.0, 9.0, (None, 1, None))),
+        ((0.0, 9.0, hidden),),
+        ((0.0, 0.0, (1, 1, 0)), (0.0, 2.0, (1, None, None)), (2.0, 2.0, (1, 0, 0)), (2.0, 9.0, hidden)),
+    ]
+    return [ObservedTrajectory(s, 9.0) for s in segs]
+
+
+def ring_records():
+    """Occluded records of the n = 32 ring with the same features."""
+    hidden = (None,) * 5
+    zeros = (0,) * 5
+    segs = [
+        ((0.0, 0.0, zeros), (0.0, 4.0, hidden), (4.0, 4.5, zeros), (4.5, 5.0, (1, 0, 0, 0, 0)),
+         (5.0, 5.0, (1, None, 0, 0, 0)), (5.0, 8.0, (None, 0, None, None, None)), (8.0, 10.0, hidden)),
+        ((0.0, 10.0, hidden),),
+        ((0.0, 2.0, (None, 1, None, 0, None)), (2.0, 2.5, (1, 1, 0, 0, 1)), (2.5, 10.0, hidden)),
+    ]
+    return [ObservedTrajectory(s, 10.0) for s in segs]
+
+
+def public_e_step(model, dataset, tol):
+    """The E-step's sums from public per-trajectory calls."""
+    q, space, p0 = amalgamate(model)
+    caches = [forward_backward(q, p0, ev) for ev in dataset]
+    stats = [expected_statistics(c, tol) for c in caches]
+    g0 = np.sum([smoothed_marginal(c, 0.0) for c in caches], axis=0)
+    init = {v.name: space.variable_state_marginal(g0, vi) for vi, v in enumerate(model.variables)}
+    tbar = np.sum([s.dwell for s in stats], axis=0)
+    mbar = np.sum([s.transitions for s in stats], axis=0)
+    return tbar, mbar, init, [c.log_prob for c in caches]
+
+
+def three_batches(monkeypatch, dataset, n, elements):
+    """Patch the batch budget; returns the batch sizes, at least three, some
+    holding several trajectories."""
+    monkeypatch.setattr(inference, "_BATCH_ELEMENTS", elements)
+    sizes = [len(b) for b in inference._batches(dataset, n)]
+    assert len(sizes) >= 3 and max(sizes) > 1
+    return sizes
+
+
+class TestBatchedEStep:
+    """The E-step sums its statistics over whole lockstep batches; they must
+    equal the sums of the public per-trajectory calls."""
+
+    @pytest.mark.parametrize(
+        "model, records, elements",
+        [(binary_chain_model(), chain_records(), 1000), (binary_ring_model(5), ring_records(), 500)],
+        ids=["pade-n8", "series-n32"],
+    )
+    def test_sums_equal_public_per_trajectory_calls(self, monkeypatch, model, records, elements):
+        q, space, p0 = amalgamate(model)
+        assert (q.n < inference._SERIES_MIN_N) == (q.n == 8)
+        dataset = [rec.to_evidence(space) for rec in records] * 3
+        first = forward_backward(q, p0, dataset[0])
+        assert (first.factor_kind == 1).any()
+        assert len(first.seg_dt) > dataset[0].n_segments
+        assert first.seg_dt[0] == 0.0 and first.times[1] == 0.0
+        assert any((ev.masks.sum(axis=1) == 1).any() & (ev.durations > 0).any() for ev in dataset)
+        three_batches(monkeypatch, dataset, q.n, elements)
+
+        # The series of a batch's integrals runs to the cutoff of its
+        # largest mu, so at a loose tolerance a lone trajectory is cut
+        # earlier than inside a batch (both within the tolerance); at this
+        # one the cut is below rounding and only the bookkeeping is judged.
+        tol = 1e-14
+        _, tbar, mbar, init, lls = _flat_e_step(model, dataset, tol, 4096)
+        want_t, want_m, want_init, want_lls = public_e_step(model, dataset, tol)
+        assert rel_err(tbar, want_t) <= 1e-12
+        assert rel_err(mbar, want_m) <= 1e-12
+        for name in model.names:
+            assert rel_err(init[name], want_init[name]) <= 1e-12
+        assert rel_err(lls, want_lls) <= 1e-12
+        assert tbar.sum() == pytest.approx(sum(ev.horizon for ev in dataset), rel=1e-12)
+
+    def test_builds_no_per_trajectory_objects(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built on the E-step path")
+
+        for name in ("MessageCache", "FlatStatistics", "smoothed_marginal"):
+            monkeypatch.setattr(inference, name, forbidden)
+        model = binary_chain_model()
+        dataset = [rec.to_evidence(model.space()) for rec in chain_records()]
+        em(model, dataset, EmConfig(max_iter=2, init="given"))
+        sem(model, dataset, SemConfig(em=EmConfig(max_iter=1, init="given"), em_iters=1, max_rounds=1))
+
+    def test_zero_probability_names_the_global_index(self, monkeypatch):
+        model = binary_chain_model()
+        q, space, p0 = amalgamate(model)
+        dataset = [rec.to_evidence(space) for rec in chain_records()] * 3
+        # A simultaneous flip of a and b has probability zero.
+        bad = ObservedTrajectory(((0.0, 1.0, (0, 0, 0)), (1.0, 9.0, (1, 1, 0))), 9.0).to_evidence(space)
+        sizes = three_batches(monkeypatch, dataset, q.n, 1000)
+        at = sizes[0] + sizes[1] + 1
+        dataset.insert(at, bad)
+        assert at < sum(three_batches(monkeypatch, dataset, q.n, 1000)[:3])
+        with pytest.raises(ZeroProbabilityEvidenceError) as err:
+            e_step(model, dataset)
+        assert err.value.trajectory_index == at
+
+    def test_forward_backward_mismatch_names_the_global_index(self, monkeypatch):
+        # Only the backward application of the one segment observing
+        # (1, 1, 1) is off by 1e-6, so only its trajectory disagrees.
+        model = binary_chain_model()
+        q, space, p0 = amalgamate(model)
+        dataset = [rec.to_evidence(space) for rec in chain_records()] * 3
+        odd = ObservedTrajectory(((0.0, 1.0, (1, 1, 1)), (1.0, 9.0, (None, 1, None))), 9.0).to_evidence(space)
+        sizes = three_batches(monkeypatch, dataset, q.n, 1000)
+        at = sizes[0] + sizes[1] + 1
+        dataset.insert(at, odd)
+        assert at < sum(three_batches(monkeypatch, dataset, q.n, 1000)[:3])
+        e_step(model, dataset)
+        backward = inference._Propagator.backward
+        target = odd.masks[0]
+
+        def perturbed(self, v, seg):
+            out = backward(self, v, seg)
+            out[(self.masks[seg] == target).all(axis=1)] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(inference._Propagator, "backward", perturbed)
+        with pytest.raises(ForwardBackwardMismatchError) as err:
+            e_step(model, dataset)
+        assert err.value.trajectory_index == at
+
+
+@st.composite
+def small_ctbns(draw):
+    """A CTBN of 2-3 variables with 2-3 states, random parents (cycles
+    allowed), random supports and rates, and window-occluded data."""
+    k = draw(st.integers(2, 3))
+    dims = [draw(st.integers(2, 3)) for _ in range(k)]
+    names = [f"x{i}" for i in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cims = {}
+    for i, name in enumerate(names):
+        others = [j for j in range(k) if j != i]
+        parents = tuple(j for j in others if draw(st.booleans()))
+        d = dims[i]
+        support = ~np.eye(d, dtype=bool)
+        if d == 3:
+            # Drop one of the two exits of a random state.
+            x = rng.integers(d)
+            support[x, rng.choice(np.flatnonzero(support[x]))] = False
+        n_u = int(np.prod([dims[j] for j in parents])) if parents else 1
+        mats = np.exp(rng.uniform(np.log(0.3), np.log(3.0), (n_u, d, d))) * support
+        mats -= np.eye(d) * mats.sum(axis=2, keepdims=True)
+        cims[name] = Cim(tuple(names[j] for j in parents), tuple(dims[j] for j in parents), mats, support)
+    variables = tuple(Variable(n, tuple(f"{n}s{s}" for s in range(d))) for n, d in zip(names, dims))
+    model = CtbnModel(variables, cims, {n: np.full(d, 1.0 / d) for n, d in zip(names, dims)})
+    q, space, p0 = amalgamate(model)
+    fraction = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        traj = sample_trajectory(p0, q, 3.0, rng)
+        per_var = [space.project(traj, v) for v in range(k)]
+        records.append(occlude_observed(per_var, OcclusionPolicy(fraction, 0.5), rng))
+    return model, [rec.to_evidence(space) for rec in records]
+
+
+class TestEStepProperties:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_ctbns())
+    def test_invariants_and_monotone_em(self, case):
+        model, dataset = case
+        q, _, _ = amalgamate(model)
+        # A tolerance far below the checked bounds: the dwell gap is the
+        # bookkeeping's, not the series cut's (at most tol per unit time).
+        _, tbar, mbar, _, lls = _flat_e_step(model, dataset, 1e-14, 4096)
+        horizon = sum(ev.horizon for ev in dataset)
+        assert abs(tbar.sum() - horizon) <= 1e-9 * horizon
+        off_support = (q.entries == 0.0) | np.eye(q.n, dtype=bool)
+        assert not mbar[off_support].any()
+        ll = math.fsum(lls)
+        assert ll == pytest.approx(math.fsum(score_dataset(model, dataset)), rel=1e-12, abs=1e-12)
+        trace = em(model, dataset, EmConfig(max_iter=3, tol=1e-12, init="given")).trace
+        for prev, nxt in zip(trace, trace[1:]):
+            assert nxt >= prev - 1e-9 * abs(prev)
 
 
 class TestMStep:
