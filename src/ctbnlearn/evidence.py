@@ -87,62 +87,83 @@ class Subsystem:
         return int(state) in self.members
 
 
-@dataclass(frozen=True)
 class Evidence:
     """An observed trajectory: subsystems S_i over [t_i, t_{i+1}) covering
-    [0, horizon] with no gaps. t_i == t_{i+1} encodes point evidence."""
+    [0, horizon] with no gaps. t_i == t_{i+1} encodes point evidence.
 
-    segments: tuple[tuple[Subsystem, float, float], ...]
-    horizon: float
+    It is held as read-only arrays: ``masks`` (segments x n, each subsystem
+    as a boolean row), ``durations`` and ``boundaries`` (the start and every
+    segment end). The tuple ``segments`` of (Subsystem, start, end) is a
+    view built on first access; equality and hashing compare it and the
+    horizon. ``ObservedTrajectory.to_evidence`` builds the arrays directly.
+    """
 
-    def __post_init__(self):
-        segs = tuple((s, float(a), float(b)) for s, a, b in self.segments)
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "horizon", float(self.horizon))
+    def __init__(self, segments, horizon: float):
+        segs = tuple((s, float(a), float(b)) for s, a, b in segments)
         if not segs:
             raise ValueError("evidence needs at least one segment")
         n = segs[0][0].n
-        tol = _TIME_EPS * max(1.0, self.horizon)
-        if abs(segs[0][1]) > tol:
+        if any(s.n != n for s, _, _ in segs):
+            raise ValueError("all subsystems must share one state space")
+        spans = np.array([(a, b) for _, a, b in segs])
+        self._set(np.stack([s.mask for s, _, _ in segs]), spans[:, 0], spans[:, 1], horizon)
+        self.__dict__["segments"] = segs
+
+    @classmethod
+    def _from_arrays(cls, masks: np.ndarray, starts: np.ndarray, ends: np.ndarray, horizon: float) -> "Evidence":
+        """Evidence whose segment i holds the mask row masks[i] over
+        [starts[i], ends[i]]; every mask must be non-empty."""
+        ev = cls.__new__(cls)
+        ev._set(masks, starts, ends, horizon)
+        return ev
+
+    def _set(self, masks: np.ndarray, starts: np.ndarray, ends: np.ndarray, horizon: float):
+        horizon = float(horizon)
+        tol = _TIME_EPS * max(1.0, horizon)
+        if abs(starts[0]) > tol:
             raise ValueError("evidence must start at time 0")
-        if abs(segs[-1][2] - self.horizon) > tol:
+        if abs(ends[-1] - horizon) > tol:
             raise ValueError("evidence must end at the horizon")
-        prev_end = 0.0
-        for s, a, b in segs:
-            if s.n != n:
-                raise ValueError("all subsystems must share one state space")
-            if b < a - tol:
-                raise ValueError("segment end precedes its start")
-            if abs(a - prev_end) > tol:
-                raise ValueError("evidence segments must be contiguous")
-            prev_end = b
+        if (ends < starts - tol).any():
+            raise ValueError("segment end precedes its start")
+        if (np.abs(starts[1:] - ends[:-1]) > tol).any():
+            raise ValueError("evidence segments must be contiguous")
+        arrays = {
+            "masks": masks,
+            "_starts": starts,
+            "durations": np.clip(ends - starts, 0.0, None),
+            "boundaries": np.concatenate((starts[:1], ends)),
+        }
+        for a in arrays.values():
+            a.setflags(write=False)
+        self.__dict__.update(arrays, horizon=horizon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable Evidence")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.segments, self.horizon) == (other.segments, other.horizon)
+
+    def __hash__(self):
+        return hash((self.segments, self.horizon))
+
+    def __repr__(self):
+        return f"Evidence(segments={self.segments!r}, horizon={self.horizon!r})"
+
+    @cached_property
+    def segments(self) -> tuple[tuple[Subsystem, float, float], ...]:
+        ends = self.boundaries[1:].tolist()
+        return tuple((Subsystem.from_mask(m), a, b) for m, a, b in zip(self.masks, self._starts.tolist(), ends))
 
     @property
     def n(self) -> int:
-        return self.segments[0][0].n
+        return self.masks.shape[1]
 
     @property
     def n_segments(self) -> int:
-        return len(self.segments)
-
-    @cached_property
-    def masks(self) -> np.ndarray:
-        m = np.stack([s.mask for s, _, _ in self.segments])
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def durations(self) -> np.ndarray:
-        d = np.array([b - a for _, a, b in self.segments])
-        np.clip(d, 0.0, None, out=d)
-        d.setflags(write=False)
-        return d
-
-    @cached_property
-    def boundaries(self) -> np.ndarray:
-        t = np.array([self.segments[0][1]] + [b for _, _, b in self.segments])
-        t.setflags(write=False)
-        return t
+        return len(self.durations)
 
     @classmethod
     def vacuous(cls, n: int, horizon: float) -> "Evidence":
@@ -250,16 +271,12 @@ class ObservedTrajectory:
     def to_evidence(self, space: StateSpace) -> Evidence:
         """Lower onto the joint space, merging adjacent segments whose
         subsystems coincide."""
-        n = space.n_joint
-        merged: list[tuple[Subsystem, float, float]] = []
-        for a, b, vals in self.segments:
-            sub = Subsystem.from_mask(space.observation_mask(vals))
-            if merged and merged[-1][0].members == sub.members:
-                prev = merged[-1]
-                merged[-1] = (prev[0], prev[1], b)
-            else:
-                merged.append((sub, a, b))
-        return Evidence(tuple(merged), self.horizon)
+        masks = space.observation_masks([vals for _, _, vals in self.segments])
+        spans = np.array([(a, b) for a, b, _ in self.segments])
+        first = np.ones(len(masks), dtype=bool)
+        first[1:] = (masks[1:] != masks[:-1]).any(axis=1)
+        last = np.append(first[1:], True)
+        return Evidence._from_arrays(masks[first], spans[first, 0], spans[last, 1], self.horizon)
 
     @classmethod
     def fully_observed(cls, trajs: Sequence[CompleteTrajectory]) -> "ObservedTrajectory":

@@ -4,8 +4,8 @@ Evidence only restricts the joint process: while a segment holds it in a
 subsystem S, its generator is Q masked to S x S. A forward-backward sweep
 propagates scaled messages across evidence segments; one propagator
 carries them across each segment's exponential exp(Q_S dt). Below a joint
-size measured as the crossover it builds the exponentials of a batch in
-one batched Pade ``expm``; from it up it never builds them and applies the
+size measured as the crossover it builds the exponentials of a batch with
+batched Pade ``expm`` calls; from it up it never builds them and applies the
 uniformization series of Q_S to the message rows instead, one product by
 the joint off-diagonal per term. Between consecutive
 segments whose subsystems are disjoint, the evidence asserts a transition
@@ -14,10 +14,12 @@ masked vector products with the one shared off-diagonal; when the
 subsystems overlap, the boundary is a projection onto the next subsystem
 (zero-length segments therefore act as plain indicators). Many
 trajectories under one Q are swept in lockstep, one row each, so the
-Python loop runs once per segment position of a batch. Expected dwell
+Python loop runs once per segment position of a batch; one memory budget,
+``_BATCH_ELEMENTS``, sizes the batches, and the Pade exponentials and the
+integrals' kernel work in slices of an eighth of it. Expected dwell
 times and transition counts reduce to pairwise convolution integrals over
 each segment, all n^2 of which come in closed form from the uniformization
-series of the segment's generator, truncated at a Poisson tail bound.
+series of the segment's generator, each cut at its own Poisson tail bound.
 
 One statistics kernel reads a batch's stacked messages and returns its
 dwell times, transition counts and time-zero posteriors summed over groups
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -209,7 +212,7 @@ def _split_batch(q: np.ndarray, evs: list):
 
 # From this joint size up the sweeps apply each segment's exponential to the
 # messages as a uniformization series and build no n x n array per segment.
-# Below it one batched Pade expm of a batch's segments is cheaper: the series
+# Below it batched Pade expm calls over a batch's segments are cheaper: the series
 # takes one Python-level step per term. Measured on a 6-state phase model
 # the series E-step took 1.24x and scoring 1.75x the Pade time, on rings of
 # n = 8 both were even, at n = 16 the series took half (CHANGES.md has the
@@ -222,22 +225,38 @@ _SWEEP_TAIL = float(np.finfo(float).eps)
 
 # Trajectories are swept in lockstep, one batch at a time, so the Python
 # loop over segment positions runs once per batch rather than once per
-# trajectory. A batch is a run of consecutive trajectories whose evidence
-# segments need at most this many entries of what the propagator holds per
-# segment: an n x n exponential below _SERIES_MIN_N, n-vectors of the series
-# from it up (always at least one trajectory), which keeps large joint
-# spaces at one trajectory's worth of memory.
-_BATCH_ELEMENTS = 1 << 16
+# trajectory. This is the one memory knob: a batch is a run of consecutive
+# trajectories whose estimate (``_entries``) stays within this many array
+# entries, and the batched Pade expm and the convolution kernel work in
+# slices of an eighth of it.
+_BATCH_ELEMENTS = 1 << 19
+
+
+def _entries(n_segments: int, n: int, width: int) -> int:
+    """The array entries the sweeps hold for a trajectory of n_segments
+    evidence segments. Below _SERIES_MIN_N: each segment's n x n
+    exponential and four message rows (fwd, fwd_pre, bwd, bwd_post) per
+    boundary. From it up: each segment's series rows ``keep`` and ``jump``
+    and its Poisson weights, ``width`` of them at the stiffness cap; the
+    message rows are left out there, as counting them would keep a few
+    short trajectories of a mid-size model from sharing a batch."""
+    if n < _SERIES_MIN_N:
+        return n_segments * n * n + 4 * n * (n_segments + 1)
+    return n_segments * (2 * n + width)
 
 
 def _batches(evs: list, n: int):
-    per_segment = n * n if n < _SERIES_MIN_N else n
+    """Runs of consecutive trajectories whose ``_entries`` add up to at
+    most _BATCH_ELEMENTS, always one trajectory at least, so a large joint
+    space sweeps one trajectory at a time."""
+    width = _series_width()
     lo, size = 0, 0
     for t, ev in enumerate(evs):
-        size += ev.n_segments * per_segment
+        need = _entries(ev.n_segments, n, width)
+        size += need
         if size > _BATCH_ELEMENTS and t > lo:
             yield evs[lo:t]
-            lo, size = t, ev.n_segments * per_segment
+            lo, size = t, need
     if lo < len(evs):
         yield evs[lo:]
 
@@ -279,6 +298,39 @@ def _poisson_terms(mu: np.ndarray, tol: float):
     return pmf, np.argmax(tail <= tol, axis=1)
 
 
+@lru_cache(maxsize=16)
+def _cutoff_thresholds(tol: float) -> np.ndarray:
+    """thresholds[K] for K below the cutoff at the stiffness cap: the
+    largest mu, found by bisection, whose ``_poisson_terms`` series at tol
+    has at most K + 1 terms."""
+    ks = np.arange(int(_poisson_terms(np.array([_SEGMENT_STIFFNESS_CAP]), tol)[1][0]) - 1)
+    lo, hi = np.zeros(len(ks)), np.full(len(ks), _SEGMENT_STIFFNESS_CAP)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        fits = _poisson_terms(mid, tol)[1] <= ks + 1
+        lo, hi = np.where(fits, mid, lo), np.where(fits, hi, mid)
+    lo.setflags(write=False)
+    return lo
+
+
+def _series_terms(mu: np.ndarray, tol: float) -> np.ndarray:
+    """The cutoffs of ``_poisson_terms`` without a full-width pmf per row:
+    looked up in the thresholds up to the stiffness cap (the two agree
+    but within rounding of a threshold) and computed above it. Either way
+    a row's cutoff is a function of its own mu."""
+    terms = np.searchsorted(_cutoff_thresholds(tol), mu) + 1
+    big = mu > _SEGMENT_STIFFNESS_CAP
+    if big.any():
+        terms[big] = _poisson_terms(mu[big], tol)[1]
+    return terms
+
+
+def _series_width() -> int:
+    """The sweeps' series terms of a segment at the stiffness cap, the most
+    any split segment needs."""
+    return int(_poisson_terms(np.array([_SEGMENT_STIFFNESS_CAP]), _SWEEP_TAIL)[1][0])
+
+
 class _Propagator:
     """exp(Q_S dt) of every segment (mask, dt) of a batch, applied to message
     rows: ``forward(v, seg)`` gives the rows v[r] exp(Q_S dt) for segments
@@ -286,8 +338,10 @@ class _Propagator:
     ``backward(v, seg)`` the columns exp(Q_S dt) v[r] of v[r] projected onto
     its mask.
 
-    Below _SERIES_MIN_N states one batched Pade ``expm`` builds the
-    exponentials of all segments. From it up none is built: with
+    Below _SERIES_MIN_N states batched Pade ``expm`` calls build the
+    exponentials of all segments, each call over a slice of at most
+    _BATCH_ELEMENTS // 8 entries, which bounds the Pade temporaries while
+    the batch itself grows. From it up none is built: with
     lambda = max_{i in S} |q_ii|, mu = lambda dt and P = I + Q_S / lambda,
     exp(Q_S dt) = sum_a Pois(a; mu) P^a, and P is applied to a row as its
     diagonal part (lambda - |q_ii|) / lambda plus one product by the joint
@@ -298,8 +352,13 @@ class _Propagator:
 
     def __init__(self, q: np.ndarray, masks: np.ndarray, dts: np.ndarray):
         self.masks = masks
-        if len(q) < _SERIES_MIN_N:
-            self.exps = expm(_masked(q, masks, masks) * dts[:, None, None])
+        n = len(q)
+        if n < _SERIES_MIN_N:
+            self.exps = np.empty((len(dts), n, n))
+            step = max(1, _BATCH_ELEMENTS // 8 // (n * n))
+            for lo in range(0, len(dts), step):
+                rows = slice(lo, lo + step)
+                self.exps[rows] = expm(_masked(q, masks[rows], masks[rows]) * dts[rows, None, None])
             return
         self.exps = None
         self.w = _off_diagonal(q)
@@ -590,6 +649,16 @@ def _log_factorials(count: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, count)))))
 
 
+# The integrals' series of a row stops where its own Poisson tail falls to
+# this share of the tolerance. A trajectory's truncation errors all have one
+# sign and add up over its segments: cut at the tolerance itself (1e-8), the
+# dwell of 600 occluded chain records summed to their horizons only within
+# 1.2e-9 to 3.7e-9 relative; at a hundredth, within 3e-11, for about as many
+# series terms per E-step as one cut at the largest mu of each batch (three
+# data seeds).
+_ROW_TAIL_SHARE = 0.01
+
+
 def _convolution_batch(
     q: np.ndarray,
     masks: np.ndarray,
@@ -612,11 +681,12 @@ def _convolution_batch(
     so J = sum_{a,b} c_{a+b} F_a^T G_b with F_a = f0 P^a, G_b = P^b beta and
     c_k = dt e^{-mu} mu^k / (k+1)!. P is applied as the diagonal part
     (lambda - |q_ii|) / lambda plus one product by the shared off-diagonal
-    of Q, so every term is a sum of nonnegative numbers. The series stops
-    where the Poisson tail is below tol, which bounds the error of every
-    column of J by tol * dt * |f0|_1 * max(beta). Rows go in chunks whose
-    stacks of F, G and the weighted sums H_a = sum_b c_{a+b} G_b stay
-    within _BATCH_ELEMENTS entries, so no (rows x n x n) array is built.
+    of Q, so every term is a sum of nonnegative numbers. Each row's series
+    stops where its own Poisson tail is below tol * _ROW_TAIL_SHARE (at
+    least epsilon), which bounds the error of every column of J by
+    tol * dt * |f0|_1 * max(beta). Rows go in slices whose stacks of F, G
+    and the weighted sums H_a = sum_b c_{a+b} G_b stay within
+    _BATCH_ELEMENTS // 8 entries, so no (rows x n x n) array is built.
     """
     m, n = f0.shape
     if m == 0:
@@ -629,17 +699,24 @@ def _convolution_batch(
     mu = np.maximum(lam * dts, np.finfo(float).tiny)
     keep = masks * (lam[:, None] - np.abs(np.diagonal(q))) / lam[:, None]
     jump = masks / lam[:, None]
-    kk = int(_poisson_terms(mu.max(keepdims=True), tol)[1][0]) - 1
     log_dt = np.log(dts, out=np.full(m, -np.inf), where=dts > 0.0)
-    log_c = log_dt[:, None] - mu[:, None] + np.arange(kk + 1) * np.log(mu)[:, None] - _log_factorials(kk + 2)[1:]
-    step = max(1, _BATCH_ELEMENTS // ((kk + 1) * n))
+    # Slices are sized for the longest series of the call; within one, the
+    # series runs to the slice's longest and each row's weights stop at its
+    # own cutoff, so a row's result does not depend on the rows beside it.
+    if tol < np.finfo(float).eps:
+        raise StepUnderflowError(f"tolerance {tol!r} is below double-precision epsilon")
+    terms = _series_terms(mu, max(tol * _ROW_TAIL_SHARE, np.finfo(float).eps))
+    step = max(1, _BATCH_ELEMENTS // 8 // (int(terms.max()) * n))
     for lo in range(0, m, step):
         rows = slice(lo, min(lo + step, m))
+        kk = int(terms[rows].max()) - 1
+        a = np.arange(kk + 1)
+        log_c = log_dt[rows, None] - mu[rows, None] + a * np.log(mu[rows])[:, None] - _log_factorials(kk + 2)[1:]
         f = _powers(f0[rows] * masks[rows], w, keep[rows], jump[rows], kk)
         g = _powers(beta[rows] * masks[rows], w.T, keep[rows], jump[rows], kk)
         # H_a = sum_b c_{a+b} G_b for every a in one product: the window
         # view of c padded with kk zeros is the Hankel matrix of each row.
-        c = np.pad(np.exp(log_c[rows]), ((0, 0), (0, kk)))
+        c = np.pad(np.where(a < terms[rows, None], np.exp(log_c), 0.0), ((0, 0), (0, kk)))
         h = sliding_window_view(c, kk + 1, axis=1) @ g
         yield from _grouped_products(f.reshape(-1, n), h.reshape(-1, n), ends * (kk + 1), lo * (kk + 1))
 

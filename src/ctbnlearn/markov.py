@@ -307,8 +307,10 @@ def sample_trajectory(p0, q: IntensityMatrix, horizon: float, seed) -> CompleteT
     p0 = validate_distribution(p0, q.n)
     rates = q.entries
     exit_rates = -np.diag(rates)
+    # Successor CDFs of the states visited so far, built on first visit.
+    cdfs: dict[int, np.ndarray] = {}
 
-    state = int(rng.choice(q.n, p=p0 / p0.sum()))
+    state = _draw(_cdf(p0 / p0.sum()), rng)
     t = 0.0
     segments = []
     while True:
@@ -320,14 +322,29 @@ def sample_trajectory(p0, q: IntensityMatrix, horizon: float, seed) -> CompleteT
         if t + dwell >= horizon:
             segments.append((state, t, horizon))
             break
-        row = rates[state].copy()
-        row[state] = 0.0
-        probs = row / row.sum()
-        nxt = int(rng.choice(q.n, p=probs))
+        cdf = cdfs.get(state)
+        if cdf is None:
+            row = rates[state].copy()
+            row[state] = 0.0
+            cdf = cdfs[state] = _cdf(row / row.sum())
+        nxt = _draw(cdf, rng)
         segments.append((state, t, t + dwell))
         t += dwell
         state = nxt
     return CompleteTrajectory(tuple(segments), horizon)
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalized cumulative sum that ``Generator.choice`` draws from."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(cdf), p=probs)`` draws, from the same
+    single uniform, without validating the probabilities again."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def sample_trajectories(p0, q: IntensityMatrix, horizon: float, count: int, seed) -> list[CompleteTrajectory]:

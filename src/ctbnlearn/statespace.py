@@ -91,23 +91,34 @@ class StateSpace:
         return int(sum(l * s for l, s in zip(locals_, self.strides)))
 
     @cached_property
-    def _value_masks(self) -> tuple[np.ndarray, ...]:
-        # Per variable, row s flags the joint states whose state of v is s.
+    def observation_tables(self) -> tuple[np.ndarray, ...]:
+        """Per variable v, a read-only (n_states[v] + 1, n_joint) table: row
+        s flags the joint states whose state of v is s, and the last row,
+        all true, stands for v hidden."""
         out = []
         for v in range(self.k):
             states = self.state_of[v][self.coords[:, v]]
-            table = np.stack([states == s for s in range(self.n_states[v])])
+            table = np.arange(self.n_states[v] + 1)[:, None] == states
+            table[-1] = True
+            table.setflags(write=False)
             out.append(table)
         return tuple(out)
 
-    def observation_mask(self, values) -> np.ndarray:
-        """Joint-state mask for a tuple of per-variable observations
-        (state index, or None for hidden)."""
-        mask = np.ones(self.n_joint, dtype=bool)
-        for v, val in enumerate(values):
-            if val is not None:
-                mask &= self._value_masks[v][int(val)]
-        return mask
+    def observation_masks(self, rows) -> np.ndarray:
+        """(m, n_joint) joint-state masks for m tuples of per-variable
+        observations (state index, or None for hidden), one table lookup
+        per variable."""
+        vals = np.array([[np.nan if x is None else x for x in r] for r in rows], dtype=float)
+        if vals.shape != (len(rows), self.k):
+            raise ValueError(f"every observation must cover the {self.k} variables")
+        n_states = np.array(self.n_states)
+        if ((vals < 0) | (vals >= n_states)).any():
+            raise ValueError("observed state index out of range")
+        codes = np.where(np.isnan(vals), n_states, vals).astype(np.intp)
+        masks = np.ones((len(rows), self.n_joint), dtype=bool)
+        for v, table in enumerate(self.observation_tables):
+            masks &= table[codes[:, v]]
+        return masks
 
     def family_index(self, parent_ids: tuple[int, ...]) -> tuple[np.ndarray, int]:
         """Per joint state, the mixed-radix index of the parents' states.

@@ -328,3 +328,45 @@ def rel_err(a, b) -> float:
     b = np.asarray(b, dtype=float)
     scale = max(float(np.abs(b).max()), 1e-12)
     return float(np.abs(a - b).max()) / scale
+
+
+def choice_sample_trajectory(p0: np.ndarray, q: np.ndarray, horizon: float, seed) -> tuple:
+    """The segments of one sampled trajectory, drawn the plain way: each
+    state and successor by ``Generator.choice`` with explicit probabilities,
+    in the order the library draws them."""
+    rng = np.random.default_rng(seed)
+    p0 = np.asarray(p0, dtype=float)
+    state = int(rng.choice(len(p0), p=p0 / p0.sum()))
+    t = 0.0
+    segments = []
+    while True:
+        rate = -q[state, state]
+        if rate <= 0.0:
+            return tuple(segments) + ((state, t, horizon),)
+        dwell = rng.exponential(1.0 / rate)
+        if t + dwell >= horizon:
+            return tuple(segments) + ((state, t, horizon),)
+        row = q[state].copy()
+        row[state] = 0.0
+        nxt = int(rng.choice(len(row), p=row / row.sum()))
+        segments.append((state, t, t + dwell))
+        t += dwell
+        state = nxt
+
+
+def subsystem_segments(record, space) -> tuple:
+    """The segments of ``record.to_evidence(space)`` built one segment at a
+    time: each segment's subsystem from the states of every observed
+    variable, merged with its predecessor when the subsystems coincide."""
+    merged = []
+    for a, b, vals in record.segments:
+        mask = np.ones(space.n_joint, dtype=bool)
+        for v, val in enumerate(vals):
+            if val is not None:
+                mask &= space.state_of[v][space.coords[:, v]] == val
+        sub = Subsystem.of(space.n_joint, np.flatnonzero(mask).tolist())
+        if merged and merged[-1][0].members == sub.members:
+            merged[-1] = (merged[-1][0], merged[-1][1], b)
+        else:
+            merged.append((sub, a, b))
+    return tuple(merged)

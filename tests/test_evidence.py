@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctbnlearn import (
     CompleteTrajectory,
@@ -17,7 +19,7 @@ from ctbnlearn import (
 )
 from ctbnlearn.evidence import EmptySubsystemError
 from ctbnlearn.statespace import StateSpace
-from helpers import independent_binary_model, random_proper
+from helpers import independent_binary_model, random_proper, subsystem_segments
 
 
 def product_model():
@@ -250,3 +252,62 @@ class TestOcclusion:
         ev = obs.to_evidence(space)
         assert ev.n_segments == 2
         assert ev.segments[0][2] == 2.0
+
+
+@st.composite
+def records_on_spaces(draw):
+    """A state space of 1-3 binary, 3-state or phase-expanded binary
+    variables and a record on it with hidden values, repeated neighbours
+    (which merge), zero-length segments and starts up to 5e-13 past the
+    previous end."""
+    kind = draw(st.sampled_from(["binary", "ternary", "phase"]))
+    k = draw(st.integers(1, 3))
+    card = 3 if kind == "ternary" else 2
+    phases = [tuple(draw(st.integers(1, 3)) if kind == "phase" else 1 for _ in range(card)) for _ in range(k)]
+    space = StateSpace(tuple(f"v{i}" for i in range(k)), (card,) * k, tuple(phases))
+    value = st.one_of(st.none(), st.integers(0, card - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        repeat = rows and draw(st.booleans())
+        rows.append(rows[-1] if repeat else tuple(draw(value) for _ in range(k)))
+    lengths = [draw(st.sampled_from([0.0, 0.25, 0.5, 1.3])) for _ in rows]
+    segments, t = [], 0.0
+    for i, (vals, length) in enumerate(zip(rows, lengths)):
+        a = t + (draw(st.sampled_from([0.0, 5e-13])) if i else 0.0)
+        t = a + length
+        segments.append((a, t, vals))
+    return space, ObservedTrajectory(tuple(segments), t)
+
+
+class TestArrayLowering:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(records_on_spaces())
+    def test_equals_per_segment_subsystems(self, case):
+        space, record = case
+        ev = record.to_evidence(space)
+        segs = subsystem_segments(record, space)
+        want = {
+            "masks": np.stack([sub.mask for sub, _, _ in segs]),
+            "durations": np.clip(np.array([b - a for _, a, b in segs]), 0.0, None),
+            "boundaries": np.array([segs[0][1]] + [b for _, _, b in segs]),
+        }
+        for name, expect in want.items():
+            got = getattr(ev, name)
+            assert got.dtype == expect.dtype and got.shape == expect.shape, name
+            assert got.tobytes() == expect.tobytes(), name
+            assert not got.flags.writeable, name
+        assert ev.n == space.n_joint and ev.n_segments == len(segs)
+        assert ev.segments == segs
+        oracle = Evidence(segs, record.horizon)
+        assert ev == oracle and hash(ev) == hash(oracle)
+
+    def test_rejects_bad_observations(self):
+        space = two_variable_space()
+        for vals in ((0, 2), (-1, 0), (0,), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                ObservedTrajectory(((0.0, 1.0, vals),), 1.0).to_evidence(space)
+
+    def test_is_immutable(self):
+        ev = ObservedTrajectory(((0.0, 1.0, (0, None)),), 1.0).to_evidence(two_variable_space())
+        with pytest.raises(AttributeError):
+            ev.horizon = 2.0

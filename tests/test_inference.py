@@ -585,6 +585,17 @@ class TestUniformizationKernel:
             assert (js[r] >= 0.0).all()
             assert not js[r][~s].any() and not js[r][:, ~s].any()
 
+    def test_series_terms_match_the_full_pmf_tail(self):
+        # The threshold lookup gives every row the cutoff of its own
+        # full-width Poisson tail; random mu never lie within rounding of a
+        # threshold, and above the stiffness cap the tail is computed.
+        rng = np.random.default_rng(3)
+        mu = np.concatenate([rng.uniform(0.0, 16.0, 2000), [0.0, 1e-300, 16.0], rng.uniform(16.0, 200.0, 20)])
+        for tol in (np.finfo(float).eps, 1e-14, 1e-8, 1e-3):
+            assert np.array_equal(inference._series_terms(mu, tol), inference._poisson_terms(mu, tol)[1])
+        with pytest.raises(StepUnderflowError):
+            inference._series_terms(mu, 1e-17)
+
     def test_groups_split_across_chunks(self, monkeypatch):
         # One row per chunk: a group's sum arrives in parts, one per row. Rows
         # run on their own are cut at their own Poisson tail, so they agree

@@ -36,7 +36,7 @@ from ctbnlearn import (
     structure_search,
 )
 from ctbnlearn import inference
-from ctbnlearn.inference import FlatStatistics
+from ctbnlearn.inference import DEFAULT_QUAD_TOL, FlatStatistics
 from ctbnlearn.learning import _flat_e_step
 from ctbnlearn.model import FamilyStatistics
 from helpers import binary_chain_model, binary_ring_model, chain_oracle, independent_binary_model, rel_err
@@ -241,6 +241,27 @@ class TestBatchedEStep:
             assert rel_err(init[name], want_init[name]) <= 1e-12
         assert rel_err(lls, want_lls) <= 1e-12
         assert tbar.sum() == pytest.approx(sum(ev.horizon for ev in dataset), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, records",
+        [(binary_chain_model(), chain_records()), (binary_ring_model(5), ring_records())],
+        ids=["pade-n8", "series-n32"],
+    )
+    def test_sums_equal_lone_calls_at_default_tolerance(self, model, records):
+        # Every row of the integrals' series stops at its own Poisson tail,
+        # so a trajectory's statistics do not move with its batch-mates even
+        # where the tail bound is far above rounding. At the default budget
+        # all rows share one batch and kernel slices hold many rows.
+        q, space, p0 = amalgamate(model)
+        dataset = [rec.to_evidence(space) for rec in records] * 3
+        assert len(list(inference._batches(dataset, q.n))) == 1
+        _, tbar, mbar, init, lls = _flat_e_step(model, dataset, DEFAULT_QUAD_TOL, 4096)
+        want_t, want_m, want_init, want_lls = public_e_step(model, dataset, DEFAULT_QUAD_TOL)
+        assert rel_err(tbar, want_t) <= 1e-12
+        assert rel_err(mbar, want_m) <= 1e-12
+        for name in model.names:
+            assert rel_err(init[name], want_init[name]) <= 1e-12
+        assert rel_err(lls, want_lls) <= 1e-12
 
     def test_builds_no_per_trajectory_objects(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -639,3 +660,45 @@ class TestSem:
         )
         trace = np.array(fit.bic_trace)
         assert (np.diff(trace) >= 0).all()
+
+
+class TestBatchBudget:
+    """600 window-occluded records of the n = 8 chain over a horizon of 5:
+    the E-step sweeps them in a few large batches while every Pade expm and
+    every kernel slice stays small."""
+
+    def test_batches_and_slices_stay_within_the_budget(self, monkeypatch):
+        model = binary_chain_model()
+        q, space, p0 = amalgamate(model)
+        rng = np.random.default_rng(42)
+        dataset = []
+        for _ in range(600):
+            traj = sample_trajectory(p0, q, 5.0, rng)
+            per_var = [space.project(traj, v) for v in range(space.k)]
+            dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
+
+        budget = inference._BATCH_ELEMENTS
+        sizes = {"expm": [], "slice": []}
+        expm, powers = inference.expm, inference._powers
+
+        def recording_expm(a):
+            sizes["expm"].append(np.size(a))
+            return expm(a)
+
+        def recording_powers(*args):
+            out = powers(*args)
+            sizes["slice"].append(out.size)
+            return out
+
+        monkeypatch.setattr(inference, "expm", recording_expm)
+        monkeypatch.setattr(inference, "_powers", recording_powers)
+        e_step(model, dataset)
+        assert sizes["expm"] and max(sizes["expm"]) <= budget // 8
+        assert sizes["slice"] and max(sizes["slice"]) <= budget // 8
+
+        width = inference._series_width()
+        estimates = [sum(inference._entries(ev.n_segments, q.n, width) for ev in batch)
+                     for batch in inference._batches(dataset, q.n)]
+        assert len(estimates) > 1
+        assert max(estimates) <= budget
+        assert len(estimates) <= math.ceil(sum(estimates) / budget) + 1

@@ -15,7 +15,8 @@ from ctbnlearn.markov import (
     validate_distribution,
     validate_intensity,
 )
-from helpers import random_proper, taylor_expm
+from ctbnlearn import PhaseSpec, amalgamate, expand_phases
+from helpers import binary_chain_model, choice_sample_trajectory, random_proper, taylor_expm
 
 
 class TestValidation:
@@ -188,6 +189,18 @@ class TestSampling:
         assert total > 1e5
         assert abs(from_zero[1] / total - 0.75) < 0.75 * 0.02
         assert abs(from_zero[2] / total - 0.25) < 0.25 * 0.02
+
+    @pytest.mark.parametrize("phases", [None, PhaseSpec({"a": 3, "c": 2}, topology="chain")], ids=["chain", "phase"])
+    def test_stream_equals_choice_reference(self, phases):
+        # Successors drawn from cached CDFs must use the random stream as
+        # Generator.choice does, so seeded data stays the same.
+        model = binary_chain_model()
+        if phases is not None:
+            model, _ = expand_phases(model, phases)
+        q, _, p0 = amalgamate(model)
+        for seed in range(200):
+            got = sample_trajectory(p0, q, 5.0, seed)
+            assert got.segments == choice_sample_trajectory(p0, q.entries, 5.0, seed)
 
     def test_trajectory_invariants(self):
         q = validate_intensity([[-2, 2], [1, -1]])
