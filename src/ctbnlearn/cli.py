@@ -42,7 +42,7 @@ def _add_fit_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--quad-tol", type=float, default=EmConfig.quad_tol,
         help="Poisson tail bound where the E-step's uniformization series is cut "
-        "(at least double-precision epsilon)",
+        "(below 1 and at least double-precision epsilon)",
     )
     p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
     p.add_argument("--phases", default=None, help="phase expansion, e.g. 'X=3,Y=2'")
@@ -110,16 +110,24 @@ def _parse_phases(spec: str | None, topology: str) -> PhaseSpec | None:
             continue
         if "=" not in chunk:
             raise fileio.ParseError(f"bad phase spec chunk {chunk!r}, expected NAME=COUNT")
-        name, raw = chunk.split("=", 1)
-        try:
-            counts[name.strip()] = int(raw)
-        except ValueError:
-            raise fileio.ParseError(f"bad phase count {raw!r} for {name.strip()!r}") from None
+        name, raw = (part.strip() for part in chunk.split("=", 1))
+        if not raw.isdigit() or int(raw) < 1:
+            raise fileio.ParseError(f"bad phase count {raw!r} for {name!r}, expected a positive integer")
+        counts[name] = int(raw)
     return PhaseSpec(counts, topology=topology)
 
 
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), a ``ValueError`` from checking arguments reported as a parse error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise fileio.ParseError(str(exc)) from None
+
+
 def _em_config(args) -> EmConfig:
-    return EmConfig(
+    return _checked(
+        EmConfig,
         max_iter=args.max_iter,
         tol=args.tolerance,
         seed=args.seed,
@@ -140,6 +148,8 @@ def _print_trace(trace):
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 0 or not 0.0 < args.horizon < np.inf:
+        raise fileio.ParseError("--count must be nonnegative and --horizon positive and finite")
     model = fileio.load_model(args.model)
     q, space, p0 = amalgamate(model, args.joint_cap)
     trajs = sample_trajectories(p0, q, args.horizon, args.count, args.seed)
@@ -154,7 +164,7 @@ def _cmd_generate(args) -> int:
 def _cmd_occlude(args) -> int:
     model = fileio.load_model(args.model)
     records = fileio.load_records(args.trajectories, model)
-    policy = OcclusionPolicy(args.fraction, args.window)
+    policy = _checked(OcclusionPolicy, args.fraction, args.window)
     out = []
     seqs = np.random.SeedSequence(args.seed).spawn(max(1, len(records)))
     for rec, seq in zip(records, seqs):
@@ -191,7 +201,7 @@ def _cmd_sem(args) -> int:
     if spec is not None:
         model, _ = expand_phases(model, spec)
     dataset = _load_dataset(args, model)
-    config = SemConfig(em=_em_config(args), max_parents=args.max_parents, em_iters=args.em_iters)
+    config = _checked(SemConfig, em=_em_config(args), max_parents=args.max_parents, em_iters=args.em_iters)
     fit = sem(model, dataset, config)
     _print_trace(fit.trace)
     for name, parents in fit.model.graph().items():
@@ -215,12 +225,12 @@ def _cmd_smooth(args) -> int:
     records = fileio.load_records(args.trajectories, model)
     if not 0 <= args.record < len(records):
         raise fileio.ParseError(f"record index {args.record} out of range")
-    times = [float(t) for t in args.times.split(",") if t.strip()]
+    times = [_checked(float, t) for t in args.times.split(",") if t.strip()]
     q, space, p0 = amalgamate(model, args.joint_cap)
     ev = records[args.record].to_evidence(space)
     cache = forward_backward(q, p0, ev)
-    for t in times:
-        gamma = smoothed_marginal(cache, t)
+    gammas = [_checked(smoothed_marginal, cache, t) for t in times]
+    for t, gamma in zip(times, gammas):
         for vi, var in enumerate(model.variables):
             probs = space.variable_state_marginal(gamma, vi)
             cells = " ".join(f"{lab}={p:.9f}" for lab, p in zip(var.states, probs))

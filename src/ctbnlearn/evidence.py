@@ -181,13 +181,6 @@ def _masked(q: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.where(rows[..., :, None] & cols[..., None, :], q, 0.0)
 
 
-def _off_diagonal(q: np.ndarray) -> np.ndarray:
-    """The nonnegative off-diagonal rates of Q, diagonal zeroed."""
-    w = np.clip(q, 0.0, None)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
 def restrict_intensity(q: IntensityMatrix, s: Subsystem) -> IntensityMatrix:
     """Zero every rate except transitions within s; diagonals of states in s
     are kept in full, so rows may leak (sum negative)."""
@@ -202,7 +195,7 @@ def transition_restrict(q: IntensityMatrix, s1: Subsystem, s2: Subsystem) -> np.
     nonnegative matrix, not an intensity matrix."""
     if s1.n != q.n or s2.n != q.n:
         raise ValueError("subsystem dimension does not match the matrix")
-    return _masked(_off_diagonal(q.entries), s1.mask, s2.mask)
+    return _masked(q.off_diagonal, s1.mask, s2.mask)
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,24 @@
 """Exact smoothing and expected sufficient statistics under subsystem evidence.
 
 Evidence only restricts the joint process: while a segment holds it in a
-subsystem S, its generator is Q masked to S x S. A forward-backward sweep
-propagates scaled messages across evidence segments; one propagator
-carries them across each segment's exponential exp(Q_S dt). Below a joint
-size measured as the crossover it builds the exponentials of a batch with
-batched Pade ``expm`` calls; from it up it never builds them and applies the
-uniformization series of Q_S to the message rows instead, one product by
-the joint off-diagonal per term. Between consecutive
+subsystem S, its generator is Q masked to S x S. Between consecutive
 segments whose subsystems are disjoint, the evidence asserts a transition
-and the boundary factor is Q's off-diagonal masked to S1 x S2, applied as
-masked vector products with the one shared off-diagonal; when the
-subsystems overlap, the boundary is a projection onto the next subsystem
-(zero-length segments therefore act as plain indicators). Many
-trajectories under one Q are swept in lockstep, one row each, so the
-Python loop runs once per segment position of a batch; one memory budget,
-``_BATCH_ELEMENTS``, sizes the batches, and the Pade exponentials and the
-integrals' kernel work in slices of an eighth of it. Expected dwell
-times and transition counts reduce to pairwise convolution integrals over
-each segment, all n^2 of which come in closed form from the uniformization
-series of the segment's generator, each cut at its own Poisson tail bound.
+and the boundary factor is Q's off-diagonal W masked to S1 x S2, applied
+as masked vector products; when the subsystems overlap, the boundary is a
+projection onto the next subsystem (zero-length segments therefore act as
+plain indicators). Many trajectories under one Q are swept in lockstep,
+one row each, so the Python loop runs once per segment position of a
+batch; one memory budget, ``_BATCH_ELEMENTS``, sizes the batches, and the
+Pade exponentials and the integrals' kernel work in slices of an eighth
+of it. A batch's segments are uniformized once (lambda = the largest exit
+rate in S, P = I + Q_S / lambda, applied as a diagonal part plus one
+product by W, which the joint ``IntensityMatrix`` builds once), and both
+jobs read that: the sweeps carry the scaled messages across each segment's
+exp(Q_S dt), by batched Pade ``expm`` below a joint size measured as the
+crossover and by the series in P from it up; the expected dwell times and
+transition counts are pairwise convolution integrals over each segment,
+all n^2 of which come in closed form from the same series. One Poisson
+routine weights both series, each row cut at its own tail bound.
 
 One statistics kernel reads a batch's stacked messages and returns its
 dwell times, transition counts and time-zero posteriors summed over groups
@@ -40,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .evidence import Evidence, _masked, _off_diagonal
+from .evidence import Evidence, _masked
 from .markov import IntensityMatrix, expm, validate_distribution
 
 __all__ = [
@@ -102,7 +101,7 @@ class ForwardBackwardMismatchError(RuntimeError):
         )
 
 
-class StepUnderflowError(RuntimeError):
+class StepUnderflowError(RuntimeError, ValueError):
     """The quadrature tolerance is below double-precision epsilon, a Poisson
     tail bound the uniformization series cannot certify. (The name dates
     from the adaptive integrator the series replaced.)"""
@@ -282,20 +281,24 @@ def _rows_times(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _poisson_terms(mu: np.ndarray, tol: float):
     """The Poisson(mu_r) pmf over a = 0, 1, ... in row r, and per row the
     number of terms K_r + 1, where K_r is the smallest K with
-    P(X > K) <= tol (mu_r = 0 gives K_r = 0). The pmf is summed in log
-    space, so e^-mu underflowing does not end the series early. The range
-    of a leaves a tail far below epsilon and is the same for every
-    mu <= _SEGMENT_STIFFNESS_CAP, so a row's cutoff then depends on its own
-    mu alone, not on the rows beside it."""
-    if tol < np.finfo(float).eps:
-        raise StepUnderflowError(f"tolerance {tol!r} is below double-precision epsilon")
+    P(X > K) <= tol (mu_r = 0 gives K_r = 0): the reference the cutoff
+    thresholds are found from. The range of a leaves a tail far below
+    epsilon and is the same for every mu <= _SEGMENT_STIFFNESS_CAP, so a
+    row's cutoff then depends on its own mu alone, not on the rows beside
+    it."""
     top = max(_SEGMENT_STIFFNESS_CAP, float(mu.max()))
-    a = np.arange(int(top + 15.0 * math.sqrt(top)) + 60)
-    log_mu = np.log(mu, out=np.full(mu.shape, -np.inf), where=mu > 0.0)
-    log_pmf = np.multiply(a, log_mu[:, None], out=np.zeros((len(mu), len(a))), where=a > 0)
-    pmf = np.exp(log_pmf - mu[:, None] - _log_factorials(len(a)))
+    pmf = _poisson_weights(mu, np.full(len(mu), int(top + 15.0 * math.sqrt(top)) + 60))
     tail = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
     return pmf, np.argmax(tail <= tol, axis=1)
+
+
+def _check_tol(tol: float) -> None:
+    """``ValueError`` unless the Poisson tail bound tol is finite and below
+    1, ``StepUnderflowError`` (also a ``ValueError``) below epsilon."""
+    if not (math.isfinite(tol) and tol < 1.0):
+        raise ValueError(f"tolerance {tol!r} must be finite and below 1")
+    if tol < _SWEEP_TAIL:
+        raise StepUnderflowError(f"tolerance {tol!r} is below double-precision epsilon")
 
 
 @lru_cache(maxsize=16)
@@ -303,6 +306,7 @@ def _cutoff_thresholds(tol: float) -> np.ndarray:
     """thresholds[K] for K below the cutoff at the stiffness cap: the
     largest mu, found by bisection, whose ``_poisson_terms`` series at tol
     has at most K + 1 terms."""
+    _check_tol(tol)
     ks = np.arange(int(_poisson_terms(np.array([_SEGMENT_STIFFNESS_CAP]), tol)[1][0]) - 1)
     lo, hi = np.zeros(len(ks)), np.full(len(ks), _SEGMENT_STIFFNESS_CAP)
     for _ in range(64):
@@ -325,51 +329,63 @@ def _series_terms(mu: np.ndarray, tol: float) -> np.ndarray:
     return terms
 
 
+def _poisson_weights(mu: np.ndarray, terms: np.ndarray, skip: int = 0) -> np.ndarray:
+    """Row r's weights Pois(a + skip; mu_r) for a below its cutoff terms[r],
+    zero past it. Summed in log space, so e^-mu underflowing does not zero
+    them."""
+    a = np.arange(int(terms.max()))
+    log_mu = np.log(mu, out=np.full(mu.shape, -np.inf), where=mu > 0.0)
+    log_pmf = np.multiply(a + skip, log_mu[:, None], out=np.zeros((len(mu), len(a))), where=a + skip > 0)
+    pmf = np.exp(log_pmf - mu[:, None] - _log_factorials(len(a) + skip)[skip:])
+    return np.where(a < terms[:, None], pmf, 0.0)
+
+
 def _series_width() -> int:
-    """The sweeps' series terms of a segment at the stiffness cap, the most
-    any split segment needs."""
+    """The sweeps' series terms at the stiffness cap, the most any split
+    segment needs: one reference row, so no table is built below 16 states."""
     return int(_poisson_terms(np.array([_SEGMENT_STIFFNESS_CAP]), _SWEEP_TAIL)[1][0])
 
 
-class _Propagator:
+class _Uniformization:
+    """The split segments (mask S, dt) of a batch uniformized for the sweeps
+    and the integrals alike: lambda = max_{i in S} |q_ii|, mu = lambda dt,
+    P = I + Q_S / lambda and exp(Q_S s) = sum_a Pois(a; lambda s) P^a. A row
+    v goes to v P = v * keep + (v @ w) * jump, with the joint off-diagonal
+    W as w (W^T for columns), so every term is nonnegative."""
+
+    def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
+        lam = _max_rate(q.entries, masks)
+        # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
+        lam[lam == 0.0] = 1.0
+        self.masks, self.w, self.lam, self.mu = masks, q.off_diagonal, lam, lam * dts
+        self.keep = masks * (lam[:, None] - np.abs(np.diagonal(q.entries))) / lam[:, None]
+        self.jump = masks / lam[:, None]
+
+
+class _Propagator(_Uniformization):
     """exp(Q_S dt) of every segment (mask, dt) of a batch, applied to message
     rows: ``forward(v, seg)`` gives the rows v[r] exp(Q_S dt) for segments
     seg[r], where each v[r] vanishes outside its mask, and
     ``backward(v, seg)`` the columns exp(Q_S dt) v[r] of v[r] projected onto
-    its mask.
-
-    Below _SERIES_MIN_N states batched Pade ``expm`` calls build the
-    exponentials of all segments, each call over a slice of at most
-    _BATCH_ELEMENTS // 8 entries, which bounds the Pade temporaries while
-    the batch itself grows. From it up none is built: with
-    lambda = max_{i in S} |q_ii|, mu = lambda dt and P = I + Q_S / lambda,
-    exp(Q_S dt) = sum_a Pois(a; mu) P^a, and P is applied to a row as its
-    diagonal part (lambda - |q_ii|) / lambda plus one product by the joint
-    off-diagonal W (by its transpose backward). Every term is nonnegative,
-    and each segment's series stops where its own Poisson tail falls to
-    _SWEEP_TAIL.
+    its mask. Below _SERIES_MIN_N states batched Pade ``expm`` calls build
+    the exponentials, each over a slice of at most _BATCH_ELEMENTS // 8
+    entries; from it up the series in P is applied to the rows, each
+    segment's cut where its own Poisson tail falls to _SWEEP_TAIL.
     """
 
-    def __init__(self, q: np.ndarray, masks: np.ndarray, dts: np.ndarray):
-        self.masks = masks
-        n = len(q)
+    def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
+        super().__init__(q, masks, dts)
+        n = q.n
         if n < _SERIES_MIN_N:
             self.exps = np.empty((len(dts), n, n))
             step = max(1, _BATCH_ELEMENTS // 8 // (n * n))
             for lo in range(0, len(dts), step):
                 rows = slice(lo, lo + step)
-                self.exps[rows] = expm(_masked(q, masks[rows], masks[rows]) * dts[rows, None, None])
+                self.exps[rows] = expm(_masked(q.entries, masks[rows], masks[rows]) * dts[rows, None, None])
             return
         self.exps = None
-        self.w = _off_diagonal(q)
-        lam = _max_rate(q, masks)
-        # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
-        lam[lam == 0.0] = 1.0
-        self.keep = masks * (lam[:, None] - np.abs(np.diagonal(q))) / lam[:, None]
-        self.jump = masks / lam[:, None]
-        pmf, self.terms = _poisson_terms(lam * dts, _SWEEP_TAIL)
-        width = int(self.terms.max())
-        self.weights = np.where(np.arange(width) < self.terms[:, None], pmf[:, :width], 0.0)
+        self.terms = _series_terms(self.mu, _SWEEP_TAIL)
+        self.weights = _poisson_weights(self.mu, self.terms)
 
     def forward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
         if self.exps is not None:
@@ -400,7 +416,7 @@ class _ForwardSweep(NamedTuple):
     ``seg_off[t] + t`` up to ``seg_off[t] + t + counts[t]`` inclusive, so
     segment s of trajectory t starts at boundary s + t in global indices.
     ``times`` holds the boundary times, ``rate_before[k]`` marks a segment
-    entered through an asserted transition.
+    entered through an asserted transition; ``prop`` is their uniformization.
     """
 
     p0: np.ndarray
@@ -408,7 +424,7 @@ class _ForwardSweep(NamedTuple):
     masks: np.ndarray
     dts: np.ndarray
     rate_before: np.ndarray
-    prop: _Propagator | None
+    prop: _Uniformization
     counts: np.ndarray
     seg_off: np.ndarray
     fwd: np.ndarray
@@ -478,8 +494,7 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
     n = q.n
     masks, dts, times, counts, rate_before = _split_batch(q.entries, evs)
     seg_off = np.cumsum(counts) - counts
-    prop = _Propagator(q.entries, masks, dts)
-    w = _off_diagonal(q.entries)
+    prop = _Propagator(q, masks, dts)
 
     nb = len(dts) + len(evs)
     fwd = np.zeros((nb, n))
@@ -506,7 +521,7 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
         fwd_pre_log[b] = fwd_log[b] = lf
         a = sizes[i + 1]
         seg, b = seg[:a], b[:a]
-        v = np.where(rate_before[seg + 1, None], _rows_times(v[:a] * masks[seg], w), v[:a]) * masks[seg + 1]
+        v = np.where(rate_before[seg + 1, None], _rows_times(v[:a] * masks[seg], prop.w), v[:a]) * masks[seg + 1]
         v, ls = _normalize_rows(v)
         lf = lf[:a] + ls
         fwd[b] = v
@@ -523,7 +538,6 @@ def _backward_sweep(q: IntensityMatrix, f: _ForwardSweep, first: int = 0) -> _Ba
     of a trajectory disagree; its index counts from ``first``."""
     n = q.n
     masks = f.masks
-    w = _off_diagonal(q.entries)
     nb = len(f.fwd)
     bwd = np.zeros((nb, n))
     bwd_log = np.full(nb, -np.inf)
@@ -547,7 +561,7 @@ def _backward_sweep(q: IntensityMatrix, f: _ForwardSweep, first: int = 0) -> _Ba
         lb = lb[:a] + ls
         bwd_post[b] = v
         bwd_post_log[b] = lb
-        v, ls = _normalize_rows(np.where(f.rate_before[seg, None], masks[seg - 1] * _rows_times(v, w.T), v))
+        v, ls = _normalize_rows(np.where(f.rate_before[seg, None], masks[seg - 1] * _rows_times(v, f.prop.w.T), v))
         lb = lb + ls
         bwd[b] = v
         bwd_log[b] = lb
@@ -623,7 +637,7 @@ def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:
         raise ZeroProbabilityEvidenceError(cache.dead_boundary)
     ev = cache.evidence
     tol = 1e-12 * max(1.0, ev.horizon)
-    if t < -tol or t > ev.horizon + tol:
+    if not -tol <= t <= ev.horizon + tol:
         raise ValueError(f"query time {t!r} outside [0, {ev.horizon}]")
     bounds = cache.times
     hits = np.flatnonzero(np.abs(bounds - t) <= tol)
@@ -634,7 +648,7 @@ def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:
         # The segment's propagator over [bounds[i], t] carries fwd[i] to t,
         # the one over [t, bounds[i + 1]] carries bwd[i + 1] back to it.
         i = int(np.searchsorted(bounds, t)) - 1
-        prop = _Propagator(cache.q.entries, cache.seg_masks[[i, i]], np.array([t - bounds[i], bounds[i + 1] - t]))
+        prop = _Propagator(cache.q, cache.seg_masks[[i, i]], np.array([t - bounds[i], bounds[i + 1] - t]))
         a = prop.forward(cache.fwd[i : i + 1], np.array([0]))[0]
         b = prop.backward(cache.bwd[i + 1 : i + 2], np.array([1]))[0]
         raw = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
@@ -660,63 +674,50 @@ _ROW_TAIL_SHARE = 0.01
 
 
 def _convolution_batch(
-    q: np.ndarray,
-    masks: np.ndarray,
-    dts: np.ndarray,
+    u: _Uniformization,
+    rows: np.ndarray,
     f0: np.ndarray,
     beta: np.ndarray,
     ends: np.ndarray,
     tol: float,
 ):
     """Sums over row groups of the pairwise integrals
-    J[j, k] = int_0^dt f_j(s) b_k(s) ds, where row r has f(s) = f0 exp(Q_S s),
-    b(s) = exp(Q_S (dt - s)) beta and Q_S is Q masked to the row's mask S;
-    f0 and beta are first projected onto S, so J vanishes outside S x S,
-    and a row with dt = 0 contributes zero. Group g is the rows
+    J[j, k] = int_0^dt f_j(s) b_k(s) ds for the segments ``rows`` of the
+    uniformization u, where row r has f(s) = f0[r] exp(Q_S s),
+    b(s) = exp(Q_S (dt - s)) beta[r] and Q_S is Q masked to the segment's
+    mask S; f0 and beta are first projected onto S, so J vanishes outside
+    S x S, and a row with dt = 0 contributes zero. Group g is the rows
     ``ends[g - 1]`` up to ``ends[g]``; yields pairs (g, part) whose parts
     add up to the group's sum.
 
-    Uniformization: with lambda = max_{i in S} |q_ii|, mu = lambda dt and
-    P = I + Q_S / lambda, exp(Q_S s) = sum_a e^{-lambda s} (lambda s)^a / a! P^a,
-    so J = sum_{a,b} c_{a+b} F_a^T G_b with F_a = f0 P^a, G_b = P^b beta and
-    c_k = dt e^{-mu} mu^k / (k+1)!. P is applied as the diagonal part
-    (lambda - |q_ii|) / lambda plus one product by the shared off-diagonal
-    of Q, so every term is a sum of nonnegative numbers. Each row's series
-    stops where its own Poisson tail is below tol * _ROW_TAIL_SHARE (at
-    least epsilon), which bounds the error of every column of J by
-    tol * dt * |f0|_1 * max(beta). Rows go in slices whose stacks of F, G
-    and the weighted sums H_a = sum_b c_{a+b} G_b stay within
-    _BATCH_ELEMENTS // 8 entries, so no (rows x n x n) array is built.
+    In the series of exp(Q_S s) in P, J = sum_{a,b} c_{a+b} F_a^T G_b with
+    F_a = f0 P^a, G_b = P^b beta and c_k = Pois(k + 1; mu) / lambda. Each
+    row's series stops where its own Poisson tail is below
+    tol * _ROW_TAIL_SHARE (at least epsilon), which bounds the error of
+    every column of J by tol * dt * |f0|_1 * max(beta). Rows go in slices
+    whose stacks of F, G and the weighted sums H_a = sum_b c_{a+b} G_b stay
+    within _BATCH_ELEMENTS // 8 entries, so no (rows x n x n) array is built.
     """
     m, n = f0.shape
     if m == 0:
         return
     ends = np.asarray(ends)
-    w = _off_diagonal(q)
-    lam = _max_rate(q, masks)
-    # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
-    lam[lam == 0.0] = 1.0
-    mu = np.maximum(lam * dts, np.finfo(float).tiny)
-    keep = masks * (lam[:, None] - np.abs(np.diagonal(q))) / lam[:, None]
-    jump = masks / lam[:, None]
-    log_dt = np.log(dts, out=np.full(m, -np.inf), where=dts > 0.0)
+    mu, lam = u.mu[rows], u.lam[rows]
     # Slices are sized for the longest series of the call; within one, the
     # series runs to the slice's longest and each row's weights stop at its
     # own cutoff, so a row's result does not depend on the rows beside it.
-    if tol < np.finfo(float).eps:
-        raise StepUnderflowError(f"tolerance {tol!r} is below double-precision epsilon")
-    terms = _series_terms(mu, max(tol * _ROW_TAIL_SHARE, np.finfo(float).eps))
+    terms = _series_terms(mu, max(tol * _ROW_TAIL_SHARE, _SWEEP_TAIL))
     step = max(1, _BATCH_ELEMENTS // 8 // (int(terms.max()) * n))
     for lo in range(0, m, step):
-        rows = slice(lo, min(lo + step, m))
-        kk = int(terms[rows].max()) - 1
-        a = np.arange(kk + 1)
-        log_c = log_dt[rows, None] - mu[rows, None] + a * np.log(mu[rows])[:, None] - _log_factorials(kk + 2)[1:]
-        f = _powers(f0[rows] * masks[rows], w, keep[rows], jump[rows], kk)
-        g = _powers(beta[rows] * masks[rows], w.T, keep[rows], jump[rows], kk)
+        sl = slice(lo, min(lo + step, m))
+        r = rows[sl]
+        kk = int(terms[sl].max()) - 1
+        masks, keep, jump = u.masks[r], u.keep[r], u.jump[r]
+        f = _powers(f0[sl] * masks, u.w, keep, jump, kk)
+        g = _powers(beta[sl] * masks, u.w.T, keep, jump, kk)
         # H_a = sum_b c_{a+b} G_b for every a in one product: the window
         # view of c padded with kk zeros is the Hankel matrix of each row.
-        c = np.pad(np.where(a < terms[rows, None], np.exp(log_c), 0.0), ((0, 0), (0, kk)))
+        c = np.pad(_poisson_weights(mu[sl], terms[sl], 1) / lam[sl, None], ((0, 0), (0, kk)))
         h = sliding_window_view(c, kk + 1, axis=1) @ g
         yield from _grouped_products(f.reshape(-1, n), h.reshape(-1, n), ends * (kk + 1), lo * (kk + 1))
 
@@ -737,19 +738,19 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
 
     The diagonal feeds expected dwell times, off-diagonals feed expected
     transition counts after multiplication by the corresponding rates.
-    dt == 0 yields the zero matrix. ``tol`` bounds the Poisson tail where
-    the uniformization series is cut; below double-precision epsilon it
-    raises ``StepUnderflowError``. A segment with max|q_ii| dt above the
-    sweeps' stiffness cap is cut into equal pieces below it, so the work
-    grows linearly in max|q_ii| dt.
+    dt == 0 yields the zero matrix. ``tol``, finite and below 1, bounds the
+    Poisson tail where the uniformization series is cut; below
+    double-precision epsilon it raises ``StepUnderflowError``. A segment
+    with max|q_ii| dt above the sweeps' stiffness cap is cut into equal
+    pieces below it, so the work grows linearly in max|q_ii| dt.
     """
-    q = q_s.entries if isinstance(q_s, IntensityMatrix) else np.asarray(q_s, dtype=float)
+    q_s = q_s if isinstance(q_s, IntensityMatrix) else IntensityMatrix(q_s, "restricted")
+    q = q_s.entries
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     n = q.shape[0]
     pieces = max(1, math.ceil(float(np.abs(np.diagonal(q)).max(initial=0.0)) * dt / _SEGMENT_STIFFNESS_CAP))
     # Piece p runs from alpha exp(Q_S p h) to exp(Q_S (dt - (p + 1) h)) beta:
@@ -767,8 +768,8 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
             f0[p], lf[p] = _rescaled(f0[p - 1] @ e, lf[p - 1])
             b1[-1 - p], lb[-1 - p] = _rescaled(e @ b1[-p], lb[-p])
         f0 *= np.exp(lf + lb)[:, None]
-    masks = np.ones((pieces, n), dtype=bool)
-    parts = _convolution_batch(q, masks, np.full(pieces, dt / pieces), f0, b1, [pieces], tol)
+    u = _Uniformization(q_s, np.ones((pieces, n), dtype=bool), np.full(pieces, dt / pieces))
+    parts = _convolution_batch(u, np.arange(pieces), f0, b1, [pieces], tol)
     return sum((part for _, part in parts), np.zeros((n, n)))
 
 
@@ -790,7 +791,6 @@ class _Statistics(NamedTuple):
 
 
 def _statistics(
-    q: np.ndarray,
     f: _ForwardSweep,
     b: _BackwardSweep,
     horizons: np.ndarray,
@@ -818,13 +818,13 @@ def _statistics(
     its index counted from ``first``.
     """
     f.raise_if_impossible(first)
-    n = q.shape[0]
+    n = f.fwd.shape[1]
     groups = len(ends)
     traj_group = np.repeat(np.arange(groups), np.diff(ends, prepend=0))
     seg_traj = np.repeat(np.arange(len(f.counts)), f.counts)
     seg_group = traj_group[seg_traj]
     start = np.arange(len(f.dts)) + seg_traj
-    w = _off_diagonal(q)
+    w = f.prop.w
     dwell = np.zeros((groups, n))
     trans = np.zeros((groups, n, n))
     sizes = f.masks.sum(axis=1)
@@ -852,8 +852,7 @@ def _statistics(
     log_scale = b.bwd_log[i + 1] - np.where(ok, b.bwd_post_log[i], 0.0)
     beta = b.bwd[i + 1] * np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)[:, None]
     seg_ends = np.concatenate(([0], np.cumsum(f.counts)))[ends]
-    parts = _convolution_batch(q, f.masks[general], f.dts[general], f.fwd[i], beta,
-                               np.searchsorted(general, seg_ends), tol)
+    parts = _convolution_batch(f.prop, general, f.fwd[i], beta, np.searchsorted(general, seg_ends), tol)
     for g, part in parts:
         dwell[g] += np.diagonal(part)
         trans[g] += w * part
@@ -887,12 +886,13 @@ def _e_step_batches(q: IntensityMatrix, p0, evs: list, tol: float):
     """The E-step over many trajectories: per lockstep batch, its expected
     statistics summed over the batch (one group) and its log-likelihoods.
     Trajectory indices in errors count across batches."""
+    _check_tol(tol)
     first = 0
     for batch in _batches(evs, q.n):
         f = _forward(q, p0, batch)
         b = _backward_sweep(q, f, first)
         horizons = np.array([ev.horizon for ev in batch])
-        yield _statistics(q.entries, f, b, horizons, np.array([len(batch)]), tol, first)
+        yield _statistics(f, b, horizons, np.array([len(batch)]), tol, first)
         first += len(batch)
 
 
@@ -900,6 +900,7 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
     """Expected statistics for many trajectories at once. The caches under
     one joint generator are stacked as one swept batch, one group per
     cache, and go through the same statistics kernel as the E-step."""
+    _check_tol(tol)
     results: list = [None] * len(caches)
     pending: dict = {}
     for idx, cache in enumerate(caches):
@@ -919,8 +920,9 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
 
         counts = np.array([len(c.seg_dt) for c in batch])
         rate_before = np.concatenate([np.append(False, c.factor_kind == _RATE) for c in batch])
+        masks, dts = cat("seg_masks"), cat("seg_dt")
         f = _ForwardSweep(
-            batch[0].p0, cat("times"), cat("seg_masks"), cat("seg_dt"), rate_before, None, counts,
+            batch[0].p0, cat("times"), masks, dts, rate_before, _Uniformization(batch[0].q, masks, dts), counts,
             np.cumsum(counts) - counts, cat("fwd"), cat("fwd_log"), cat("fwd_pre"), cat("fwd_pre_log"),
         )
         b = _BackwardSweep(
@@ -928,7 +930,7 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
             np.array([c.log_prob_backward for c in batch]),
         )
         horizons = np.array([c.evidence.horizon for c in batch])
-        s = _statistics(batch[0].q.entries, f, b, horizons, np.arange(1, len(batch) + 1), tol)
+        s = _statistics(f, b, horizons, np.arange(1, len(batch) + 1), tol)
         for g, idx in enumerate(idxs):
             results[idx] = caches[idx]._stats[tol] = FlatStatistics(s.dwell[g], s.transitions[g])
     return results
@@ -944,8 +946,6 @@ def expected_statistics(cache: MessageCache, tol: float = DEFAULT_QUAD_TOL) -> F
     uniformization series, cut where its Poisson tail falls below ``tol``.
     Results are cached per tolerance.
     """
-    if cache.impossible:
-        raise ZeroProbabilityEvidenceError(cache.dead_boundary)
     return expected_statistics_many([cache], tol)[0]
 
 

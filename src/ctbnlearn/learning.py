@@ -21,6 +21,7 @@ from .inference import (
     DEFAULT_QUAD_TOL,
     FlatStatistics,
     _batches,
+    _check_tol,
     _e_step_batches,
     _forward,
 )
@@ -80,8 +81,7 @@ class EmConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("convergence threshold must be positive")
-        if not self.quad_tol >= np.finfo(float).eps:
-            raise ValueError("quadrature tolerance must be at least double-precision epsilon")
+        _check_tol(self.quad_tol)
         lo, hi = self.rate_range
         if lo <= 0 or hi < lo:
             raise ValueError("rate range must be positive and ordered")
@@ -177,22 +177,9 @@ def e_step(
     """Expected per-family sufficient statistics of the dataset under the
     model's posterior over completions, plus the total observed-data
     log-likelihood."""
-    if not dataset:
-        space = model.space()
-        stats = FamilyStatistics(
-            time={v.name: np.zeros((_n_instantiations(model, v.name), v.dim)) for v in model.variables},
-            trans={v.name: np.zeros((_n_instantiations(model, v.name), v.dim, v.dim)) for v in model.variables},
-            initial={v.name: np.zeros(v.n_states) for v in model.variables},
-            n_records=0,
-        )
-        return stats, 0.0
     space, tbar, mbar, init_sums, lls = _flat_e_step(model, dataset, quad_tol, joint_cap)
     stats = aggregate_statistics(FlatStatistics(tbar, mbar), space, model)
     return replace(stats, initial=init_sums, n_records=len(dataset)), math.fsum(lls)
-
-
-def _n_instantiations(model: CtbnModel, name: str) -> int:
-    return model.cims[name].n_instantiations
 
 
 def score_dataset(
@@ -307,6 +294,8 @@ def _family_bic(t: np.ndarray, m: np.ndarray, support_count: int, n_eff: float) 
 
 
 def _effective_sample_size(config_mode: str, w: int, total_time: float | None) -> float:
+    if w < 1:
+        raise ValueError("sample size must be at least 1")
     if config_mode == "total-time":
         if total_time is None or total_time <= 0:
             raise ValueError("total observation time required for the total-time BIC mode")
@@ -324,8 +313,6 @@ def bic_score(
     """BIC on expected statistics: for each family, the maximized expected
     transition log-likelihood minus (ln w)/2 times its free-parameter count.
     Returns (total, per-variable breakdown)."""
-    if w < 1:
-        raise ValueError("sample size must be at least 1")
     n_eff = _effective_sample_size(sample_size, w, total_time)
     per_family = {}
     for name in model.names:
@@ -426,8 +413,8 @@ def sem(model0: CtbnModel, dataset: Sequence[Evidence], config: SemConfig = SemC
     graph = {name: model.parents(name) for name in model.names}
     bic_trace: list[float] = []
     converged = False
-    total_time = math.fsum(ev.horizon for ev in dataset) if dataset else None
-    n_eff = _effective_sample_size(em_cfg.bic_sample_size, w, total_time) if dataset else 1.0
+    total_time = math.fsum(ev.horizon for ev in dataset)
+    n_eff = _effective_sample_size(em_cfg.bic_sample_size, w, total_time)
 
     for _ in range(config.max_rounds):
         flat = None

@@ -154,6 +154,14 @@ class IntensityMatrix:
     def exit_rates(self) -> np.ndarray:
         return -np.diag(self.entries)
 
+    @cached_property
+    def off_diagonal(self) -> np.ndarray:
+        """W, the nonnegative off-diagonal rates, diagonal zeroed; built once, read-only."""
+        w = np.clip(self.entries, 0.0, None)
+        np.fill_diagonal(w, 0.0)
+        w.setflags(write=False)
+        return w
+
 
 def validate_intensity(raw, kind: str = "proper") -> IntensityMatrix:
     """Validate a raw square array as an intensity matrix.

@@ -339,3 +339,29 @@ class TestSmoothCli:
         x0 = float(lines[0].split("\t")[2].split()[0].split("=")[1])
         expected_x0 = marginal[space.coords[:, 0] == 0].sum()
         assert x0 == pytest.approx(expected_x0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smooth", "{model}", "{traj}", "--times", "abc"],
+        ["smooth", "{model}", "{traj}", "--times", "5.0"],
+        ["smooth", "{model}", "{traj}", "--times", "nan"],
+        ["generate", "{model}", "{out}", "--count", "-1", "--horizon", "1"],
+        ["generate", "{model}", "{out}", "--count", "1", "--horizon", "0"],
+        ["occlude", "{traj}", "{out}", "--fraction", "1.5", "--model", "{model}"],
+        ["em", "{model}", "{traj}", "{out}", "--quad-tol", "0"],
+        ["em", "{model}", "{traj}", "{out}", "--phases", "a=0"],
+        ["sem", "{model}", "{traj}", "{out}", "--max-parents", "-1"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
+)
+def test_bad_arguments_are_parse_errors(model_file, tmp_path, capsys, argv):
+    traj = tmp_path / "full.json"
+    main(["generate", model_file, str(traj), "--count", "2", "--horizon", "2", "--seed", "3"])
+    capsys.readouterr()
+    paths = {"model": model_file, "traj": str(traj), "out": str(tmp_path / "out.json")}
+    assert main([a.format(**paths) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out.json").exists()

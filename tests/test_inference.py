@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctbnlearn import (
+    EmConfig,
     Evidence,
     ForwardBackwardMismatchError,
     ObservedTrajectory,
@@ -15,6 +16,7 @@ from ctbnlearn import (
     ZeroProbabilityEvidenceError,
     amalgamate,
     convolution_integrals,
+    e_step,
     expected_dwell,
     expected_statistics,
     expected_transitions,
@@ -26,7 +28,7 @@ from ctbnlearn import (
     validate_intensity,
 )
 from ctbnlearn import inference
-from ctbnlearn.inference import _convolution_batch, _forward_backward_many
+from ctbnlearn.inference import _convolution_batch, _forward_backward_many, expected_statistics_many
 from helpers import (
     binary_ring_model,
     chain_oracle,
@@ -297,7 +299,7 @@ class TestSeriesForm:
         sweep = inference._forward(self.q, self.p0, [ev])
         assert inference._backward(self.q, [ev], sweep)[0].log_prob == sweep.log_prob(0)
         monkeypatch.setattr(inference, "_SWEEP_TAIL", 1e-3)
-        loose = sweep._replace(prop=inference._Propagator(self.q.entries, sweep.masks, sweep.dts))
+        loose = sweep._replace(prop=inference._Propagator(self.q, sweep.masks, sweep.dts))
         with pytest.raises(ForwardBackwardMismatchError) as err:
             inference._backward(self.q, [ev], loose, first=7)
         assert err.value.trajectory_index == 7
@@ -501,6 +503,25 @@ class TestConvolutionIntegrals:
         with pytest.raises(ValueError):
             convolution_integrals([1.0], q, [1.0], 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0, 100.0])
+    def test_tolerances_that_bound_no_tail_are_refused(self, tol):
+        # Each entry point refuses them up front with one message, also on
+        # data that never reaches the integrals.
+        model = independent_binary_model()
+        q, space, p0 = amalgamate(model)
+        ev = Evidence.vacuous(4, 1.0)
+        calls = [
+            lambda: EmConfig(quad_tol=tol),
+            lambda: convolution_integrals([1.0, 0.0], validate_intensity([[-1.0, 1.0], [1.0, -1.0]]), [1.0, 1.0],
+                                          1.0, tol),
+            lambda: e_step(model, [ev], tol),
+            lambda: e_step(model, [], tol),
+            lambda: expected_statistics_many([forward_backward(q, p0, ev)], tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite and below 1"):
+                call()
+
     def test_step_underflow(self):
         q = validate_intensity([[-5.0, 5.0], [5.0, -5.0]])
         with pytest.raises(StepUnderflowError):
@@ -572,7 +593,8 @@ class TestUniformizationKernel:
         m, n = f0.shape
         tol = 1e-8
         js = np.zeros((m, n, n))
-        for r, part in _convolution_batch(q, masks, dts, f0, beta, np.arange(1, m + 1), tol):
+        u = inference._Uniformization(validate_intensity(q), masks, dts)
+        for r, part in _convolution_batch(u, np.arange(m), f0, beta, np.arange(1, m + 1), tol):
             js[r] += part
         for r in range(m):
             s = masks[r]
@@ -609,9 +631,11 @@ class TestUniformizationKernel:
         f0, beta = rng.random((m, n)), rng.random((m, n))
         ends = np.array([2, 2, 5, 7])
 
+        u = inference._Uniformization(validate_intensity(q), masks, dts)
+
         def sums():
             out = np.zeros((len(ends), n, n))
-            for g, part in _convolution_batch(q, masks, dts, f0, beta, ends, 1e-10):
+            for g, part in _convolution_batch(u, np.arange(m), f0, beta, ends, 1e-10):
                 out[g] += part
             return out
 
@@ -619,8 +643,8 @@ class TestUniformizationKernel:
         monkeypatch.setattr(inference, "_BATCH_ELEMENTS", 1)
         parts = sums()
         rows = [
-            sum(part for _, part in _convolution_batch(q, masks[r : r + 1], dts[r : r + 1], f0[r : r + 1],
-                                                       beta[r : r + 1], np.array([1]), 1e-10))
+            sum(part for _, part in _convolution_batch(u, np.array([r]), f0[r : r + 1], beta[r : r + 1],
+                                                       np.array([1]), 1e-10))
             for r in range(m)
         ]
         assert not whole[1].any()

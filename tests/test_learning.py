@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from ctbnlearn import (
 from ctbnlearn import inference
 from ctbnlearn.inference import DEFAULT_QUAD_TOL, FlatStatistics
 from ctbnlearn.learning import _flat_e_step
+from ctbnlearn.markov import IntensityMatrix
 from ctbnlearn.model import FamilyStatistics
 from helpers import binary_chain_model, binary_ring_model, chain_oracle, independent_binary_model, rel_err
 
@@ -262,6 +264,42 @@ class TestBatchedEStep:
         for name in model.names:
             assert rel_err(init[name], want_init[name]) <= 1e-12
         assert rel_err(lls, want_lls) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "model, records, elements",
+        [(binary_chain_model(), chain_records(), 1000), (binary_ring_model(5), ring_records(), 500)],
+        ids=["pade-n8", "series-n32"],
+    )
+    def test_off_diagonal_built_once_per_pass(self, monkeypatch, model, records, elements):
+        # The sweeps, the boundary factors and the integrals of every batch
+        # share the joint generator's one off-diagonal W.
+        space = model.space()
+        dataset = [rec.to_evidence(space) for rec in records] * 3
+        three_batches(monkeypatch, dataset, space.n_joint, elements)
+        builds = []
+        build = IntensityMatrix.off_diagonal.func
+
+        def counted(self):
+            builds.append(self.n)
+            return build(self)
+
+        spy = cached_property(counted)
+        spy.__set_name__(IntensityMatrix, "off_diagonal")
+        monkeypatch.setattr(IntensityMatrix, "off_diagonal", spy)
+        # Every product by W or W^T reads that one array.
+        used = set()
+        for name in ("_rows_times", "_powers"):
+            def reading(v, w, *rest, product=getattr(inference, name)):
+                used.add(id(w if w.base is None else w.base))
+                return product(v, w, *rest)
+
+            monkeypatch.setattr(inference, name, reading)
+        for run in (e_step, score_dataset):
+            builds.clear()
+            used.clear()
+            run(model, dataset)
+            assert builds == [space.n_joint]
+            assert len(used) == 1
 
     def test_builds_no_per_trajectory_objects(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -587,6 +625,15 @@ class TestStructureSearch:
         m = sum((tr.transition_counts(8) for tr in trajs), np.zeros((8, 8)))
         graph = structure_search(FlatFamilyProvider(space, t, m), model, 0, 50)
         assert graph == {"a": (), "b": (), "c": ()}
+
+    def test_empty_sample_is_refused(self):
+        model = self.strong_dependency_model()
+        space = model.space()
+        provider = FlatFamilyProvider(space, np.zeros(8), np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="sample size"):
+            structure_search(provider, model, 1, 0)
+        with pytest.raises(ValueError, match="sample size"):
+            sem(model, [])
 
     def test_single_variable_has_no_candidates(self):
         model = independent_binary_model(names=("x",), rates=((1.0, 2.0),))
