@@ -1,24 +1,31 @@
 """Exact smoothing and expected sufficient statistics under subsystem evidence.
 
 Evidence only restricts the joint process: while a segment holds it in a
-subsystem S, its generator is Q masked to S x S. Between consecutive
-segments whose subsystems are disjoint, the evidence asserts a transition
-and the boundary factor is Q's off-diagonal W masked to S1 x S2, applied
-as masked vector products; when the subsystems overlap, the boundary is a
+subsystem S, its generator is Q_S, Q gathered to the |S| x |S| block of S.
+Between consecutive segments whose subsystems are disjoint, the evidence
+asserts a transition and the boundary factor is the block W[S1, S2] of
+Q's off-diagonal W; when the subsystems overlap, the boundary is a
 projection onto the next subsystem (zero-length segments therefore act as
-plain indicators). Many trajectories under one Q are swept in lockstep,
-one row each, so the Python loop runs once per segment position of a
-batch; one memory budget, ``_BATCH_ELEMENTS``, sizes the batches, and the
-Pade exponentials and the integrals' kernel work in slices of an eighth
-of it. A batch's segments are uniformized once (lambda = the largest exit
-rate in S, P = I + Q_S / lambda, applied as a diagonal part plus one
-product by W, which the joint ``IntensityMatrix`` builds once), and both
-jobs read that: the sweeps carry the scaled messages across each segment's
-exp(Q_S dt), by batched Pade ``expm`` below a joint size measured as the
-crossover and by the series in P from it up; the expected dwell times and
-transition counts are pairwise convolution integrals over each segment,
-all n^2 of which come in closed form from the same series. One Poisson
-routine weights both series, each row cut at its own tail bound.
+plain indicators). The scaled boundary messages are n-length rows over
+the joint space; every segment gathers its rows to S, works on |S|-length
+rows and |S| x |S| blocks, and scatters the result back, so a segment costs
+O(|S|^2) per product plus O(n) at its boundaries.
+
+Many trajectories under one Q are swept in lockstep, one row each, so the
+Python loop runs once per segment position of a batch; a step pads its
+rows to the largest |S| among them. One memory budget,
+``_BATCH_ELEMENTS``, sizes the batches, and the Pade exponentials and the
+integrals' kernel work in slices of an eighth of it. A batch's split
+segments are uniformized once (lambda = the largest exit rate in S,
+P = I + Q_S / lambda), and both jobs read that: the sweeps carry the
+messages across each segment's exp(Q_S dt), by Pade ``expm`` of the block
+up to ``_PADE_MAX_STATES`` states and by the series in P above it; the
+expected dwell times and transition counts are pairwise convolution
+integrals over each segment, all |S|^2 of which come in closed form from
+the same series and are scattered into the joint sums. One Poisson routine
+weights both series, each row cut at its own tail bound. Every per-row
+product sums its terms in a fixed order that zero padding does not change,
+so a trajectory's sweeps do not depend on the rows swept beside it.
 
 One statistics kernel reads a batch's stacked messages and returns its
 dwell times, transition counts and time-zero posteriors summed over groups
@@ -39,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .evidence import Evidence, _masked
+from .evidence import Evidence
 from .markov import IntensityMatrix, expm, validate_distribution
 
 __all__ = [
@@ -172,9 +179,9 @@ class MessageCache:
 _SEGMENT_STIFFNESS_CAP = 16.0
 
 
-def _max_rate(q: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """max_{i in S} |q_ii| for every segment."""
-    return np.where(masks, np.abs(np.diagonal(q)), 0.0).max(axis=1)
+def _max_rate(exit: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """max_{i in S} |q_ii| for every segment, from the exit rates |q_ii|."""
+    return np.where(masks, exit, 0.0).max(axis=1)
 
 
 def _split_batch(q: np.ndarray, evs: list):
@@ -190,7 +197,7 @@ def _split_batch(q: np.ndarray, evs: list):
     n_orig = np.array([ev.n_segments for ev in evs])
     traj = np.repeat(np.arange(len(evs)), n_orig)
     start = np.arange(len(dts)) + traj
-    chunks = np.maximum(1, np.ceil(_max_rate(q, masks) * dts / _SEGMENT_STIFFNESS_CAP).astype(int))
+    chunks = np.maximum(1, np.ceil(_max_rate(np.abs(np.diagonal(q)), masks) * dts / _SEGMENT_STIFFNESS_CAP).astype(int))
     src = np.repeat(np.arange(len(dts)), chunks)
     first_piece = np.cumsum(chunks) - chunks
     piece = np.arange(len(src)) - first_piece[src]
@@ -209,14 +216,15 @@ def _split_batch(q: np.ndarray, evs: list):
     return masks[src], dts[src] / c, times, counts, rate_before
 
 
-# From this joint size up the sweeps apply each segment's exponential to the
-# messages as a uniformization series and build no n x n array per segment.
-# Below it batched Pade expm calls over a batch's segments are cheaper: the series
-# takes one Python-level step per term. Measured on a 6-state phase model
-# the series E-step took 1.24x and scoring 1.75x the Pade time, on rings of
-# n = 8 both were even, at n = 16 the series took half (CHANGES.md has the
-# ladder).
-_SERIES_MIN_N = 16
+# A segment whose subsystem has at most this many states takes its
+# exponential by batched Pade ``expm`` of the |S| x |S| block; a larger one
+# is applied to the messages as a uniformization series, which builds no
+# exponential but takes one Python-level step per term. Measured on rings
+# whose every segment has one |S| (30 segments per trajectory): Pade
+# scored 1.05-1.8x faster up to |S| = 16, at 32 it was 1.1x faster for one
+# trajectory and 1.4x slower for ten, at 64 and up slower throughout
+# (CHANGES.md has the table).
+_PADE_MAX_STATES = 16
 
 # The sweeps cut their series where the Poisson tail is at most this, so the
 # messages are exact to rounding.
@@ -231,31 +239,41 @@ _SWEEP_TAIL = float(np.finfo(float).eps)
 _BATCH_ELEMENTS = 1 << 19
 
 
-def _entries(n_segments: int, n: int, width: int) -> int:
-    """The array entries the sweeps hold for a trajectory of n_segments
-    evidence segments. Below _SERIES_MIN_N: each segment's n x n
-    exponential and four message rows (fwd, fwd_pre, bwd, bwd_post) per
-    boundary. From it up: each segment's series rows ``keep`` and ``jump``
-    and its Poisson weights, ``width`` of them at the stiffness cap; the
-    message rows are left out there, as counting them would keep a few
-    short trajectories of a mid-size model from sharing a batch."""
-    if n < _SERIES_MIN_N:
-        return n_segments * n * n + 4 * n * (n_segments + 1)
-    return n_segments * (2 * n + width)
+def _entries(sizes: np.ndarray, segments: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The array entries the sweeps hold for each of the trajectories of
+    ``segments`` evidence segments, whose subsystems have ``sizes`` states
+    one after the other: each segment's n-length mask row and its Pade
+    block (|S|^2), or its series weights, ``width`` of them at the
+    stiffness cap, and its |S|-length ``keep`` and ``jump`` rows. Where
+    every subsystem takes the Pade form (n up to _PADE_MAX_STATES) the four
+    n-length message rows per boundary are counted too. Segments split for
+    stiffness count once, and larger models count the mask row in place of
+    the message rows, as counting either in full would keep a few short
+    trajectories of a mid-size model from sharing a batch; the message
+    rows stay within four times the mask rows."""
+    rows = 4 * n if n <= _PADE_MAX_STATES else 0
+    blocks = np.where(sizes <= _PADE_MAX_STATES, sizes * sizes, width + 2 * sizes) + n + rows
+    return np.add.reduceat(blocks, np.cumsum(segments) - segments) + rows
 
 
 def _batches(evs: list, n: int):
     """Runs of consecutive trajectories whose ``_entries`` add up to at
-    most _BATCH_ELEMENTS, always one trajectory at least, so a large joint
-    space sweeps one trajectory at a time."""
+    most _BATCH_ELEMENTS, always one trajectory at least. The subsystem
+    sizes are counted over runs of trajectories whose masks together hold
+    about _BATCH_ELEMENTS entries."""
     width = _series_width()
+    segments = np.array([ev.n_segments for ev in evs], dtype=np.int64)
+    need = []
+    for run in np.split(np.arange(len(evs)), np.flatnonzero(np.diff(np.cumsum(segments) * n // _BATCH_ELEMENTS)) + 1):
+        if run.size:
+            sizes = np.concatenate([evs[t].masks for t in run]).sum(axis=1)
+            need.extend(_entries(sizes, segments[run], n, width).tolist())
     lo, size = 0, 0
-    for t, ev in enumerate(evs):
-        need = _entries(ev.n_segments, n, width)
-        size += need
+    for t, entries in enumerate(need):
+        size += entries
         if size > _BATCH_ELEMENTS and t > lo:
             yield evs[lo:t]
-            lo, size = t, need
+            lo, size = t, entries
     if lo < len(evs):
         yield evs[lo:]
 
@@ -271,11 +289,72 @@ def _normalize_rows(v: np.ndarray):
     return v, np.log(s, out=np.full_like(s, -np.inf), where=ok)
 
 
-def _rows_times(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The rows v[r] @ w, each its own vector-matrix product, so that a row's
-    result does not depend on the rows swept beside it (one matrix product
-    over the batch rounds differently from the product of a lone row)."""
-    return (v[:, None, :] @ w)[:, 0]
+class _Layout(NamedTuple):
+    """Segments ``seg`` in subsystem coordinates, one row each: column c of
+    row r is the joint state idx[r, c], ascending, for c below |S_r|; past
+    it the row is padded to the widest subsystem (valid False, idx 0).
+    ``cells`` are the valid (row, column) pairs and ``states`` their joint
+    states."""
+
+    seg: np.ndarray
+    idx: np.ndarray
+    valid: np.ndarray
+    cells: tuple
+    states: np.ndarray
+
+    def gather(self, v: np.ndarray) -> np.ndarray:
+        """The n-length rows v, one per segment, restricted to S: zero past
+        |S|."""
+        x = np.zeros(self.idx.shape)
+        x[self.cells] = v[self.cells[0], self.states]
+        return x
+
+    def scatter(self, x: np.ndarray, n: int) -> np.ndarray:
+        """The rows x back in n-length form, zero outside S."""
+        out = np.zeros((len(x), n))
+        out[self.cells[0], self.states] = x[self.cells]
+        return out
+
+
+def _layout(masks: np.ndarray, seg: np.ndarray) -> _Layout:
+    """The layout of the segments seg, whose subsystems are masks[seg]."""
+    r, states = np.nonzero(masks[seg])
+    sizes = np.bincount(r, minlength=len(seg))
+    c = np.arange(len(r)) - (np.cumsum(sizes) - sizes)[r]
+    idx = np.zeros((len(seg), int(sizes.max(initial=1))), dtype=np.intp)
+    valid = np.zeros(idx.shape, dtype=bool)
+    idx[r, c] = states
+    valid[r, c] = True
+    return _Layout(seg, idx, valid, (r, c), states)
+
+
+def _block(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The blocks m[rows[t]][:, cols[t]] of an n x n matrix, stacked: every
+    subsystem block of Q and W is gathered here."""
+    return m[rows[:, :, None], cols[:, None, :]]
+
+
+def _rows_dot(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The rows x[t] @ blocks[t]. Each sum runs over j in order, so zero
+    padding past a row's subsystem, or zeros between its states, leave its
+    result bitwise as it is on its own."""
+    return np.einsum("tj,tjk->tk", x, blocks)
+
+
+def _add_blocks(out: np.ndarray, groups: np.ndarray, rows: _Layout, cols: _Layout, blocks: np.ndarray) -> None:
+    """out[groups[t]][S_rows[t] x S_cols[t]] += blocks[t] over the valid
+    entries, so an (n x n) array per group is touched only on each block's
+    |S_rows| x |S_cols| cells."""
+    n = out.shape[-1]
+    t, j, k = np.nonzero(rows.valid[:, :, None] & cols.valid[:, None, :])
+    np.add.at(out.reshape(-1), (groups[t] * n + rows.idx[t, j]) * n + cols.idx[t, k], blocks[t, j, k])
+
+
+def _transfer(w: np.ndarray, masks: np.ndarray, v: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The rows v[t] on S_src[t] times the block w[S_src, S_dst] (W at a
+    forward rate boundary, W^T at a backward one), n-length again."""
+    a, b = _layout(masks, src), _layout(masks, dst)
+    return b.scatter(_rows_dot(a.gather(v), _block(w, a.idx, b.idx)), v.shape[1])
 
 
 def _poisson_terms(mu: np.ndarray, tol: float):
@@ -342,7 +421,8 @@ def _poisson_weights(mu: np.ndarray, terms: np.ndarray, skip: int = 0) -> np.nda
 
 def _series_width() -> int:
     """The sweeps' series terms at the stiffness cap, the most any split
-    segment needs: one reference row, so no table is built below 16 states."""
+    segment needs: one reference row, so no table is built where every
+    subsystem takes the Pade form."""
     return int(_poisson_terms(np.array([_SEGMENT_STIFFNESS_CAP]), _SWEEP_TAIL)[1][0])
 
 
@@ -350,61 +430,115 @@ class _Uniformization:
     """The split segments (mask S, dt) of a batch uniformized for the sweeps
     and the integrals alike: lambda = max_{i in S} |q_ii|, mu = lambda dt,
     P = I + Q_S / lambda and exp(Q_S s) = sum_a Pois(a; lambda s) P^a. A row
-    v goes to v P = v * keep + (v @ w) * jump, with the joint off-diagonal
-    W as w (W^T for columns), so every term is nonnegative."""
+    v on S goes to v P = v * keep + (v @ W_S) * jump, with W_S the block of
+    the joint off-diagonal W (its transpose for columns), so every term is
+    nonnegative."""
 
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
-        lam = _max_rate(q.entries, masks)
+        self.exit = np.abs(np.diagonal(q.entries))
+        lam = _max_rate(self.exit, masks)
         # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
         lam[lam == 0.0] = 1.0
         self.masks, self.w, self.lam, self.mu = masks, q.off_diagonal, lam, lam * dts
-        self.keep = masks * (lam[:, None] - np.abs(np.diagonal(q.entries))) / lam[:, None]
-        self.jump = masks / lam[:, None]
+        self.sizes = masks.sum(axis=1)
+
+    def keep_jump(self, lay: _Layout):
+        """The rows ``keep`` and ``jump`` of P in the layout, zero past |S|."""
+        lam = self.lam[lay.seg, None]
+        return np.where(lay.valid, (lam - self.exit[lay.idx]) / lam, 0.0), lay.valid / lam
+
+
+# How a split segment's exponential is applied: Pade block, series on the
+# |S| x |S| block of W, or series on W itself where S is the joint space.
+_PADE, _SERIES, _SERIES_FULL = 0, 1, 2
 
 
 class _Propagator(_Uniformization):
-    """exp(Q_S dt) of every segment (mask, dt) of a batch, applied to message
-    rows: ``forward(v, seg)`` gives the rows v[r] exp(Q_S dt) for segments
-    seg[r], where each v[r] vanishes outside its mask, and
-    ``backward(v, seg)`` the columns exp(Q_S dt) v[r] of v[r] projected onto
-    its mask. Below _SERIES_MIN_N states batched Pade ``expm`` calls build
-    the exponentials, each over a slice of at most _BATCH_ELEMENTS // 8
-    entries; from it up the series in P is applied to the rows, each
-    segment's cut where its own Poisson tail falls to _SWEEP_TAIL.
+    """exp(Q_S dt) of every segment (mask, dt) of a batch, applied to
+    n-length message rows: ``forward(v, seg)`` gives the rows
+    v[r] exp(Q_S dt) for segments seg[r], where each v[r] vanishes outside
+    its mask, and ``backward(v, seg)`` the columns exp(Q_S dt) v[r] of v[r]
+    projected onto its mask. Up to _PADE_MAX_STATES states batched Pade
+    ``expm`` calls build each segment's |S| x |S| exponential once, one call
+    per subsystem size over a slice of at most _BATCH_ELEMENTS // 8
+    entries, kept flat in ``blocks``; above it the series in P is applied to
+    the rows, each segment's cut where its own Poisson tail falls to
+    _SWEEP_TAIL.
     """
 
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
         super().__init__(q, masks, dts)
-        n = q.n
-        if n < _SERIES_MIN_N:
-            self.exps = np.empty((len(dts), n, n))
-            step = max(1, _BATCH_ELEMENTS // 8 // (n * n))
-            for lo in range(0, len(dts), step):
-                rows = slice(lo, lo + step)
-                self.exps[rows] = expm(_masked(q.entries, masks[rows], masks[rows]) * dts[rows, None, None])
-            return
-        self.exps = None
-        self.terms = _series_terms(self.mu, _SWEEP_TAIL)
-        self.weights = _poisson_weights(self.mu, self.terms)
+        sizes = self.sizes
+        self.kind = np.where(sizes <= _PADE_MAX_STATES, _PADE, np.where(sizes == q.n, _SERIES_FULL, _SERIES))
+        pade = np.flatnonzero(self.kind == _PADE)
+        pade = pade[np.argsort(sizes[pade], kind="stable")]
+        area = sizes[pade] ** 2
+        self.block_at = np.zeros(len(dts), dtype=np.intp)
+        self.block_at[pade] = np.cumsum(area) - area
+        # One zero past the blocks, read by the padding.
+        self.blocks = np.zeros(int(area.sum()) + 1)
+        for s in np.unique(sizes[pade]):
+            segs = pade[sizes[pade] == s]
+            idx = np.nonzero(masks[segs])[1].reshape(-1, s)
+            step = max(1, _BATCH_ELEMENTS // 8 // (s * s))
+            for lo in range(0, len(segs), step):
+                k, ix = segs[lo : lo + step], idx[lo : lo + step]
+                at = self.block_at[k[0]]
+                self.blocks[at : at + len(k) * s * s] = expm(_block(q.entries, ix, ix) * dts[k, None, None]).ravel()
+        series = np.flatnonzero(self.kind != _PADE)
+        self.terms = np.ones(len(dts), dtype=int)
+        self.weight_row = np.zeros(len(dts), dtype=np.intp)
+        if series.size:
+            self.terms[series] = _series_terms(self.mu[series], _SWEEP_TAIL)
+            self.weight_row[series] = np.arange(series.size)
+            self.weights = _poisson_weights(self.mu[series], self.terms[series])
 
     def forward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        if self.exps is not None:
-            return np.einsum("tj,tjk->tk", v, self.exps[seg])
-        return self._series(v, seg, self.w)
+        return self._apply(v, seg, False)
 
     def backward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        v = v * self.masks[seg]
-        if self.exps is not None:
-            return np.einsum("tjk,tk->tj", self.exps[seg], v)
-        return self._series(v, seg, self.w.T)
+        return self._apply(v * self.masks[seg], seg, True)
 
-    def _series(self, v: np.ndarray, seg: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_a weights[r, a] v[r] P_r^a; a row past its own cutoff adds zeros."""
-        keep, jump, weights = self.keep[seg], self.jump[seg], self.weights[seg]
-        out = v * weights[:, :1]
-        for a in range(1, int(self.terms[seg].max())):
-            v = v * keep + _rows_times(v, w) * jump
-            out += v * weights[:, a, None]
+    def _apply(self, v: np.ndarray, seg: np.ndarray, columns: bool) -> np.ndarray:
+        """Each kind of segment on its own layout, padded to its widest S."""
+        out = np.zeros_like(v)
+        kinds = self.kind[seg]
+        for kind in np.unique(kinds):
+            rows = np.flatnonzero(kinds == kind)
+            lay = _layout(self.masks, seg[rows])
+            x = lay.gather(v[rows])
+            x = self._pade(x, lay, columns) if kind == _PADE else self._series(x, lay, columns, kind == _SERIES_FULL)
+            out[rows] = lay.scatter(x, v.shape[1])
+        return out
+
+    def _pade(self, x: np.ndarray, lay: _Layout, columns: bool) -> np.ndarray:
+        """x[r] times segment r's exponential block, or its transpose for
+        columns, gathered from ``blocks`` zero-padded to the layout."""
+        ar = np.arange(lay.idx.shape[1])
+        j, k = (ar, ar[:, None]) if columns else (ar[:, None], ar)
+        at = self.block_at[lay.seg][:, None, None] + j * self.sizes[lay.seg][:, None, None] + k
+        return _rows_dot(x, self.blocks[np.where(lay.valid[:, :, None] & lay.valid[:, None, :], at, -1)])
+
+    def _series(self, x: np.ndarray, lay: _Layout, columns: bool, full: bool) -> np.ndarray:
+        """sum_a weights[r, a] x[r] P_r^a; a row past its own cutoff adds
+        zeros. Where S is the joint space, W_S is W itself and each row
+        takes its own product by it."""
+        w = self.w.T if columns else self.w
+        if full:
+            def times(v):
+                return (v[:, None, :] @ w)[:, 0]
+        else:
+            blocks = _block(w, lay.idx, lay.idx)
+
+            def times(v):
+                return _rows_dot(v, blocks)
+
+        keep, jump = self.keep_jump(lay)
+        weights = self.weights[self.weight_row[lay.seg]]
+        out = x * weights[:, :1]
+        for a in range(1, int(self.terms[lay.seg].max())):
+            x = x * keep + times(x) * jump
+            out += x * weights[:, a, None]
         return out
 
 
@@ -521,8 +655,11 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
         fwd_pre_log[b] = fwd_log[b] = lf
         a = sizes[i + 1]
         seg, b = seg[:a], b[:a]
-        v = np.where(rate_before[seg + 1, None], _rows_times(v[:a] * masks[seg], prop.w), v[:a]) * masks[seg + 1]
-        v, ls = _normalize_rows(v)
+        nxt = v[:a] * masks[seg + 1]
+        rate = np.flatnonzero(rate_before[seg + 1])
+        if rate.size:
+            nxt[rate] = _transfer(prop.w, masks, v[rate], seg[rate], seg[rate] + 1)
+        v, ls = _normalize_rows(nxt)
         lf = lf[:a] + ls
         fwd[b] = v
         fwd_log[b] = lf
@@ -561,7 +698,10 @@ def _backward_sweep(q: IntensityMatrix, f: _ForwardSweep, first: int = 0) -> _Ba
         lb = lb[:a] + ls
         bwd_post[b] = v
         bwd_post_log[b] = lb
-        v, ls = _normalize_rows(np.where(f.rate_before[seg, None], masks[seg - 1] * _rows_times(v, f.prop.w.T), v))
+        rate = np.flatnonzero(f.rate_before[seg])
+        if rate.size:
+            v[rate] = _transfer(f.prop.w.T, masks, v[rate], seg[rate], seg[rate] - 1)
+        v, ls = _normalize_rows(v)
         lb = lb + ls
         bwd[b] = v
         bwd_log[b] = lb
@@ -678,57 +818,85 @@ def _convolution_batch(
     rows: np.ndarray,
     f0: np.ndarray,
     beta: np.ndarray,
-    ends: np.ndarray,
+    groups: np.ndarray,
     tol: float,
-):
-    """Sums over row groups of the pairwise integrals
-    J[j, k] = int_0^dt f_j(s) b_k(s) ds for the segments ``rows`` of the
-    uniformization u, where row r has f(s) = f0[r] exp(Q_S s),
-    b(s) = exp(Q_S (dt - s)) beta[r] and Q_S is Q masked to the segment's
-    mask S; f0 and beta are first projected onto S, so J vanishes outside
-    S x S, and a row with dt = 0 contributes zero. Group g is the rows
-    ``ends[g - 1]`` up to ``ends[g]``; yields pairs (g, part) whose parts
-    add up to the group's sum.
+    dwell: np.ndarray,
+    out: np.ndarray,
+    rates: bool = True,
+) -> None:
+    """Add the pairwise integrals J[j, k] = int_0^dt f_j(s) b_k(s) ds of
+    the segments ``rows`` of the uniformization u to group groups[r]: the
+    diagonal to dwell[g] and W o J (J itself where ``rates`` is false) to
+    out[g]. Row r has f(s) = f0[r] exp(Q_S s), b(s) = exp(Q_S (dt - s))
+    beta[r] and Q_S is Q's block on the segment's subsystem S; f0 and beta
+    are n-length, and only their entries on S are read, so J vanishes
+    outside S x S, and a row with dt = 0 contributes zero.
 
     In the series of exp(Q_S s) in P, J = sum_{a,b} c_{a+b} F_a^T G_b with
     F_a = f0 P^a, G_b = P^b beta and c_k = Pois(k + 1; mu) / lambda. Each
     row's series stops where its own Poisson tail is below
     tol * _ROW_TAIL_SHARE (at least epsilon), which bounds the error of
-    every column of J by tol * dt * |f0|_1 * max(beta). Rows go in slices
-    whose stacks of F, G and the weighted sums H_a = sum_b c_{a+b} G_b stay
-    within _BATCH_ELEMENTS // 8 entries, so no (rows x n x n) array is built.
+    every column of J by tol * dt * |f0|_1 * max(beta). Rows go by size of
+    S and then by series length, so that a slice's rows need about as many
+    terms as its longest, in slices whose stacks of F, G, the weighted sums
+    H_a = sum_b c_{a+b} G_b and the |S| x |S| blocks J stay within
+    _BATCH_ELEMENTS // 8 entries; a slice of rows whose S is the joint
+    space sums F^T H over each group's rows in one product instead.
     """
     m, n = f0.shape
     if m == 0:
         return
-    ends = np.asarray(ends)
-    mu, lam = u.mu[rows], u.lam[rows]
-    # Slices are sized for the longest series of the call; within one, the
-    # series runs to the slice's longest and each row's weights stop at its
-    # own cutoff, so a row's result does not depend on the rows beside it.
+    mu, lam, sizes = u.mu[rows], u.lam[rows], u.sizes[rows]
+    # Within a slice the series runs to the slice's longest and each row's
+    # weights stop at its own cutoff, so a row's J does not depend on the
+    # rows beside it.
     terms = _series_terms(mu, max(tol * _ROW_TAIL_SHARE, _SWEEP_TAIL))
-    step = max(1, _BATCH_ELEMENTS // 8 // (int(terms.max()) * n))
-    for lo in range(0, m, step):
-        sl = slice(lo, min(lo + step, m))
+    order = np.lexsort((terms, sizes))
+    ordered = sizes[order]
+    full = int(np.searchsorted(ordered, n))
+    width = int(terms.max())
+
+    def step(s):
+        return max(1, _BATCH_ELEMENTS // 8 // (width * s + (s * s if s < n else 0)))
+
+    lo = 0
+    while lo < m:
+        hi = min(full if lo < full else m, lo + step(ordered[lo]))
+        hi = min(hi, lo + step(ordered[hi - 1]))
+        s = int(ordered[hi - 1])
+        sl = order[lo:hi]
+        lo = hi
         r = rows[sl]
         kk = int(terms[sl].max()) - 1
-        masks, keep, jump = u.masks[r], u.keep[r], u.jump[r]
-        f = _powers(f0[sl] * masks, u.w, keep, jump, kk)
-        g = _powers(beta[sl] * masks, u.w.T, keep, jump, kk)
         # H_a = sum_b c_{a+b} G_b for every a in one product: the window
         # view of c padded with kk zeros is the Hankel matrix of each row.
         c = np.pad(_poisson_weights(mu[sl], terms[sl], 1) / lam[sl, None], ((0, 0), (0, kk)))
-        h = sliding_window_view(c, kk + 1, axis=1) @ g
-        yield from _grouped_products(f.reshape(-1, n), h.reshape(-1, n), ends * (kk + 1), lo * (kk + 1))
+        lay = _layout(u.masks, r)
+        keep, jump = u.keep_jump(lay)
+        if s == n:
+            f = _powers(f0[sl], u.w, keep, jump, kk)
+            h = sliding_window_view(c, kk + 1, axis=1) @ _powers(beta[sl], u.w.T, keep, jump, kk)
+            for g, part in _grouped_products(f.reshape(-1, n), h.reshape(-1, n), np.repeat(groups[sl], kk + 1)):
+                dwell[g] += np.diagonal(part)
+                out[g] += u.w * part if rates else part
+            continue
+        w = _block(u.w, lay.idx, lay.idx)
+        f = _powers(lay.gather(f0[sl]), w, keep, jump, kk)
+        h = sliding_window_view(c, kk + 1, axis=1) @ _powers(lay.gather(beta[sl]), w.transpose(0, 2, 1), keep, jump, kk)
+        j = f.transpose(0, 2, 1) @ h
+        rr, cc = lay.cells
+        np.add.at(dwell.reshape(-1), groups[sl][rr] * n + lay.states, j[rr, cc, cc])
+        _add_blocks(out, groups[sl], lay, lay, w * j if rates else j)
 
 
 def _powers(v: np.ndarray, w: np.ndarray, keep: np.ndarray, jump: np.ndarray, kk: int) -> np.ndarray:
-    """The rows v P^a for a = 0 .. kk, stacked as (rows, kk + 1, n), where
-    row r has v P = v * keep[r] + (v @ w) * jump[r]."""
+    """The rows v P^a for a = 0 .. kk, stacked as (rows, kk + 1, width),
+    where row r has v P = v * keep[r] + (v @ w_r) * jump[r]; w is one
+    matrix for every row or a stack of per-row blocks."""
     out = np.empty((len(v), kk + 1, v.shape[1]))
     out[:, 0] = v
     for a in range(kk):
-        v = v * keep + (v @ w) * jump
+        v = v * keep + (v @ w if w.ndim == 2 else _rows_dot(v, w)) * jump
         out[:, a + 1] = v
     return out
 
@@ -769,8 +937,9 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
             b1[-1 - p], lb[-1 - p] = _rescaled(e @ b1[-p], lb[-p])
         f0 *= np.exp(lf + lb)[:, None]
     u = _Uniformization(q_s, np.ones((pieces, n), dtype=bool), np.full(pieces, dt / pieces))
-    parts = _convolution_batch(u, np.arange(pieces), f0, b1, [pieces], tol)
-    return sum((part for _, part in parts), np.zeros((n, n)))
+    j = np.zeros((1, n, n))
+    _convolution_batch(u, np.arange(pieces), f0, b1, np.zeros(pieces, dtype=np.intp), tol, np.zeros((1, n)), j, False)
+    return j[0]
 
 
 def _rescaled(v: np.ndarray, log_scale: float):
@@ -805,8 +974,9 @@ def _statistics(
     A positive-length segment restricted to one state adds its duration
     where it carries mass (the integrand is constant). The factor of an
     asserted transition into segment k acts at its first boundary i, from
-    mask k - 1 into mask k; its posterior counts are W o outer(a, b) /
-    (a W b) with a = fwd_pre[i] and b = bwd_post[i] on the two masks. Every
+    S1 = mask k - 1 into S2 = mask k; its posterior counts are the block
+    W[S1, S2] o outer(a, b) / (a W[S1, S2] b) with a = fwd_pre[i] on S1 and
+    b = bwd_post[i] on S2. Every
     other positive-length segment runs from fwd[i] to the end-of-segment
     message bwd[i + 1]; scaled by exp(bwd_log[i + 1] - bwd_post_log[i]),
     exp(Q_S dt) carries that to bwd_post[i], and dividing by the segment's
@@ -824,10 +994,9 @@ def _statistics(
     seg_traj = np.repeat(np.arange(len(f.counts)), f.counts)
     seg_group = traj_group[seg_traj]
     start = np.arange(len(f.dts)) + seg_traj
-    w = f.prop.w
     dwell = np.zeros((groups, n))
     trans = np.zeros((groups, n, n))
-    sizes = f.masks.sum(axis=1)
+    sizes = f.prop.sizes
     pos = f.dts > 0.0
 
     sing = np.flatnonzero(pos & (sizes == 1))
@@ -835,15 +1004,18 @@ def _statistics(
     alive = f.fwd[start[sing], jj] * b.bwd_post[start[sing], jj] > 0.0
     np.add.at(dwell, (seg_group[sing][alive], jj[alive]), f.dts[sing][alive])
 
-    rate = np.flatnonzero(f.rate_before)
-    i = start[rate]
-    left = f.fwd_pre[i] * f.masks[rate - 1]
-    right = b.bwd_post[i] * f.masks[rate]
-    totals = ((left @ w) * right).sum(axis=1)
-    alive = totals > 0.0
-    rows = np.searchsorted(seg_group[rate][alive], np.arange(groups), side="right")
-    for g, part in _grouped_products(left[alive] / totals[alive, None], right[alive], rows):
-        trans[g] += w * part
+    rates = np.flatnonzero(f.rate_before)
+    step = max(1, _BATCH_ELEMENTS // 8 // int((sizes[rates - 1] * sizes[rates]).max(initial=1)))
+    for lo in range(0, len(rates), step):
+        rate = rates[lo : lo + step]
+        src, dst = _layout(f.masks, rate - 1), _layout(f.masks, rate)
+        i = start[rate]
+        counts = (_block(f.prop.w, src.idx, dst.idx) * src.gather(f.fwd_pre[i])[:, :, None]
+                  * dst.gather(b.bwd_post[i])[:, None, :])
+        totals = counts.sum(axis=(1, 2))
+        # A boundary without mass has no counts, all zero already.
+        counts /= np.where(totals > 0.0, totals, 1.0)[:, None, None]
+        _add_blocks(trans, seg_group[rate], src, dst, counts)
 
     general = np.flatnonzero(pos & (sizes > 1))
     i = start[general]
@@ -851,11 +1023,7 @@ def _statistics(
     ok = inner > 0.0
     log_scale = b.bwd_log[i + 1] - np.where(ok, b.bwd_post_log[i], 0.0)
     beta = b.bwd[i + 1] * np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)[:, None]
-    seg_ends = np.concatenate(([0], np.cumsum(f.counts)))[ends]
-    parts = _convolution_batch(f.prop, general, f.fwd[i], beta, np.searchsorted(general, seg_ends), tol)
-    for g, part in parts:
-        dwell[g] += np.diagonal(part)
-        trans[g] += w * part
+    _convolution_batch(f.prop, general, f.fwd[i], beta, seg_group[general], tol, dwell, trans)
 
     at_zero = np.abs(f.times) <= 1e-12 * np.maximum(1.0, np.repeat(horizons, f.counts + 1))
     i = np.maximum.reduceat(np.where(at_zero, np.arange(len(f.times)), -1), f.starts)
@@ -869,17 +1037,12 @@ def _statistics(
     return _Statistics(dwell, trans, initial, f.log_probs)
 
 
-def _grouped_products(a: np.ndarray, b: np.ndarray, ends: np.ndarray, lo: int = 0):
-    """Pairs (g, a[rows].T @ b[rows]) over the groups g with rows in a, where
-    a and b hold rows lo up to lo + len(a) and group g ends at row ends[g]."""
-    hi = lo + len(a)
-    first = int(np.searchsorted(ends, lo, side="right"))
-    last = int(np.searchsorted(ends, hi - 1, side="right"))
-    for grp in range(first, last + 1):
-        r0 = max(ends[grp - 1] if grp else 0, lo) - lo
-        r1 = min(ends[grp], hi) - lo
-        if r1 > r0:
-            yield grp, a[r0:r1].T @ b[r0:r1]
+def _grouped_products(a: np.ndarray, b: np.ndarray, groups: np.ndarray):
+    """Pairs (g, a[rows].T @ b[rows]) over the runs of rows with one group
+    g = groups[row]."""
+    cuts = np.flatnonzero(np.diff(groups)) + 1
+    for lo, hi in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(a)]))):
+        yield groups[lo], a[lo:hi].T @ b[lo:hi]
 
 
 def _e_step_batches(q: IntensityMatrix, p0, evs: list, tol: float):

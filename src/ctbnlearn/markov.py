@@ -203,22 +203,25 @@ def _pade13(a: np.ndarray) -> np.ndarray:
 def expm(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a degree-13 Pade
     approximant. Accepts a single matrix or a stacked batch (..., n, n);
-    batches share the squaring count of the worst-conditioned element.
+    each element takes its own squaring count, so it equals the lone call
+    on that element bitwise.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    top = float(np.max(norm)) if norm.size else 0.0
-    if top == 0.0:
-        return np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
-    s = 0
-    if top > _PADE13_THETA:
-        s = int(np.ceil(np.log2(top / _PADE13_THETA)))
-    e = _pade13(a / (2.0**s) if s else a)
-    for _ in range(s):
-        e = e @ e
-    return e
+    flat = a.reshape(-1, *a.shape[-2:])
+    norm = np.abs(flat).sum(axis=-2).max(axis=-1, initial=0.0)
+    # Scale each matrix by powers of two until its 1-norm is below theta.
+    squarings = np.ceil(np.log2(np.maximum(norm, _PADE13_THETA) / _PADE13_THETA)).astype(int)
+    out = np.empty_like(flat)
+    out[norm == 0.0] = np.eye(a.shape[-1])
+    for s in np.unique(squarings[norm > 0.0]):
+        rows = np.flatnonzero((squarings == s) & (norm > 0.0))
+        e = _pade13(flat[rows] / (2.0**s) if s else flat[rows])
+        for _ in range(s):
+            e = e @ e
+        out[rows] = e
+    return out.reshape(a.shape)
 
 
 def matrix_exponential(q: IntensityMatrix, t: float) -> np.ndarray:

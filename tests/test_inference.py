@@ -7,20 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctbnlearn import (
+    Cim,
+    CtbnModel,
     EmConfig,
     Evidence,
     ForwardBackwardMismatchError,
     ObservedTrajectory,
+    OcclusionPolicy,
+    PhaseSpec,
     StepUnderflowError,
     Subsystem,
+    Variable,
     ZeroProbabilityEvidenceError,
     amalgamate,
     convolution_integrals,
     e_step,
+    expand_phases,
     expected_dwell,
     expected_statistics,
     expected_transitions,
     forward_backward,
+    occlude_observed,
     sample_trajectory,
     smoothed_marginal,
     transient_distribution,
@@ -194,8 +201,10 @@ class TestLockstepSweep:
         evs = [ObservedTrajectory(segs, 6.0).to_evidence(space) for segs in records]
         batched = _forward_backward_many(q, p0, evs)
         assert [c.impossible for c in batched] == [False, False, True, False] * 3
-        # A batch shares the squaring count of its matrix exponentials, so
-        # the numbers agree to rounding and the structure exactly.
+        # A trajectory's messages do not depend on its batch-mates: every
+        # stacked exponential takes its own squaring count and every per-row
+        # product sums in a fixed order, so they agree bitwise here; the
+        # bound asserts less.
         for got, ev in zip(batched, evs):
             want = forward_backward(q, p0, ev)
             assert got.dead_boundary == want.dead_boundary
@@ -250,20 +259,23 @@ class TestBatchSplit:
 
 
 class TestSeriesForm:
-    """From _SERIES_MIN_N states up the sweeps apply the uniformization
-    series to the messages; below it, batched Pade exponentials."""
+    """Above _PADE_MAX_STATES states the sweeps apply the uniformization
+    series to a segment's messages on its subsystem; up to it, batched Pade
+    exponentials of the |S| x |S| blocks. The n = 32 data holds both."""
 
     def setup_method(self):
         self.model = binary_ring_model(5)
         self.q, self.space, self.p0 = amalgamate(self.model)
         self.evs = [rec.to_evidence(self.space) for rec in ring32_records()]
-        assert self.q.n >= inference._SERIES_MIN_N
+        sizes = np.concatenate([ev.masks.sum(axis=1) for ev in self.evs])
+        assert (sizes > inference._PADE_MAX_STATES).any() and (sizes <= inference._PADE_MAX_STATES).any()
 
     def test_builds_no_exponential_and_matches_taylor_forward_pass(self, monkeypatch):
         def no_expm(*args, **kwargs):
             raise AssertionError("the series form builds no matrix exponential")
 
         monkeypatch.setattr(inference, "expm", no_expm)
+        monkeypatch.setattr(inference, "_PADE_MAX_STATES", 0)
         for ev in self.evs:
             cache = forward_backward(self.q, self.p0, ev)
             want = taylor_log_prob(self.q.entries, self.p0, ev)
@@ -274,8 +286,9 @@ class TestSeriesForm:
         assert len(first.seg_dt) > self.evs[0].n_segments
 
     def test_caches_agree_with_dense_form(self, monkeypatch):
+        monkeypatch.setattr(inference, "_PADE_MAX_STATES", 0)
         series = [forward_backward(self.q, self.p0, ev) for ev in self.evs]
-        monkeypatch.setattr(inference, "_SERIES_MIN_N", self.q.n + 1)
+        monkeypatch.setattr(inference, "_PADE_MAX_STATES", self.q.n)
         dense = [forward_backward(self.q, self.p0, ev) for ev in self.evs]
         for got, want in zip(series, dense):
             for name in ("times", "seg_masks", "seg_dt", "factor_kind"):
@@ -365,7 +378,9 @@ class TestSmoothedMarginal:
             6.0,
         )
         cache = forward_backward(q, p0, record.to_evidence(space))
-        assert q.n >= inference._SERIES_MIN_N and len(cache.seg_dt) > 4
+        sizes = cache.seg_masks.sum(axis=1)
+        assert (sizes > inference._PADE_MAX_STATES).any() and (sizes <= inference._PADE_MAX_STATES).any()
+        assert len(cache.seg_dt) > 4
         for t in (0.3, 2.9, 4.2, 5.5):
             i = int(np.searchsorted(cache.times, t)) - 1
             m = cache.seg_masks[i]
@@ -594,8 +609,7 @@ class TestUniformizationKernel:
         tol = 1e-8
         js = np.zeros((m, n, n))
         u = inference._Uniformization(validate_intensity(q), masks, dts)
-        for r, part in _convolution_batch(u, np.arange(m), f0, beta, np.arange(1, m + 1), tol):
-            js[r] += part
+        _convolution_batch(u, np.arange(m), f0, beta, np.arange(m), tol, np.zeros((m, n)), js, False)
         for r in range(m):
             s = masks[r]
             q_s = np.where(np.outer(s, s), q, 0.0)
@@ -630,25 +644,190 @@ class TestUniformizationKernel:
         dts = rng.uniform(0.0, 2.0, m)
         f0, beta = rng.random((m, n)), rng.random((m, n))
         ends = np.array([2, 2, 5, 7])
+        groups = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
 
         u = inference._Uniformization(validate_intensity(q), masks, dts)
 
-        def sums():
-            out = np.zeros((len(ends), n, n))
-            for g, part in _convolution_batch(u, np.arange(m), f0, beta, ends, 1e-10):
-                out[g] += part
+        def sums(rows, groups):
+            out = np.zeros((groups.max() + 1, n, n))
+            _convolution_batch(u, rows, f0[rows], beta[rows], groups, 1e-10, np.zeros((len(out), n)), out, False)
             return out
 
-        whole = sums()
+        whole = sums(np.arange(m), groups)
         monkeypatch.setattr(inference, "_BATCH_ELEMENTS", 1)
-        parts = sums()
-        rows = [
-            sum(part for _, part in _convolution_batch(u, np.array([r]), f0[r : r + 1], beta[r : r + 1],
-                                                       np.array([1]), 1e-10))
-            for r in range(m)
-        ]
+        parts = sums(np.arange(m), groups)
+        rows = [sums(np.array([r]), np.array([0]))[0] for r in range(m)]
         assert not whole[1].any()
         for g, (lo, hi) in enumerate(zip([0, 2, 2, 5], ends)):
             expect = sum(rows[lo:hi], np.zeros((n, n)))
             assert np.abs(whole[g] - expect).max() <= 1e-9 * np.abs(expect).max(initial=1.0)
             assert np.abs(parts[g] - whole[g]).max() <= 1e-12 * np.abs(whole[g]).max(initial=1.0)
+
+
+def joint_space_oracle(q: np.ndarray, p0: np.ndarray, ev: Evidence):
+    """Unscaled forward and backward passes over the unsplit segments on the
+    joint space, each segment's exponential by ``taylor_expm`` and its
+    convolution integrals by Van Loan's block exponential. Returns both
+    sweeps' log-likelihoods, a smoothed-marginal function for times inside
+    a segment, the expected dwell times and the expected transition counts."""
+    n = len(p0)
+    w = q - np.diag(np.diag(q))
+    masks, dts, times = ev.masks, ev.durations, ev.boundaries
+    blocks = [np.where(np.outer(m, m), q, 0.0) for m in masks]
+    exps = [taylor_expm(b * dt) for b, dt in zip(blocks, dts)]
+    rate = [not (masks[i] & masks[i + 1]).any() for i in range(len(masks) - 1)]
+    factors = [w * np.outer(masks[i], masks[i + 1]) if rate[i] else np.diag(masks[i + 1] * 1.0)
+               for i in range(len(masks) - 1)]
+    start = [p0 * masks[0]]
+    end = []
+    for i, e in enumerate(exps):
+        end.append(start[i] @ e)
+        if i < len(factors):
+            start.append(end[i] @ factors[i])
+    beta_end = [None] * len(masks)
+    beta_start = [None] * len(masks)
+    beta_end[-1] = np.ones(n)
+    for i in range(len(masks) - 1, -1, -1):
+        beta_start[i] = exps[i] @ beta_end[i]
+        if i:
+            beta_end[i - 1] = factors[i - 1] @ beta_start[i]
+    lik = end[-1].sum()
+    lik_backward = (p0 * masks[0]) @ beta_start[0]
+
+    def marginal(t):
+        i = int(np.searchsorted(times, t)) - 1
+        a = start[i] @ taylor_expm(blocks[i] * (t - times[i]))
+        b = taylor_expm(blocks[i] * (times[i + 1] - t)) @ beta_end[i]
+        return a * b / (a * b).sum()
+
+    dwell = np.zeros(n)
+    trans = np.zeros((n, n))
+    for i, (b, dt) in enumerate(zip(blocks, dts)):
+        if dt > 0.0:
+            big = np.zeros((2 * n, 2 * n))
+            big[:n, :n] = big[n:, n:] = b.T * dt
+            big[:n, n:] = np.outer(start[i], beta_end[i]) * dt
+            j = taylor_expm(big)[:n, n:]
+            dwell += np.diagonal(j) / lik
+            trans += w * np.outer(masks[i], masks[i]) * j / lik
+        if i < len(factors) and rate[i]:
+            trans += np.outer(end[i], beta_start[i + 1]) * factors[i] / lik
+    return math.log(lik), math.log(lik_backward), marginal, dwell, trans
+
+
+def random_mask_evidence(rng, n, sizes, horizon):
+    """Evidence over random masks of the given sizes, one segment each, with
+    a disjoint pair (a rate boundary) and a zero-length segment inserted."""
+    masks = [np.isin(np.arange(n), rng.choice(n, s, replace=False)) for s in sizes]
+    # A mask disjoint from its predecessor asserts a transition.
+    masks.insert(2, np.isin(np.arange(n), rng.choice(np.flatnonzero(~masks[1]), 2, replace=False)))
+    cuts = np.sort(rng.uniform(0.0, horizon, len(masks) - 1))
+    times = np.concatenate(([0.0], cuts, [horizon]))
+    segs = [(Subsystem.from_mask(m), float(a), float(b)) for m, a, b in zip(masks, times, times[1:])]
+    # A zero-length segment holding its successor's mask and one more state.
+    k = 4
+    point = masks[k].copy()
+    point[rng.choice(n)] = True
+    segs.insert(k, (Subsystem.from_mask(point), segs[k][1], segs[k][1]))
+    return Evidence(tuple(segs), horizon)
+
+
+class TestSubsystemOracle:
+    """The sweeps, the smoothed marginals and the expected statistics under
+    random subsystem evidence, against plain passes on the joint space."""
+
+    def check(self, q, p0, evs):
+        caches = _forward_backward_many(validate_intensity(q), p0, evs)
+        for ev, cache in zip(evs, caches):
+            ll, ll_backward, marginal, dwell, trans = joint_space_oracle(q, p0, ev)
+            assert abs(cache.log_prob - ll) <= 1e-11 * max(1.0, abs(ll))
+            assert abs(cache.log_prob_backward - ll_backward) <= 1e-11 * max(1.0, abs(ll))
+            inner = ev.boundaries[:-1] + 0.37 * ev.durations
+            for t in inner[ev.durations > 0.0]:
+                np.testing.assert_allclose(smoothed_marginal(cache, t), marginal(t), rtol=0, atol=1e-11)
+            stats = expected_statistics(cache, 1e-13)
+            assert rel_err(stats.dwell, dwell) <= 1e-10
+            assert rel_err(stats.transitions, trans) <= 1e-10
+        return caches
+
+    @pytest.mark.parametrize("pade_max", [None, 0, 64], ids=["default", "all-series", "all-pade"])
+    def test_random_masks(self, monkeypatch, pade_max):
+        # A dense generator on n = 64 states, exit rates about 1.3: every
+        # disjoint pair of masks has transitions between them. Subsystems
+        # of one state, a few states, most of the space and all of it; at
+        # the default crossover they take Pade blocks, the series on their
+        # blocks and the series on the whole of W.
+        if pade_max is not None:
+            monkeypatch.setattr(inference, "_PADE_MAX_STATES", pade_max)
+        rng = np.random.default_rng(21)
+        n = 64
+        q = random_proper(rng, n, 0.005, 0.05)
+        p0 = random_distribution(rng, n)
+        evs = [random_mask_evidence(rng, n, sizes, 2.0)
+               for sizes in ((1, 3, n, 40, 2, 1), (n, 5, 1, 24, 3, 2), (2, 1, 7, 1, n, 33))]
+        sizes = np.concatenate([ev.masks.sum(axis=1) for ev in evs])
+        assert {1, 2, 3, n} <= set(sizes.tolist())
+        caches = self.check(q, p0, evs)
+        assert all((c.factor_kind == 1).any() and (c.seg_dt == 0.0).any() for c in caches)
+
+    def test_phase_expanded_space(self):
+        # w's three phases stay hidden while w itself is observed; x is
+        # hidden or observed, and w's observed flips are rate boundaries.
+        base = CtbnModel(
+            (Variable("w", ("w1", "w2")), Variable("x", ("x0", "x1"))),
+            {"w": Cim(("x",), (2,), np.array([[[-1.0, 1.0], [2.0, -2.0]], [[-3.0, 3.0], [0.5, -0.5]]])),
+             "x": Cim(("w",), (2,), np.array([[[-0.7, 0.7], [1.2, -1.2]], [[-2.0, 2.0], [0.4, -0.4]]]))},
+            {"w": [1.0, 0.0], "x": [0.5, 0.5]},
+        )
+        model, _ = expand_phases(base, PhaseSpec({"w": 3}, topology="unrestricted"))
+        q, space, p0 = amalgamate(model)
+        assert q.n == 12
+        records = [
+            ((0.0, 0.8, (0, None)), (0.8, 1.5, (1, None)), (1.5, 1.5, (1, 1)), (1.5, 2.5, (None, None))),
+            ((0.0, 1.0, (None, 0)), (1.0, 1.7, (0, 0)), (1.7, 2.5, (1, 0))),
+        ]
+        evs = [ObservedTrajectory(r, 2.5).to_evidence(space) for r in records]
+        assert {3, 6, 12} <= set(np.concatenate([ev.masks.sum(axis=1) for ev in evs]).tolist())
+        caches = self.check(q.entries, p0, evs)
+        assert all((c.factor_kind == 1).any() for c in caches)
+
+
+class TestSubsystemWidth:
+    def test_no_matrix_wider_than_the_largest_subsystem(self, monkeypatch):
+        # Joint n = 1024 under window occlusion: every exponential and every
+        # gathered block of Q or W is at most as wide as the widest
+        # subsystem the evidence leaves, far below n.
+        model = binary_ring_model(10, seed=3)
+        q, space, p0 = amalgamate(model)
+        rng = np.random.default_rng(5)
+        dataset = []
+        for _ in range(2):
+            traj = sample_trajectory(p0, q, 2.0, rng)
+            per_var = [space.project(traj, v) for v in range(space.k)]
+            dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
+        largest = int(max(ev.masks.sum(axis=1).max() for ev in dataset))
+        assert 2 * inference._PADE_MAX_STATES < largest < q.n // 4
+        widths = []
+        expm, block, powers = inference.expm, inference._block, inference._powers
+
+        def recording_expm(a):
+            widths.append(a.shape[-1])
+            return expm(a)
+
+        def recording_block(m, rows, cols):
+            out = block(m, rows, cols)
+            widths.extend(out.shape[1:])
+            return out
+
+        def recording_powers(v, w, *rest):
+            widths.append(w.shape[-1])
+            return powers(v, w, *rest)
+
+        monkeypatch.setattr(inference, "expm", recording_expm)
+        monkeypatch.setattr(inference, "_block", recording_block)
+        monkeypatch.setattr(inference, "_powers", recording_powers)
+        _, ll = e_step(model, dataset)
+        assert widths and max(widths) <= largest
+        widths.clear()
+        assert math.fsum(score_dataset(model, dataset)) == pytest.approx(ll, rel=1e-12)
+        assert widths and max(widths) <= largest

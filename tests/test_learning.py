@@ -221,8 +221,9 @@ class TestBatchedEStep:
     )
     def test_sums_equal_public_per_trajectory_calls(self, monkeypatch, model, records, elements):
         q, space, p0 = amalgamate(model)
-        assert (q.n < inference._SERIES_MIN_N) == (q.n == 8)
         dataset = [rec.to_evidence(space) for rec in records] * 3
+        sizes = np.concatenate([ev.masks.sum(axis=1) for ev in dataset])
+        assert (sizes > inference._PADE_MAX_STATES).any() == (q.n == 32)
         first = forward_backward(q, p0, dataset[0])
         assert (first.factor_kind == 1).any()
         assert len(first.seg_dt) > dataset[0].n_segments
@@ -278,28 +279,43 @@ class TestBatchedEStep:
         three_batches(monkeypatch, dataset, space.n_joint, elements)
         builds = []
         build = IntensityMatrix.off_diagonal.func
+        joint = {}
 
         def counted(self):
             builds.append(self.n)
-            return build(self)
+            joint["w"], joint["q"] = build(self), self.entries
+            return joint["w"]
 
         spy = cached_property(counted)
         spy.__set_name__(IntensityMatrix, "off_diagonal")
         monkeypatch.setattr(IntensityMatrix, "off_diagonal", spy)
-        # Every product by W or W^T reads that one array.
+        # Every block of W or W^T is gathered from that one array (Pade
+        # blocks from Q's own entries), and every product by all of W reads
+        # it.
         used = set()
-        for name in ("_rows_times", "_powers"):
-            def reading(v, w, *rest, product=getattr(inference, name)):
-                used.add(id(w if w.base is None else w.base))
-                return product(v, w, *rest)
 
-            monkeypatch.setattr(inference, name, reading)
+        def base(m):
+            return id(m if m.base is None else m.base)
+
+        block, powers = inference._block, inference._powers
+
+        def gathering(m, *rest):
+            used.add(base(m))
+            return block(m, *rest)
+
+        def multiplying(v, w, *rest):
+            if w.ndim == 2:
+                used.add(base(w))
+            return powers(v, w, *rest)
+
+        monkeypatch.setattr(inference, "_block", gathering)
+        monkeypatch.setattr(inference, "_powers", multiplying)
         for run in (e_step, score_dataset):
             builds.clear()
             used.clear()
             run(model, dataset)
             assert builds == [space.n_joint]
-            assert len(used) == 1
+            assert base(joint["w"]) in used and used <= {base(joint["w"]), base(joint["q"])}
 
     def test_builds_no_per_trajectory_objects(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -744,7 +760,8 @@ class TestBatchBudget:
         assert sizes["slice"] and max(sizes["slice"]) <= budget // 8
 
         width = inference._series_width()
-        estimates = [sum(inference._entries(ev.n_segments, q.n, width) for ev in batch)
+        estimates = [int(inference._entries(np.concatenate([ev.masks.sum(axis=1) for ev in batch]),
+                                            np.array([ev.n_segments for ev in batch]), q.n, width).sum())
                      for batch in inference._batches(dataset, q.n)]
         assert len(estimates) > 1
         assert max(estimates) <= budget

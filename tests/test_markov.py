@@ -124,6 +124,18 @@ class TestMatrixExponential:
         for i in range(5):
             assert np.abs(batched[i] - expm(mats[i])).max() < 1e-12
 
+    def test_each_stacked_matrix_takes_its_own_squarings(self):
+        # A stack mixing norms a hundredfold apart, zero matrices included:
+        # every element equals its lone exponential bitwise.
+        rng = np.random.default_rng(5)
+        q = random_proper(rng, 8, 0.1, 2.0)
+        mats = np.stack([q * 0.1, q * 10.0, np.zeros((8, 8)), q * 0.5, q * 40.0])
+        batched = expm(mats.reshape(5, 1, 8, 8))
+        assert batched.shape == (5, 1, 8, 8)
+        for i in range(5):
+            assert batched[i, 0].tobytes() == expm(mats[i]).tobytes()
+        assert np.array_equal(batched[2, 0], np.eye(8))
+
 
 class TestTransient:
     def test_zero_time_returns_p0(self):
