@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .markov import CompleteTrajectory, IntensityMatrix
+from .markov import _TIME_EPS, CompleteTrajectory, IntensityMatrix
 from .statespace import StateSpace
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "occlude_observed",
     "is_completion",
 ]
-
-_TIME_EPS = 1e-12
 
 
 class EmptySubsystemError(ValueError):

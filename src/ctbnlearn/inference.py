@@ -27,19 +27,20 @@ weights both series, each row cut at its own tail bound. Every per-row
 product sums its terms in a fixed order that zero padding does not change,
 so a trajectory's sweeps do not depend on the rows swept beside it.
 
-One statistics kernel reads a batch's stacked messages and returns its
-dwell times, transition counts and time-zero posteriors summed over groups
-of trajectories, and every trajectory's log-likelihood. The E-step sums
-each batch as one group and builds nothing per trajectory. The public
-``forward_backward`` cuts one message cache per trajectory from the same
-sweeps: the joint Q, the segment masks, durations and boundary kinds, and
-the O(boundaries * n) scaled messages; ``expected_statistics_many`` stacks
-caches back into a batch and runs the kernel with one group per cache.
+A swept batch has one layout: its segments, boundaries and messages
+stacked in one set of arrays. One statistics kernel reads them and
+returns the batch's dwell times, transition counts and time-zero
+posteriors summed over groups of its trajectories, and every trajectory's
+log-likelihood. The E-step sums each batch as one group and builds nothing
+per trajectory. The public ``forward_backward`` returns a message cache
+that is a read-only view of one trajectory's rows of its batch, so caches
+cut from one batch share its arrays; ``expected_statistics_many`` runs the
+kernel once per batch on those arrays, one group per trajectory asked for.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -47,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evidence import Evidence
-from .markov import IntensityMatrix, expm, validate_distribution
+from .markov import _TIME_EPS, IntensityMatrix, expm, validate_distribution
 
 __all__ = [
     "DEFAULT_QUAD_TOL",
@@ -126,9 +127,22 @@ class FlatStatistics:
         return float(self.dwell.sum())
 
 
-@dataclass
+def _rows(name: str, part: str) -> property:
+    """A cache field: its trajectory's rows of the sweep's stacked array
+    ``name`` at its boundaries or segments (``part``), as a read-only view."""
+
+    def get(self) -> np.ndarray:
+        v = getattr(self._sweep, name)[getattr(self._sweep, part)(self._t)]
+        v.flags.writeable = False
+        return v
+
+    return property(get)
+
+
 class MessageCache:
-    """Scaled forward/backward messages at every evidence boundary.
+    """Scaled forward/backward messages at every evidence boundary of one
+    trajectory: a read-only view of trajectory ``t``'s rows of the swept
+    batch ``sweep``, so caches cut from one batch share its arrays.
 
     Boundary i carries four vectors: ``fwd`` includes every evidence factor
     at and before t_i, ``fwd_pre`` excludes the factor at t_i, ``bwd``
@@ -148,25 +162,37 @@ class MessageCache:
     transition or projects.
     """
 
-    evidence: Evidence
-    q: IntensityMatrix
-    p0: np.ndarray
-    times: np.ndarray
-    seg_masks: np.ndarray
-    seg_dt: np.ndarray
-    factor_kind: np.ndarray
-    fwd: np.ndarray
-    fwd_log: np.ndarray
-    fwd_pre: np.ndarray
-    fwd_pre_log: np.ndarray
-    bwd: np.ndarray
-    bwd_log: np.ndarray
-    bwd_post: np.ndarray
-    bwd_post_log: np.ndarray
-    log_prob: float
-    log_prob_backward: float
-    dead_boundary: int | None = None
-    _stats: dict = field(default_factory=dict, repr=False)
+    def __init__(self, evidence: Evidence, q: IntensityMatrix, sweep: _Sweep, t: int):
+        self.evidence, self.q, self.p0 = evidence, q, sweep.p0
+        self._sweep, self._t, self._stats = sweep, t, {}
+
+    times = _rows("times", "bounds")
+    seg_masks = _rows("masks", "segments")
+    seg_dt = _rows("dts", "segments")
+    fwd = _rows("fwd", "bounds")
+    fwd_log = _rows("fwd_log", "bounds")
+    fwd_pre = _rows("fwd_pre", "bounds")
+    fwd_pre_log = _rows("fwd_pre_log", "bounds")
+    bwd = _rows("bwd", "bounds")
+    bwd_log = _rows("bwd_log", "bounds")
+    bwd_post = _rows("bwd_post", "bounds")
+    bwd_post_log = _rows("bwd_post_log", "bounds")
+
+    @property
+    def factor_kind(self) -> np.ndarray:
+        return np.where(self._sweep.rate_before[self._sweep.segments(self._t)][1:], _RATE, _PROJECT)
+
+    @property
+    def log_prob(self) -> float:
+        return self._sweep.log_prob(self._t)
+
+    @property
+    def log_prob_backward(self) -> float:
+        return float(self._sweep.log_probs_backward[self._t])
+
+    @property
+    def dead_boundary(self) -> int | None:
+        return self._sweep.dead(self._t)
 
     @property
     def impossible(self) -> bool:
@@ -542,8 +568,9 @@ class _Propagator(_Uniformization):
         return out
 
 
-class _ForwardSweep(NamedTuple):
-    """A batch of trajectories split into segments and swept forward.
+class _Sweep(NamedTuple):
+    """A batch of trajectories split into segments and swept forward, and
+    once ``_backward_sweep`` has filled in its backward fields, backward.
 
     The rows of all trajectories are stacked: trajectory t owns segments
     ``seg_off[t]`` up to ``seg_off[t] + counts[t]`` and boundaries
@@ -551,6 +578,7 @@ class _ForwardSweep(NamedTuple):
     segment s of trajectory t starts at boundary s + t in global indices.
     ``times`` holds the boundary times, ``rate_before[k]`` marks a segment
     entered through an asserted transition; ``prop`` is their uniformization.
+    ``log_probs_backward`` are the backward sweep's log-likelihoods.
     """
 
     p0: np.ndarray
@@ -558,13 +586,18 @@ class _ForwardSweep(NamedTuple):
     masks: np.ndarray
     dts: np.ndarray
     rate_before: np.ndarray
-    prop: _Uniformization
+    prop: _Uniformization | None
     counts: np.ndarray
     seg_off: np.ndarray
     fwd: np.ndarray
     fwd_log: np.ndarray
     fwd_pre: np.ndarray
     fwd_pre_log: np.ndarray
+    bwd: np.ndarray | None = None
+    bwd_log: np.ndarray | None = None
+    bwd_post: np.ndarray | None = None
+    bwd_post_log: np.ndarray | None = None
+    log_probs_backward: np.ndarray | None = None
 
     @property
     def starts(self) -> np.ndarray:
@@ -579,8 +612,11 @@ class _ForwardSweep(NamedTuple):
         lo = self.seg_off[t] + t
         return slice(lo, lo + self.counts[t] + 1)
 
+    def segments(self, t: int) -> slice:
+        return slice(self.seg_off[t], self.seg_off[t] + self.counts[t])
+
     def log_prob(self, t: int) -> float:
-        return float(self.log_probs[t])
+        return float(self.fwd_log[self.bounds(t).stop - 1])
 
     def dead(self, t: int) -> int | None:
         """The first boundary whose forward message has no mass, if any."""
@@ -596,17 +632,6 @@ class _ForwardSweep(NamedTuple):
             raise ZeroProbabilityEvidenceError(self.dead(t), first + t)
 
 
-class _BackwardSweep(NamedTuple):
-    """The backward messages of a swept batch, stacked like the forward
-    ones, and each trajectory's backward log-likelihood."""
-
-    bwd: np.ndarray
-    bwd_log: np.ndarray
-    bwd_post: np.ndarray
-    bwd_post_log: np.ndarray
-    log_probs: np.ndarray
-
-
 def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
     """Trajectory rows ordered by descending segment count, so the rows that
     still have a segment at position i are a prefix of length sizes[i]."""
@@ -616,7 +641,7 @@ def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
     return cnt, seg_off[order], seg_off[order] + order, sizes
 
 
-def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
+def _forward(q: IntensityMatrix, p0, evs: list) -> _Sweep:
     """Split the evidence segments of a batch and run the scaled forward
     sweep. The segment propagator exists only here and in
     ``_backward_sweep``, which reuses it."""
@@ -664,13 +689,13 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _ForwardSweep:
         fwd[b] = v
         fwd_log[b] = lf
 
-    return _ForwardSweep(
+    return _Sweep(
         p0, times, masks, dts, rate_before, prop, counts, seg_off, fwd, fwd_log, fwd_pre, fwd_pre_log,
     )
 
 
-def _backward_sweep(q: IntensityMatrix, f: _ForwardSweep, first: int = 0) -> _BackwardSweep:
-    """The backward sweep of a forward-swept batch. Raises
+def _backward_sweep(q: IntensityMatrix, f: _Sweep, first: int = 0) -> _Sweep:
+    """The batch f with its backward fields filled in. Raises
     ``ForwardBackwardMismatchError`` where the two sweeps' log-likelihoods
     of a trajectory disagree; its index counts from ``first``."""
     n = q.n
@@ -716,41 +741,16 @@ def _backward_sweep(q: IntensityMatrix, f: _ForwardSweep, first: int = 0) -> _Ba
     if bad.size:
         t = int(bad[0])
         raise ForwardBackwardMismatchError(first + t, float(forward[t]), float(log_probs[t]))
-    return _BackwardSweep(bwd, bwd_log, bwd_post, bwd_post_log, log_probs)
+    return f._replace(bwd=bwd, bwd_log=bwd_log, bwd_post=bwd_post, bwd_post_log=bwd_post_log,
+                      log_probs_backward=log_probs)
 
 
-def _backward(q: IntensityMatrix, evs: list, f: _ForwardSweep, first: int = 0) -> list[MessageCache]:
+def _backward(q: IntensityMatrix, evs: list, f: _Sweep, first: int = 0) -> list[MessageCache]:
     """The backward sweep of a forward-swept batch, cut into one message
-    cache per trajectory; mismatch errors count trajectories from ``first``."""
-    b = _backward_sweep(q, f, first)
-    log_probs = f.log_probs
-    caches = []
-    for t, ev in enumerate(evs):
-        segs = slice(f.seg_off[t], f.seg_off[t] + f.counts[t])
-        bounds = f.bounds(t)
-        caches.append(
-            MessageCache(
-                evidence=ev,
-                q=q,
-                p0=f.p0,
-                times=f.times[bounds].copy(),
-                seg_masks=f.masks[segs].copy(),
-                seg_dt=f.dts[segs].copy(),
-                factor_kind=np.where(f.rate_before[segs][1:], _RATE, _PROJECT),
-                fwd=f.fwd[bounds].copy(),
-                fwd_log=f.fwd_log[bounds].copy(),
-                fwd_pre=f.fwd_pre[bounds].copy(),
-                fwd_pre_log=f.fwd_pre_log[bounds].copy(),
-                bwd=b.bwd[bounds].copy(),
-                bwd_log=b.bwd_log[bounds].copy(),
-                bwd_post=b.bwd_post[bounds].copy(),
-                bwd_post_log=b.bwd_post_log[bounds].copy(),
-                log_prob=float(log_probs[t]),
-                log_prob_backward=float(b.log_probs[t]),
-                dead_boundary=f.dead(t),
-            )
-        )
-    return caches
+    cache per trajectory that shares the batch, less its propagator;
+    mismatch errors count trajectories from ``first``."""
+    swept = _backward_sweep(q, f, first)._replace(prop=None)
+    return [MessageCache(ev, q, swept, t) for t, ev in enumerate(evs)]
 
 
 def _forward_backward_many(q: IntensityMatrix, p0, evs) -> list[MessageCache]:
@@ -776,7 +776,7 @@ def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:
     if cache.impossible:
         raise ZeroProbabilityEvidenceError(cache.dead_boundary)
     ev = cache.evidence
-    tol = 1e-12 * max(1.0, ev.horizon)
+    tol = _TIME_EPS * max(1.0, ev.horizon)
     if not -tol <= t <= ev.horizon + tol:
         raise ValueError(f"query time {t!r} outside [0, {ev.horizon}]")
     bounds = cache.times
@@ -914,12 +914,14 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
     """
     q_s = q_s if isinstance(q_s, IntensityMatrix) else IntensityMatrix(q_s, "restricted")
     q = q_s.entries
+    n = q.shape[0]
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    if not (alpha.shape == beta.shape == (n,) and np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError(f"alpha and beta must be finite vectors of length {n}")
+    if not (math.isfinite(dt) and dt >= 0):
+        raise ValueError(f"dt must be finite and nonnegative, got {dt!r}")
     _check_tol(tol)
-    n = q.shape[0]
     pieces = max(1, math.ceil(float(np.abs(np.diagonal(q)).max(initial=0.0)) * dt / _SEGMENT_STIFFNESS_CAP))
     # Piece p runs from alpha exp(Q_S p h) to exp(Q_S (dt - (p + 1) h)) beta:
     # alpha is carried forward and beta backward by one piece exponential,
@@ -959,17 +961,11 @@ class _Statistics(NamedTuple):
     log_probs: np.ndarray
 
 
-def _statistics(
-    f: _ForwardSweep,
-    b: _BackwardSweep,
-    horizons: np.ndarray,
-    ends: np.ndarray,
-    tol: float,
-    first: int = 0,
-) -> _Statistics:
+def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _Statistics:
     """Expected dwell times, transition counts and time-zero posteriors of
-    the stacked segments and boundaries of a swept batch, summed over the
-    groups of trajectories ``ends[g - 1]`` up to ``ends[g]``.
+    the stacked segments and boundaries of a swept batch, summed per
+    group: trajectory t adds to group groups[t], and a trajectory whose
+    group is negative is skipped.
 
     A positive-length segment restricted to one state adds its duration
     where it carries mass (the integrand is constant). The factor of an
@@ -984,34 +980,35 @@ def _statistics(
     the right vector of the segment's convolution integrals, all of which
     go through one call of the uniformization kernel. The time-zero
     posterior is fwd * bwd_post, normalized, at the last boundary at t = 0.
-    Raises ``ZeroProbabilityEvidenceError`` for a trajectory without mass,
-    its index counted from ``first``.
+    The trajectories of the groups must have mass (the callers check);
+    ``ZeroProbabilityEvidenceError`` is raised for one whose time-zero
+    posterior has none, its index counted from ``first``.
     """
-    f.raise_if_impossible(first)
+    asked = groups >= 0
     n = f.fwd.shape[1]
-    groups = len(ends)
-    traj_group = np.repeat(np.arange(groups), np.diff(ends, prepend=0))
+    n_groups = int(groups.max(initial=-1)) + 1
     seg_traj = np.repeat(np.arange(len(f.counts)), f.counts)
-    seg_group = traj_group[seg_traj]
+    seg_group = groups[seg_traj]
+    seg_asked = asked[seg_traj]
     start = np.arange(len(f.dts)) + seg_traj
-    dwell = np.zeros((groups, n))
-    trans = np.zeros((groups, n, n))
+    dwell = np.zeros((n_groups, n))
+    trans = np.zeros((n_groups, n, n))
     sizes = f.prop.sizes
-    pos = f.dts > 0.0
+    pos = (f.dts > 0.0) & seg_asked
 
     sing = np.flatnonzero(pos & (sizes == 1))
     jj = f.masks[sing].argmax(axis=1)
-    alive = f.fwd[start[sing], jj] * b.bwd_post[start[sing], jj] > 0.0
+    alive = f.fwd[start[sing], jj] * f.bwd_post[start[sing], jj] > 0.0
     np.add.at(dwell, (seg_group[sing][alive], jj[alive]), f.dts[sing][alive])
 
-    rates = np.flatnonzero(f.rate_before)
+    rates = np.flatnonzero(f.rate_before & seg_asked)
     step = max(1, _BATCH_ELEMENTS // 8 // int((sizes[rates - 1] * sizes[rates]).max(initial=1)))
     for lo in range(0, len(rates), step):
         rate = rates[lo : lo + step]
         src, dst = _layout(f.masks, rate - 1), _layout(f.masks, rate)
         i = start[rate]
         counts = (_block(f.prop.w, src.idx, dst.idx) * src.gather(f.fwd_pre[i])[:, :, None]
-                  * dst.gather(b.bwd_post[i])[:, None, :])
+                  * dst.gather(f.bwd_post[i])[:, None, :])
         totals = counts.sum(axis=(1, 2))
         # A boundary without mass has no counts, all zero already.
         counts /= np.where(totals > 0.0, totals, 1.0)[:, None, None]
@@ -1019,21 +1016,24 @@ def _statistics(
 
     general = np.flatnonzero(pos & (sizes > 1))
     i = start[general]
-    inner = np.einsum("mi,mi->m", f.fwd[i], b.bwd_post[i])
+    inner = np.einsum("mi,mi->m", f.fwd[i], f.bwd_post[i])
     ok = inner > 0.0
-    log_scale = b.bwd_log[i + 1] - np.where(ok, b.bwd_post_log[i], 0.0)
-    beta = b.bwd[i + 1] * np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)[:, None]
+    log_scale = f.bwd_log[i + 1] - np.where(ok, f.bwd_post_log[i], 0.0)
+    beta = f.bwd[i + 1] * np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)[:, None]
     _convolution_batch(f.prop, general, f.fwd[i], beta, seg_group[general], tol, dwell, trans)
 
-    at_zero = np.abs(f.times) <= 1e-12 * np.maximum(1.0, np.repeat(horizons, f.counts + 1))
-    i = np.maximum.reduceat(np.where(at_zero, np.arange(len(f.times)), -1), f.starts)
-    raw = f.fwd[i] * b.bwd_post[i]
+    horizons = f.times[f.starts + f.counts]
+    at_zero = np.abs(f.times) <= _TIME_EPS * np.maximum(1.0, np.repeat(horizons, f.counts + 1))
+    who = np.flatnonzero(asked)
+    i = np.maximum.reduceat(np.where(at_zero, np.arange(len(f.times)), -1), f.starts)[who]
+    raw = f.fwd[i] * f.bwd_post[i]
     mass = raw.sum(axis=1)
     if not (mass > 0.0).all():
-        t = int(np.flatnonzero(~(mass > 0.0))[0])
-        raise ZeroProbabilityEvidenceError(int(i[t] - f.starts[t]), first + t)
-    initial = np.zeros((groups, n))
-    np.add.at(initial, traj_group, raw / mass[:, None])
+        k = int(np.flatnonzero(~(mass > 0.0))[0])
+        t = int(who[k])
+        raise ZeroProbabilityEvidenceError(int(i[k] - f.starts[t]), first + t)
+    initial = np.zeros((n_groups, n))
+    np.add.at(initial, groups[who], raw / mass[:, None])
     return _Statistics(dwell, trans, initial, f.log_probs)
 
 
@@ -1052,17 +1052,17 @@ def _e_step_batches(q: IntensityMatrix, p0, evs: list, tol: float):
     _check_tol(tol)
     first = 0
     for batch in _batches(evs, q.n):
-        f = _forward(q, p0, batch)
-        b = _backward_sweep(q, f, first)
-        horizons = np.array([ev.horizon for ev in batch])
-        yield _statistics(f, b, horizons, np.array([len(batch)]), tol, first)
+        f = _backward_sweep(q, _forward(q, p0, batch), first)
+        f.raise_if_impossible(first)
+        yield _statistics(f, tol, np.zeros(len(batch), dtype=np.intp), first)
         first += len(batch)
 
 
 def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[FlatStatistics]:
-    """Expected statistics for many trajectories at once. The caches under
-    one joint generator are stacked as one swept batch, one group per
-    cache, and go through the same statistics kernel as the E-step."""
+    """Expected statistics for many trajectories at once. The caches cut
+    from one swept batch go through the same statistics kernel as the
+    E-step, once, on that batch's arrays, one group per trajectory; the
+    batch's other trajectories are skipped."""
     _check_tol(tol)
     results: list = [None] * len(caches)
     pending: dict = {}
@@ -1073,28 +1073,17 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
         if hit is not None:
             results[idx] = hit
         else:
-            pending.setdefault(id(cache.q), []).append(idx)
+            pending.setdefault(id(cache._sweep), []).append(idx)
 
     for idxs in pending.values():
-        batch = [caches[i] for i in idxs]
-
-        def cat(name):
-            return np.concatenate([getattr(c, name) for c in batch])
-
-        counts = np.array([len(c.seg_dt) for c in batch])
-        rate_before = np.concatenate([np.append(False, c.factor_kind == _RATE) for c in batch])
-        masks, dts = cat("seg_masks"), cat("seg_dt")
-        f = _ForwardSweep(
-            batch[0].p0, cat("times"), masks, dts, rate_before, _Uniformization(batch[0].q, masks, dts), counts,
-            np.cumsum(counts) - counts, cat("fwd"), cat("fwd_log"), cat("fwd_pre"), cat("fwd_pre_log"),
-        )
-        b = _BackwardSweep(
-            cat("bwd"), cat("bwd_log"), cat("bwd_post"), cat("bwd_post_log"),
-            np.array([c.log_prob_backward for c in batch]),
-        )
-        horizons = np.array([c.evidence.horizon for c in batch])
-        s = _statistics(f, b, horizons, np.arange(1, len(batch) + 1), tol)
-        for g, idx in enumerate(idxs):
+        q, sweep = caches[idxs[0]].q, caches[idxs[0]]._sweep
+        rows = [caches[idx]._t for idx in idxs]
+        # A trajectory asked for twice takes the group of its last entry.
+        groups = np.full(len(sweep.counts), -1)
+        groups[rows] = np.arange(len(rows))
+        s = _statistics(sweep._replace(prop=_Uniformization(q, sweep.masks, sweep.dts)), tol, groups)
+        for idx, t in zip(idxs, rows):
+            g = groups[t]
             results[idx] = caches[idx]._stats[tol] = FlatStatistics(s.dwell[g], s.transitions[g])
     return results
 

@@ -40,6 +40,9 @@ NEGATIVITY_SLACK = 1e-12
 #: Probability vectors must sum to one within this.
 DISTRIBUTION_TOL = 1e-9
 
+# Two times closer than this times max(1, horizon) are one instant.
+_TIME_EPS = 1e-12
+
 # Degree-13 Pade approximant of exp; scale by powers of two until the
 # 1-norm is below this threshold, then square back.
 _PADE13_THETA = 5.371920351148152
@@ -262,14 +265,14 @@ class CompleteTrajectory:
             raise ValueError("trajectory needs at least one segment")
         if segs[0][1] != 0.0:
             raise ValueError("trajectory must start at time 0")
-        if abs(segs[-1][2] - self.horizon) > 1e-12 * max(1.0, self.horizon):
+        if abs(segs[-1][2] - self.horizon) > _TIME_EPS * max(1.0, self.horizon):
             raise ValueError("trajectory must end at the horizon")
         prev = None
         for s, a, b in segs:
             if b <= a:
                 raise ValueError(f"segment ({s}, {a}, {b}) has nonpositive duration")
             if prev is not None:
-                if abs(a - prev[2]) > 1e-12 * max(1.0, self.horizon):
+                if abs(a - prev[2]) > _TIME_EPS * max(1.0, self.horizon):
                     raise ValueError("segments must be contiguous")
                 if s == prev[0]:
                     raise ValueError("consecutive segments must change state")

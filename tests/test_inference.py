@@ -182,6 +182,24 @@ class TestMessageCacheSize:
         assert sizes and max(sizes) <= bound
 
 
+def lockstep_batch():
+    """TestLockstepSweep's model and first four records: joint n = 64, a
+    rate boundary and a split segment in the first, the third dead at a
+    simultaneous double flip."""
+    names = tuple(f"x{i}" for i in range(6))
+    model = independent_binary_model(names, ((1.0, 2.0),) * 6)
+    q, space, p0 = amalgamate(model)
+    hidden = (None,) * 6
+    zeros = (0,) * 6
+    records = [
+        ((0.0, 3.0, hidden), (3.0, 3.5, zeros), (3.5, 4.0, (1, 0, 0, 0, 0, 0)), (4.0, 6.0, hidden)),
+        ((0.0, 6.0, hidden),),
+        ((0.0, 1.0, zeros), (1.0, 2.0, (1, 1, 0, 0, 0, 0)), (2.0, 6.0, hidden)),
+        ((0.0, 2.0, (0, None, 0, None, 0, None)), (2.0, 2.0, zeros), (2.0, 6.0, hidden)),
+    ]
+    return q, p0, [ObservedTrajectory(segs, 6.0).to_evidence(space) for segs in records]
+
+
 class TestLockstepSweep:
     def test_batched_caches_match_single_sweeps(self):
         # Joint n = 64, so the batch budget spans several batches. The
@@ -213,6 +231,32 @@ class TestLockstepSweep:
             for name in ("log_prob", "log_prob_backward", "fwd", "fwd_log", "fwd_pre", "fwd_pre_log",
                          "bwd", "bwd_log", "bwd_post", "bwd_post_log"):
                 np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-14)
+
+    def test_statistics_of_caches_cut_from_one_batch(self):
+        # The kernel runs on the batch the caches were cut from and skips
+        # the trajectories not asked for, the dead one among them.
+        q, p0, evs = lockstep_batch()
+        assert len(list(inference._batches(evs, q.n))) == 1
+        live = [0, 1, 3]
+        want = {t: expected_statistics(forward_backward(q, p0, evs[t])) for t in live}
+        for asked in ([0, 1, 3], [3, 0], [0], [1], [3]):
+            caches = _forward_backward_many(q, p0, evs)
+            for t, got in zip(asked, expected_statistics_many([caches[t] for t in asked])):
+                assert rel_err(got.dwell, want[t].dwell) <= 1e-12
+                assert rel_err(got.transitions, want[t].transitions) <= 1e-12
+        for asked, index in (([2], 0), ([0, 2], 1), ([3, 1, 0, 2], 3)):
+            caches = _forward_backward_many(q, p0, evs)
+            with pytest.raises(ZeroProbabilityEvidenceError) as err:
+                expected_statistics_many([caches[t] for t in asked])
+            assert err.value.trajectory_index == index
+
+    def test_caches_of_one_batch_share_its_arrays(self):
+        q, p0, evs = lockstep_batch()
+        caches = _forward_backward_many(q, p0, evs)
+        for name in ("fwd", "bwd_post"):
+            first, second = getattr(caches[0], name), getattr(caches[1], name)
+            assert first.base is not None and first.base is second.base, name
+            assert not first.flags.writeable, name
 
 
 def ring32_records():
@@ -517,6 +561,20 @@ class TestConvolutionIntegrals:
             convolution_integrals([1.0], q, [1.0], -1.0)
         with pytest.raises(ValueError):
             convolution_integrals([1.0], q, [1.0], 1.0, tol=0.0)
+        # Malformed vectors and durations are refused up front, not
+        # broadcast or carried into the series.
+        q2 = validate_intensity([[-1.0, 1.0], [1.0, -1.0]], "restricted")
+        for alpha, beta, dt in (
+            ([1.0, 0.0], [1.0], 1.0),
+            ([1.0], [1.0, 1.0], 1.0),
+            ([[1.0, 0.0]], [1.0, 1.0], 1.0),
+            ([math.nan, 0.0], [1.0, 1.0], 1.0),
+            ([1.0, 0.0], [1.0, math.inf], 1.0),
+            ([1.0, 0.0], [1.0, 1.0], math.inf),
+            ([1.0, 0.0], [1.0, 1.0], math.nan),
+        ):
+            with pytest.raises(ValueError, match="alpha|beta|dt"):
+                convolution_integrals(alpha, q2, beta, dt)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0, 100.0])
     def test_tolerances_that_bound_no_tail_are_refused(self, tol):
