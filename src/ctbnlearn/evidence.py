@@ -213,9 +213,9 @@ class OcclusionPolicy:
             frac = tuple(float(f) for f in frac)
             vals = frac
         object.__setattr__(self, "fraction", frac)
-        if any(f < 0.0 or f >= 1.0 for f in vals):
+        if not all(0.0 <= f < 1.0 for f in vals):
             raise ValueError("hidden fraction must lie in [0, 1)")
-        if self.window <= 0.0:
+        if not self.window > 0.0:
             raise ValueError("window length must be positive")
 
     def fractions(self, k: int) -> tuple[float, ...]:
@@ -274,50 +274,58 @@ class ObservedTrajectory:
         return _merge_observations(trajs, [[] for _ in trajs])
 
 
-def _interval_union_measure(intervals) -> float:
+def _interval_union(intervals) -> tuple[list[float], list[float], float]:
+    """The union of half-open intervals [a, b) as its disjoint pieces, in
+    sorted lists of starts and ends (touching intervals join), and its
+    measure, summed piece by piece in order of start. Empty intervals add
+    nothing."""
+    starts: list[float] = []
+    ends: list[float] = []
     total = 0.0
-    last_end = -np.inf
     for a, b in sorted(intervals):
-        if a > last_end:
+        if b <= a:
+            continue
+        if starts and a <= ends[-1]:
+            if b > ends[-1]:
+                total += b - ends[-1]
+                ends[-1] = b
+        else:
+            starts.append(a)
+            ends.append(b)
             total += b - a
-            last_end = b
-        elif b > last_end:
-            total += b - last_end
-            last_end = b
-    return total
-
-
-def _hidden_at(intervals, t: float) -> bool:
-    return any(a <= t < b for a, b in intervals)
+    return starts, ends, total
 
 
 def _merge_observations(trajs, hidden) -> ObservedTrajectory:
+    """Variable v observed as ``trajs[v]`` except inside its windows
+    ``hidden[v]``. The horizon is cut at every jump and window end; each
+    piece longer than the time tolerance takes the values at its midpoint,
+    and neighbouring pieces with equal values join."""
     horizon = trajs[0].horizon
+    tol = _TIME_EPS * max(1.0, horizon)
     for tr in trajs:
-        if abs(tr.horizon - horizon) > _TIME_EPS * max(1.0, horizon):
+        if abs(tr.horizon - horizon) > tol:
             raise ValueError("trajectories must share a common horizon")
-    cuts = {0.0, horizon}
-    for tr in trajs:
-        cuts.update(a for _, a, _ in tr.segments)
-    for windows in hidden:
-        for a, b in windows:
-            cuts.update((max(0.0, a), min(horizon, b)))
-    times = sorted(cuts)
-    segs = []
-    for a, b in zip(times, times[1:]):
-        if b - a <= _TIME_EPS * max(1.0, horizon):
-            continue
-        mid = 0.5 * (a + b)
-        vals = tuple(
-            None if _hidden_at(hidden[v], mid) else trajs[v].state_at(mid)
-            for v in range(len(trajs))
-        )
-        if segs and segs[-1][2] == vals:
-            segs[-1] = (segs[-1][0], b, vals)
-        else:
-            segs.append((a, b, vals))
-    segs[-1] = (segs[-1][0], horizon, segs[-1][2])
-    return ObservedTrajectory(tuple(segs), horizon)
+    window_cuts = [t for w in hidden for a, b in w for t in (max(0.0, a), min(horizon, b))]
+    times = np.unique(np.concatenate([[0.0, horizon], *(tr._starts for tr in trajs), window_cuts]))
+    keep = times[1:] - times[:-1] > tol
+    lo, hi = times[:-1][keep], times[1:][keep]
+    mid = 0.5 * (lo + hi)
+    # One column per variable: its state at each midpoint, or -1 where hidden.
+    vals = np.empty((len(mid), len(trajs)), dtype=np.int64)
+    for v, (tr, w) in enumerate(zip(trajs, hidden)):
+        states = np.fromiter((s for s, _, _ in tr.segments), dtype=np.int64, count=len(tr.segments))
+        vals[:, v] = states[np.searchsorted(tr._starts, mid, side="right") - 1]
+        w_lo, w_hi, _ = _interval_union(w)
+        if w_lo:
+            j = np.searchsorted(w_lo, mid, side="right") - 1
+            vals[(j >= 0) & (mid < np.asarray(w_hi)[j]), v] = -1
+    first = np.ones(len(mid), dtype=bool)
+    first[1:] = (vals[1:] != vals[:-1]).any(axis=1)
+    last = np.append(first[1:], True)
+    ends = np.append(hi[last][:-1], horizon).tolist()
+    rows = (tuple(None if x < 0 else x for x in row) for row in vals[first].tolist())
+    return ObservedTrajectory(tuple(zip(lo[first].tolist(), ends, rows)), horizon)
 
 
 def occlude_observed(
@@ -331,15 +339,17 @@ def occlude_observed(
     fractions = policy.fractions(k)
     targets = [f * horizon for f in fractions]
     hidden: list[list[tuple[float, float]]] = [[] for _ in range(k)]
+    measure = [0.0] * k
 
     def deficient():
-        return [v for v in range(k) if _interval_union_measure(hidden[v]) < targets[v] - 1e-15]
+        return [v for v in range(k) if measure[v] < targets[v] - 1e-15]
 
     todo = deficient()
     while todo:
         v = todo[int(rng.integers(len(todo)))]
         start = float(rng.uniform(0.0, max(0.0, horizon - policy.window)))
         hidden[v].append((start, min(horizon, start + policy.window)))
+        measure[v] = _interval_union(hidden[v])[2]
         todo = deficient()
     return _merge_observations(trajs, hidden)
 

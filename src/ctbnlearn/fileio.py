@@ -1,13 +1,15 @@
 """Versioned, human-readable file formats for models and trajectories.
 
-Both formats are canonical JSON (sorted keys, two-space indent) so that a
-parse/serialize round trip is byte-stable. Hidden observations serialize
-as explicit nulls to keep "observed to be anything" distinguishable from
-"not recorded".
+Both formats are compact canonical JSON (sorted keys, no indent) so that
+a parse/serialize round trip is byte-stable; indented files load the
+same. Hidden observations serialize as explicit nulls to keep "observed
+to be anything" distinguishable from "not recorded". NaN and infinities
+are never written and refused on reading.
 """
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +48,20 @@ class ParseError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _load_json(path):
+    """The JSON document in the file at ``path``; NaN and infinity tokens,
+    which ``dumps`` never writes, are parse errors."""
+
+    def refuse(token):
+        raise ParseError(f"non-finite number {token} is not allowed", str(path))
+
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", str(path)) from None
 
 
 def _expect(cond: bool, message: str, where: str | None = None):
@@ -187,11 +202,7 @@ def save_model(model: CtbnModel, path) -> None:
 
 
 def load_model(path) -> CtbnModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", str(path)) from None
-    return model_from_dict(doc)
+    return model_from_dict(_load_json(path))
 
 
 def records_to_dict(records: Sequence[ObservedTrajectory], model: CtbnModel) -> dict:
@@ -207,6 +218,16 @@ def records_to_dict(records: Sequence[ObservedTrajectory], model: CtbnModel) -> 
     return {"format": TRAJECTORY_FORMAT, "version": FORMAT_VERSION, "records": out}
 
 
+def _is_time(x) -> bool:
+    """True iff x is a finite JSON number (a boolean is not one)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def records_from_dict(doc: dict, model: CtbnModel) -> list[ObservedTrajectory]:
     _check_header(doc, TRAJECTORY_FORMAT, "trajectories")
     raw = doc.get("records")
@@ -220,7 +241,9 @@ def records_from_dict(doc: dict, model: CtbnModel) -> list[ObservedTrajectory]:
         for j, seg in enumerate(segs_doc):
             sw = f"{where}.segments[{j}]"
             _expect(isinstance(seg, dict) and "start" in seg and "end" in seg, "need start and end", sw)
+            _expect(_is_time(seg["start"]) and _is_time(seg["end"]), "start and end must be finite numbers", sw)
             obs = seg.get("observations", {})
+            _expect(isinstance(obs, dict), "observations must be an object", sw)
             vals = []
             for var in model.variables:
                 raw_val = obs.get(var.name)
@@ -244,11 +267,7 @@ def save_records(records: Sequence[ObservedTrajectory], model: CtbnModel, path) 
 
 
 def load_records(path, model: CtbnModel) -> list[ObservedTrajectory]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", str(path)) from None
-    return records_from_dict(doc, model)
+    return records_from_dict(_load_json(path), model)
 
 
 def record_to_trajectories(record: ObservedTrajectory) -> list[CompleteTrajectory]:

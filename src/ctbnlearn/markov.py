@@ -176,12 +176,14 @@ def validate_intensity(raw, kind: str = "proper") -> IntensityMatrix:
 
 
 def validate_distribution(p, n: int | None = None) -> np.ndarray:
-    """Validate a probability vector (nonnegative, sums to 1)."""
+    """Validate a probability vector (finite, nonnegative, sums to 1)."""
     v = np.array(p, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"distribution must be a vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"distribution has length {v.shape[0]}, expected {n}")
+    if not np.isfinite(v).all():
+        raise ValueError("distribution has non-finite entries")
     if v.min() < -NEGATIVITY_SLACK:
         raise ValueError(f"negative probability {v.min()!r}")
     np.clip(v, 0.0, None, out=v)

@@ -13,9 +13,11 @@ from ctbnlearn import (
     Cim,
     CtbnModel,
     Evidence,
+    ObservedTrajectory,
     Subsystem,
     Variable,
 )
+from ctbnlearn.markov import _TIME_EPS
 
 
 def taylor_expm(a: np.ndarray, tol: float = 1e-18) -> np.ndarray:
@@ -370,3 +372,35 @@ def subsystem_segments(record, space) -> tuple:
         else:
             merged.append((sub, a, b))
     return tuple(merged)
+
+
+def merge_observations_loop(trajs, hidden):
+    """Per-variable complete trajectories ``trajs``, variable v hidden on the
+    half-open windows ``hidden[v]``, merged the plain way: cut at every
+    jump and clamped window end, drop pieces no longer than the time
+    tolerance, read every variable at each piece's midpoint and join
+    neighbours whose values are equal."""
+    horizon = trajs[0].horizon
+    tol = _TIME_EPS * max(1.0, horizon)
+    cuts = {0.0, horizon}
+    for tr in trajs:
+        cuts.update(a for _, a, _ in tr.segments)
+    for windows in hidden:
+        for a, b in windows:
+            cuts.update((max(0.0, a), min(horizon, b)))
+    times = sorted(cuts)
+    segs = []
+    for a, b in zip(times, times[1:]):
+        if b - a <= tol:
+            continue
+        mid = 0.5 * (a + b)
+        vals = tuple(
+            None if any(lo <= mid < hi for lo, hi in hidden[v]) else trajs[v].state_at(mid)
+            for v in range(len(trajs))
+        )
+        if segs and segs[-1][2] == vals:
+            segs[-1] = (segs[-1][0], b, vals)
+        else:
+            segs.append((a, b, vals))
+    segs[-1] = (segs[-1][0], horizon, segs[-1][2])
+    return ObservedTrajectory(tuple(segs), horizon)

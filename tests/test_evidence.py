@@ -18,8 +18,11 @@ from ctbnlearn import (
     validate_intensity,
 )
 from ctbnlearn.evidence import EmptySubsystemError
+from ctbnlearn.evidence import _merge_observations
+from ctbnlearn.markov import _TIME_EPS
 from ctbnlearn.statespace import StateSpace
 from helpers import independent_binary_model, random_proper, subsystem_segments
+from helpers import merge_observations_loop
 
 
 def product_model():
@@ -311,3 +314,58 @@ class TestArrayLowering:
         ev = ObservedTrajectory(((0.0, 1.0, (0, None)),), 1.0).to_evidence(two_variable_space())
         with pytest.raises(AttributeError):
             ev.horizon = 2.0
+
+
+@st.composite
+def trajectories_and_windows(draw):
+    """1-3 complete trajectories on one horizon and hidden windows for each.
+    Every jump and window end lies near a shared pool of times, offset by
+    0 to 1.6 time tolerances either way, so cuts coincide, touch, or fall
+    within or just beyond the tolerance of each other. Windows overlap,
+    touch, start before 0, run past the horizon or are empty; each meets
+    (0, horizon)."""
+    horizon = draw(st.sampled_from([0.5, 1.0, 5.0, 250.0]))
+    tol = _TIME_EPS * max(1.0, horizon)
+    pool = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=5))
+
+    def near():
+        offset = draw(st.sampled_from([0.0, 0.0, 0.0, 0.4, -0.4, 1.0, -1.0, 1.6, -1.6]))
+        return draw(st.sampled_from(pool)) * horizon + offset * tol
+
+    trajs, hidden = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        jumps = sorted({t for t in (near() for _ in range(draw(st.integers(0, 5)))) if 0.0 < t < horizon})
+        card = draw(st.integers(2, 3))
+        state = draw(st.integers(0, card - 1))
+        segments = []
+        for a, b in zip([0.0, *jumps], [*jumps, horizon]):
+            segments.append((state, a, b))
+            state = (state + draw(st.integers(1, card - 1))) % card
+        trajs.append(CompleteTrajectory(tuple(segments), horizon))
+        windows = []
+        for _ in range(draw(st.integers(0, 4))):
+            a, b = sorted((near(), near() + draw(st.sampled_from([0.0, 0.0, 0.3, 1.0])) * horizon))
+            if a < horizon and b > 0.0:
+                windows.append((a, b))
+        hidden.append(windows)
+    return trajs, hidden
+
+
+def merge_outcome(merge, trajs, hidden):
+    """The merged segments, or the message of the ValueError raised."""
+    try:
+        return merge(trajs, hidden).segments
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestMergeObservations:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(trajectories_and_windows())
+    def test_equals_per_cut_loop(self, case):
+        trajs, hidden = case
+        assert merge_outcome(_merge_observations, trajs, hidden) == merge_outcome(merge_observations_loop, trajs, hidden)
+        visible = [[] for _ in trajs]
+        assert merge_outcome(lambda t, _: ObservedTrajectory.fully_observed(t), trajs, visible) == merge_outcome(
+            merge_observations_loop, trajs, visible
+        )

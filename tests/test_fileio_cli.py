@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ctbnlearn import Cim, CtbnModel, Variable, amalgamate, fileio
+from ctbnlearn import sample_trajectories
 from ctbnlearn.cli import main
 from helpers import binary_chain_model, independent_binary_model
+from helpers import merge_observations_loop
 
 
 @pytest.fixture
@@ -78,6 +80,82 @@ class TestTrajectoryFormat:
         }
         with pytest.raises(fileio.ParseError):
             fileio.records_from_dict(doc, model)
+
+
+class TestTrajectoryFiles:
+    def write(self, model_file, tmp_path):
+        full, occ = tmp_path / "full.json", tmp_path / "occ.json"
+        assert main(["generate", model_file, str(full), "--count", "7", "--horizon", "3", "--seed", "5"]) == 0
+        assert main(["occlude", str(full), str(occ), "--fraction", "0.3", "--model", model_file, "--seed", "2"]) == 0
+        return full, occ
+
+    def test_files_round_trip_byte_for_byte(self, model_file, tmp_path):
+        model = fileio.load_model(model_file)
+        for path in self.write(model_file, tmp_path):
+            again = tmp_path / "again.json"
+            fileio.save_records(fileio.load_records(path, model), model, again)
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_generated_records_equal_projected_samples(self, model_file, tmp_path):
+        full, _ = self.write(model_file, tmp_path)
+        model = fileio.load_model(model_file)
+        q, space, p0 = amalgamate(model)
+        expected = [
+            merge_observations_loop([space.project(traj, v) for v in range(space.k)], [[] for _ in range(space.k)])
+            for traj in sample_trajectories(p0, q, 3.0, 7, 5)
+        ]
+        got = fileio.load_records(full, model)
+        assert [rec.segments for rec in got] == [rec.segments for rec in expected]
+
+    def test_indented_files_load_the_same(self, model_file, tmp_path):
+        model = fileio.load_model(model_file)
+        for path in self.write(model_file, tmp_path):
+            indented = tmp_path / "indented.json"
+            indented.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2))
+            got = fileio.load_records(indented, model)
+            assert [rec.segments for rec in got] == [rec.segments for rec in fileio.load_records(path, model)]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("start", "null"), ("start", '"x"'), ("observations", "[1]"), ("start", "false"), ("end", "true"), ("end", "1e999")],
+    )
+    def test_malformed_segment_is_parse_error(self, tmp_path, capsys, field, value):
+        mf = tmp_path / "m.json"
+        fileio.save_model(independent_binary_model(), mf)
+        segment = {"start": 0.0, "end": 2.0, "observations": {"x": "x0", "y": None}}
+        segment[field] = "VALUE"
+        doc = {"format": fileio.TRAJECTORY_FORMAT, "version": 1, "records": [{"segments": [segment]}]}
+        tf = tmp_path / "t.json"
+        tf.write_text(json.dumps(doc).replace('"VALUE"', value))
+        assert main(["score", str(mf), str(tf)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "records[0].segments[0]" in err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_trajectory_token_is_parse_error(self, tmp_path, capsys, token):
+        mf = tmp_path / "m.json"
+        fileio.save_model(independent_binary_model(), mf)
+        tf = tmp_path / "t.json"
+        tf.write_text(
+            '{"format": "ctbn-trajectories", "version": 1, "records": [{"segments": '
+            f'[{{"start": 0.0, "end": {token}, "observations": {{"x": "x0", "y": null}}}}]}}]}}'
+        )
+        assert main(["score", str(mf), str(tf)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and token in err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_model_token_is_parse_error(self, model_file, tmp_path, capsys, token):
+        doc = fileio.model_to_dict(fileio.load_model(model_file))
+        doc["initial"]["a"] = ["TOKEN", 0.5]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"TOKEN"', token))
+        with pytest.raises(fileio.ParseError):
+            fileio.load_model(bad)
+        out = tmp_path / "t.json"
+        assert main(["generate", str(bad), str(out), "--count", "2", "--horizon", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestGenerate:
@@ -350,6 +428,8 @@ class TestSmoothCli:
         ["generate", "{model}", "{out}", "--count", "-1", "--horizon", "1"],
         ["generate", "{model}", "{out}", "--count", "1", "--horizon", "0"],
         ["occlude", "{traj}", "{out}", "--fraction", "1.5", "--model", "{model}"],
+        ["occlude", "{traj}", "{out}", "--fraction", "nan", "--model", "{model}"],
+        ["occlude", "{traj}", "{out}", "--fraction", "0.25", "--window", "nan", "--model", "{model}"],
         ["em", "{model}", "{traj}", "{out}", "--quad-tol", "0"],
         ["em", "{model}", "{traj}", "{out}", "--phases", "a=0"],
         ["sem", "{model}", "{traj}", "{out}", "--max-parents", "-1"],

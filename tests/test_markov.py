@@ -58,6 +58,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_distribution([0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_distribution_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_distribution([bad, 0.5])
+
 
 class TestMatrixExponential:
     def test_zero_matrix_is_identity(self):
