@@ -80,17 +80,6 @@ def _check_header(doc, expected_format: str, where: str):
     )
 
 
-def _u_labels(cim: Cim, model: CtbnModel, u: int) -> dict:
-    states = []
-    for card in reversed(cim.parent_cards):
-        states.append(u % card)
-        u //= card
-    states.reverse()
-    return {
-        p: model.by_name[p].states[s] for p, s in zip(cim.parents, states)
-    }
-
-
 def model_to_dict(model: CtbnModel) -> dict:
     doc: dict = {
         "format": MODEL_FORMAT,
@@ -109,10 +98,10 @@ def model_to_dict(model: CtbnModel) -> dict:
         cim = model.cims[name]
         doc["cims"][name] = [
             {
-                "parents": _u_labels(cim, model, u),
+                "parents": {p: model.by_name[p].states[s] for p, s in zip(cim.parents, states)},
                 "matrix": [[float(x) for x in row] for row in cim.matrices[u]],
             }
-            for u in range(cim.n_instantiations)
+            for u, states in enumerate(Cim.u_states(cim.parent_cards))
         ]
         if not np.array_equal(cim.support, ~np.eye(cim.dim, dtype=bool)):
             support[name] = [[bool(b) for b in row] for row in cim.support]
@@ -126,6 +115,22 @@ def model_to_dict(model: CtbnModel) -> dict:
     return doc
 
 
+def _numbers(value, where: str) -> np.ndarray:
+    """``value`` as a float array; a ``ParseError`` at ``where`` when it is
+    not a number or a rectangular nesting of lists of numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError("expected a number or a rectangular list of numbers", where) from None
+
+
+def _object(doc: dict, key: str) -> dict:
+    """The optional object ``doc[key]``, empty when absent."""
+    value = doc.get(key, {})
+    _expect(isinstance(value, dict), f"{key} must be an object", key)
+    return value
+
+
 def model_from_dict(doc: dict) -> CtbnModel:
     _check_header(doc, MODEL_FORMAT, "model")
     raw_vars = doc.get("variables")
@@ -136,26 +141,26 @@ def model_from_dict(doc: dict) -> CtbnModel:
         _expect(isinstance(rv, dict) and "name" in rv and "states" in rv, "need name and states", where)
         try:
             variables.append(Variable(rv["name"], tuple(rv["states"]), tuple(rv.get("phases") or ())) if rv.get("phases") else Variable(rv["name"], tuple(rv["states"])))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(str(exc), where) from None
     by_name = {v.name: v for v in variables}
 
-    graph = doc.get("graph", {})
+    graph = _object(doc, "graph")
     cims_doc = doc.get("cims")
     _expect(isinstance(cims_doc, dict), "cims must be an object", "cims")
-    support_doc = doc.get("support", {})
+    support_doc = _object(doc, "support")
     cims = {}
     for v in variables:
         where = f"cims[{v.name}]"
         items = cims_doc.get(v.name)
         _expect(isinstance(items, list) and items, f"missing CIM for {v.name!r}", where)
-        parents = tuple(graph.get(v.name, []))
+        parents = graph.get(v.name, [])
+        _expect(isinstance(parents, list), "parents must be a list of variable names", f"graph[{v.name}]")
+        parents = tuple(parents)
         for p in parents:
-            _expect(p in by_name, f"unknown parent {p!r}", f"graph[{v.name}]")
+            _expect(isinstance(p, str) and p in by_name, f"unknown parent {p!r}", f"graph[{v.name}]")
         cards = tuple(by_name[p].n_states for p in parents)
-        n_u = 1
-        for c in cards:
-            n_u *= c
+        n_u = len(Cim.u_states(cards))
         _expect(len(items) == n_u, f"expected {n_u} matrices, found {len(items)}", where)
         mats = np.zeros((n_u, v.dim, v.dim))
         seen = set()
@@ -163,34 +168,36 @@ def model_from_dict(doc: dict) -> CtbnModel:
             iw = f"{where}[{j}]"
             _expect(isinstance(item, dict) and "matrix" in item, "need a matrix", iw)
             labels = item.get("parents", {})
-            u = 0
-            for p, card in zip(parents, cards):
+            _expect(isinstance(labels, dict), "parents must be an object", iw)
+            states = []
+            for p in parents:
                 _expect(p in labels, f"missing parent value for {p!r}", iw)
                 try:
-                    s = by_name[p].state_index(labels[p])
+                    states.append(by_name[p].state_index(labels[p]))
                 except ValueError:
                     raise ParseError(f"unknown state {labels[p]!r} of parent {p!r}", iw) from None
-                u = u * card + s
+            u = Cim.u_index(cards, states)
             _expect(u not in seen, "duplicate parent instantiation", iw)
             seen.add(u)
-            m = np.asarray(item["matrix"], dtype=float)
+            m = _numbers(item["matrix"], iw)
             _expect(m.shape == (v.dim, v.dim), f"matrix must be {v.dim}x{v.dim}", iw)
             mats[u] = m
         support = support_doc.get(v.name)
         try:
             cims[v.name] = Cim(parents, cards, mats, None if support is None else np.asarray(support, dtype=bool))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(str(exc), where) from None
 
-    initial_doc = doc.get("initial", {})
+    initial_doc = _object(doc, "initial")
     initial = {}
     for v in variables:
         _expect(v.name in initial_doc, f"missing initial marginal for {v.name!r}", "initial")
-        initial[v.name] = np.asarray(initial_doc[v.name], dtype=float)
+        initial[v.name] = _numbers(initial_doc[v.name], f"initial[{v.name}]")
     entries = {}
-    for name, rows in doc.get("entry", {}).items():
+    for name, rows in _object(doc, "entry").items():
         _expect(name in by_name, f"unknown variable {name!r}", "entry")
-        entries[name] = tuple(np.asarray(r, dtype=float) for r in rows)
+        _expect(isinstance(rows, list), "entry must list one distribution per state", f"entry[{name}]")
+        entries[name] = tuple(_numbers(r, f"entry[{name}]") for r in rows)
     try:
         return CtbnModel(tuple(variables), cims, initial, entries)
     except ValueError as exc:

@@ -122,10 +122,6 @@ class FlatStatistics:
     dwell: np.ndarray
     transitions: np.ndarray
 
-    @property
-    def total_time(self) -> float:
-        return float(self.dwell.sum())
-
 
 def _rows(name: str, part: str) -> property:
     """A cache field: its trajectory's rows of the sweep's stacked array

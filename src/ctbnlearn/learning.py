@@ -76,19 +76,18 @@ class EmConfig:
     init: str = "random"
     quad_tol: float = DEFAULT_QUAD_TOL
     joint_cap: int = DEFAULT_JOINT_CAP
-    bic_sample_size: str = "trajectories"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("convergence threshold must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("convergence threshold must be finite and positive")
+        if self.max_iter < 0 or self.restarts < 1:
+            raise ValueError("max_iter must be nonnegative and restarts at least 1")
         _check_tol(self.quad_tol)
         lo, hi = self.rate_range
-        if lo <= 0 or hi < lo:
-            raise ValueError("rate range must be positive and ordered")
+        if not (math.isfinite(hi) and 0 < lo <= hi):
+            raise ValueError("rate range must be finite, positive and ordered")
         if self.init not in ("given", "random"):
             raise ValueError("init must be 'given' or 'random'")
-        if self.bic_sample_size not in ("trajectories", "total-time"):
-            raise ValueError("bic_sample_size must be 'trajectories' or 'total-time'")
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,15 @@ def _flat_e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float,
     return space, tbar, mbar, init_sums, lls
 
 
+def _e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float, cap: int):
+    """One E-step: the family statistics, the total log-likelihood and a
+    provider that re-aggregates the same flat pass for other parent sets."""
+    space, tbar, mbar, init_sums, lls = _flat_e_step(model, dataset, quad_tol, cap)
+    stats = aggregate_statistics(FlatStatistics(tbar, mbar), space, model)
+    stats = replace(stats, initial=init_sums, n_records=len(dataset))
+    return stats, math.fsum(lls), FlatFamilyProvider(space, tbar, mbar)
+
+
 def e_step(
     model: CtbnModel,
     dataset: Sequence[Evidence],
@@ -177,9 +185,8 @@ def e_step(
     """Expected per-family sufficient statistics of the dataset under the
     model's posterior over completions, plus the total observed-data
     log-likelihood."""
-    space, tbar, mbar, init_sums, lls = _flat_e_step(model, dataset, quad_tol, joint_cap)
-    stats = aggregate_statistics(FlatStatistics(tbar, mbar), space, model)
-    return replace(stats, initial=init_sums, n_records=len(dataset)), math.fsum(lls)
+    stats, ll, _ = _e_step(model, dataset, quad_tol, joint_cap)
+    return stats, ll
 
 
 def score_dataset(
@@ -195,19 +202,19 @@ def score_dataset(
     return out
 
 
-def _mstep_matrices(cim: Cim, t: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _mstep_matrices(previous: np.ndarray, support: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Maximize the expected transition likelihood: rates M[x,x'|u]/T[x|u].
-    Unvisited rows (T below eps) keep their previous rates; rows with dwell
-    but no exits get a uniform split of the (near-zero) exit rate."""
-    new = np.zeros_like(cim.matrices)
+    Unvisited rows (T below eps) keep their ``previous`` rates; rows with
+    dwell but no exits get a uniform split of the (near-zero) exit rate."""
+    new = np.zeros(m.shape)
     exits = m.sum(axis=2)
-    for u in range(cim.n_instantiations):
-        for x in range(cim.dim):
-            allowed = cim.support[x]
+    for u in range(m.shape[0]):
+        for x in range(m.shape[1]):
+            allowed = support[x]
             if not allowed.any():
                 continue
             if t[u, x] < DEGENERATE_EPS:
-                new[u, x, allowed] = cim.matrices[u, x, allowed]
+                new[u, x, allowed] = previous[u, x, allowed]
             elif exits[u, x] < DEGENERATE_EPS:
                 new[u, x, allowed] = (exits[u, x] / t[u, x]) / allowed.sum()
             else:
@@ -226,7 +233,7 @@ def m_step(stats: FamilyStatistics, model: CtbnModel, freeze_initial: bool = Fal
         new_cims[name] = Cim(
             cim.parents,
             cim.parent_cards,
-            _mstep_matrices(cim, stats.time[name], stats.trans[name]),
+            _mstep_matrices(cim.matrices, cim.support, stats.time[name], stats.trans[name]),
             cim.support,
         )
     out = model.with_cims(new_cims)
@@ -266,7 +273,7 @@ def em(model0: CtbnModel, dataset: Sequence[Evidence], config: EmConfig = EmConf
     if config.init == "given":
         return _em_run(model0, dataset, config)
     best = None
-    for seq in np.random.SeedSequence(config.seed).spawn(max(1, config.restarts)):
+    for seq in np.random.SeedSequence(config.seed).spawn(config.restarts):
         start = random_parameters(model0, np.random.default_rng(seq), config.rate_range)
         fit = _em_run(start, dataset, config)
         if best is None or fit.log_likelihood > best.log_likelihood:
@@ -293,27 +300,17 @@ def _family_bic(t: np.ndarray, m: np.ndarray, support_count: int, n_eff: float) 
     return _family_max_ll(t, m) - 0.5 * math.log(n_eff) * t.shape[0] * support_count
 
 
-def _effective_sample_size(config_mode: str, w: int, total_time: float | None) -> float:
+def _effective_sample_size(w: int) -> float:
     if w < 1:
         raise ValueError("sample size must be at least 1")
-    if config_mode == "total-time":
-        if total_time is None or total_time <= 0:
-            raise ValueError("total observation time required for the total-time BIC mode")
-        return float(total_time)
     return float(w)
 
 
-def bic_score(
-    stats: FamilyStatistics,
-    model: CtbnModel,
-    w: int,
-    sample_size: str = "trajectories",
-    total_time: float | None = None,
-):
+def bic_score(stats: FamilyStatistics, model: CtbnModel, w: int):
     """BIC on expected statistics: for each family, the maximized expected
-    transition log-likelihood minus (ln w)/2 times its free-parameter count.
-    Returns (total, per-variable breakdown)."""
-    n_eff = _effective_sample_size(sample_size, w, total_time)
+    transition log-likelihood minus (ln w)/2 times its free-parameter count,
+    w the number of trajectories. Returns (total, per-variable breakdown)."""
+    n_eff = _effective_sample_size(w)
     per_family = {}
     for name in model.names:
         support_count = int(model.cims[name].support.sum())
@@ -337,22 +334,18 @@ class FlatFamilyProvider:
         return family_tables(self.space, self.flat_dwell, self.flat_trans, v, parent_ids)
 
 
-def structure_search(
+def _search(
     provider: FlatFamilyProvider,
     model: CtbnModel,
     max_parents: int,
     w: int,
-    candidates: Mapping[str, Sequence[str]] | None = None,
-    sample_size: str = "trajectories",
-    total_time: float | None = None,
-) -> dict:
-    """Exact per-variable parent-set search maximizing the family BIC.
-
-    Cycles are allowed, so each variable's choice is independent. Ties break
-    toward the smaller set, then lexicographically.
-    """
-    n_eff = _effective_sample_size(sample_size, w, total_time)
+    candidates: Mapping[str, Sequence[str]] | None,
+) -> tuple[dict, float]:
+    """``structure_search``'s graph and the sum of its chosen families'
+    BIC terms, added from 0.0 in ``model.names`` order."""
+    n_eff = _effective_sample_size(w)
     graph = {}
+    total = 0.0
     for name in model.names:
         cim = model.cims[name]
         support_count = int(cim.support.sum())
@@ -368,7 +361,24 @@ def structure_search(
                     best_score = score
                     best_set = combo
         graph[name] = best_set
-    return graph
+        total += best_score
+    return graph, total
+
+
+def structure_search(
+    provider: FlatFamilyProvider,
+    model: CtbnModel,
+    max_parents: int,
+    w: int,
+    candidates: Mapping[str, Sequence[str]] | None = None,
+) -> dict:
+    """Exact per-variable parent-set search maximizing the family BIC, w the
+    number of trajectories.
+
+    Cycles are allowed, so each variable's choice is independent. Ties break
+    toward the smaller set, then lexicographically.
+    """
+    return _search(provider, model, max_parents, w, candidates)[0]
 
 
 def _rebuild_for_graph(model: CtbnModel, graph: Mapping[str, tuple], provider: FlatFamilyProvider) -> CtbnModel:
@@ -382,16 +392,10 @@ def _rebuild_for_graph(model: CtbnModel, graph: Mapping[str, tuple], provider: F
             new_cims[name] = old
             continue
         cards = tuple(model.by_name[p].n_states for p in parents)
-        n_u = int(np.prod(cards)) if parents else 1
         t, m = provider.family(name, parents)
-        fallback = np.zeros((n_u, old.dim, old.dim))
-        for x in range(old.dim):
-            allowed = old.support[x]
-            if allowed.any():
-                fallback[:, x, allowed] = 1.0 / allowed.sum()
-                fallback[:, x, x] = -1.0
-        stub = Cim(parents, cards, fallback, old.support)
-        new_cims[name] = Cim(parents, cards, _mstep_matrices(stub, t, m), old.support)
+        unit = old.support / np.maximum(old.support.sum(axis=1, keepdims=True), 1)
+        mats = _mstep_matrices(np.broadcast_to(unit, m.shape), old.support, t, m)
+        new_cims[name] = Cim(parents, cards, mats, old.support)
     return model.with_cims(new_cims)
 
 
@@ -404,35 +408,22 @@ def sem(model0: CtbnModel, dataset: Sequence[Evidence], config: SemConfig = SemC
     BIC score (the recorded trace is non-decreasing) and finishes with a
     full EM pass on the selected structure."""
     em_cfg = config.em
+    w = len(dataset)
+    _effective_sample_size(w)  # refuses an empty dataset before any E-step
     if em_cfg.init == "random":
         rng = np.random.default_rng(np.random.SeedSequence(em_cfg.seed))
         model = random_parameters(model0, rng, em_cfg.rate_range)
     else:
         model = model0
-    w = len(dataset)
     graph = {name: model.parents(name) for name in model.names}
     bic_trace: list[float] = []
     converged = False
-    total_time = math.fsum(ev.horizon for ev in dataset)
-    n_eff = _effective_sample_size(em_cfg.bic_sample_size, w, total_time)
 
     for _ in range(config.max_rounds):
-        flat = None
         for _ in range(config.em_iters):
-            space, tbar, mbar, init_sums, _ = _flat_e_step(model, dataset, em_cfg.quad_tol, em_cfg.joint_cap)
-            stats = aggregate_statistics(FlatStatistics(tbar, mbar), space, model)
-            stats = replace(stats, initial=init_sums, n_records=w)
-            flat = (space, tbar, mbar)
+            stats, _, provider = _e_step(model, dataset, em_cfg.quad_tol, em_cfg.joint_cap)
             model = m_step(stats, model, em_cfg.freeze_initial)
-        provider = FlatFamilyProvider(*flat)
-        new_graph = structure_search(
-            provider, model, config.max_parents, w, config.candidates,
-            em_cfg.bic_sample_size, total_time,
-        )
-        score = 0.0
-        for name in model.names:
-            support_count = int(model.cims[name].support.sum())
-            score += _family_bic(*provider.family(name, new_graph[name]), support_count, n_eff)
+        new_graph, score = _search(provider, model, config.max_parents, w, config.candidates)
         if bic_trace and score <= bic_trace[-1] + em_cfg.tol * max(1.0, abs(bic_trace[-1])):
             converged = True
             break

@@ -10,6 +10,7 @@ back into per-family tables.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -117,7 +118,7 @@ class Cim:
         mats = np.array(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("matrices must be stacked as (instantiations, dim, dim)")
-        n_u = int(np.prod(self.parent_cards)) if self.parents else 1
+        n_u = len(self.u_states(self.parent_cards))
         if len(self.parents) != len(self.parent_cards) or mats.shape[0] != n_u:
             raise ValueError("matrix count must equal the product of parent cardinalities")
         dim = mats.shape[1]
@@ -146,11 +147,20 @@ class Cim:
     def n_instantiations(self) -> int:
         return self.matrices.shape[0]
 
-    def u_index(self, parent_states: Sequence[int]) -> int:
+    @staticmethod
+    def u_index(parent_cards: Sequence[int], parent_states: Sequence[int]) -> int:
+        """The index of one parent instantiation: mixed radix over
+        ``parent_cards``, the first parent most significant (0 for none)."""
         u = 0
-        for s, c in zip(parent_states, self.parent_cards):
+        for s, c in zip(parent_states, parent_cards):
             u = u * c + int(s)
         return u
+
+    @staticmethod
+    def u_states(parent_cards: Sequence[int]) -> list[tuple[int, ...]]:
+        """The inverse of ``u_index``: every instantiation's parent states in
+        index order, so its length is the number of instantiations."""
+        return list(itertools.product(*(range(c) for c in parent_cards)))
 
 
 def _default_entries(var: Variable) -> tuple[np.ndarray, ...]:

@@ -271,7 +271,6 @@ def hidden_parent_to_phase(model: CtbnModel, x_name: str, h_name: str):
     if x_name in parents_s or h_name in parents_s:
         raise ValueError("self-loops through the amalgamated node are not representable")
     cards_s = tuple(model.by_name[p].n_states for p in parents_s)
-    n_u = int(np.prod(cards_s)) if parents_s else 1
 
     dim = n_x * n_h
     support = np.zeros((dim, dim), dtype=bool)
@@ -286,20 +285,14 @@ def hidden_parent_to_phase(model: CtbnModel, x_name: str, h_name: str):
                     support[row, x2 * n_h + h] = True
     support.setflags(write=False)
 
-    def u_tuple(u: int) -> tuple[int, ...]:
-        vals = []
-        for c in reversed(cards_s):
-            vals.append(u % c)
-            u //= c
-        return tuple(reversed(vals))
-
-    mats = np.zeros((n_u, dim, dim))
-    for u in range(n_u):
-        by_parent = dict(zip(parents_s, u_tuple(u)))
-        h_u = h_cim.u_index([by_parent[p] for p in h_cim.parents])
+    u_states = Cim.u_states(cards_s)
+    mats = np.zeros((len(u_states), dim, dim))
+    for u, states in enumerate(u_states):
+        by_parent = dict(zip(parents_s, states))
+        h_u = Cim.u_index(h_cim.parent_cards, [by_parent[p] for p in h_cim.parents])
         for h in range(n_h):
             x_vals = [h if p == h_name else by_parent[p] for p in x_cim.parents]
-            x_u = x_cim.u_index(x_vals)
+            x_u = Cim.u_index(x_cim.parent_cards, x_vals)
             for x in range(n_x):
                 row = x * n_h + h
                 for h2 in range(n_h):

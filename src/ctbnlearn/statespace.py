@@ -71,21 +71,10 @@ class StateSpace:
         return tuple(out)
 
     @cached_property
-    def state_offsets(self) -> tuple[np.ndarray, ...]:
-        """Per variable: state index -> first local index of its phase block."""
-        out = []
-        for pc in self.phase_counts:
-            out.append(np.concatenate(([0], np.cumsum(pc)[:-1])).astype(int))
-        return tuple(out)
-
-    @cached_property
     def coords(self) -> np.ndarray:
         """(n_joint, k) local index of each variable in each joint state."""
         grids = np.indices(self.dims).reshape(self.k, -1)
         return np.ascontiguousarray(grids.T)
-
-    def local_index(self, v: int, state: int, phase: int = 0) -> int:
-        return int(self.state_offsets[v][state]) + phase
 
     def joint_index(self, locals_: tuple[int, ...]) -> int:
         return int(sum(l * s for l, s in zip(locals_, self.strides)))

@@ -57,6 +57,31 @@ class TestModelFormat:
             fileio.model_from_dict(doc)
         assert "nope" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "where, path, value",
+        [
+            ("initial[a]", ("initial", "a"), ["x", 0.5]),
+            ("cims[a][0]", ("cims", "a", 0, "matrix"), [[-1.0, "x"], [1.0, -1.0]]),
+            ("cims[a][0]", ("cims", "a", 0, "matrix"), [[-1.0, 1.0], [1.0]]),
+            ("graph[a]", ("graph", "a"), 5),
+            ("entry[a]", ("entry",), {"a": 3}),
+        ],
+        ids=["initial-string", "matrix-string", "ragged-matrix", "graph-number", "entry-number"],
+    )
+    def test_malformed_values_are_parse_errors(self, model_file, tmp_path, capsys, where, path, value):
+        doc = fileio.model_to_dict(fileio.load_model(model_file))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "t.json"
+        assert main(["generate", str(bad), str(out), "--count", "2", "--horizon", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"(at {where})" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestTrajectoryFormat:
     def test_round_trip_with_nulls(self):
@@ -433,6 +458,10 @@ class TestSmoothCli:
         ["em", "{model}", "{traj}", "{out}", "--quad-tol", "0"],
         ["em", "{model}", "{traj}", "{out}", "--phases", "a=0"],
         ["sem", "{model}", "{traj}", "{out}", "--max-parents", "-1"],
+        ["em", "{model}", "{traj}", "{out}", "--tolerance", "nan"],
+        ["em", "{model}", "{traj}", "{out}", "--tolerance", "inf"],
+        ["em", "{model}", "{traj}", "{out}", "--max-iter", "-1"],
+        ["em", "{model}", "{traj}", "{out}", "--restarts", "0", "--init", "random"],
     ],
     ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
 )

@@ -532,6 +532,11 @@ class TestEm:
                 EmConfig(quad_tol=bad)
         assert EmConfig(quad_tol=np.finfo(float).eps).quad_tol == np.finfo(float).eps
 
+    @pytest.mark.parametrize("rate_range", [(0.1, math.inf), (math.nan, 1.0), (0.1, math.nan), (math.inf, math.inf)])
+    def test_config_rejects_non_finite_rate_range(self, rate_range):
+        with pytest.raises(ValueError, match="rate range"):
+            EmConfig(rate_range=rate_range)
+
     def test_fully_observed_converges_in_one_step(self):
         model = binary_chain_model()
         dataset, trajs, space = fully_observed_dataset(model, 15, 3.0, seed=7)
@@ -723,6 +728,42 @@ class TestSem:
         )
         trace = np.array(fit.bic_trace)
         assert (np.diff(trace) >= 0).all()
+
+    def test_recorded_bic_is_bic_score_of_the_chosen_graph(self, monkeypatch):
+        # Each round's BIC is the structure search's own sum; it must equal
+        # bic_score of the graph chosen, on that round's statistics
+        # re-aggregated under that graph.
+        from ctbnlearn import learning
+
+        model = binary_chain_model()
+        q, space, p0 = amalgamate(model)
+        rng = np.random.default_rng(23)
+        dataset = []
+        for _ in range(60):
+            traj = sample_trajectory(p0, q, 3.0, rng)
+            per_var = [space.project(traj, v) for v in range(space.k)]
+            dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
+        rounds = []
+        search = learning._search
+
+        def recording_search(provider, model, *args):
+            graph, score = search(provider, model, *args)
+            rounds.append((provider, model, graph, score))
+            return graph, score
+
+        monkeypatch.setattr(learning, "_search", recording_search)
+        unit = np.array([[[-1.0, 1.0], [1.0, -1.0]]])
+        edgeless = CtbnModel(model.variables, {n: Cim((), (), unit) for n in model.names}, model.initial)
+        cfg = SemConfig(em=EmConfig(max_iter=2, tol=1e-6, init="given", restarts=1),
+                        max_parents=2, em_iters=1, max_rounds=4)
+        fit = sem(edgeless, dataset, cfg)
+        assert len(fit.bic_trace) >= 2 and fit.model.graph() == model.graph()
+        assert fit.bic_trace == tuple(score for *_, score in rounds[: len(fit.bic_trace)])
+        for provider, round_model, graph, score in rounds:
+            chosen = learning._rebuild_for_graph(round_model, graph, provider)
+            stats = aggregate_statistics(FlatStatistics(provider.flat_dwell, provider.flat_trans), space, chosen)
+            total, _ = bic_score(stats, chosen, len(dataset))
+            assert total == pytest.approx(score, rel=1e-12, abs=1e-12)
 
 
 class TestBatchBudget:
