@@ -235,12 +235,26 @@ class ObservedTrajectory:
     horizon: float
 
     def __post_init__(self):
-        segs = []
-        for a, b, vals in self.segments:
-            vals = tuple(None if v is None else int(v) for v in vals)
-            segs.append((float(a), float(b), vals))
-        object.__setattr__(self, "segments", tuple(segs))
+        segs = tuple((float(a), float(b), tuple(None if v is None else int(v) for v in vals))
+                     for a, b, vals in self.segments)
+        object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "horizon", float(self.horizon))
+        self._check()
+
+    @classmethod
+    def _converted(cls, segments: tuple, horizon: float) -> "ObservedTrajectory":
+        """The record of segments whose times are floats and whose values
+        are ints or None already, as ``_merge_observations`` and
+        ``fileio.records_from_dict`` make them: the public constructor less
+        its conversion of every value, checks kept."""
+        rec = object.__new__(cls)
+        object.__setattr__(rec, "segments", segments)
+        object.__setattr__(rec, "horizon", float(horizon))
+        rec._check()
+        return rec
+
+    def _check(self) -> None:
+        segs = self.segments
         if not segs:
             raise ValueError("need at least one segment")
         tol = _TIME_EPS * max(1.0, self.horizon)
@@ -325,7 +339,7 @@ def _merge_observations(trajs, hidden) -> ObservedTrajectory:
     last = np.append(first[1:], True)
     ends = np.append(hi[last][:-1], horizon).tolist()
     rows = (tuple(None if x < 0 else x for x in row) for row in vals[first].tolist())
-    return ObservedTrajectory(tuple(zip(lo[first].tolist(), ends, rows)), horizon)
+    return ObservedTrajectory._converted(tuple(zip(lo[first].tolist(), ends, rows)), horizon)
 
 
 def occlude_observed(

@@ -115,13 +115,23 @@ def model_to_dict(model: CtbnModel) -> dict:
     return doc
 
 
-def _numbers(value, where: str) -> np.ndarray:
-    """``value`` as a float array; a ``ParseError`` at ``where`` when it is
-    not a number or a rectangular nesting of lists of numbers."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("expected a number or a rectangular list of numbers", where) from None
+def _numbers(value, where: str, kind: type = float) -> np.ndarray:
+    """``value`` as an array of ``kind``, float or bool; a ``ParseError`` at
+    ``where`` unless it is one such value or a rectangular nesting of lists
+    of them. A boolean is not a number, nor a number a boolean."""
+
+    def fits(x) -> bool:
+        if isinstance(x, list):
+            return all(fits(y) for y in x)
+        return isinstance(x, (int, float)) and isinstance(x, bool) == (kind is bool)
+
+    if fits(value):
+        try:
+            return np.asarray(value, dtype=kind)
+        except ValueError:
+            pass
+    noun = "boolean" if kind is bool else "number"
+    raise ParseError(f"expected a {noun} or a rectangular list of {noun}s", where)
 
 
 def _object(doc: dict, key: str) -> dict:
@@ -183,8 +193,10 @@ def model_from_dict(doc: dict) -> CtbnModel:
             _expect(m.shape == (v.dim, v.dim), f"matrix must be {v.dim}x{v.dim}", iw)
             mats[u] = m
         support = support_doc.get(v.name)
+        if support is not None:
+            support = _numbers(support, f"support[{v.name}]", bool)
         try:
-            cims[v.name] = Cim(parents, cards, mats, None if support is None else np.asarray(support, dtype=bool))
+            cims[v.name] = Cim(parents, cards, mats, support)
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc), where) from None
 
@@ -263,7 +275,7 @@ def records_from_dict(doc: dict, model: CtbnModel) -> list[ObservedTrajectory]:
                         raise ParseError(f"unknown state {raw_val!r} of {var.name!r}", sw) from None
             segs.append((float(seg["start"]), float(seg["end"]), tuple(vals)))
         try:
-            records.append(ObservedTrajectory(tuple(segs), segs[-1][1]))
+            records.append(ObservedTrajectory._converted(tuple(segs), segs[-1][1]))
         except ValueError as exc:
             raise ParseError(str(exc), where) from None
     return records

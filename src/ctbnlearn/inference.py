@@ -13,19 +13,23 @@ O(|S|^2) per product plus O(n) at its boundaries.
 
 Many trajectories under one Q are swept in lockstep, one row each, so the
 Python loop runs once per segment position of a batch; a step pads its
-rows to the largest |S| among them. One memory budget,
-``_BATCH_ELEMENTS``, sizes the batches, and the Pade exponentials and the
-integrals' kernel work in slices of an eighth of it. A batch's split
-segments are uniformized once (lambda = the largest exit rate in S,
-P = I + Q_S / lambda), and both jobs read that: the sweeps carry the
-messages across each segment's exp(Q_S dt), by Pade ``expm`` of the block
-up to ``_PADE_MAX_STATES`` states and by the series in P above it; the
-expected dwell times and transition counts are pairwise convolution
-integrals over each segment, all |S|^2 of which come in closed form from
-the same series and are scattered into the joint sums. One Poisson routine
-weights both series, each row cut at its own tail bound. Every per-row
-product sums its terms in a fixed order that zero padding does not change,
-so a trajectory's sweeps do not depend on the rows swept beside it.
+rows to the largest |S| among them, cut from one layout of the whole
+batch. One memory budget, ``_BATCH_ELEMENTS``, sizes the batches, and the
+power tables, the exponentials and the integrals' kernel work in slices of
+an eighth of it. A batch's split segments are uniformized once (lambda =
+the largest exit rate in S, P = I + Q_S / lambda, both fixed by the mask
+alone), and both jobs read that: exp(Q_S dt) = sum_a Pois(a; lambda dt)
+P^a carries the messages across each segment, and the expected dwell times
+and transition counts are pairwise convolution integrals over each
+segment, all |S|^2 of which come in closed form from the same series and
+are scattered into the joint sums. Up to ``_PADE_MAX_STATES`` states the
+powers P^a are tabled once per distinct mask, so the segments of one mask
+take their exponential blocks and their integrals' series from one
+product each; above it the series is applied to the rows term by term.
+One Poisson routine weights both series, each row cut at its own tail
+bound. Every product of the sweeps sums its terms in a fixed order that
+zero padding does not change, so a trajectory's sweeps do not depend on
+the rows swept beside it.
 
 A swept batch has one layout: its segments, boundaries and messages
 stacked in one set of arrays. One statistics kernel reads them and
@@ -238,14 +242,15 @@ def _split_batch(q: np.ndarray, evs: list):
     return masks[src], dts[src] / c, times, counts, rate_before
 
 
-# A segment whose subsystem has at most this many states takes its
-# exponential by batched Pade ``expm`` of the |S| x |S| block; a larger one
-# is applied to the messages as a uniformization series, which builds no
-# exponential but takes one Python-level step per term. Measured on rings
-# whose every segment has one |S| (30 segments per trajectory): Pade
-# scored 1.05-1.8x faster up to |S| = 16, at 32 it was 1.1x faster for one
-# trajectory and 1.4x slower for ten, at 64 and up slower throughout
-# (CHANGES.md has the table).
+# The largest subsystem served from the shared power tables: a segment of
+# at most this many states takes its |S| x |S| exponential block, and its
+# integrals' series, from its mask's table of P^a; a larger one is applied
+# to the rows as a uniformization series, which builds no block but takes
+# one Python-level step per term. The crossover was measured for batched
+# Pade blocks, which the tables replaced, on rings whose every segment has
+# one |S| (30 segments per trajectory): blocks scored 1.05-1.8x faster up
+# to |S| = 16, at 32 they were 1.1x faster for one trajectory and 1.4x
+# slower for ten, at 64 and up slower throughout (CHANGES.md has the table).
 _PADE_MAX_STATES = 16
 
 # The sweeps cut their series where the Poisson tail is at most this, so the
@@ -256,23 +261,24 @@ _SWEEP_TAIL = float(np.finfo(float).eps)
 # loop over segment positions runs once per batch rather than once per
 # trajectory. This is the one memory knob: a batch is a run of consecutive
 # trajectories whose estimate (``_entries``) stays within this many array
-# entries, and the batched Pade expm and the convolution kernel work in
-# slices of an eighth of it.
+# entries, and the power tables, the exponential blocks and the convolution
+# kernel work in slices of an eighth of it.
 _BATCH_ELEMENTS = 1 << 19
 
 
 def _entries(sizes: np.ndarray, segments: np.ndarray, n: int, width: int) -> np.ndarray:
     """The array entries the sweeps hold for each of the trajectories of
     ``segments`` evidence segments, whose subsystems have ``sizes`` states
-    one after the other: each segment's n-length mask row and its Pade
-    block (|S|^2), or its series weights, ``width`` of them at the
-    stiffness cap, and its |S|-length ``keep`` and ``jump`` rows. Where
-    every subsystem takes the Pade form (n up to _PADE_MAX_STATES) the four
+    one after the other: each segment's n-length mask row and its
+    exponential block (|S|^2), or its series weights, ``width`` of them at
+    the stiffness cap, and its |S|-length ``keep`` and ``jump`` rows. Where
+    every subsystem takes a block (n up to _PADE_MAX_STATES) the four
     n-length message rows per boundary are counted too. Segments split for
     stiffness count once, and larger models count the mask row in place of
     the message rows, as counting either in full would keep a few short
     trajectories of a mid-size model from sharing a batch; the message
-    rows stay within four times the mask rows."""
+    rows stay within four times the mask rows. The batch's layout, one
+    row of at most n indices per segment, counts as the mask row."""
     rows = 4 * n if n <= _PADE_MAX_STATES else 0
     blocks = np.where(sizes <= _PADE_MAX_STATES, sizes * sizes, width + 2 * sizes) + n + rows
     return np.add.reduceat(blocks, np.cumsum(segments) - segments) + rows
@@ -314,40 +320,47 @@ def _normalize_rows(v: np.ndarray):
 class _Layout(NamedTuple):
     """Segments ``seg`` in subsystem coordinates, one row each: column c of
     row r is the joint state idx[r, c], ascending, for c below |S_r|; past
-    it the row is padded to the widest subsystem (valid False, idx 0).
-    ``cells`` are the valid (row, column) pairs and ``states`` their joint
-    states."""
+    it the row is padded to the widest subsystem (valid False, idx 0)."""
 
     seg: np.ndarray
     idx: np.ndarray
     valid: np.ndarray
-    cells: tuple
-    states: np.ndarray
 
     def gather(self, v: np.ndarray) -> np.ndarray:
         """The n-length rows v, one per segment, restricted to S: zero past
         |S|."""
-        x = np.zeros(self.idx.shape)
-        x[self.cells] = v[self.cells[0], self.states]
-        return x
+        return np.where(self.valid, v[np.arange(len(v))[:, None], self.idx], 0.0)
 
     def scatter(self, x: np.ndarray, n: int) -> np.ndarray:
-        """The rows x back in n-length form, zero outside S."""
-        out = np.zeros((len(x), n))
-        out[self.cells[0], self.states] = x[self.cells]
-        return out
+        """The rows x back in n-length form, zero outside S; the padding is
+        written to a spare column past n and dropped."""
+        out = np.zeros((len(x), n + 1))
+        out[np.arange(len(x))[:, None], np.where(self.valid, self.idx, n)] = x
+        return out[:, :n]
 
 
-def _layout(masks: np.ndarray, seg: np.ndarray) -> _Layout:
-    """The layout of the segments seg, whose subsystems are masks[seg]."""
-    r, states = np.nonzero(masks[seg])
-    sizes = np.bincount(r, minlength=len(seg))
+def _layout(masks: np.ndarray) -> _Layout:
+    """The layout of every segment, whose subsystems are the masks."""
+    r, states = np.nonzero(masks)
+    sizes = np.bincount(r, minlength=len(masks))
     c = np.arange(len(r)) - (np.cumsum(sizes) - sizes)[r]
-    idx = np.zeros((len(seg), int(sizes.max(initial=1))), dtype=np.intp)
+    idx = np.zeros((len(masks), int(sizes.max(initial=1))), dtype=np.intp)
     valid = np.zeros(idx.shape, dtype=bool)
     idx[r, c] = states
     valid[r, c] = True
-    return _Layout(seg, idx, valid, (r, c), states)
+    return _Layout(np.arange(len(masks)), idx, valid)
+
+
+def _mask_ids(masks: np.ndarray) -> np.ndarray:
+    """A number per mask, shared by equal masks: the masks packed into
+    64-bit words and numbered by sorting."""
+    packed = np.packbits(masks, axis=1)
+    words = np.zeros((len(masks), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    keys = words.view(np.uint64)
+    if keys.shape[1] == 1:
+        return np.unique(keys[:, 0], return_inverse=True)[1].reshape(-1)
+    return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def _block(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -366,16 +379,51 @@ def _rows_dot(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 def _add_blocks(out: np.ndarray, groups: np.ndarray, rows: _Layout, cols: _Layout, blocks: np.ndarray) -> None:
     """out[groups[t]][S_rows[t] x S_cols[t]] += blocks[t] over the valid
     entries, so an (n x n) array per group is touched only on each block's
-    |S_rows| x |S_cols| cells."""
+    |S_rows| x |S_cols| cells; the padding adds zeros."""
     n = out.shape[-1]
-    t, j, k = np.nonzero(rows.valid[:, :, None] & cols.valid[:, None, :])
-    np.add.at(out.reshape(-1), (groups[t] * n + rows.idx[t, j]) * n + cols.idx[t, k], blocks[t, j, k])
+    at = (groups[:, None, None] * n + rows.idx[:, :, None]) * n + cols.idx[:, None, :]
+    np.add.at(out.reshape(-1), at, np.where(rows.valid[:, :, None] & cols.valid[:, None, :], blocks, 0.0))
 
 
-def _transfer(w: np.ndarray, masks: np.ndarray, v: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def _runs_dot(x: np.ndarray, mats: np.ndarray, starts: list, ordered: bool = False,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The rows x[r] @ mats[g] for the rows of run g, starts[g] <= r <
+    starts[g + 1]: one product per run. ``ordered`` sums over j in order,
+    as ``_rows_dot`` does, so a row's result does not depend on the rows
+    beside it nor on zeros past its own columns of x; otherwise each run is
+    one GEMM."""
+    out = np.empty((len(x), mats.shape[-1])) if out is None else out
+    for g, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        if ordered:
+            np.einsum("rj,jk->rk", x[lo:hi], mats[g], out=out[lo:hi])
+        else:
+            np.matmul(x[lo:hi], mats[g], out=out[lo:hi])
+    return out
+
+
+def _power_tables(p: np.ndarray, count: int) -> np.ndarray:
+    """The powers P^a of each matrix of the stack p (k x s x s), a below
+    count rounded up to a power of two, stacked (k, a, s, s), by doubling:
+    P^(h + j) = P^j P^h for j below h, one stacked product per doubling.
+    Every product has the shape of its doubling step alone, so each power
+    comes out bitwise the same however long the table or deep the stack."""
+    k, s = len(p), p.shape[-1]
+    span = 1 << max(0, count - 1).bit_length()
+    out = np.empty((k, span, s, s))
+    out[:, 0] = np.eye(s)
+    h = 1
+    while h < span:
+        ph = p if h == 1 else out[:, h // 2] @ out[:, h // 2]
+        out[:, h : 2 * h] = (out[:, :h].reshape(k, h * s, s) @ ph).reshape(k, h, s, s)
+        h *= 2
+    return out
+
+
+def _transfer(u: _Uniformization, w: np.ndarray, v: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """The rows v[t] on S_src[t] times the block w[S_src, S_dst] (W at a
-    forward rate boundary, W^T at a backward one), n-length again."""
-    a, b = _layout(masks, src), _layout(masks, dst)
+    forward rate boundary, W^T at a backward one), n-length again; the
+    segments are u's."""
+    a, b = u.cut(src), u.cut(dst)
     return b.scatter(_rows_dot(a.gather(v), _block(w, a.idx, b.idx)), v.shape[1])
 
 
@@ -436,15 +484,18 @@ def _poisson_weights(mu: np.ndarray, terms: np.ndarray, skip: int = 0) -> np.nda
     them."""
     a = np.arange(int(terms.max()))
     log_mu = np.log(mu, out=np.full(mu.shape, -np.inf), where=mu > 0.0)
-    log_pmf = np.multiply(a + skip, log_mu[:, None], out=np.zeros((len(mu), len(a))), where=a + skip > 0)
-    pmf = np.exp(log_pmf - mu[:, None] - _log_factorials(len(a) + skip)[skip:])
-    return np.where(a < terms[:, None], pmf, 0.0)
+    pmf = np.multiply(a + skip, log_mu[:, None], out=np.zeros((len(mu), len(a))), where=a + skip > 0)
+    pmf -= mu[:, None]
+    pmf -= _log_factorials(len(a) + skip)[skip:]
+    np.exp(pmf, out=pmf)
+    pmf[a >= terms[:, None]] = 0.0
+    return pmf
 
 
 def _series_width() -> int:
     """The sweeps' series terms at the stiffness cap, the most any split
-    segment needs: one reference row, so no table is built where every
-    subsystem takes the Pade form."""
+    segment needs: one reference row, so no pmf table is built where
+    every subsystem takes a block."""
     return int(_poisson_terms(np.array([_SEGMENT_STIFFNESS_CAP]), _SWEEP_TAIL)[1][0])
 
 
@@ -454,7 +505,10 @@ class _Uniformization:
     P = I + Q_S / lambda and exp(Q_S s) = sum_a Pois(a; lambda s) P^a. A row
     v on S goes to v P = v * keep + (v @ W_S) * jump, with W_S the block of
     the joint off-diagonal W (its transpose for columns), so every term is
-    nonnegative."""
+    nonnegative. lambda and P depend on the mask alone: the segments of 2
+    to _PADE_MAX_STATES states are numbered by distinct mask (``mask_id``,
+    -1 elsewhere) so that ``tables`` builds P^a once per mask. ``layout``
+    lays out every segment once; ``cut`` takes any segments' rows of it."""
 
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
         self.exit = np.abs(np.diagonal(q.entries))
@@ -463,16 +517,63 @@ class _Uniformization:
         lam[lam == 0.0] = 1.0
         self.masks, self.w, self.lam, self.mu = masks, q.off_diagonal, lam, lam * dts
         self.sizes = masks.sum(axis=1)
+        self.layout = _layout(masks)
+        tabled = np.flatnonzero((self.sizes > 1) & (self.sizes <= _PADE_MAX_STATES))
+        self.mask_id = np.full(len(dts), -1)
+        self.mask_id[tabled] = _mask_ids(masks[tabled])
+
+    def cut(self, seg: np.ndarray) -> _Layout:
+        """The layout of the segments seg, padded to their widest S."""
+        width = int(self.sizes.take(seg).max(initial=1))
+        idx, valid = (a.take(seg, axis=0)[:, :width] for a in (self.layout.idx, self.layout.valid))
+        return _Layout(seg, idx, valid)
 
     def keep_jump(self, lay: _Layout):
         """The rows ``keep`` and ``jump`` of P in the layout, zero past |S|."""
         lam = self.lam[lay.seg, None]
         return np.where(lay.valid, (lam - self.exit[lay.idx]) / lam, 0.0), lay.valid / lam
 
+    def tables(self, rows: np.ndarray, terms: np.ndarray, row_entries):
+        """The segments ``rows`` whose mask is numbered, sorted by size, mask
+        and ``terms`` and cut into slices, with the power tables of their
+        masks. Yields, per slice, the positions ``part`` in rows of its
+        segments, their layout, the starts of its runs of one mask (and the
+        slice's length) and the stack of those masks' tables P^a for a
+        below the slice's largest ``terms``. A slice's tables and its rows,
+        ``row_entries(s, width)`` entries each at |S| = s and ``width``
+        terms, stay within _BATCH_ELEMENTS // 8 entries where one row and
+        one table fit."""
+        ids = self.mask_id[rows]
+        pos = np.flatnonzero(ids >= 0)
+        pos = pos[np.lexsort((terms[pos], ids[pos], self.sizes[rows[pos]]))]
+        for grp in np.split(pos, np.flatnonzero(np.diff(self.sizes[rows[pos]])) + 1):
+            if not grp.size:
+                continue
+            s, width = int(self.sizes[rows[grp[0]]]), int(terms[grp].max())
+            table = (1 << (width - 1).bit_length()) * s * s
+            new = np.r_[True, ids[grp][1:] != ids[grp][:-1]]
+            ends = np.cumsum(row_entries(s, width) + new * table)
+            lo = 0
+            while lo < len(grp):
+                # A slice that opens inside a run builds that run's table too.
+                room = _BATCH_ELEMENTS // 8 - (0 if new[lo] else table) + (ends[lo - 1] if lo else 0)
+                hi = max(lo + 1, int(np.searchsorted(ends, room, side="right")))
+                part = grp[lo:hi]
+                lo = hi
+                seg = rows[part]
+                starts = np.flatnonzero(np.r_[True, ids[part][1:] != ids[part][:-1]])
+                lay = self.cut(seg)
+                heads = lay.idx[starts]
+                lam = self.lam[seg[starts], None]
+                p = _block(self.w, heads, heads) / lam[:, :, None]
+                p[:, np.arange(s), np.arange(s)] = (lam - self.exit[heads]) / lam
+                yield part, lay, [*starts.tolist(), len(part)], _power_tables(p, int(terms[part].max()))
 
-# How a split segment's exponential is applied: Pade block, series on the
-# |S| x |S| block of W, or series on W itself where S is the joint space.
-_PADE, _SERIES, _SERIES_FULL = 0, 1, 2
+
+# How a split segment's exponential is applied: block from the tables,
+# series on the |S| x |S| block of W, or series on W itself where S is the
+# joint space.
+_TABLE, _SERIES, _SERIES_FULL = 0, 1, 2
 
 
 class _Propagator(_Uniformization):
@@ -480,34 +581,38 @@ class _Propagator(_Uniformization):
     n-length message rows: ``forward(v, seg)`` gives the rows
     v[r] exp(Q_S dt) for segments seg[r], where each v[r] vanishes outside
     its mask, and ``backward(v, seg)`` the columns exp(Q_S dt) v[r] of v[r]
-    projected onto its mask. Up to _PADE_MAX_STATES states batched Pade
-    ``expm`` calls build each segment's |S| x |S| exponential once, one call
-    per subsystem size over a slice of at most _BATCH_ELEMENTS // 8
-    entries, kept flat in ``blocks``; above it the series in P is applied to
-    the rows, each segment's cut where its own Poisson tail falls to
-    _SWEEP_TAIL.
+    projected onto its mask. Up to _PADE_MAX_STATES states each segment's
+    |S| x |S| exponential is built once, kept flat in ``blocks``: one state
+    takes e^(q_ii dt), and the segments of one mask take
+    sum_a Pois(a; mu) P^a from its power table in one product, cut where
+    each segment's own Poisson tail falls to _SWEEP_TAIL. Above it the
+    series in P is applied to the rows, each segment's cut alike.
     """
 
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
         super().__init__(q, masks, dts)
         sizes = self.sizes
-        self.kind = np.where(sizes <= _PADE_MAX_STATES, _PADE, np.where(sizes == q.n, _SERIES_FULL, _SERIES))
-        pade = np.flatnonzero(self.kind == _PADE)
-        pade = pade[np.argsort(sizes[pade], kind="stable")]
-        area = sizes[pade] ** 2
-        self.block_at = np.zeros(len(dts), dtype=np.intp)
-        self.block_at[pade] = np.cumsum(area) - area
+        self.kind = np.where(sizes <= _PADE_MAX_STATES, _TABLE, np.where(sizes == q.n, _SERIES_FULL, _SERIES))
+        table = np.flatnonzero(self.kind == _TABLE)
+        one = table[sizes[table] == 1]
         # One zero past the blocks, read by the padding.
-        self.blocks = np.zeros(int(area.sum()) + 1)
-        for s in np.unique(sizes[pade]):
-            segs = pade[sizes[pade] == s]
-            idx = np.nonzero(masks[segs])[1].reshape(-1, s)
-            step = max(1, _BATCH_ELEMENTS // 8 // (s * s))
-            for lo in range(0, len(segs), step):
-                k, ix = segs[lo : lo + step], idx[lo : lo + step]
-                at = self.block_at[k[0]]
-                self.blocks[at : at + len(k) * s * s] = expm(_block(q.entries, ix, ix) * dts[k, None, None]).ravel()
-        series = np.flatnonzero(self.kind != _PADE)
+        self.blocks = np.zeros(int((sizes[table] ** 2).sum()) + 1)
+        self.block_at = np.zeros(len(dts), dtype=np.intp)
+        self.block_at[one] = np.arange(len(one))
+        self.blocks[: len(one)] = np.exp(-self.exit[self.layout.idx[one, 0]] * dts[one])
+        at = len(one)
+        tabled = np.flatnonzero(self.mask_id >= 0)
+        terms = _series_terms(self.mu[tabled], _SWEEP_TAIL)
+        for part, lay, starts, powers in self.tables(tabled, terms, lambda s, width: width + s * s):
+            seg = tabled[part]
+            s = lay.idx.shape[1]
+            weights = _poisson_weights(self.mu[seg], terms[part])
+            self.block_at[seg] = at + np.arange(len(seg)) * s * s
+            out = self.blocks[at : at + len(seg) * s * s].reshape(len(seg), s * s)
+            mats = powers.reshape(len(powers), -1, s * s)[:, : weights.shape[1]]
+            _runs_dot(weights, mats, starts, ordered=True, out=out)
+            at += len(seg) * s * s
+        series = np.flatnonzero(self.kind != _TABLE)
         self.terms = np.ones(len(dts), dtype=int)
         self.weight_row = np.zeros(len(dts), dtype=np.intp)
         if series.size:
@@ -519,7 +624,8 @@ class _Propagator(_Uniformization):
         return self._apply(v, seg, False)
 
     def backward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        return self._apply(v * self.masks[seg], seg, True)
+        # Gathering the rows to S projects them.
+        return self._apply(v, seg, True)
 
     def _apply(self, v: np.ndarray, seg: np.ndarray, columns: bool) -> np.ndarray:
         """Each kind of segment on its own layout, padded to its widest S."""
@@ -527,19 +633,19 @@ class _Propagator(_Uniformization):
         kinds = self.kind[seg]
         for kind in np.unique(kinds):
             rows = np.flatnonzero(kinds == kind)
-            lay = _layout(self.masks, seg[rows])
+            lay = self.cut(seg[rows])
             x = lay.gather(v[rows])
-            x = self._pade(x, lay, columns) if kind == _PADE else self._series(x, lay, columns, kind == _SERIES_FULL)
+            x = self._blocks(x, lay, columns) if kind == _TABLE else self._series(x, lay, columns, kind == _SERIES_FULL)
             out[rows] = lay.scatter(x, v.shape[1])
         return out
 
-    def _pade(self, x: np.ndarray, lay: _Layout, columns: bool) -> np.ndarray:
+    def _blocks(self, x: np.ndarray, lay: _Layout, columns: bool) -> np.ndarray:
         """x[r] times segment r's exponential block, or its transpose for
         columns, gathered from ``blocks`` zero-padded to the layout."""
         ar = np.arange(lay.idx.shape[1])
         j, k = (ar, ar[:, None]) if columns else (ar[:, None], ar)
         at = self.block_at[lay.seg][:, None, None] + j * self.sizes[lay.seg][:, None, None] + k
-        return _rows_dot(x, self.blocks[np.where(lay.valid[:, :, None] & lay.valid[:, None, :], at, -1)])
+        return _rows_dot(x, self.blocks.take(np.where(lay.valid[:, :, None] & lay.valid[:, None, :], at, -1)))
 
     def _series(self, x: np.ndarray, lay: _Layout, columns: bool, full: bool) -> np.ndarray:
         """sum_a weights[r, a] x[r] P_r^a; a row past its own cutoff adds
@@ -679,7 +785,7 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _Sweep:
         nxt = v[:a] * masks[seg + 1]
         rate = np.flatnonzero(rate_before[seg + 1])
         if rate.size:
-            nxt[rate] = _transfer(prop.w, masks, v[rate], seg[rate], seg[rate] + 1)
+            nxt[rate] = _transfer(prop, prop.w, v[rate], seg[rate], seg[rate] + 1)
         v, ls = _normalize_rows(nxt)
         lf = lf[:a] + ls
         fwd[b] = v
@@ -695,7 +801,6 @@ def _backward_sweep(q: IntensityMatrix, f: _Sweep, first: int = 0) -> _Sweep:
     ``ForwardBackwardMismatchError`` where the two sweeps' log-likelihoods
     of a trajectory disagree; its index counts from ``first``."""
     n = q.n
-    masks = f.masks
     nb = len(f.fwd)
     bwd = np.zeros((nb, n))
     bwd_log = np.full(nb, -np.inf)
@@ -721,7 +826,7 @@ def _backward_sweep(q: IntensityMatrix, f: _Sweep, first: int = 0) -> _Sweep:
         bwd_post_log[b] = lb
         rate = np.flatnonzero(f.rate_before[seg])
         if rate.size:
-            v[rate] = _transfer(f.prop.w.T, masks, v[rate], seg[rate], seg[rate] - 1)
+            v[rate] = _transfer(f.prop, f.prop.w.T, v[rate], seg[rate], seg[rate] - 1)
         v, ls = _normalize_rows(v)
         lb = lb + ls
         bwd[b] = v
@@ -829,15 +934,19 @@ def _convolution_batch(
     outside S x S, and a row with dt = 0 contributes zero.
 
     In the series of exp(Q_S s) in P, J = sum_{a,b} c_{a+b} F_a^T G_b with
-    F_a = f0 P^a, G_b = P^b beta and c_k = Pois(k + 1; mu) / lambda. Each
-    row's series stops where its own Poisson tail is below
-    tol * _ROW_TAIL_SHARE (at least epsilon), which bounds the error of
-    every column of J by tol * dt * |f0|_1 * max(beta). Rows go by size of
-    S and then by series length, so that a slice's rows need about as many
-    terms as its longest, in slices whose stacks of F, G, the weighted sums
-    H_a = sum_b c_{a+b} G_b and the |S| x |S| blocks J stay within
-    _BATCH_ELEMENTS // 8 entries; a slice of rows whose S is the joint
-    space sums F^T H over each group's rows in one product instead.
+    F_a = f0 P^a, G_b = P^b beta and c_k = Pois(k + 1; mu) / lambda, the
+    sweeps' Poisson weights shifted by one. Each row's series stops where
+    its own Poisson tail is below tol * _ROW_TAIL_SHARE (at least epsilon),
+    which bounds the error of every column of J by
+    tol * dt * |f0|_1 * max(beta). Rows whose mask has a power table take
+    all their F_a, and all their G_b, in one product per run of one mask
+    (``_Uniformization.tables``). The other rows go by size of S and then
+    by series length, so that a slice's rows need about as many terms as
+    its longest, and take one product per term (``_powers``). Either way
+    the slices' stacks of F, G, the weighted sums H_a = sum_b c_{a+b} G_b
+    and the |S| x |S| blocks J stay within _BATCH_ELEMENTS // 8 entries; a
+    slice of rows whose S is the joint space sums F^T H over each group's
+    rows in one product instead.
     """
     m, n = f0.shape
     if m == 0:
@@ -847,42 +956,58 @@ def _convolution_batch(
     # weights stop at its own cutoff, so a row's J does not depend on the
     # rows beside it.
     terms = _series_terms(mu, max(tol * _ROW_TAIL_SHARE, _SWEEP_TAIL))
-    order = np.lexsort((terms, sizes))
+
+    def hankel(sl, kk):
+        """H_a = sum_b c_{a+b} G_b for every a in one product: the window
+        view of c padded with kk zeros is the Hankel matrix of each row."""
+        c = np.pad(_poisson_weights(mu[sl], terms[sl], 1) / lam[sl, None], ((0, 0), (0, kk)))
+        return sliding_window_view(c, kk + 1, axis=1)
+
+    def add(sl, lay, j, w):
+        diagonal = np.where(lay.valid, np.diagonal(j, axis1=1, axis2=2), 0.0)
+        np.add.at(dwell.reshape(-1), groups[sl][:, None] * n + lay.idx, diagonal)
+        _add_blocks(out, groups[sl], lay, lay, w * j if rates else j)
+
+    for sl, lay, starts, powers in u.tables(rows, terms, lambda s, width: width * s + s * s):
+        s, kk = lay.idx.shape[1], int(terms[sl].max()) - 1
+        p = powers[:, : kk + 1]
+        f = _runs_dot(lay.gather(f0[sl]), p.transpose(0, 2, 1, 3).reshape(len(p), s, -1), starts)
+        g = _runs_dot(lay.gather(beta[sl]), p.transpose(0, 3, 1, 2).reshape(len(p), s, -1), starts)
+        h = hankel(sl, kk) @ g.reshape(len(sl), kk + 1, s)
+        add(sl, lay, f.reshape(len(sl), kk + 1, s).transpose(0, 2, 1) @ h, _block(u.w, lay.idx, lay.idx))
+
+    rest = np.flatnonzero(u.mask_id[rows] < 0)
+    if not rest.size:
+        return
+    order = rest[np.lexsort((terms[rest], sizes[rest]))]
     ordered = sizes[order]
     full = int(np.searchsorted(ordered, n))
-    width = int(terms.max())
+    width = int(terms[rest].max())
 
     def step(s):
         return max(1, _BATCH_ELEMENTS // 8 // (width * s + (s * s if s < n else 0)))
 
     lo = 0
-    while lo < m:
-        hi = min(full if lo < full else m, lo + step(ordered[lo]))
+    while lo < len(order):
+        hi = min(full if lo < full else len(order), lo + step(ordered[lo]))
         hi = min(hi, lo + step(ordered[hi - 1]))
         s = int(ordered[hi - 1])
         sl = order[lo:hi]
         lo = hi
-        r = rows[sl]
         kk = int(terms[sl].max()) - 1
-        # H_a = sum_b c_{a+b} G_b for every a in one product: the window
-        # view of c padded with kk zeros is the Hankel matrix of each row.
-        c = np.pad(_poisson_weights(mu[sl], terms[sl], 1) / lam[sl, None], ((0, 0), (0, kk)))
-        lay = _layout(u.masks, r)
+        lay = u.cut(rows[sl])
         keep, jump = u.keep_jump(lay)
         if s == n:
             f = _powers(f0[sl], u.w, keep, jump, kk)
-            h = sliding_window_view(c, kk + 1, axis=1) @ _powers(beta[sl], u.w.T, keep, jump, kk)
+            h = hankel(sl, kk) @ _powers(beta[sl], u.w.T, keep, jump, kk)
             for g, part in _grouped_products(f.reshape(-1, n), h.reshape(-1, n), np.repeat(groups[sl], kk + 1)):
                 dwell[g] += np.diagonal(part)
                 out[g] += u.w * part if rates else part
             continue
         w = _block(u.w, lay.idx, lay.idx)
         f = _powers(lay.gather(f0[sl]), w, keep, jump, kk)
-        h = sliding_window_view(c, kk + 1, axis=1) @ _powers(lay.gather(beta[sl]), w.transpose(0, 2, 1), keep, jump, kk)
-        j = f.transpose(0, 2, 1) @ h
-        rr, cc = lay.cells
-        np.add.at(dwell.reshape(-1), groups[sl][rr] * n + lay.states, j[rr, cc, cc])
-        _add_blocks(out, groups[sl], lay, lay, w * j if rates else j)
+        h = hankel(sl, kk) @ _powers(lay.gather(beta[sl]), w.transpose(0, 2, 1), keep, jump, kk)
+        add(sl, lay, f.transpose(0, 2, 1) @ h, w)
 
 
 def _powers(v: np.ndarray, w: np.ndarray, keep: np.ndarray, jump: np.ndarray, kk: int) -> np.ndarray:
@@ -1001,7 +1126,7 @@ def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _S
     step = max(1, _BATCH_ELEMENTS // 8 // int((sizes[rates - 1] * sizes[rates]).max(initial=1)))
     for lo in range(0, len(rates), step):
         rate = rates[lo : lo + step]
-        src, dst = _layout(f.masks, rate - 1), _layout(f.masks, rate)
+        src, dst = f.prop.cut(rate - 1), f.prop.cut(rate)
         i = start[rate]
         counts = (_block(f.prop.w, src.idx, dst.idx) * src.gather(f.fwd_pre[i])[:, :, None]
                   * dst.gather(f.bwd_post[i])[:, None, :])

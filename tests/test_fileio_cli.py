@@ -65,8 +65,12 @@ class TestModelFormat:
             ("cims[a][0]", ("cims", "a", 0, "matrix"), [[-1.0, 1.0], [1.0]]),
             ("graph[a]", ("graph", "a"), 5),
             ("entry[a]", ("entry",), {"a": 3}),
+            ("support[a]", ("support",), {"a": [["x", "false"], ["false", "x"]]}),
+            ("cims[a][0]", ("cims", "a", 0, "matrix"), [[-1.0, True], [1.0, -1.0]]),
+            ("initial[a]", ("initial", "a"), [True, 0.0]),
         ],
-        ids=["initial-string", "matrix-string", "ragged-matrix", "graph-number", "entry-number"],
+        ids=["initial-string", "matrix-string", "ragged-matrix", "graph-number", "entry-number",
+             "support-strings", "matrix-boolean", "initial-boolean"],
     )
     def test_malformed_values_are_parse_errors(self, model_file, tmp_path, capsys, where, path, value):
         doc = fileio.model_to_dict(fileio.load_model(model_file))
@@ -113,6 +117,27 @@ class TestTrajectoryFiles:
         assert main(["generate", model_file, str(full), "--count", "7", "--horizon", "3", "--seed", "5"]) == 0
         assert main(["occlude", str(full), str(occ), "--fraction", "0.3", "--model", model_file, "--seed", "2"]) == 0
         return full, occ
+
+    def test_built_records_equal_the_public_constructors(self, model_file, tmp_path):
+        # Generating, occluding and loading skip the public constructor's
+        # conversion of every value; what they make equals, to the type of
+        # every field, what the public constructor makes of the same
+        # segments.
+        from ctbnlearn import OcclusionPolicy, occlude_observed
+        from ctbnlearn.evidence import ObservedTrajectory
+
+        model = fileio.load_model(model_file)
+        q, space, p0 = amalgamate(model)
+        rng = np.random.default_rng(4)
+        per_var = [[space.project(traj, v) for v in range(space.k)] for traj in sample_trajectories(p0, q, 3.0, 5, 3)]
+        records = [ObservedTrajectory.fully_observed(trajs) for trajs in per_var]
+        records += [occlude_observed(trajs, OcclusionPolicy(0.3, 0.4), rng) for trajs in per_var]
+        for path in self.write(model_file, tmp_path):
+            records += fileio.load_records(path, model)
+        assert any(None in vals for rec in records for _, _, vals in rec.segments)
+        for rec in records:
+            again = ObservedTrajectory(rec.segments, rec.horizon)
+            assert again == rec and repr(again) == repr(rec)
 
     def test_files_round_trip_byte_for_byte(self, model_file, tmp_path):
         model = fileio.load_model(model_file)

@@ -850,6 +850,115 @@ class TestSubsystemOracle:
         assert all((c.factor_kind == 1).any() for c in caches)
 
 
+def phase_space_generator():
+    """The generator of a phase-expanded model on 24 joint states: w with
+    three hidden phases per state, x and y binary, each variable driven by
+    another. Its first state is made absorbing, so a one-state subsystem
+    there has no exit."""
+    base = CtbnModel(
+        (Variable("w", ("w1", "w2")), Variable("x", ("x0", "x1")), Variable("y", ("y0", "y1"))),
+        {"w": Cim(("x",), (2,), np.array([[[-1.0, 1.0], [2.0, -2.0]], [[-3.0, 3.0], [0.5, -0.5]]])),
+         "x": Cim(("y",), (2,), np.array([[[-0.7, 0.7], [1.2, -1.2]], [[-2.0, 2.0], [0.4, -0.4]]])),
+         "y": Cim(("w",), (2,), np.array([[[-1.5, 1.5], [0.8, -0.8]], [[-0.6, 0.6], [2.5, -2.5]]]))},
+        {"w": [1.0, 0.0], "x": [0.5, 0.5], "y": [0.5, 0.5]},
+    )
+    model, _ = expand_phases(base, PhaseSpec({"w": 3}, topology="unrestricted"))
+    q = amalgamate(model)[0].entries.copy()
+    q[0] = 0.0
+    return q
+
+
+class TestSharedTables:
+    """One batch that mixes masks met many times and masks met once,
+    one-state subsystems with and without an exit, every size from 2 to 16
+    and mu from 0 to the stiffness cap, on a phase-expanded space: the
+    segments' exponentials against ``taylor_expm`` and the statistics
+    against the joint-space oracle."""
+
+    cap = inference._SEGMENT_STIFFNESS_CAP
+
+    def pool(self, rng, n):
+        """Three masks to be met many times (one holding the absorbing
+        state), the two one-state masks and one mask of every size from 2
+        to 16."""
+        many = [np.isin(np.arange(n), np.r_[0, rng.choice(np.arange(1, n), 4, replace=False)]),
+                np.isin(np.arange(n), rng.choice(n, 7, replace=False)),
+                np.isin(np.arange(n), rng.choice(n, 16, replace=False))]
+        one = [np.arange(n) == 0, np.arange(n) == 5]
+        once = [np.isin(np.arange(n), rng.choice(n, s, replace=False)) for s in range(2, 17)]
+        return many, one, once
+
+    def test_blocks_match_taylor(self, monkeypatch):
+        q = phase_space_generator()
+        n = len(q)
+        rng = np.random.default_rng(8)
+        many, one, once = self.pool(rng, n)
+        exit = -np.diagonal(q)
+        masks, mus = [], []
+        for mask in many + one:
+            masks += [mask] * 22
+            mus += [0.0, self.cap, *rng.uniform(0.0, self.cap, 20)]
+        for mask in once:
+            masks.append(mask)
+            mus.append(rng.uniform(0.0, self.cap))
+        masks, mus = np.array(masks), np.array(mus)
+        # A subsystem without exits is uniformized at rate 1.
+        lam = np.where(masks, exit, 0.0).max(axis=1)
+        dts = mus / np.where(lam > 0.0, lam, 1.0)
+        perm = rng.permutation(len(dts))
+        masks, dts = masks[perm], dts[perm]
+        assert set(masks.sum(axis=1).tolist()) == set(range(1, 17))
+        assert (dts == 0.0).any() and (np.where(masks, exit, 0.0).max(axis=1) * dts == self.cap).any()
+
+        def no_expm(*args, **kwargs):
+            raise AssertionError("the blocks come from the power tables")
+
+        tables = []
+        power_tables = inference._power_tables
+        monkeypatch.setattr(inference, "expm", no_expm)
+        monkeypatch.setattr(inference, "_power_tables", lambda *args: tables.append(args) or power_tables(*args))
+        prop = inference._Propagator(validate_intensity(q), masks, dts)
+        # One stack of tables per subsystem size, not one table per mask.
+        assert 0 < len(tables) <= 15 < len(np.unique(masks, axis=0))
+        for r, (mask, dt) in enumerate(zip(masks, dts)):
+            want = taylor_expm(q[np.ix_(mask, mask)] * dt)
+            eye = np.eye(n)[mask]
+            rows = prop.forward(eye, np.full(len(eye), r))
+            cols = prop.backward(eye, np.full(len(eye), r))
+            assert not rows[:, ~mask].any() and not cols[:, ~mask].any()
+            for got in (rows[:, mask], cols[:, mask].T):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_statistics_match_joint_space(self):
+        q = phase_space_generator()
+        n = len(q)
+        rng = np.random.default_rng(9)
+        many, one, once = self.pool(rng, n)
+        pool = many * 4 + one + once
+        p0 = random_distribution(rng, n)
+        w = q - np.diag(np.diagonal(q))
+        evs = []
+        while len(evs) < 6:
+            seq = [pool[rng.integers(len(pool))]]
+            while len(seq) < 9:
+                # Each boundary projects onto an overlapping mask or asserts
+                # a transition that W allows.
+                mask = pool[rng.integers(len(pool))]
+                if (seq[-1] & mask).any() or w[np.ix_(seq[-1], mask)].any():
+                    seq.append(mask)
+            times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 3.0, len(seq) - 1)), [3.0]))
+            ev = Evidence(tuple((Subsystem.from_mask(m), float(a), float(b))
+                                for m, a, b in zip(seq, times, times[1:])), 3.0)
+            # Keep the draws that the evidence leaves possible.
+            with np.errstate(divide="ignore"):
+                if taylor_log_prob(q, p0, ev) > -100.0:
+                    evs.append(ev)
+        masks = np.concatenate([ev.masks for ev in evs])
+        assert set(masks.sum(axis=1).tolist()) >= {1, 5, 7, 16}
+        caches = TestSubsystemOracle().check(q, p0, evs)
+        assert any((c.factor_kind == 1).any() for c in caches)
+
+
 class TestSubsystemWidth:
     def test_no_matrix_wider_than_the_largest_subsystem(self, monkeypatch):
         # Joint n = 1024 under window occlusion: every exponential and every

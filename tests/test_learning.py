@@ -768,8 +768,8 @@ class TestSem:
 
 class TestBatchBudget:
     """600 window-occluded records of the n = 8 chain over a horizon of 5:
-    the E-step sweeps them in a few large batches while every Pade expm and
-    every kernel slice stays small."""
+    the E-step sweeps them in a few large batches while every power table
+    and every product by the tables stays small."""
 
     def test_batches_and_slices_stay_within_the_budget(self, monkeypatch):
         model = binary_chain_model()
@@ -782,22 +782,23 @@ class TestBatchBudget:
             dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
 
         budget = inference._BATCH_ELEMENTS
-        sizes = {"expm": [], "slice": []}
-        expm, powers = inference.expm, inference._powers
+        sizes = {"table": [], "slice": []}
+        tables, runs_dot = inference._power_tables, inference._runs_dot
 
-        def recording_expm(a):
-            sizes["expm"].append(np.size(a))
-            return expm(a)
+        def recording_tables(*args):
+            out = tables(*args)
+            sizes["table"].append(out.size)
+            return out
 
-        def recording_powers(*args):
-            out = powers(*args)
+        def recording_runs_dot(*args, **kwargs):
+            out = runs_dot(*args, **kwargs)
             sizes["slice"].append(out.size)
             return out
 
-        monkeypatch.setattr(inference, "expm", recording_expm)
-        monkeypatch.setattr(inference, "_powers", recording_powers)
+        monkeypatch.setattr(inference, "_power_tables", recording_tables)
+        monkeypatch.setattr(inference, "_runs_dot", recording_runs_dot)
         e_step(model, dataset)
-        assert sizes["expm"] and max(sizes["expm"]) <= budget // 8
+        assert sizes["table"] and max(sizes["table"]) <= budget // 8
         assert sizes["slice"] and max(sizes["slice"]) <= budget // 8
 
         width = inference._series_width()
