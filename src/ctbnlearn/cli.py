@@ -229,7 +229,7 @@ def _cmd_smooth(args) -> int:
     q, space, p0 = amalgamate(model, args.joint_cap)
     ev = records[args.record].to_evidence(space)
     cache = forward_backward(q, p0, ev)
-    gammas = [_checked(smoothed_marginal, cache, t) for t in times]
+    gammas = _checked(smoothed_marginal, cache, np.array(times))
     for t, gamma in zip(times, gammas):
         for vi, var in enumerate(model.variables):
             probs = space.variable_state_marginal(gamma, vi)

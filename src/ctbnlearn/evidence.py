@@ -314,7 +314,8 @@ def _merge_observations(trajs, hidden) -> ObservedTrajectory:
     """Variable v observed as ``trajs[v]`` except inside its windows
     ``hidden[v]``. The horizon is cut at every jump and window end; each
     piece longer than the time tolerance takes the values at its midpoint,
-    and neighbouring pieces with equal values join."""
+    and neighbouring pieces with equal values join. A shorter piece is
+    dropped, and the segments still tile [0, horizon] without holes."""
     horizon = trajs[0].horizon
     tol = _TIME_EPS * max(1.0, horizon)
     for tr in trajs:
@@ -336,10 +337,10 @@ def _merge_observations(trajs, hidden) -> ObservedTrajectory:
             vals[(j >= 0) & (mid < np.asarray(w_hi)[j]), v] = -1
     first = np.ones(len(mid), dtype=bool)
     first[1:] = (vals[1:] != vals[:-1]).any(axis=1)
-    last = np.append(first[1:], True)
-    ends = np.append(hi[last][:-1], horizon).tolist()
+    starts = np.append(0.0, lo[first][1:])
+    ends = np.append(starts[1:], horizon).tolist()
     rows = (tuple(None if x < 0 else x for x in row) for row in vals[first].tolist())
-    return ObservedTrajectory._converted(tuple(zip(lo[first].tolist(), ends, rows)), horizon)
+    return ObservedTrajectory._converted(tuple(zip(starts.tolist(), ends, rows)), horizon)
 
 
 def occlude_observed(

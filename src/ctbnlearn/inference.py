@@ -31,15 +31,17 @@ bound. Every product of the sweeps sums its terms in a fixed order that
 zero padding does not change, so a trajectory's sweeps do not depend on
 the rows swept beside it.
 
-A swept batch has one layout: its segments, boundaries and messages
-stacked in one set of arrays. One statistics kernel reads them and
-returns the batch's dwell times, transition counts and time-zero
-posteriors summed over groups of its trajectories, and every trajectory's
-log-likelihood. The E-step sums each batch as one group and builds nothing
-per trajectory. The public ``forward_backward`` returns a message cache
-that is a read-only view of one trajectory's rows of its batch, so caches
-cut from one batch share its arrays; ``expected_statistics_many`` runs the
-kernel once per batch on those arrays, one group per trajectory asked for.
+One loop, ``_sweeps``, batches and sweeps the trajectories for the
+E-step, scoring and ``forward_backward_many``. A swept batch has one
+layout: its segments, boundaries and messages stacked in one set of
+arrays. One statistics kernel reads them and returns the batch's dwell
+times, transition counts and time-zero posteriors summed over groups of
+its trajectories, and every trajectory's log-likelihood. The E-step sums
+each batch as one group and builds nothing per trajectory.
+``forward_backward_many`` cuts each batch into message caches, read-only
+views of one trajectory's rows that share the batch's arrays;
+``expected_statistics_many`` runs the kernel once per batch on those
+arrays, one group per trajectory asked for.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evidence import Evidence
-from .markov import _TIME_EPS, IntensityMatrix, expm, validate_distribution
+from .markov import _TIME_EPS, IntensityMatrix, validate_distribution
 
 __all__ = [
     "DEFAULT_QUAD_TOL",
@@ -63,10 +65,10 @@ __all__ = [
     "MessageCache",
     "FlatStatistics",
     "forward_backward",
+    "forward_backward_many",
     "smoothed_marginal",
-    "expected_dwell",
-    "expected_transitions",
     "expected_statistics",
+    "expected_statistics_many",
     "convolution_integrals",
 ]
 
@@ -164,7 +166,7 @@ class MessageCache:
 
     def __init__(self, evidence: Evidence, q: IntensityMatrix, sweep: _Sweep, t: int):
         self.evidence, self.q, self.p0 = evidence, q, sweep.p0
-        self._sweep, self._t, self._stats = sweep, t, {}
+        self._sweep, self._t = sweep, t
 
     times = _rows("times", "bounds")
     seg_masks = _rows("masks", "segments")
@@ -846,57 +848,74 @@ def _backward_sweep(q: IntensityMatrix, f: _Sweep, first: int = 0) -> _Sweep:
                       log_probs_backward=log_probs)
 
 
-def _backward(q: IntensityMatrix, evs: list, f: _Sweep, first: int = 0) -> list[MessageCache]:
-    """The backward sweep of a forward-swept batch, cut into one message
-    cache per trajectory that shares the batch, less its propagator;
-    mismatch errors count trajectories from ``first``."""
-    swept = _backward_sweep(q, f, first)._replace(prop=None)
-    return [MessageCache(ev, q, swept, t) for t, ev in enumerate(evs)]
-
-
-def _forward_backward_many(q: IntensityMatrix, p0, evs) -> list[MessageCache]:
-    """``forward_backward`` over many trajectories, swept a batch at a time."""
-    evs = list(evs)
-    caches: list[MessageCache] = []
+def _sweeps(q: IntensityMatrix, p0, evs: list, backward: bool = True, possible: bool = True):
+    """The one lockstep loop: the trajectories evs cut into batches, each
+    swept forward and, with ``backward``, backward. Yields (first, batch,
+    sweep), first being the index in evs of the batch's first trajectory.
+    With ``possible``, evidence without mass raises. Every error counts
+    trajectories across batches."""
+    first = 0
     for batch in _batches(evs, q.n):
-        caches.extend(_backward(q, batch, _forward(q, p0, batch), len(caches)))
+        f = _forward(q, p0, batch)
+        if backward:
+            f = _backward_sweep(q, f, first)
+        if possible:
+            f.raise_if_impossible(first)
+        yield first, batch, f
+        first += len(batch)
+
+
+def forward_backward_many(q: IntensityMatrix, p0, evidences) -> list[MessageCache]:
+    """``forward_backward`` over many trajectories, swept a lockstep batch at
+    a time; each cache equals its lone sweep bitwise."""
+    caches: list[MessageCache] = []
+    for _, batch, f in _sweeps(q, p0, list(evidences), possible=False):
+        swept = f._replace(prop=None)
+        caches.extend(MessageCache(ev, q, swept, t) for t, ev in enumerate(batch))
     return caches
 
 
 def forward_backward(q: IntensityMatrix, p0, ev: Evidence) -> MessageCache:
     """Run the scaled forward-backward sweep over the evidence."""
-    return _forward_backward_many(q, p0, [ev])[0]
+    return forward_backward_many(q, p0, [ev])[0]
 
 
-def smoothed_marginal(cache: MessageCache, t: float) -> np.ndarray:
-    """Posterior distribution over the state at time t given all evidence.
+def smoothed_marginal(cache: MessageCache, t) -> np.ndarray:
+    """Posterior distribution over the state at time t given all evidence:
+    an n-vector for a scalar t, one row per time for a 1-D array of times.
 
     At an evidence boundary the marginal describes the state just after any
     factor asserted there, so a fully observed instant yields a point mass.
     """
     if cache.impossible:
         raise ZeroProbabilityEvidenceError(cache.dead_boundary)
-    ev = cache.evidence
-    tol = _TIME_EPS * max(1.0, ev.horizon)
-    if not -tol <= t <= ev.horizon + tol:
-        raise ValueError(f"query time {t!r} outside [0, {ev.horizon}]")
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1:
+        raise ValueError("query times must be a scalar or a 1-D array")
+    horizon = cache.evidence.horizon
+    tol = _TIME_EPS * max(1.0, horizon)
+    outside = np.flatnonzero(~((times >= -tol) & (times <= horizon + tol)))
+    if outside.size:
+        raise ValueError(f"query time {float(times[outside[0]])!r} outside [0, {horizon}]")
     bounds = cache.times
-    hits = np.flatnonzero(np.abs(bounds - t) <= tol)
-    if hits.size:
-        i = int(hits[-1])
-        raw = cache.fwd[i] * cache.bwd_post[i]
-    else:
-        # The segment's propagator over [bounds[i], t] carries fwd[i] to t,
-        # the one over [t, bounds[i + 1]] carries bwd[i + 1] back to it.
-        i = int(np.searchsorted(bounds, t)) - 1
-        prop = _Propagator(cache.q, cache.seg_masks[[i, i]], np.array([t - bounds[i], bounds[i + 1] - t]))
-        a = prop.forward(cache.fwd[i : i + 1], np.array([0]))[0]
-        b = prop.backward(cache.bwd[i + 1 : i + 2], np.array([1]))[0]
-        raw = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
-    s = raw.sum()
-    if s <= 0.0:
-        raise ZeroProbabilityEvidenceError(i)
-    return raw / s
+    # Each time's last boundary within tol, or else the segment it is in.
+    i = np.maximum(np.searchsorted(bounds, times + tol, side="right") - 1, 0)
+    raw = cache.fwd[i] * cache.bwd_post[i]
+    inner = np.flatnonzero(bounds[i] < times - tol)
+    if inner.size:
+        # One propagator: the piece over [bounds[k], t] carries fwd[k] to t,
+        # the one over [t, bounds[k + 1]] carries bwd[k + 1] back to it.
+        k, m, ti = i[inner], len(inner), times[inner]
+        dts = np.concatenate((ti - bounds[k], bounds[k + 1] - ti))
+        prop = _Propagator(cache.q, cache.seg_masks[np.concatenate((k, k))], dts)
+        a = prop.forward(cache.fwd[k], np.arange(m))
+        b = prop.backward(cache.bwd[k + 1], np.arange(m, 2 * m))
+        raw[inner] = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
+    s = raw.sum(axis=1)
+    dead = np.flatnonzero(~(s > 0.0))
+    if dead.size:
+        raise ZeroProbabilityEvidenceError(int(i[dead[0]]))
+    return raw / s[:, None] if np.ndim(t) else raw[0] / s[0]
 
 
 def _log_factorials(count: int) -> np.ndarray:
@@ -1051,8 +1070,9 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
     b1 = np.empty((pieces, n))
     f0[0], b1[-1] = alpha, beta
     if pieces > 1:
-        # exp(Q_S h) of a generator is nonnegative; clip the Pade rounding.
-        e = np.maximum(expm(q * (dt / pieces)), 0.0)
+        # exp(Q_S h), the unit rows carried across a piece by uniformization.
+        piece = _Propagator(q_s, np.ones((1, n), dtype=bool), np.array([dt / pieces]))
+        e = piece.forward(np.eye(n), np.zeros(n, dtype=np.intp))
         lf = np.zeros(pieces)
         lb = np.zeros(pieces)
         for p in range(1, pieces):
@@ -1168,15 +1188,10 @@ def _grouped_products(a: np.ndarray, b: np.ndarray, groups: np.ndarray):
 
 def _e_step_batches(q: IntensityMatrix, p0, evs: list, tol: float):
     """The E-step over many trajectories: per lockstep batch, its expected
-    statistics summed over the batch (one group) and its log-likelihoods.
-    Trajectory indices in errors count across batches."""
+    statistics summed over the batch (one group) and its log-likelihoods."""
     _check_tol(tol)
-    first = 0
-    for batch in _batches(evs, q.n):
-        f = _backward_sweep(q, _forward(q, p0, batch), first)
-        f.raise_if_impossible(first)
+    for first, batch, f in _sweeps(q, p0, evs):
         yield _statistics(f, tol, np.zeros(len(batch), dtype=np.intp), first)
-        first += len(batch)
 
 
 def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[FlatStatistics]:
@@ -1190,11 +1205,7 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
     for idx, cache in enumerate(caches):
         if cache.impossible:
             raise ZeroProbabilityEvidenceError(cache.dead_boundary, idx)
-        hit = cache._stats.get(tol)
-        if hit is not None:
-            results[idx] = hit
-        else:
-            pending.setdefault(id(cache._sweep), []).append(idx)
+        pending.setdefault(id(cache._sweep), []).append(idx)
 
     for idxs in pending.values():
         q, sweep = caches[idxs[0]].q, caches[idxs[0]]._sweep
@@ -1203,9 +1214,8 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
         groups = np.full(len(sweep.counts), -1)
         groups[rows] = np.arange(len(rows))
         s = _statistics(sweep._replace(prop=_Uniformization(q, sweep.masks, sweep.dts)), tol, groups)
-        for idx, t in zip(idxs, rows):
-            g = groups[t]
-            results[idx] = caches[idx]._stats[tol] = FlatStatistics(s.dwell[g], s.transitions[g])
+        for idx, g in zip(idxs, groups[rows]):
+            results[idx] = FlatStatistics(s.dwell[g], s.transitions[g])
     return results
 
 
@@ -1217,17 +1227,8 @@ def expected_statistics(cache: MessageCache, tol: float = DEFAULT_QUAD_TOL) -> F
     integral (the integrand is constant), which keeps fully observed
     statistics exact; all other segments share one batched pass of the
     uniformization series, cut where its Poisson tail falls below ``tol``.
-    Results are cached per tolerance.
+    The dwell times sum to the horizon; a transition count is zero wherever
+    its rate is.
     """
     return expected_statistics_many([cache], tol)[0]
 
-
-def expected_dwell(cache: MessageCache, tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Expected time spent in each flat state; sums to the horizon."""
-    return expected_statistics(cache, tol).dwell
-
-
-def expected_transitions(cache: MessageCache, tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Expected transition counts between flat states; zero wherever the
-    corresponding rate is zero."""
-    return expected_statistics(cache, tol).transitions

@@ -20,10 +20,9 @@ from .evidence import Evidence
 from .inference import (
     DEFAULT_QUAD_TOL,
     FlatStatistics,
-    _batches,
     _check_tol,
     _e_step_batches,
-    _forward,
+    _sweeps,
 )
 from .model import (
     DEFAULT_JOINT_CAP,
@@ -195,9 +194,7 @@ def score_dataset(
     """Per-trajectory observed-data log-likelihoods (forward pass only)."""
     q, _, p0 = amalgamate(model, joint_cap)
     out: list[float] = []
-    for batch in _batches(list(dataset), q.n):
-        sweep = _forward(q, p0, batch)
-        sweep.raise_if_impossible(len(out))
+    for _, _, sweep in _sweeps(q, p0, list(dataset), backward=False):
         out.extend(sweep.log_probs.tolist())
     return out
 

@@ -379,7 +379,9 @@ def merge_observations_loop(trajs, hidden):
     half-open windows ``hidden[v]``, merged the plain way: cut at every
     jump and clamped window end, drop pieces no longer than the time
     tolerance, read every variable at each piece's midpoint and join
-    neighbours whose values are equal."""
+    neighbours whose values are equal. Each segment ends where the next
+    one starts, the first at 0 and the last at the horizon, so a dropped
+    piece leaves no hole."""
     horizon = trajs[0].horizon
     tol = _TIME_EPS * max(1.0, horizon)
     cuts = {0.0, horizon}
@@ -402,5 +404,6 @@ def merge_observations_loop(trajs, hidden):
             segs[-1] = (segs[-1][0], b, vals)
         else:
             segs.append((a, b, vals))
-    segs[-1] = (segs[-1][0], horizon, segs[-1][2])
-    return ObservedTrajectory(tuple(segs), horizon)
+    starts = [0.0] + [a for a, _, _ in segs[1:]]
+    ends = starts[1:] + [horizon]
+    return ObservedTrajectory(tuple(zip(starts, ends, (vals for _, _, vals in segs))), horizon)

@@ -363,9 +363,23 @@ class TestMergeObservations:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(trajectories_and_windows())
     def test_equals_per_cut_loop(self, case):
+        # Valid trajectories and windows always merge; the outcome is never
+        # an error.
         trajs, hidden = case
-        assert merge_outcome(_merge_observations, trajs, hidden) == merge_outcome(merge_observations_loop, trajs, hidden)
+        got = merge_outcome(_merge_observations, trajs, hidden)
+        assert not isinstance(got, str), got
+        assert got == merge_outcome(merge_observations_loop, trajs, hidden)
         visible = [[] for _ in trajs]
-        assert merge_outcome(lambda t, _: ObservedTrajectory.fully_observed(t), trajs, visible) == merge_outcome(
-            merge_observations_loop, trajs, visible
-        )
+        got = merge_outcome(lambda t, _: ObservedTrajectory.fully_observed(t), trajs, visible)
+        assert not isinstance(got, str), got
+        assert got == merge_outcome(merge_observations_loop, trajs, visible)
+
+    def test_dropped_pieces_leave_no_hole(self):
+        # Jumps 0.8e-12 apart, each within the time tolerance of the next:
+        # the two pieces between them are dropped and the segment before
+        # them runs on to the one after.
+        jumps = (0.5, 0.5 + 0.8e-12, 0.5 + 1.6e-12)
+        trajs = [CompleteTrajectory(((0, 0.0, t), (1, t, 1.0)), 1.0) for t in jumps]
+        want = ((0.0, jumps[2], (0, 0, 0)), (jumps[2], 1.0, (1, 1, 1)))
+        assert ObservedTrajectory.fully_observed(trajs).segments == want
+        assert merge_observations_loop(trajs, [[], [], []]).segments == want

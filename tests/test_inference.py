@@ -23,10 +23,10 @@ from ctbnlearn import (
     convolution_integrals,
     e_step,
     expand_phases,
-    expected_dwell,
     expected_statistics,
-    expected_transitions,
+    expected_statistics_many,
     forward_backward,
+    forward_backward_many,
     occlude_observed,
     sample_trajectory,
     smoothed_marginal,
@@ -35,7 +35,7 @@ from ctbnlearn import (
     validate_intensity,
 )
 from ctbnlearn import inference
-from ctbnlearn.inference import _convolution_batch, _forward_backward_many, expected_statistics_many
+from ctbnlearn.inference import _convolution_batch
 from helpers import (
     binary_ring_model,
     chain_oracle,
@@ -217,20 +217,17 @@ class TestLockstepSweep:
             ((0.0, 2.0, (0, None, 0, None, 0, None)), (2.0, 2.0, zeros), (2.0, 6.0, hidden)),
         ] * 3
         evs = [ObservedTrajectory(segs, 6.0).to_evidence(space) for segs in records]
-        batched = _forward_backward_many(q, p0, evs)
+        batched = forward_backward_many(q, p0, evs)
         assert [c.impossible for c in batched] == [False, False, True, False] * 3
         # A trajectory's messages do not depend on its batch-mates: every
-        # stacked exponential takes its own squaring count and every per-row
-        # product sums in a fixed order, so they agree bitwise here; the
-        # bound asserts less.
+        # power comes out of its doubling step alike and every per-row
+        # product sums in a fixed order, so they agree bitwise.
         for got, ev in zip(batched, evs):
             want = forward_backward(q, p0, ev)
             assert got.dead_boundary == want.dead_boundary
-            for name in ("times", "seg_masks", "seg_dt", "factor_kind"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            for name in ("log_prob", "log_prob_backward", "fwd", "fwd_log", "fwd_pre", "fwd_pre_log",
-                         "bwd", "bwd_log", "bwd_post", "bwd_post_log"):
-                np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-14)
+            for name in ("times", "seg_masks", "seg_dt", "factor_kind", "fwd", "fwd_log", "fwd_pre", "fwd_pre_log",
+                         "bwd", "bwd_log", "bwd_post", "bwd_post_log", "log_prob", "log_prob_backward"):
+                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
 
     def test_statistics_of_caches_cut_from_one_batch(self):
         # The kernel runs on the batch the caches were cut from and skips
@@ -240,19 +237,19 @@ class TestLockstepSweep:
         live = [0, 1, 3]
         want = {t: expected_statistics(forward_backward(q, p0, evs[t])) for t in live}
         for asked in ([0, 1, 3], [3, 0], [0], [1], [3]):
-            caches = _forward_backward_many(q, p0, evs)
+            caches = forward_backward_many(q, p0, evs)
             for t, got in zip(asked, expected_statistics_many([caches[t] for t in asked])):
                 assert rel_err(got.dwell, want[t].dwell) <= 1e-12
                 assert rel_err(got.transitions, want[t].transitions) <= 1e-12
         for asked, index in (([2], 0), ([0, 2], 1), ([3, 1, 0, 2], 3)):
-            caches = _forward_backward_many(q, p0, evs)
+            caches = forward_backward_many(q, p0, evs)
             with pytest.raises(ZeroProbabilityEvidenceError) as err:
                 expected_statistics_many([caches[t] for t in asked])
             assert err.value.trajectory_index == index
 
     def test_caches_of_one_batch_share_its_arrays(self):
         q, p0, evs = lockstep_batch()
-        caches = _forward_backward_many(q, p0, evs)
+        caches = forward_backward_many(q, p0, evs)
         for name in ("fwd", "bwd_post"):
             first, second = getattr(caches[0], name), getattr(caches[1], name)
             assert first.base is not None and first.base is second.base, name
@@ -315,10 +312,8 @@ class TestSeriesForm:
         assert (sizes > inference._PADE_MAX_STATES).any() and (sizes <= inference._PADE_MAX_STATES).any()
 
     def test_builds_no_exponential_and_matches_taylor_forward_pass(self, monkeypatch):
-        def no_expm(*args, **kwargs):
-            raise AssertionError("the series form builds no matrix exponential")
-
-        monkeypatch.setattr(inference, "expm", no_expm)
+        # The module has no Pade exponential to call.
+        assert not hasattr(inference, "expm")
         monkeypatch.setattr(inference, "_PADE_MAX_STATES", 0)
         for ev in self.evs:
             cache = forward_backward(self.q, self.p0, ev)
@@ -354,15 +349,29 @@ class TestSeriesForm:
         # series is cut at 1e-3 after an exact forward sweep does not.
         ev = self.evs[0]
         sweep = inference._forward(self.q, self.p0, [ev])
-        assert inference._backward(self.q, [ev], sweep)[0].log_prob == sweep.log_prob(0)
+        assert forward_backward(self.q, self.p0, ev).log_prob == sweep.log_prob(0)
         monkeypatch.setattr(inference, "_SWEEP_TAIL", 1e-3)
         loose = sweep._replace(prop=inference._Propagator(self.q, sweep.masks, sweep.dts))
         with pytest.raises(ForwardBackwardMismatchError) as err:
-            inference._backward(self.q, [ev], loose, first=7)
+            inference._backward_sweep(self.q, loose, first=7)
         assert err.value.trajectory_index == 7
         assert err.value.log_prob == sweep.log_prob(0)
         gap = abs(err.value.log_prob - err.value.log_prob_backward)
         assert gap > inference.FORWARD_BACKWARD_TOL * abs(err.value.log_prob)
+
+
+def ring64_cache():
+    """The n = 64 ring's generator and the cache of one record over a split
+    hidden stretch, a full observation, a partly observed stretch whose
+    subsystems exceed _PADE_MAX_STATES and a hidden tail."""
+    model = binary_ring_model(6, seed=1)
+    q, space, p0 = amalgamate(model)
+    hidden = (None,) * 6
+    record = ObservedTrajectory(
+        ((0.0, 3.0, hidden), (3.0, 3.5, (0,) * 6), (3.5, 5.0, (1, None, 0, None, 0, None)), (5.0, 6.0, hidden)),
+        6.0,
+    )
+    return q, forward_backward(q, p0, record.to_evidence(space))
 
 
 class TestSmoothedMarginal:
@@ -414,14 +423,7 @@ class TestSmoothedMarginal:
     def test_series_form_matches_taylor_at_n64(self):
         # Queries inside a split hidden stretch, a partly observed one and
         # a fully hidden tail, against the segment exponentials by Taylor.
-        model = binary_ring_model(6, seed=1)
-        q, space, p0 = amalgamate(model)
-        hidden = (None,) * 6
-        record = ObservedTrajectory(
-            ((0.0, 3.0, hidden), (3.0, 3.5, (0,) * 6), (3.5, 5.0, (1, None, 0, None, 0, None)), (5.0, 6.0, hidden)),
-            6.0,
-        )
-        cache = forward_backward(q, p0, record.to_evidence(space))
+        q, cache = ring64_cache()
         sizes = cache.seg_masks.sum(axis=1)
         assert (sizes > inference._PADE_MAX_STATES).any() and (sizes <= inference._PADE_MAX_STATES).any()
         assert len(cache.seg_dt) > 4
@@ -432,6 +434,86 @@ class TestSmoothedMarginal:
             a = cache.fwd[i] @ taylor_expm(q_s * (t - cache.times[i]))
             b = taylor_expm(q_s * (cache.times[i + 1] - t)) @ (cache.bwd[i + 1] * m)
             np.testing.assert_allclose(smoothed_marginal(cache, t), a * b / (a * b).sum(), rtol=0, atol=1e-12)
+
+
+class TestSmoothedMarginalTimes:
+    """Many query times in one call: each row equals the scalar query of its
+    time bitwise, and every interior time shares one propagator."""
+
+    @staticmethod
+    def assert_rows_match_scalar_calls(cache, times):
+        got = smoothed_marginal(cache, np.array(times))
+        assert got.shape == (len(times), cache.q.n)
+        for row, t in zip(got, times):
+            assert row.tobytes() == smoothed_marginal(cache, t).tobytes(), t
+
+    def test_boundaries_and_subsystem_series(self):
+        # t = 0, the horizon, the boundaries of the split stretch and of
+        # the observations, and interior times, one of them twice, some in
+        # segments whose subsystem is the joint space.
+        q, cache = ring64_cache()
+        sizes = cache.seg_masks.sum(axis=1)
+        inside = cache.times[:-1] + 0.4 * cache.seg_dt
+        series = inside[(sizes > inference._PADE_MAX_STATES) & (cache.seg_dt > 0.0)]
+        assert series.size
+        times = [0.0, 6.0, *cache.times[1:4], 3.0, 3.5, 5.0, *series, 0.3, 2.9, 4.2, 5.5, 2.9]
+        self.assert_rows_match_scalar_calls(cache, times)
+
+    def test_series_on_subsystem_blocks(self):
+        # One of six variables observed leaves 32 of the 64 joint states, so
+        # the series runs on the |S| x |S| blocks of W; its flip at 2.0 is a
+        # rate boundary.
+        model = binary_ring_model(6, seed=1)
+        q, space, p0 = amalgamate(model)
+        hidden = (None,) * 6
+        record = ObservedTrajectory(
+            ((0.0, 2.0, (None, 0, *hidden[2:])), (2.0, 4.0, (None, 1, *hidden[2:])), (4.0, 4.5, hidden)), 4.5
+        )
+        cache = forward_backward(q, p0, record.to_evidence(space))
+        sizes = cache.seg_masks.sum(axis=1)
+        assert (sizes == 32).any() and (cache.factor_kind == 1).any()
+        self.assert_rows_match_scalar_calls(cache, [0.0, 0.7, 1.9, 2.0, 2.6, 3.99, 4.0, 4.2, 4.5])
+
+    def test_zero_length_segment(self):
+        # An observed instant at 0.6 between two hidden stretches: the query
+        # there hits the boundary after the zero-length segment.
+        rng = np.random.default_rng(3)
+        q = validate_intensity(random_proper(rng, 3))
+        full = Subsystem.full(3)
+        ev = Evidence(((full, 0.0, 0.6), (Subsystem.single(3, 1), 0.6, 0.6), (full, 0.6, 1.0)), 1.0)
+        cache = forward_backward(q, random_distribution(rng, 3), ev)
+        assert (cache.seg_dt == 0.0).any()
+        times = [0.6, 0.0, 0.3, 1.0, 0.6, 0.9]
+        self.assert_rows_match_scalar_calls(cache, times)
+        assert np.allclose(smoothed_marginal(cache, np.array(times))[0], [0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_empty_times(self):
+        q, cache = ring64_cache()
+        assert smoothed_marginal(cache, np.array([])).shape == (0, q.n)
+        assert smoothed_marginal(cache, []).shape == (0, q.n)
+
+    def test_one_propagator_for_many_times(self, monkeypatch):
+        q, cache = ring64_cache()
+        built = []
+        propagator = inference._Propagator
+
+        def counted(*args):
+            built.append(len(args[2]))
+            return propagator(*args)
+
+        monkeypatch.setattr(inference, "_Propagator", counted)
+        times = np.linspace(0.01, 5.99, 50)
+        assert not np.isin(times, cache.times).any()
+        smoothed_marginal(cache, times)
+        assert built == [100]
+
+    def test_out_of_range_time_is_named(self):
+        q, cache = ring64_cache()
+        for bad in (6.5, -0.25, math.nan):
+            with pytest.raises(ValueError, match=f"query time {bad!r} outside"):
+                smoothed_marginal(cache, np.array([0.5, bad, 7.0]))
+        with pytest.raises(ValueError):
+            smoothed_marginal(cache, np.zeros((2, 2)))
 
 
 class TestExpectedStatistics:
@@ -448,7 +530,7 @@ class TestExpectedStatistics:
     def test_symmetric_vacuous_dwell_is_half(self):
         q = symmetric_two_state()
         cache = forward_backward(q, [0.5, 0.5], Evidence.vacuous(2, 4.0))
-        assert np.allclose(expected_dwell(cache), [2.0, 2.0], atol=1e-8)
+        assert np.allclose(expected_statistics(cache).dwell, [2.0, 2.0], atol=1e-8)
 
     def test_dwell_example_matches_oracle(self):
         q = validate_intensity([[-1.0, 1.0], [2.0, -2.0]])
@@ -458,15 +540,15 @@ class TestExpectedStatistics:
         )
         cache = forward_backward(q, [1.0, 0.0], ev)
         _, dwell_o, trans_o, _ = chain_oracle(q.entries, np.array([1.0, 0.0]), ev, 1e-4)
-        assert rel_err(expected_dwell(cache), dwell_o) < 1e-3
-        assert rel_err(expected_transitions(cache), trans_o) < 2e-3
+        assert rel_err(expected_statistics(cache).dwell, dwell_o) < 1e-3
+        assert rel_err(expected_statistics(cache).transitions, trans_o) < 2e-3
 
     def test_zero_rate_means_zero_transitions(self):
         q = validate_intensity([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
         rng = np.random.default_rng(6)
         ev = observed_evidence(rng, q.entries, np.array([1.0, 0, 0]), 2.0)
         cache = forward_backward(q, [1.0, 0, 0], ev)
-        m = expected_transitions(cache)
+        m = expected_statistics(cache).transitions
         assert m[0, 2] == 0.0 and m[2, 0] == 0.0
 
     def test_dwell_sums_to_horizon(self):
@@ -480,7 +562,7 @@ class TestExpectedStatistics:
             cache = forward_backward(q, p0, ev)
             if cache.impossible:
                 continue
-            assert expected_dwell(cache).sum() == pytest.approx(tau, abs=1e-6)
+            assert expected_statistics(cache).dwell.sum() == pytest.approx(tau, abs=1e-6)
 
     def test_statistics_match_chain_oracle(self):
         rng = np.random.default_rng(8)
@@ -525,10 +607,10 @@ class TestExpectedStatistics:
         ev2 = Evidence(segs, 1.0)
         c1 = forward_backward(validate_intensity(q), p0, ev1)
         c2 = forward_backward(validate_intensity(2.0 * q), p0, ev2)
-        m1 = expected_transitions(c1)
-        m2 = expected_transitions(c2)
+        m1 = expected_statistics(c1).transitions
+        m2 = expected_statistics(c2).transitions
         assert np.abs(m1 - m2).max() < 1e-6
-        assert np.abs(2.0 * expected_dwell(c2) - expected_dwell(c1)).max() < 1e-6
+        assert np.abs(2.0 * expected_statistics(c2).dwell - expected_statistics(c1).dwell).max() < 1e-6
 
 
 class TestConvolutionIntegrals:
@@ -795,7 +877,7 @@ class TestSubsystemOracle:
     random subsystem evidence, against plain passes on the joint space."""
 
     def check(self, q, p0, evs):
-        caches = _forward_backward_many(validate_intensity(q), p0, evs)
+        caches = forward_backward_many(validate_intensity(q), p0, evs)
         for ev, cache in zip(evs, caches):
             ll, ll_backward, marginal, dwell, trans = joint_space_oracle(q, p0, ev)
             assert abs(cache.log_prob - ll) <= 1e-11 * max(1.0, abs(ll))
@@ -910,12 +992,11 @@ class TestSharedTables:
         assert set(masks.sum(axis=1).tolist()) == set(range(1, 17))
         assert (dts == 0.0).any() and (np.where(masks, exit, 0.0).max(axis=1) * dts == self.cap).any()
 
-        def no_expm(*args, **kwargs):
-            raise AssertionError("the blocks come from the power tables")
-
+        # The blocks come from the power tables: the module has no Pade
+        # exponential to call.
+        assert not hasattr(inference, "expm")
         tables = []
         power_tables = inference._power_tables
-        monkeypatch.setattr(inference, "expm", no_expm)
         monkeypatch.setattr(inference, "_power_tables", lambda *args: tables.append(args) or power_tables(*args))
         prop = inference._Propagator(validate_intensity(q), masks, dts)
         # One stack of tables per subsystem size, not one table per mask.
@@ -961,9 +1042,10 @@ class TestSharedTables:
 
 class TestSubsystemWidth:
     def test_no_matrix_wider_than_the_largest_subsystem(self, monkeypatch):
-        # Joint n = 1024 under window occlusion: every exponential and every
-        # gathered block of Q or W is at most as wide as the widest
-        # subsystem the evidence leaves, far below n.
+        # Joint n = 1024 under window occlusion: every gathered block of Q
+        # or W and every series product is at most as wide as the widest
+        # subsystem the evidence leaves, far below n. The module builds no
+        # Pade exponential.
         model = binary_ring_model(10, seed=3)
         q, space, p0 = amalgamate(model)
         rng = np.random.default_rng(5)
@@ -974,12 +1056,9 @@ class TestSubsystemWidth:
             dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
         largest = int(max(ev.masks.sum(axis=1).max() for ev in dataset))
         assert 2 * inference._PADE_MAX_STATES < largest < q.n // 4
+        assert not hasattr(inference, "expm")
         widths = []
-        expm, block, powers = inference.expm, inference._block, inference._powers
-
-        def recording_expm(a):
-            widths.append(a.shape[-1])
-            return expm(a)
+        block, powers = inference._block, inference._powers
 
         def recording_block(m, rows, cols):
             out = block(m, rows, cols)
@@ -990,7 +1069,6 @@ class TestSubsystemWidth:
             widths.append(w.shape[-1])
             return powers(v, w, *rest)
 
-        monkeypatch.setattr(inference, "expm", recording_expm)
         monkeypatch.setattr(inference, "_block", recording_block)
         monkeypatch.setattr(inference, "_powers", recording_powers)
         _, ll = e_step(model, dataset)

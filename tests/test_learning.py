@@ -327,6 +327,7 @@ class TestBatchedEStep:
         dataset = [rec.to_evidence(model.space()) for rec in chain_records()]
         em(model, dataset, EmConfig(max_iter=2, init="given"))
         sem(model, dataset, SemConfig(em=EmConfig(max_iter=1, init="given"), em_iters=1, max_rounds=1))
+        score_dataset(model, dataset)
 
     def test_zero_probability_names_the_global_index(self, monkeypatch):
         model = binary_chain_model()
