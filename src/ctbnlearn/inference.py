@@ -11,10 +11,19 @@ the joint space; every segment gathers its rows to S, works on |S|-length
 rows and |S| x |S| blocks, and scatters the result back, so a segment costs
 O(|S|^2) per product plus O(n) at its boundaries.
 
-Many trajectories under one Q are swept in lockstep, one row each, so the
-Python loop runs once per segment position of a batch; a step pads its
-rows to the largest |S| among them, cut from one layout of the whole
-batch. One memory budget, ``_BATCH_ELEMENTS``, sizes the batches, and the
+Many trajectories under one Q are swept in lockstep, one row each, and
+both sweeps in one loop: step i carries every forward message across its
+trajectory's i-th segment and every backward message across its i-th
+segment from the end, so the Python loop runs once per segment position of
+a batch. A plan built once per batch (``_Plan``) holds each step's rows,
+grouped by kind, where their exponential blocks sit, the message slots
+they fill and the rate boundaries they cross, a few indices per row. A
+step gathers the W[S1, S2] blocks of its own rate boundaries, pads its
+table rows, forward and backward, to the largest |S| among them and takes
+one product for them all (``_Propagator.propagate``, the one kernel, which
+also serves ``smoothed_marginal`` and ``convolution_integrals`` as
+one-step plans).
+One memory budget, ``_BATCH_ELEMENTS``, sizes the batches, and the
 power tables, the exponentials and the integrals' kernel work in slices of
 an eighth of it. A batch's split segments are uniformized once (lambda =
 the largest exit rate in S, P = I + Q_S / lambda, both fixed by the mask
@@ -31,10 +40,10 @@ bound. Every product of the sweeps sums its terms in a fixed order that
 zero padding does not change, so a trajectory's sweeps do not depend on
 the rows swept beside it.
 
-One loop, ``_sweeps``, batches and sweeps the trajectories for the
-E-step, scoring and ``forward_backward_many``. A swept batch has one
-layout: its segments, boundaries and messages stacked in one set of
-arrays. One statistics kernel reads them and returns the batch's dwell
+One loop, ``_sweeps``, batches the trajectories for the E-step, scoring
+and ``forward_backward_many`` and sweeps each batch with ``_sweep``. A
+swept batch has one layout: its segments, boundaries and messages
+stacked in one set of arrays. One statistics kernel reads them and returns the batch's dwell
 times, transition counts and time-zero posteriors summed over groups of
 its trajectories, and every trajectory's log-likelihood. The E-step sums
 each batch as one group and builds nothing per trajectory.
@@ -279,8 +288,11 @@ def _entries(sizes: np.ndarray, segments: np.ndarray, n: int, width: int) -> np.
     stiffness count once, and larger models count the mask row in place of
     the message rows, as counting either in full would keep a few short
     trajectories of a mid-size model from sharing a batch; the message
-    rows stay within four times the mask rows. The batch's layout, one
-    row of at most n indices per segment, counts as the mask row."""
+    rows stay within four times the mask rows. The batch's state rows, one
+    row of at most n indices per segment, count as the mask row. The
+    lockstep plan (``_Plan``), a dozen indices per split segment, is not
+    counted apart; on the tests' data it held under half of this
+    count."""
     rows = 4 * n if n <= _PADE_MAX_STATES else 0
     blocks = np.where(sizes <= _PADE_MAX_STATES, sizes * sizes, width + 2 * sizes) + n + rows
     return np.add.reduceat(blocks, np.cumsum(segments) - segments) + rows
@@ -333,24 +345,29 @@ class _Layout(NamedTuple):
         |S|."""
         return np.where(self.valid, v[np.arange(len(v))[:, None], self.idx], 0.0)
 
-    def scatter(self, x: np.ndarray, n: int) -> np.ndarray:
-        """The rows x back in n-length form, zero outside S; the padding is
-        written to a spare column past n and dropped."""
-        out = np.zeros((len(x), n + 1))
-        out[np.arange(len(x))[:, None], np.where(self.valid, self.idx, n)] = x
-        return out[:, :n]
+    def at(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Where the layout's entries sit in a message buffer (``_buffer``)
+        of n-length rows, segment r's in row rows[r]; _FAR past |S|."""
+        return np.where(self.valid, self.idx + rows[:, None] * n, _FAR)
 
 
-def _layout(masks: np.ndarray) -> _Layout:
-    """The layout of every segment, whose subsystems are the masks."""
+# Padding of the segments' state rows, the sweeps' gather indices and the
+# block templates: far past any array, so a clipped take reads, and a
+# clipped put writes, the zero that every message buffer and block store
+# keeps at its end, and a clipped take from the joint W its last entry, a
+# zero of its diagonal. Even times n it stays within 64 bits.
+_FAR = 1 << 40
+
+
+def _states(masks: np.ndarray) -> np.ndarray:
+    """The states of every segment, whose subsystems are the masks,
+    ascending, one row each, padded with _FAR to the widest subsystem."""
     r, states = np.nonzero(masks)
     sizes = np.bincount(r, minlength=len(masks))
     c = np.arange(len(r)) - (np.cumsum(sizes) - sizes)[r]
-    idx = np.zeros((len(masks), int(sizes.max(initial=1))), dtype=np.intp)
-    valid = np.zeros(idx.shape, dtype=bool)
-    idx[r, c] = states
-    valid[r, c] = True
-    return _Layout(np.arange(len(masks)), idx, valid)
+    out = np.full((len(masks), int(sizes.max(initial=1))), _FAR, dtype=np.intp)
+    out[r, c] = states
+    return out
 
 
 def _mask_ids(masks: np.ndarray) -> np.ndarray:
@@ -374,7 +391,11 @@ def _block(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _rows_dot(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """The rows x[t] @ blocks[t]. Each sum runs over j in order, so zero
     padding past a row's subsystem, or zeros between its states, leave its
-    result bitwise as it is on its own."""
+    result bitwise as it is on its own. einsum sums over j in order only
+    where blocks have two columns or more: one column is summed in an
+    order set by the row length, so it takes a zero column beside it."""
+    if blocks.shape[2] == 1:
+        return np.einsum("tj,tjk->tk", x, np.concatenate([blocks, np.zeros_like(blocks)], axis=2))[:, :1]
     return np.einsum("tj,tjk->tk", x, blocks)
 
 
@@ -419,14 +440,6 @@ def _power_tables(p: np.ndarray, count: int) -> np.ndarray:
         out[:, h : 2 * h] = (out[:, :h].reshape(k, h * s, s) @ ph).reshape(k, h, s, s)
         h *= 2
     return out
-
-
-def _transfer(u: _Uniformization, w: np.ndarray, v: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The rows v[t] on S_src[t] times the block w[S_src, S_dst] (W at a
-    forward rate boundary, W^T at a backward one), n-length again; the
-    segments are u's."""
-    a, b = u.cut(src), u.cut(dst)
-    return b.scatter(_rows_dot(a.gather(v), _block(w, a.idx, b.idx)), v.shape[1])
 
 
 def _poisson_terms(mu: np.ndarray, tol: float):
@@ -509,8 +522,9 @@ class _Uniformization:
     the joint off-diagonal W (its transpose for columns), so every term is
     nonnegative. lambda and P depend on the mask alone: the segments of 2
     to _PADE_MAX_STATES states are numbered by distinct mask (``mask_id``,
-    -1 elsewhere) so that ``tables`` builds P^a once per mask. ``layout``
-    lays out every segment once; ``cut`` takes any segments' rows of it."""
+    -1 elsewhere) so that ``tables`` builds P^a once per mask. ``states``
+    lists every segment's states once; ``cut`` lays out any segments from
+    it."""
 
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
         self.exit = np.abs(np.diagonal(q.entries))
@@ -519,16 +533,16 @@ class _Uniformization:
         lam[lam == 0.0] = 1.0
         self.masks, self.w, self.lam, self.mu = masks, q.off_diagonal, lam, lam * dts
         self.sizes = masks.sum(axis=1)
-        self.layout = _layout(masks)
+        self.states = _states(masks)
         tabled = np.flatnonzero((self.sizes > 1) & (self.sizes <= _PADE_MAX_STATES))
         self.mask_id = np.full(len(dts), -1)
         self.mask_id[tabled] = _mask_ids(masks[tabled])
 
     def cut(self, seg: np.ndarray) -> _Layout:
         """The layout of the segments seg, padded to their widest S."""
-        width = int(self.sizes.take(seg).max(initial=1))
-        idx, valid = (a.take(seg, axis=0)[:, :width] for a in (self.layout.idx, self.layout.valid))
-        return _Layout(seg, idx, valid)
+        states = self.states.take(seg, axis=0)[:, : int(self.sizes.take(seg).max(initial=1))]
+        valid = states != _FAR
+        return _Layout(seg, np.where(valid, states, 0), valid)
 
     def keep_jump(self, lay: _Layout):
         """The rows ``keep`` and ``jump`` of P in the layout, zero past |S|."""
@@ -578,14 +592,70 @@ class _Uniformization:
 _TABLE, _SERIES, _SERIES_FULL = 0, 1, 2
 
 
+@lru_cache(maxsize=2)
+def _templates(p: int) -> np.ndarray:
+    """Where entry (j, k) of a padded s x s exponential block sits past the
+    block's start, for s up to p states, in row s of a row message and row
+    p + 1 + s of a column message (the transposed block): j s + k or
+    k s + j inside the block, _FAR in the padding. Called with
+    _PADE_MAX_STATES as it stands when a step runs, which tests vary."""
+    j, k, s = np.arange(p)[:, None], np.arange(p), np.arange(p + 1)[:, None, None]
+    inside = (j < s) & (k < s)
+    out = np.concatenate([np.where(inside, j * s + k, _FAR), np.where(inside, k * s + j, _FAR)])
+    out.flags.writeable = False
+    return out
+
+
+class _Step(NamedTuple):
+    """The rows of one propagation: row r carries row src[r] of the input
+    across its segment seg[r], by the columns of the exponential where
+    ``columns[r]`` (a backward message), to row dst[r] of the output; a
+    table row finds its padded block in the templates' row tmpl[r] from
+    blocks[at[r]] on. Input and output are message buffers (``_buffer``).
+    The rows run in six groups, ``ends`` closing each: table rows, row
+    messages then column messages; series rows on subsystem blocks, alike;
+    series rows on the joint space, alike. ``width`` is the widest
+    subsystem among the table rows."""
+
+    seg: np.ndarray
+    columns: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    tmpl: np.ndarray
+    at: np.ndarray
+    ends: list
+    width: int
+
+
+def _buffer(rows: int, n: int):
+    """A message buffer: ``rows`` n-length rows one after the other and one
+    zero past them, which every padded gather reads and every padded
+    result, a zero, is written to. Returns the flat buffer and its rows."""
+    flat = np.zeros(rows * n + 1)
+    return flat, flat[:-1].reshape(rows, n)
+
+
+def _groups(key: np.ndarray, starts: np.ndarray):
+    """For rows sorted by step and then by their group ``key`` (0..5), the
+    ends of each step's six groups counted from the step's first row; the
+    steps start at ``starts`` (and the last ends with the rows)."""
+    step = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    return np.cumsum(np.bincount(6 * step + key, minlength=6 * (len(starts) - 1)).reshape(-1, 6), axis=1)
+
+
+def _widths(sizes: np.ndarray, key: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per step (rows from starts[i] on, each step holding one row at least)
+    the widest subsystem among its table rows."""
+    return np.maximum.reduceat(np.where(key < 2, sizes, 0), starts[:-1])
+
+
 class _Propagator(_Uniformization):
     """exp(Q_S dt) of every segment (mask, dt) of a batch, applied to
-    n-length message rows: ``forward(v, seg)`` gives the rows
-    v[r] exp(Q_S dt) for segments seg[r], where each v[r] vanishes outside
-    its mask, and ``backward(v, seg)`` the columns exp(Q_S dt) v[r] of v[r]
-    projected onto its mask. Up to _PADE_MAX_STATES states each segment's
-    |S| x |S| exponential is built once, kept flat in ``blocks``: one state
-    takes e^(q_ii dt), and the segments of one mask take
+    message rows by one kernel, ``propagate``: a row message v goes to
+    v exp(Q_S dt), a column message to exp(Q_S dt) v projected onto the
+    mask. Up to _PADE_MAX_STATES states each segment's |S| x |S|
+    exponential is built once, kept flat in ``blocks`` before one zero: one
+    state takes e^(q_ii dt), and the segments of one mask take
     sum_a Pois(a; mu) P^a from its power table in one product, cut where
     each segment's own Poisson tail falls to _SWEEP_TAIL. Above it the
     series in P is applied to the rows, each segment's cut alike.
@@ -597,11 +667,10 @@ class _Propagator(_Uniformization):
         self.kind = np.where(sizes <= _PADE_MAX_STATES, _TABLE, np.where(sizes == q.n, _SERIES_FULL, _SERIES))
         table = np.flatnonzero(self.kind == _TABLE)
         one = table[sizes[table] == 1]
-        # One zero past the blocks, read by the padding.
         self.blocks = np.zeros(int((sizes[table] ** 2).sum()) + 1)
         self.block_at = np.zeros(len(dts), dtype=np.intp)
         self.block_at[one] = np.arange(len(one))
-        self.blocks[: len(one)] = np.exp(-self.exit[self.layout.idx[one, 0]] * dts[one])
+        self.blocks[: len(one)] = np.exp(-self.exit[self.states[one, 0]] * dts[one])
         at = len(one)
         tabled = np.flatnonzero(self.mask_id >= 0)
         terms = _series_terms(self.mu[tabled], _SWEEP_TAIL)
@@ -622,47 +691,90 @@ class _Propagator(_Uniformization):
             self.weight_row[series] = np.arange(series.size)
             self.weights = _poisson_weights(self.mu[series], self.terms[series])
 
+    def step(self, seg: np.ndarray, columns: np.ndarray) -> _Step:
+        """A one-step plan: row r of the input across segment seg[r] to row r
+        of the output."""
+        key = 2 * self.kind[seg] + columns
+        order = np.argsort(key, kind="stable")
+        key, starts, seg, columns = key[order], np.array([0, len(seg)]), seg[order], columns[order]
+        ends = _groups(key, starts)[0].tolist() if len(seg) else [0] * 6
+        width = int(_widths(self.sizes[seg], key, starts)[0]) if len(seg) else 0
+        return _Step(seg, columns, order, order, *self.blocks_of(seg, columns), ends, width)
+
+    def blocks_of(self, seg: np.ndarray, columns: np.ndarray):
+        """The template rows and block starts of the table rows seg."""
+        return self.sizes[seg] + (_PADE_MAX_STATES + 1) * columns, self.block_at[seg]
+
+    def apply(self, v: np.ndarray, seg: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """The n-length rows v[r] carried across segments seg[r], as column
+        messages where columns[r]."""
+        flat, rows = _buffer(*v.shape)
+        rows[:] = v
+        out, out_rows = _buffer(*v.shape)
+        self.propagate(flat, self.step(seg, columns), out)
+        return out_rows
+
     def forward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        return self._apply(v, seg, False)
+        return self.apply(v, seg, np.zeros(len(seg), dtype=bool))
 
     def backward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        # Gathering the rows to S projects them.
-        return self._apply(v, seg, True)
+        # Kept beside ``forward`` for the tests of the exponential blocks.
+        return self.apply(v, seg, np.ones(len(seg), dtype=bool))
 
-    def _apply(self, v: np.ndarray, seg: np.ndarray, columns: bool) -> np.ndarray:
-        """Each kind of segment on its own layout, padded to its widest S."""
-        out = np.zeros_like(v)
-        kinds = self.kind[seg]
-        for kind in np.unique(kinds):
-            rows = np.flatnonzero(kinds == kind)
-            lay = self.cut(seg[rows])
-            x = lay.gather(v[rows])
-            x = self._blocks(x, lay, columns) if kind == _TABLE else self._series(x, lay, columns, kind == _SERIES_FULL)
-            out[rows] = lay.scatter(x, v.shape[1])
-        return out
+    def propagate(self, v: np.ndarray, step: _Step, out: np.ndarray) -> None:
+        """The one propagation kernel: writes the rows of ``step`` from the
+        message buffer v to the buffer out. The table rows take one
+        product, their row and column messages together, the series rows
+        one per term and direction; the gather to S projects a column
+        message. Table rows read their padded blocks from ``blocks``
+        through the templates, zero past |S|, and every sum runs over j in
+        order, so a row's result does not depend on the rows beside it."""
+        n = self.masks.shape[1]
+        ends, tw = step.ends, step.width
+        if ends[1]:
+            seg = step.seg[: ends[1]]
+            idx = self.states[seg, :tw]
+            x = v.take(idx + step.src[: ends[1], None] * n, mode="clip")
+            at = _templates(_PADE_MAX_STATES)[step.tmpl[: ends[1]], :tw, :tw]
+            at += step.at[: ends[1], None, None]
+            y = _rows_dot(x, self.blocks.take(at, mode="clip"))
+            np.put(out, idx + step.dst[: ends[1], None] * n, y, mode="clip")
+        # Series rows go one direction at a time, so a step holds the
+        # |S| x |S| blocks of W of one direction only.
+        for lo, hi, w in ((ends[1], ends[2], self.w), (ends[2], ends[3], self.w.T)):
+            if hi > lo:
+                lay = self.cut(step.seg[lo:hi])
+                x = v.take(lay.at(step.src[lo:hi], n), mode="clip")
+                blocks = _block(w, lay.idx, lay.idx)
+                y = self._series(x, lay, lambda u, blocks=blocks: _rows_dot(u, blocks))
+                np.put(out, lay.at(step.dst[lo:hi], n), y, mode="clip")
+        for lo, hi, w in ((ends[3], ends[4], self.w), (ends[4], ends[5], self.w.T)):
+            if hi > lo:
+                seg = step.seg[lo:hi]
+                x = v[:-1].reshape(-1, n)[step.src[lo:hi]]
+                full = _Layout(seg, np.broadcast_to(self.states[seg[0]], x.shape), np.ones(x.shape, dtype=bool))
+                y = self._series(x, full, lambda u, w=w: (u[:, None, :] @ w)[:, 0])
+                out[:-1].reshape(-1, n)[step.dst[lo:hi]] = y
 
-    def _blocks(self, x: np.ndarray, lay: _Layout, columns: bool) -> np.ndarray:
-        """x[r] times segment r's exponential block, or its transpose for
-        columns, gathered from ``blocks`` zero-padded to the layout."""
-        ar = np.arange(lay.idx.shape[1])
-        j, k = (ar, ar[:, None]) if columns else (ar[:, None], ar)
-        at = self.block_at[lay.seg][:, None, None] + j * self.sizes[lay.seg][:, None, None] + k
-        return _rows_dot(x, self.blocks.take(np.where(lay.valid[:, :, None] & lay.valid[:, None, :], at, -1)))
+    def cross(self, out: np.ndarray, row: np.ndarray, leave: np.ndarray, enter: np.ndarray, widths) -> None:
+        """Carry the rows ``row`` of the message buffer out across rate
+        boundaries, in place, from the subsystem S1 of segment leave[r] to
+        the S2 of enter[r], at most ``widths`` states each: a row message
+        (leave before enter) times W[S1, S2], a column message times
+        W^T[S1, S2]."""
+        n = self.masks.shape[1]
+        a, b = self.states[leave, : widths[0]], self.states[enter, : widths[1]]
+        # Entry (j, k) is W[S1[j], S2[k]] or W[S2[k], S1[j]]; a padded
+        # state reads the zero at W's end.
+        stride = np.where(leave < enter, n, 1)[:, None, None]
+        blocks = self.w.reshape(-1).take(a[:, :, None] * stride + b[:, None, :] * (n // stride), mode="clip")
+        x = out.take(a + row[:, None] * n, mode="clip")
+        out[:-1].reshape(-1, n)[row] = 0.0
+        np.put(out, b + row[:, None] * n, _rows_dot(x, blocks), mode="clip")
 
-    def _series(self, x: np.ndarray, lay: _Layout, columns: bool, full: bool) -> np.ndarray:
-        """sum_a weights[r, a] x[r] P_r^a; a row past its own cutoff adds
-        zeros. Where S is the joint space, W_S is W itself and each row
-        takes its own product by it."""
-        w = self.w.T if columns else self.w
-        if full:
-            def times(v):
-                return (v[:, None, :] @ w)[:, 0]
-        else:
-            blocks = _block(w, lay.idx, lay.idx)
-
-            def times(v):
-                return _rows_dot(v, blocks)
-
+    def _series(self, x: np.ndarray, lay: _Layout, times) -> np.ndarray:
+        """sum_a weights[r, a] x[r] P_r^a, with x P = x * keep + times(x) * jump;
+        a row past its own cutoff adds zeros."""
         keep, jump = self.keep_jump(lay)
         weights = self.weights[self.weight_row[lay.seg]]
         out = x * weights[:, :1]
@@ -673,8 +785,8 @@ class _Propagator(_Uniformization):
 
 
 class _Sweep(NamedTuple):
-    """A batch of trajectories split into segments and swept forward, and
-    once ``_backward_sweep`` has filled in its backward fields, backward.
+    """A batch of trajectories split into segments and swept forward and,
+    where ``_sweep`` ran both sweeps, backward.
 
     The rows of all trajectories are stacked: trajectory t owns segments
     ``seg_off[t]`` up to ``seg_off[t] + counts[t]`` and boundaries
@@ -745,10 +857,130 @@ def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
     return cnt, seg_off[order], seg_off[order] + order, sizes
 
 
-def _forward(q: IntensityMatrix, p0, evs: list) -> _Sweep:
-    """Split the evidence segments of a batch and run the scaled forward
-    sweep. The segment propagator exists only here and in
-    ``_backward_sweep``, which reuses it."""
+class _Plan:
+    """The steps of a batch's lockstep loop, planned once and shared by its
+    two sweeps. Step i carries the forward messages of every trajectory
+    with a segment i across it, and with ``backward`` the backward messages
+    across the i-th segment from the end, a row each: the backward rows
+    first, then the forward ones, in lockstep order (``_lockstep``). After
+    the step, every backward row and the forward rows of trajectories with
+    a segment i + 1 cross the boundary to their next segment, and those
+    rows, in that order, are the next step's input.
+
+    Per row, in step order and by kind within a step (``_Step``): its
+    segment, direction, input and output rows; per step, the ends of its
+    kinds, its table rows' width and the offsets of its rows in ``rows``. The
+    boundaries whose messages each step writes after its exponentials
+    (``after``: ``bwd_post`` of a backward row, ``fwd_pre`` of a forward
+    one) and after its boundary (``crossed``: ``bwd`` and ``fwd``), in the
+    order of its output rows, and the segment whose mask projects
+    each forward row across the boundary (``project``). The rate
+    boundaries crossed at each step: the row and the segments it leaves
+    and enters, and the widest of those subsystems. Every array is
+    O(segments) long; no padded index or block is kept, and each step
+    gathers its own blocks of W (``_Propagator.cross``).
+    """
+
+    def __init__(self, prop: _Propagator, counts: np.ndarray, seg_off: np.ndarray, rate_before: np.ndarray,
+                 backward: bool):
+        cnt, soff, boff, sizes = _lockstep(counts, seg_off)
+        steps = int(cnt[0])
+        a, cont = sizes[:steps], sizes[1:]
+        back = a if backward else np.zeros_like(a)
+        # Every (step k, lockstep row t) pair, step by step. A forward row's
+        # input follows the backward rows of the step before.
+        k = np.repeat(np.arange(steps), a)
+        t = np.arange(len(k)) - np.repeat(np.cumsum(a) - a, a)
+        fseg = soff[t] + k
+        fdst = back[k] + t
+        going = t < cont[k]
+        seg, cols, src, dst, step = [fseg], [np.zeros(len(k), dtype=bool)], [np.r_[back[:1], back[:-1]][k] + t], [fdst], [k]
+        if backward:
+            bseg = soff[t] + cnt[t] - 1 - k
+            seg.append(bseg)
+            cols.append(np.ones(len(k), dtype=bool))
+            src.append(t)
+            dst.append(t)
+            step.append(k)
+        seg, cols, src, dst, step = (np.concatenate(x) for x in (seg, cols, src, dst, step))
+        key = 2 * prop.kind[seg] + cols
+        order = np.argsort(6 * step + key, kind="stable")
+        self.steps = steps
+        self.rows = np.r_[0, np.cumsum(back + a)]
+        self.seg, self.columns, self.src, self.dst, key, step = (x[order] for x in (seg, cols, src, dst, key, step))
+        del seg, cols, src, dst, order
+        self.tmpl, self.at = prop.blocks_of(self.seg, self.columns)
+        # The input row of each output row, for the log scales.
+        self.carry = np.empty(len(key), dtype=np.intp)
+        self.carry[self.rows[step] + self.dst] = self.src
+        self.ends = _groups(key, self.rows).tolist()
+        self.widths = _widths(prop.sizes[self.seg], key, self.rows).tolist()
+        self.back = back.tolist()
+        del key, step
+
+        # Message slots, in output-row order within each step.
+        fb, bb = boff[t] + k + 1, boff[t] + cnt[t] - 1 - k
+        self.after = np.empty(len(self.seg), dtype=np.intp)
+        self.after[self.rows[k] + fdst] = fb
+        self.crossed_at = np.r_[0, np.cumsum(back + cont)]
+        self.crossed = np.empty(self.crossed_at[-1], dtype=np.intp)
+        self.crossed[(self.crossed_at[k] + fdst)[going]] = fb[going]
+        if backward:
+            self.after[self.rows[k] + t] = bb
+            self.crossed[self.crossed_at[k] + t] = bb
+        self.project = fseg[going] + 1
+        self.project_at = np.r_[0, np.cumsum(cont)]
+
+        # Rate boundaries: forward rows entering segment fseg + 1, backward
+        # rows leaving segment bseg backward through the boundary before it.
+        fr = np.flatnonzero(going)
+        fr = fr[rate_before[fseg[fr] + 1]]
+        row, leave, enter, rstep = [fdst[fr]], [fseg[fr]], [fseg[fr] + 1], [k[fr]]
+        if backward:
+            br = np.flatnonzero(rate_before[bseg])
+            row.append(t[br])
+            leave.append(bseg[br])
+            enter.append(bseg[br] - 1)
+            rstep.append(k[br])
+        row, leave, enter, rstep = (np.concatenate(x) for x in (row, leave, enter, rstep))
+        order = np.argsort(rstep, kind="stable")
+        self.rate_row, self.rate_leave, self.rate_enter = row[order], leave[order], enter[order]
+        self.rate_at = np.r_[0, np.cumsum(np.bincount(rstep, minlength=steps))]
+        # The widest subsystems each step's rate rows leave and enter.
+        self.rate_widths = np.zeros((steps, 2), dtype=np.intp)
+        has = np.flatnonzero(np.diff(self.rate_at))
+        if has.size:
+            sizes = np.stack([prop.sizes[self.rate_leave], prop.sizes[self.rate_enter]], axis=1)
+            self.rate_widths[has] = np.maximum.reduceat(sizes, self.rate_at[has])
+        # Offsets are read one at a time; the index arrays are kept in 32
+        # bits.
+        self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_widths = (
+            a.tolist() for a in (self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_widths))
+        for name in ("seg", "src", "dst", "tmpl", "at", "carry", "after", "crossed", "project", "rate_row",
+                     "rate_leave", "rate_enter"):
+            setattr(self, name, getattr(self, name).astype(np.int32))
+
+    def step(self, i: int) -> _Step:
+        """The rows of step i."""
+        lo, hi = self.rows[i], self.rows[i + 1]
+        return _Step(self.seg[lo:hi], self.columns[lo:hi], self.src[lo:hi], self.dst[lo:hi], self.tmpl[lo:hi],
+                     self.at[lo:hi], self.ends[i], self.widths[i])
+
+    def rates(self, i: int):
+        """The rate rows of step i, the segments they leave and enter, and
+        the widest subsystems among those."""
+        lo, hi = self.rate_at[i], self.rate_at[i + 1]
+        return self.rate_row[lo:hi], self.rate_leave[lo:hi], self.rate_enter[lo:hi], self.rate_widths[i]
+
+
+def _sweep(q: IntensityMatrix, p0, evs: list, backward: bool = True, first: int = 0) -> _Sweep:
+    """Split the evidence segments of a batch and sweep them forward and,
+    with ``backward``, backward, both in one loop over the steps of the
+    batch's plan: per step one ``_Propagator.propagate`` of all its rows,
+    one normalization, the boundary factors (a projection onto the next
+    mask, or a rate block) and one more normalization. Raises
+    ``ForwardBackwardMismatchError`` where the two sweeps' log-likelihoods
+    of a trajectory disagree; its index counts from ``first``."""
     if q.kind != "proper":
         raise ValueError("forward-backward needs a proper intensity matrix")
     if any(ev.n != q.n for ev in evs):
@@ -758,84 +990,83 @@ def _forward(q: IntensityMatrix, p0, evs: list) -> _Sweep:
     masks, dts, times, counts, rate_before = _split_batch(q.entries, evs)
     seg_off = np.cumsum(counts) - counts
     prop = _Propagator(q, masks, dts)
+    plan = _Plan(prop, counts, seg_off, rate_before, backward)
+    cnt, soff, boff, _ = _lockstep(counts, seg_off)
 
     nb = len(dts) + len(evs)
-    fwd = np.zeros((nb, n))
-    fwd_log = np.full(nb, -np.inf)
-    fwd_pre = np.zeros((nb, n))
-    fwd_pre_log = np.full(nb, -np.inf)
-    cnt, soff, boff, sizes = _lockstep(counts, seg_off)
-
-    # Boundary 0 projects p0 onto the first subsystem.
+    # One array per message slot: one array of all four, freed as one large
+    # block after each batch, raised the peak RSS of the sweeps of 20 ring
+    # records at n = 1024 from 76 to 92 MB, with equal traced peaks (an
+    # effect of the allocator).
+    fwd, fwd_pre = np.zeros((nb, n)), np.zeros((nb, n))
+    bwd, bwd_post = (np.zeros((nb, n)), np.zeros((nb, n))) if backward else (None, None)
+    fwd_log, fwd_pre_log, bwd_log, bwd_post_log = (np.full(nb, -np.inf) for _ in range(4))
+    # Boundary 0 projects p0 onto the first subsystem; at the horizon the
+    # backward message is all ones.
     fwd_pre[boff] = p0
     fwd_pre_log[boff] = 0.0
-    v, lf = _normalize_rows(p0 * masks[soff])
-    fwd[boff] = v
+    first_rows, lf = _normalize_rows(p0 * masks[soff])
+    fwd[boff] = first_rows
     fwd_log[boff] = lf
-    for i in range(cnt[0]):
-        # Segment i of every trajectory that has one; where it is the last,
-        # the boundary after it carries no factor.
-        a = sizes[i]
-        seg = soff[:a] + i
-        v, ls = _normalize_rows(prop.forward(v[:a], seg))
-        lf = lf[:a] + ls
-        b = boff[:a] + i + 1
-        fwd_pre[b] = fwd[b] = v
-        fwd_pre_log[b] = fwd_log[b] = lf
-        a = sizes[i + 1]
-        seg, b = seg[:a], b[:a]
-        nxt = v[:a] * masks[seg + 1]
-        rate = np.flatnonzero(rate_before[seg + 1])
-        if rate.size:
-            nxt[rate] = _transfer(prop, prop.w, v[rate], seg[rate], seg[rate] + 1)
-        v, ls = _normalize_rows(nxt)
-        lf = lf[:a] + ls
-        fwd[b] = v
-        fwd_log[b] = lf
+    back = plan.back[0]
+    v, v_rows = _buffer(back + len(cnt), n)
+    v_rows[back:] = first_rows
+    lv = np.r_[np.full(back, math.log(n)), lf]
+    if backward:
+        v_rows[:back] = 1.0 / n
+        bwd[boff + cnt] = bwd_post[boff + cnt] = 1.0 / n
+        bwd_log[boff + cnt] = bwd_post_log[boff + cnt] = math.log(n)
 
-    return _Sweep(
-        p0, times, masks, dts, rate_before, prop, counts, seg_off, fwd, fwd_log, fwd_pre, fwd_pre_log,
-    )
+    # Each step's log scales, written to their slots after the loop.
+    after_logs, crossed_logs = [], []
+    for i in range(plan.steps):
+        step = plan.step(i)
+        out, p = _buffer(len(step.seg), n)
+        prop.propagate(v, step, out)
+        p, ls = _normalize_rows(p)
+        lo, hi = plan.rows[i], plan.rows[i + 1]
+        lp = lv.take(plan.carry[lo:hi]) + ls
+        after_logs.append(lp)
+        back = plan.back[i]
+        after = plan.after[lo:hi]
+        fwd_pre[after[back:]] = p[back:]
+        if back:
+            bwd_post[after[:back]] = p[:back]
 
+        # Across the boundary: the rate rows first, then every forward row
+        # projected onto its next mask, which leaves a rate row as it is.
+        row, leave, enter, widths = plan.rates(i)
+        if len(row):
+            prop.cross(out, row, leave, enter, widths)
+        keep = plan.crossed_at[i + 1] - plan.crossed_at[i]
+        p[back:keep] *= masks[plan.project[plan.project_at[i] : plan.project_at[i + 1]]]
+        p, ls = _normalize_rows(p[:keep])
+        lv = lp[:keep] + ls
+        crossed_logs.append(lv)
+        crossed = plan.crossed[plan.crossed_at[i] : plan.crossed_at[i + 1]]
+        fwd[crossed[back:]] = p[back:]
+        if back:
+            bwd[crossed[:back]] = p[:back]
+        v = out
 
-def _backward_sweep(q: IntensityMatrix, f: _Sweep, first: int = 0) -> _Sweep:
-    """The batch f with its backward fields filled in. Raises
-    ``ForwardBackwardMismatchError`` where the two sweeps' log-likelihoods
-    of a trajectory disagree; its index counts from ``first``."""
-    n = q.n
-    nb = len(f.fwd)
-    bwd = np.zeros((nb, n))
-    bwd_log = np.full(nb, -np.inf)
-    bwd_post = np.zeros((nb, n))
-    bwd_post_log = np.full(nb, -np.inf)
-    cnt, soff, boff, sizes = _lockstep(f.counts, f.seg_off)
-
-    # At the horizon the message is all ones.
-    v = np.full((len(cnt), n), 1.0 / n)
-    lb = np.full(len(cnt), math.log(n))
-    bwd[boff + cnt] = bwd_post[boff + cnt] = v
-    bwd_log[boff + cnt] = bwd_post_log[boff + cnt] = lb
-    for j in range(cnt[0]):
-        # The j-th segment from the end of every trajectory that has one,
-        # then the boundary before it; a first segment's boundary projects.
-        a = sizes[j]
-        i = cnt[:a] - 1 - j
-        seg = soff[:a] + i
-        b = boff[:a] + i
-        v, ls = _normalize_rows(f.prop.backward(v[:a], seg))
-        lb = lb[:a] + ls
-        bwd_post[b] = v
-        bwd_post_log[b] = lb
-        rate = np.flatnonzero(f.rate_before[seg])
-        if rate.size:
-            v[rate] = _transfer(f.prop, f.prop.w.T, v[rate], seg[rate], seg[rate] - 1)
-        v, ls = _normalize_rows(v)
-        lb = lb + ls
-        bwd[b] = v
-        bwd_log[b] = lb
+    for logs, at, starts, (f_log, b_log) in ((after_logs, plan.after, plan.rows, (fwd_pre_log, bwd_post_log)),
+                                             (crossed_logs, plan.crossed, plan.crossed_at, (fwd_log, bwd_log))):
+        # Each step's first rows are its backward ones.
+        within = np.arange(len(at)) - np.repeat(starts[:-1], np.diff(starts))
+        back = within < np.repeat(plan.back, np.diff(starts))
+        logs = np.concatenate(logs)
+        f_log[at[~back]] = logs[~back]
+        b_log[at[back]] = logs[back]
+    # A trajectory's last message is not crossed over.
+    end = boff + cnt
+    fwd[end] = fwd_pre[end]
+    fwd_log[end] = fwd_pre_log[end]
+    f = _Sweep(p0, times, masks, dts, rate_before, prop, counts, seg_off, fwd, fwd_log, fwd_pre, fwd_pre_log)
+    if not backward:
+        return f
 
     b0 = f.starts
-    mass = np.einsum("tj,j->t", bwd[b0], f.p0)
+    mass = np.einsum("tj,j->t", bwd[b0], p0)
     log_probs = np.log(mass, out=np.full(len(mass), -np.inf), where=mass > 0.0) + bwd_log[b0]
     forward = f.log_probs
     with np.errstate(invalid="ignore"):
@@ -850,18 +1081,18 @@ def _backward_sweep(q: IntensityMatrix, f: _Sweep, first: int = 0) -> _Sweep:
 
 def _sweeps(q: IntensityMatrix, p0, evs: list, backward: bool = True, possible: bool = True):
     """The one lockstep loop: the trajectories evs cut into batches, each
-    swept forward and, with ``backward``, backward. Yields (first, batch,
-    sweep), first being the index in evs of the batch's first trajectory.
-    With ``possible``, evidence without mass raises. Every error counts
-    trajectories across batches."""
+    swept by ``_sweep``, forward and, with ``backward``, backward. Yields
+    (first, batch, sweep), first being the index in evs of the batch's
+    first trajectory. With ``possible``, evidence without mass raises.
+    Every error counts trajectories across batches."""
     first = 0
     for batch in _batches(evs, q.n):
-        f = _forward(q, p0, batch)
-        if backward:
-            f = _backward_sweep(q, f, first)
+        f = _sweep(q, p0, batch, backward, first)
         if possible:
             f.raise_if_impossible(first)
         yield first, batch, f
+        # No batch is held here while the next one is swept.
+        del f
         first += len(batch)
 
 
@@ -908,9 +1139,8 @@ def smoothed_marginal(cache: MessageCache, t) -> np.ndarray:
         k, m, ti = i[inner], len(inner), times[inner]
         dts = np.concatenate((ti - bounds[k], bounds[k + 1] - ti))
         prop = _Propagator(cache.q, cache.seg_masks[np.concatenate((k, k))], dts)
-        a = prop.forward(cache.fwd[k], np.arange(m))
-        b = prop.backward(cache.bwd[k + 1], np.arange(m, 2 * m))
-        raw[inner] = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
+        ab = prop.apply(np.concatenate((cache.fwd[k], cache.bwd[k + 1])), np.arange(2 * m), np.arange(2 * m) >= m)
+        raw[inner] = np.clip(ab[:m], 0.0, None) * np.clip(ab[m:], 0.0, None)
     s = raw.sum(axis=1)
     dead = np.flatnonzero(~(s > 0.0))
     if dead.size:
@@ -1192,6 +1422,7 @@ def _e_step_batches(q: IntensityMatrix, p0, evs: list, tol: float):
     _check_tol(tol)
     for first, batch, f in _sweeps(q, p0, evs):
         yield _statistics(f, tol, np.zeros(len(batch), dtype=np.intp), first)
+        del f
 
 
 def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[FlatStatistics]:

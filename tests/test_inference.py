@@ -256,6 +256,38 @@ class TestLockstepSweep:
             assert not first.flags.writeable, name
 
 
+class TestFixedOrderProducts:
+    def test_one_column_products_ignore_padding(self):
+        # einsum sums a single output column in an order that depends on
+        # the row length; _rows_dot must not, so zero padding of either
+        # side leaves every product bitwise as it is.
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            r, w, extra, wide = (int(v) for v in rng.integers(1, [6, 17, 9, 9]))
+            x, blocks = rng.random((r, w)), rng.random((r, w, 1))
+            padded_x = np.zeros((r, w + extra))
+            padded_x[:, :w] = x
+            padded = np.zeros((r, w + extra, wide))
+            padded[:, :w, :1] = blocks
+            want = inference._rows_dot(x, blocks)
+            assert inference._rows_dot(padded_x, padded)[:, :1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [256, 646, 907, 997, 1352])
+    def test_random_batches_match_lone_sweeps(self, seed):
+        # Random evidence whose rate boundaries enter one-state subsystems
+        # from wider ones, in steps padded by the rows beside them: every
+        # cache equals its lone sweep bitwise.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        q = validate_intensity(random_proper(rng, n, 0.05, 20.0))
+        p0 = random_distribution(rng, n)
+        evs = [random_evidence(rng, n, float(rng.uniform(0.0, 5.0))) for _ in range(int(rng.integers(2, 6)))]
+        for got, ev in zip(forward_backward_many(q, p0, evs), evs):
+            want = forward_backward_many(q, p0, [ev])[0]
+            for name in ("fwd", "fwd_log", "fwd_pre", "fwd_pre_log", "bwd", "bwd_log", "bwd_post", "bwd_post_log"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def ring32_records():
     """Occluded records of the n = 32 ring: a hidden stretch stiff enough to
     be split, an observed flip of v0 (a rate boundary), a zero-length
@@ -348,12 +380,25 @@ class TestSeriesForm:
         # early moves both log-likelihoods alike; a backward sweep whose
         # series is cut at 1e-3 after an exact forward sweep does not.
         ev = self.evs[0]
-        sweep = inference._forward(self.q, self.p0, [ev])
+        sweep = inference._sweep(self.q, self.p0, [ev], backward=False)
         assert forward_backward(self.q, self.p0, ev).log_prob == sweep.log_prob(0)
-        monkeypatch.setattr(inference, "_SWEEP_TAIL", 1e-3)
-        loose = sweep._replace(prop=inference._Propagator(self.q, sweep.masks, sweep.dts))
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "_SWEEP_TAIL", 1e-3)
+            loose = inference._Propagator(self.q, sweep.masks, sweep.dts)
+        propagate = inference._Propagator.propagate
+
+        def loose_backward(prop, v, step, out):
+            # The batch's own exact propagator for the forward rows, the
+            # loose one for the backward rows.
+            propagate(prop, v, step, out)
+            cut = np.zeros_like(out)
+            propagate(loose, v, step, cut)
+            rows = out[:-1].reshape(-1, self.q.n)
+            rows[step.dst[step.columns]] = cut[:-1].reshape(-1, self.q.n)[step.dst[step.columns]]
+
+        monkeypatch.setattr(inference._Propagator, "propagate", loose_backward)
         with pytest.raises(ForwardBackwardMismatchError) as err:
-            inference._backward_sweep(self.q, loose, first=7)
+            inference._sweep(self.q, self.p0, [ev], first=7)
         assert err.value.trajectory_index == 7
         assert err.value.log_prob == sweep.log_prob(0)
         gap = abs(err.value.log_prob - err.value.log_prob_backward)
@@ -930,6 +975,44 @@ class TestSubsystemOracle:
         assert {3, 6, 12} <= set(np.concatenate([ev.masks.sum(axis=1) for ev in evs]).tolist())
         caches = self.check(q.entries, p0, evs)
         assert all((c.factor_kind == 1).any() for c in caches)
+
+
+@st.composite
+def phase_ctbns(draw):
+    """A CTBN of four variables with random parents (cycles allowed) and
+    rates, w with two or three hidden phases per state and x, y, z binary
+    (32 or 48 joint states), and two to four window-occluded records of
+    it: the generator, the initial distribution and the evidence."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = ("w", "x", "y", "z")
+    cims = {}
+    for name in names:
+        parents = tuple(p for p in names if p != name and draw(st.booleans()))
+        mats = np.exp(rng.uniform(np.log(0.3), np.log(3.0), (2 ** len(parents), 2)))
+        cims[name] = Cim(parents, (2,) * len(parents), np.array([[[-a, a], [b, -b]] for a, b in mats]))
+    base = CtbnModel(tuple(Variable(v, (v + "0", v + "1")) for v in names), cims, {v: [0.5, 0.5] for v in names})
+    spec = PhaseSpec({"w": draw(st.integers(2, 3))}, topology=draw(st.sampled_from(["chain", "unrestricted"])))
+    model, _ = expand_phases(base, spec)
+    q, space, p0 = amalgamate(model)
+    fraction, window = draw(st.sampled_from([0.3, 0.6])), draw(st.sampled_from([0.25, 0.5]))
+    evs = []
+    for _ in range(draw(st.integers(2, 4))):
+        traj = sample_trajectory(p0, q, 2.0, rng)
+        per_var = [space.project(traj, v) for v in range(space.k)]
+        evs.append(occlude_observed(per_var, OcclusionPolicy(fraction, window), rng).to_evidence(space))
+    return q.entries, p0, evs
+
+
+class TestPhaseCtbnOracle:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(phase_ctbns())
+    def test_lockstep_loop_matches_joint_space(self, case):
+        # The one lockstep loop over random four-variable CTBNs, one
+        # variable's phases hidden, under window occlusion: both sweeps'
+        # log-likelihoods, the smoothed marginals and the statistics
+        # against the joint-space oracle, at its bounds.
+        q, p0, evs = case
+        TestSubsystemOracle().check(q, p0, evs)
 
 
 def phase_space_generator():

@@ -15,6 +15,7 @@ from ctbnlearn import (
     ForwardBackwardMismatchError,
     ObservedTrajectory,
     OcclusionPolicy,
+    PhaseSpec,
     SemConfig,
     Subsystem,
     Variable,
@@ -24,6 +25,7 @@ from ctbnlearn import (
     bic_score,
     e_step,
     em,
+    expand_phases,
     expected_statistics,
     family_log_likelihood,
     forward_backward,
@@ -355,15 +357,15 @@ class TestBatchedEStep:
         dataset.insert(at, odd)
         assert at < sum(three_batches(monkeypatch, dataset, q.n, 1000)[:3])
         e_step(model, dataset)
-        backward = inference._Propagator.backward
+        propagate = inference._Propagator.propagate
         target = odd.masks[0]
 
-        def perturbed(self, v, seg):
-            out = backward(self, v, seg)
-            out[(self.masks[seg] == target).all(axis=1)] *= 1.0 + 1e-6
-            return out
+        def perturbed(self, v, step, out):
+            propagate(self, v, step, out)
+            hit = step.columns & (self.masks[step.seg] == target).all(axis=1)
+            out[:-1].reshape(-1, q.n)[step.dst[hit]] *= 1.0 + 1e-6
 
-        monkeypatch.setattr(inference._Propagator, "backward", perturbed)
+        monkeypatch.setattr(inference._Propagator, "propagate", perturbed)
         with pytest.raises(ForwardBackwardMismatchError) as err:
             e_step(model, dataset)
         assert err.value.trajectory_index == at
@@ -809,3 +811,128 @@ class TestBatchBudget:
         assert len(estimates) > 1
         assert max(estimates) <= budget
         assert len(estimates) <= math.ceil(sum(estimates) / budget) + 1
+
+
+def occluded_dataset(model, count, horizon, seed, policy=OcclusionPolicy(0.25, 0.25)):
+    """``count`` window-occluded records of the model, as evidence."""
+    q, space, p0 = amalgamate(model)
+    rng = np.random.default_rng(seed)
+    dataset = []
+    for _ in range(count):
+        traj = sample_trajectory(p0, q, horizon, rng)
+        per_var = [space.project(traj, v) for v in range(space.k)]
+        dataset.append(occlude_observed(per_var, policy, rng).to_evidence(space))
+    return dataset
+
+
+def phase_model():
+    """w with three hidden phases per state, x and y binary, each driven by
+    another: 24 joint states."""
+    base = CtbnModel(
+        (Variable("w", ("w1", "w2")), Variable("x", ("x0", "x1")), Variable("y", ("y0", "y1"))),
+        {"w": Cim(("x",), (2,), np.array([[[-1.0, 1.0], [2.0, -2.0]], [[-3.0, 3.0], [0.5, -0.5]]])),
+         "x": Cim(("y",), (2,), np.array([[[-0.7, 0.7], [1.2, -1.2]], [[-2.0, 2.0], [0.4, -0.4]]])),
+         "y": Cim(("w",), (2,), np.array([[[-1.5, 1.5], [0.8, -0.8]], [[-0.6, 0.6], [2.5, -2.5]]]))},
+        {"w": [1.0, 0.0], "x": [0.5, 0.5], "y": [0.5, 0.5]},
+    )
+    return expand_phases(base, PhaseSpec({"w": 3}, topology="unrestricted"))[0]
+
+
+def recorded_plans(monkeypatch):
+    """Patch ``inference._Plan`` to keep every plan it builds."""
+    plans = []
+    plan = inference._Plan
+
+    def recording(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(inference, "_Plan", recording)
+    return plans
+
+
+class TestStepPlan:
+    """Each lockstep batch is planned once for both sweeps, and the loop
+    takes one step per segment position of the batch's longest trajectory."""
+
+    @pytest.mark.parametrize("case", ["ring-n32", "chain-n8", "phase-n24"])
+    def test_plan_stays_within_the_batch_estimate(self, monkeypatch, case):
+        # A plan holds O(segments + sum |S1| |S2|) entries, never a padded
+        # index or block for the whole batch: it stays within the entries
+        # the batch budget counts for the batch.
+        if case == "ring-n32":
+            model = binary_ring_model(5)
+            dataset = [rec.to_evidence(model.space()) for rec in ring_records()] * 3
+        elif case == "chain-n8":
+            model = binary_chain_model()
+            dataset = occluded_dataset(model, 600, 5.0, 42)
+        else:
+            model = phase_model()
+            dataset = occluded_dataset(model, 200, 5.0, 7)
+        n = model.space().n_joint
+        plans = recorded_plans(monkeypatch)
+        e_step(model, dataset)
+        batches = list(inference._batches(dataset, n))
+        assert len(plans) == len(batches) and (len(batches) > 1) == (case != "ring-n32")
+        width = inference._series_width()
+        for plan, batch in zip(plans, batches):
+            held = sum(a.size for a in vars(plan).values() if isinstance(a, np.ndarray))
+            sizes = np.concatenate([ev.masks.sum(axis=1) for ev in batch])
+            estimate = inference._entries(sizes, np.array([ev.n_segments for ev in batch]), n, width).sum()
+            assert 0 < held <= estimate
+
+    def test_plan_of_wide_subsystems_stays_within_the_batch_estimate(self):
+        # Joint n = 1024, 60% hidden in windows of 1.0: subsystems up to the
+        # whole joint space meet at rate boundaries. Each step gathers its
+        # own W blocks, so the plan stays within the batch estimate; the
+        # blocks of all of a batch's rate boundaries would hold 11 to 26
+        # times it. The plans are built alone: sweeping this data takes
+        # far longer than planning it.
+        model = binary_ring_model(10, seed=3)
+        q, _, _ = amalgamate(model)
+        dataset = occluded_dataset(model, 20, 5.0, 0, OcclusionPolicy(0.6, 1.0))
+        width = inference._series_width()
+        batches = list(inference._batches(dataset, q.n))
+        assert len(batches) > 1
+        for batch in batches:
+            masks, dts, _, counts, rate_before = inference._split_batch(q.entries, batch)
+            prop = inference._Propagator(q, masks, dts)
+            plan = inference._Plan(prop, counts, np.cumsum(counts) - counts, rate_before, True)
+            assert (prop.sizes[plan.rate_leave] * prop.sizes[plan.rate_enter]).max() > 4 * q.n
+            held = sum(a.size for a in vars(plan).values() if isinstance(a, np.ndarray))
+            sizes = np.concatenate([ev.masks.sum(axis=1) for ev in batch])
+            estimate = inference._entries(sizes, np.array([ev.n_segments for ev in batch]), q.n, width).sum()
+            assert 0 < held <= estimate
+
+    def test_one_step_per_segment_position(self, monkeypatch):
+        # Each step carries the forward and the backward rows together: one
+        # kernel call and two normalizations per step, and one more
+        # normalization for the prior. The steps only read the plan: none
+        # sorts its rows by kind (np.unique) or builds an index from
+        # np.arange. The split makes more steps than evidence segments.
+        model = binary_ring_model(5)
+        dataset = [rec.to_evidence(model.space()) for rec in ring_records()] * 3
+        plans = recorded_plans(monkeypatch)
+        log = []
+
+        def spy(owner, name, label):
+            original = getattr(owner, name)
+
+            def called(*args, **kwargs):
+                log.append(label)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, called)
+
+        spy(inference, "_normalize_rows", "normalize")
+        spy(inference._Propagator, "propagate", "step")
+        spy(np, "unique", "unique")
+        spy(np, "arange", "arange")
+        e_step(model, dataset)
+        (plan,) = plans
+        assert plan.steps > max(ev.n_segments for ev in dataset)
+        assert log.count("step") == plan.steps
+        assert log.count("normalize") == 2 * plan.steps + 1
+        first, last = log.index("step"), len(log) - 1 - log[::-1].index("step")
+        assert set(log[first:last]) == {"step", "normalize"}
+        assert "unique" in log[:first] and "arange" in log[:first]
