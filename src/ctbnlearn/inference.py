@@ -1,15 +1,18 @@
 """Exact smoothing and expected sufficient statistics under subsystem evidence.
 
 Evidence only restricts the joint process: while a segment holds it in a
-subsystem S, its generator is Q_S, Q gathered to the |S| x |S| block of S.
-Between consecutive segments whose subsystems are disjoint, the evidence
-asserts a transition and the boundary factor is the block W[S1, S2] of
-Q's off-diagonal W; when the subsystems overlap, the boundary is a
-projection onto the next subsystem (zero-length segments therefore act as
-plain indicators). The scaled boundary messages are n-length rows over
-the joint space; every segment gathers its rows to S, works on |S|-length
-rows and |S| x |S| blocks, and scatters the result back, so a segment costs
-O(|S|^2) per product plus O(n) at its boundaries.
+subsystem S, its generator is Q_S, Q restricted to S. Between consecutive
+segments whose subsystems are disjoint, the evidence asserts a transition
+and the boundary factor is W[S1, S2], the rates of Q's off-diagonal W from
+S1 into S2; when the subsystems overlap, the boundary is a projection onto
+the next subsystem (zero-length segments therefore act as plain
+indicators). W is Q's transition list, (src, dst, rate) sorted by source
+and destination, n * sum(d_v - 1) entries for a CTBN; every product by W
+reads the transitions ``_restrict`` cuts from it in subsystem coordinates.
+The scaled boundary messages are n-length rows over the joint space; every
+segment gathers its rows to S, works on |S|-length rows, and scatters the
+result back, so a segment costs O(|S|^2) per product plus O(n) at its
+boundaries.
 
 Many trajectories under one Q are swept in lockstep, one row each, and
 both sweeps in one loop: step i carries every forward message across its
@@ -17,12 +20,11 @@ trajectory's i-th segment and every backward message across its i-th
 segment from the end, so the Python loop runs once per segment position of
 a batch. A plan built once per batch (``_Plan``) holds each step's rows,
 grouped by kind, where their exponential blocks sit, the message slots
-they fill and the rate boundaries they cross, a few indices per row. A
-step gathers the W[S1, S2] blocks of its own rate boundaries, pads its
-table rows, forward and backward, to the largest |S| among them and takes
-one product for them all (``_Propagator.propagate``, the one kernel, which
-also serves ``smoothed_marginal`` and ``convolution_integrals`` as
-one-step plans).
+they fill and the transitions of the rate boundaries they cross. A step
+pads its table rows, forward and backward, to the largest |S| among them
+and takes one product for them all (``_Propagator.propagate``, the one
+kernel, which also serves ``smoothed_marginal`` and
+``convolution_integrals`` as one-step plans).
 One memory budget, ``_BATCH_ELEMENTS``, sizes the batches, and the
 power tables, the exponentials and the integrals' kernel work in slices of
 an eighth of it. A batch's split segments are uniformized once (lambda =
@@ -30,15 +32,15 @@ the largest exit rate in S, P = I + Q_S / lambda, both fixed by the mask
 alone), and both jobs read that: exp(Q_S dt) = sum_a Pois(a; lambda dt)
 P^a carries the messages across each segment, and the expected dwell times
 and transition counts are pairwise convolution integrals over each
-segment, all |S|^2 of which come in closed form from the same series and
-are scattered into the joint sums. Up to ``_PADE_MAX_STATES`` states the
-powers P^a are tabled once per distinct mask, so the segments of one mask
-take their exponential blocks and their integrals' series from one
-product each; above it the series is applied to the rows term by term.
-One Poisson routine weights both series, each row cut at its own tail
-bound. Every product of the sweeps sums its terms in a fixed order that
-zero padding does not change, so a trajectory's sweeps do not depend on
-the rows swept beside it.
+segment, read at the diagonal and at the transitions of S. Up to
+``_TABLE_MAX_STATES`` states the powers P^a are tabled once per distinct
+mask, so the segments of one mask take their exponential blocks and their
+integrals' series from one product each; above it, the joint space
+included, the series is applied to the rows term by term. One Poisson
+routine weights both series, each row cut at its own tail bound. Every
+product of the sweeps sums its terms in a fixed order that zero padding
+does not change, so a trajectory's sweeps do not depend on the rows swept
+beside it.
 
 One loop, ``_sweeps``, batches the trajectories for the E-step, scoring
 and ``forward_backward_many`` and sweeps each batch with ``_sweep``. A
@@ -257,12 +259,12 @@ def _split_batch(q: np.ndarray, evs: list):
 # at most this many states takes its |S| x |S| exponential block, and its
 # integrals' series, from its mask's table of P^a; a larger one is applied
 # to the rows as a uniformization series, which builds no block but takes
-# one Python-level step per term. The crossover was measured for batched
-# Pade blocks, which the tables replaced, on rings whose every segment has
-# one |S| (30 segments per trajectory): blocks scored 1.05-1.8x faster up
-# to |S| = 16, at 32 they were 1.1x faster for one trajectory and 1.4x
-# slower for ten, at 64 and up slower throughout (CHANGES.md has the table).
-_PADE_MAX_STATES = 16
+# one Python-level step per term. The crossover was measured for per-segment
+# dense blocks, before the tables, on rings whose every segment has one
+# |S| (30 segments per trajectory): blocks scored 1.05-1.8x faster up to
+# |S| = 16, at 32 they were 1.1x faster for one trajectory and 1.4x slower
+# for ten, at 64 and up slower throughout (CHANGES.md has the table).
+_TABLE_MAX_STATES = 16
 
 # The sweeps cut their series where the Poisson tail is at most this, so the
 # messages are exact to rounding.
@@ -283,7 +285,7 @@ def _entries(sizes: np.ndarray, segments: np.ndarray, n: int, width: int) -> np.
     one after the other: each segment's n-length mask row and its
     exponential block (|S|^2), or its series weights, ``width`` of them at
     the stiffness cap, and its |S|-length ``keep`` and ``jump`` rows. Where
-    every subsystem takes a block (n up to _PADE_MAX_STATES) the four
+    every subsystem takes a block (n up to _TABLE_MAX_STATES) the four
     n-length message rows per boundary are counted too. Segments split for
     stiffness count once, and larger models count the mask row in place of
     the message rows, as counting either in full would keep a few short
@@ -293,8 +295,8 @@ def _entries(sizes: np.ndarray, segments: np.ndarray, n: int, width: int) -> np.
     lockstep plan (``_Plan``), a dozen indices per split segment, is not
     counted apart; on the tests' data it held under half of this
     count."""
-    rows = 4 * n if n <= _PADE_MAX_STATES else 0
-    blocks = np.where(sizes <= _PADE_MAX_STATES, sizes * sizes, width + 2 * sizes) + n + rows
+    rows = 4 * n if n <= _TABLE_MAX_STATES else 0
+    blocks = np.where(sizes <= _TABLE_MAX_STATES, sizes * sizes, width + 2 * sizes) + n + rows
     return np.add.reduceat(blocks, np.cumsum(segments) - segments) + rows
 
 
@@ -354,8 +356,8 @@ class _Layout(NamedTuple):
 # Padding of the segments' state rows, the sweeps' gather indices and the
 # block templates: far past any array, so a clipped take reads, and a
 # clipped put writes, the zero that every message buffer and block store
-# keeps at its end, and a clipped take from the joint W its last entry, a
-# zero of its diagonal. Even times n it stays within 64 bits.
+# keeps at its end. Even times n, or times a row count, it stays within 64
+# bits.
 _FAR = 1 << 40
 
 
@@ -370,22 +372,45 @@ def _states(masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mask_ids(masks: np.ndarray) -> np.ndarray:
-    """A number per mask, shared by equal masks: the masks packed into
-    64-bit words and numbered by sorting."""
+def _mask_ids(masks: np.ndarray):
+    """A number per mask, shared by equal masks, and the first mask of each
+    number: the masks packed into 64-bit words and numbered by sorting."""
     packed = np.packbits(masks, axis=1)
     words = np.zeros((len(masks), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     words[:, : packed.shape[1]] = packed
     keys = words.view(np.uint64)
-    if keys.shape[1] == 1:
-        return np.unique(keys[:, 0], return_inverse=True)[1].reshape(-1)
-    return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    _, first, ids = np.unique(keys[:, 0] if keys.shape[1] == 1 else keys, axis=None if keys.shape[1] == 1 else 0,
+                              return_index=True, return_inverse=True)
+    return ids.reshape(-1), first
 
 
-def _block(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The blocks m[rows[t]][:, cols[t]] of an n x n matrix, stacked: every
-    subsystem block of Q and W is gathered here."""
-    return m[rows[:, :, None], cols[:, None, :]]
+def _ranges(lo: np.ndarray, count: np.ndarray):
+    """The runs lo[r] .. lo[r] + count[r] - 1 one after the other, as a
+    running sum of steps, and the r of each of their entries."""
+    has = np.flatnonzero(count)
+    lo, count = lo[has], count[has]
+    at = np.cumsum(count) - count
+    e = np.ones(int(count.sum()), dtype=np.intp)
+    e[at] = lo
+    e[at[1:]] -= lo[:-1] + count[:-1] - 1
+    return np.cumsum(e), np.repeat(has, count)
+
+
+def _restrict(joint: tuple, a: _Layout, b: _Layout, masks: np.ndarray):
+    """The transitions (src, dst, rate) of the joint list from row r of the
+    layout a into row r of b, whose segments' masks are ``masks``, in their
+    coordinates: (r, j, k, rate) for a.idx[r, j] -> b.idx[r, k], sorted by
+    r, j and k."""
+    src, dst, rate = joint
+    r, j = np.nonzero(a.valid)
+    state = a.idx[r, j]
+    start = np.searchsorted(src, np.arange(int(state.max(initial=0)) + 2))
+    e, at = _ranges(start[state], np.diff(start)[state])
+    inside = masks[b.seg[r[at]], dst[e]]
+    r, j, e = r[at][inside], j[at][inside], e[inside]
+    # Each destination's place in its row of b, whose keys ascend.
+    br, k = np.nonzero(b.valid)
+    return r, j, k[np.searchsorted(br * _FAR + b.idx[br, k], r * _FAR + dst[e])], rate[e]
 
 
 def _rows_dot(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -397,15 +422,6 @@ def _rows_dot(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     if blocks.shape[2] == 1:
         return np.einsum("tj,tjk->tk", x, np.concatenate([blocks, np.zeros_like(blocks)], axis=2))[:, :1]
     return np.einsum("tj,tjk->tk", x, blocks)
-
-
-def _add_blocks(out: np.ndarray, groups: np.ndarray, rows: _Layout, cols: _Layout, blocks: np.ndarray) -> None:
-    """out[groups[t]][S_rows[t] x S_cols[t]] += blocks[t] over the valid
-    entries, so an (n x n) array per group is touched only on each block's
-    |S_rows| x |S_cols| cells; the padding adds zeros."""
-    n = out.shape[-1]
-    at = (groups[:, None, None] * n + rows.idx[:, :, None]) * n + cols.idx[:, None, :]
-    np.add.at(out.reshape(-1), at, np.where(rows.valid[:, :, None] & cols.valid[:, None, :], blocks, 0.0))
 
 
 def _runs_dot(x: np.ndarray, mats: np.ndarray, starts: list, ordered: bool = False,
@@ -518,25 +534,28 @@ class _Uniformization:
     """The split segments (mask S, dt) of a batch uniformized for the sweeps
     and the integrals alike: lambda = max_{i in S} |q_ii|, mu = lambda dt,
     P = I + Q_S / lambda and exp(Q_S s) = sum_a Pois(a; lambda s) P^a. A row
-    v on S goes to v P = v * keep + (v @ W_S) * jump, with W_S the block of
-    the joint off-diagonal W (its transpose for columns), so every term is
-    nonnegative. lambda and P depend on the mask alone: the segments of 2
-    to _PADE_MAX_STATES states are numbered by distinct mask (``mask_id``,
-    -1 elsewhere) so that ``tables`` builds P^a once per mask. ``states``
-    lists every segment's states once; ``cut`` lays out any segments from
-    it."""
+    v on S goes to v P = v * keep + (v W_S) * jump, with W_S the rates of W
+    within S (W_S^T for columns), so every term is nonnegative. lambda and P
+    depend on the mask alone: each distinct mask (``mask_id``) has its
+    transitions cut from Q's list once, which every product by W_S reads
+    (``transitions``, ``times``), and ``tables`` builds P^a once per mask
+    of 2 to _TABLE_MAX_STATES states. ``states`` lists every segment's
+    states once; ``cut`` lays out any segments from it."""
 
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
         self.exit = np.abs(np.diagonal(q.entries))
         lam = _max_rate(self.exit, masks)
         # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
         lam[lam == 0.0] = 1.0
-        self.masks, self.w, self.lam, self.mu = masks, q.off_diagonal, lam, lam * dts
+        self.masks, self.joint, self.lam, self.mu = masks, q.transitions, lam, lam * dts
         self.sizes = masks.sum(axis=1)
         self.states = _states(masks)
-        tabled = np.flatnonzero((self.sizes > 1) & (self.sizes <= _PADE_MAX_STATES))
-        self.mask_id = np.full(len(dts), -1)
-        self.mask_id[tabled] = _mask_ids(masks[tabled])
+        self.tabled = (self.sizes > 1) & (self.sizes <= _TABLE_MAX_STATES)
+        self.mask_id, heads = _mask_ids(masks)
+        lay = self.cut(heads)
+        d, *self.edges = _restrict(self.joint, lay, lay, masks)
+        self.edge_count = np.bincount(d, minlength=len(heads))
+        self.edge_at = np.cumsum(self.edge_count) - self.edge_count
 
     def cut(self, seg: np.ndarray) -> _Layout:
         """The layout of the segments seg, padded to their widest S."""
@@ -544,13 +563,40 @@ class _Uniformization:
         valid = states != _FAR
         return _Layout(seg, np.where(valid, states, 0), valid)
 
+    def transitions(self, seg: np.ndarray):
+        """The transitions within the subsystem of each segment seg, from
+        its mask's list: (r, j, k, rate), sorted by r, j and k."""
+        ids = self.mask_id.take(seg)
+        e, r = _ranges(self.edge_at.take(ids), self.edge_count.take(ids))
+        return (r, *(a.take(e) for a in self.edges))
+
+    def between(self, a: np.ndarray, b: np.ndarray):
+        """The transitions from the subsystem of segment a[r] into that of
+        b[r] in joint states: (r, src, dst, rate), sorted by r, src and dst,
+        cut once per distinct pair of masks."""
+        _, first, pair = np.unique(self.mask_id[a] * (self.mask_id.max(initial=0) + 1) + self.mask_id[b],
+                                   return_index=True, return_inverse=True)
+        s1, s2 = self.cut(a[first]), self.cut(b[first])
+        p, j, k, rate = _restrict(self.joint, s1, s2, self.masks)
+        count = np.bincount(p, minlength=len(first))
+        e, r = _ranges((np.cumsum(count) - count)[pair], count[pair])
+        return r, s1.idx[p, j][e], s2.idx[p, k][e], rate[e]
+
+    def times(self, lay: _Layout, columns: np.ndarray):
+        """u -> the layout's rows u times their W_S (W_S^T where columns[r]),
+        each entry summed over its row's transitions in (j, k) order."""
+        r, j, k, rate = self.transitions(lay.seg)
+        c, width = columns.take(r), lay.idx.shape[1]
+        frm, to = r * width + np.where(c, k, j), r * width + np.where(c, j, k)
+        return lambda u: np.bincount(to, u.reshape(-1).take(frm) * rate, u.size).reshape(-1, width)
+
     def keep_jump(self, lay: _Layout):
         """The rows ``keep`` and ``jump`` of P in the layout, zero past |S|."""
         lam = self.lam[lay.seg, None]
         return np.where(lay.valid, (lam - self.exit[lay.idx]) / lam, 0.0), lay.valid / lam
 
     def tables(self, rows: np.ndarray, terms: np.ndarray, row_entries):
-        """The segments ``rows`` whose mask is numbered, sorted by size, mask
+        """The segments ``rows`` with a tabled mask, sorted by size, mask
         and ``terms`` and cut into slices, with the power tables of their
         masks. Yields, per slice, the positions ``part`` in rows of its
         segments, their layout, the starts of its runs of one mask (and the
@@ -560,7 +606,7 @@ class _Uniformization:
         terms, stay within _BATCH_ELEMENTS // 8 entries where one row and
         one table fit."""
         ids = self.mask_id[rows]
-        pos = np.flatnonzero(ids >= 0)
+        pos = np.flatnonzero(self.tabled[rows])
         pos = pos[np.lexsort((terms[pos], ids[pos], self.sizes[rows[pos]]))]
         for grp in np.split(pos, np.flatnonzero(np.diff(self.sizes[rows[pos]])) + 1):
             if not grp.size:
@@ -579,17 +625,12 @@ class _Uniformization:
                 seg = rows[part]
                 starts = np.flatnonzero(np.r_[True, ids[part][1:] != ids[part][:-1]])
                 lay = self.cut(seg)
-                heads = lay.idx[starts]
                 lam = self.lam[seg[starts], None]
-                p = _block(self.w, heads, heads) / lam[:, :, None]
-                p[:, np.arange(s), np.arange(s)] = (lam - self.exit[heads]) / lam
+                r, j, k, rate = self.transitions(seg[starts])
+                p = np.zeros((len(starts), s, s))
+                p[r, j, k] = rate / lam[r, 0]
+                p[:, np.arange(s), np.arange(s)] = (lam - self.exit[lay.idx[starts]]) / lam
                 yield part, lay, [*starts.tolist(), len(part)], _power_tables(p, int(terms[part].max()))
-
-
-# How a split segment's exponential is applied: block from the tables,
-# series on the |S| x |S| block of W, or series on W itself where S is the
-# joint space.
-_TABLE, _SERIES, _SERIES_FULL = 0, 1, 2
 
 
 @lru_cache(maxsize=2)
@@ -598,7 +639,7 @@ def _templates(p: int) -> np.ndarray:
     block's start, for s up to p states, in row s of a row message and row
     p + 1 + s of a column message (the transposed block): j s + k or
     k s + j inside the block, _FAR in the padding. Called with
-    _PADE_MAX_STATES as it stands when a step runs, which tests vary."""
+    _TABLE_MAX_STATES as it stands when a step runs, which tests vary."""
     j, k, s = np.arange(p)[:, None], np.arange(p), np.arange(p + 1)[:, None, None]
     inside = (j < s) & (k < s)
     out = np.concatenate([np.where(inside, j * s + k, _FAR), np.where(inside, k * s + j, _FAR)])
@@ -612,10 +653,8 @@ class _Step(NamedTuple):
     ``columns[r]`` (a backward message), to row dst[r] of the output; a
     table row finds its padded block in the templates' row tmpl[r] from
     blocks[at[r]] on. Input and output are message buffers (``_buffer``).
-    The rows run in six groups, ``ends`` closing each: table rows, row
-    messages then column messages; series rows on subsystem blocks, alike;
-    series rows on the joint space, alike. ``width`` is the widest
-    subsystem among the table rows."""
+    The first ``tables`` rows are table rows, the rest series rows, row and
+    column messages mixed in each; ``width`` is the widest table row's S."""
 
     seg: np.ndarray
     columns: np.ndarray
@@ -623,7 +662,7 @@ class _Step(NamedTuple):
     dst: np.ndarray
     tmpl: np.ndarray
     at: np.ndarray
-    ends: list
+    tables: int
     width: int
 
 
@@ -635,25 +674,11 @@ def _buffer(rows: int, n: int):
     return flat, flat[:-1].reshape(rows, n)
 
 
-def _groups(key: np.ndarray, starts: np.ndarray):
-    """For rows sorted by step and then by their group ``key`` (0..5), the
-    ends of each step's six groups counted from the step's first row; the
-    steps start at ``starts`` (and the last ends with the rows)."""
-    step = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    return np.cumsum(np.bincount(6 * step + key, minlength=6 * (len(starts) - 1)).reshape(-1, 6), axis=1)
-
-
-def _widths(sizes: np.ndarray, key: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per step (rows from starts[i] on, each step holding one row at least)
-    the widest subsystem among its table rows."""
-    return np.maximum.reduceat(np.where(key < 2, sizes, 0), starts[:-1])
-
-
 class _Propagator(_Uniformization):
     """exp(Q_S dt) of every segment (mask, dt) of a batch, applied to
     message rows by one kernel, ``propagate``: a row message v goes to
     v exp(Q_S dt), a column message to exp(Q_S dt) v projected onto the
-    mask. Up to _PADE_MAX_STATES states each segment's |S| x |S|
+    mask. Up to _TABLE_MAX_STATES states each segment's |S| x |S|
     exponential is built once, kept flat in ``blocks`` before one zero: one
     state takes e^(q_ii dt), and the segments of one mask take
     sum_a Pois(a; mu) P^a from its power table in one product, cut where
@@ -664,15 +689,15 @@ class _Propagator(_Uniformization):
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
         super().__init__(q, masks, dts)
         sizes = self.sizes
-        self.kind = np.where(sizes <= _PADE_MAX_STATES, _TABLE, np.where(sizes == q.n, _SERIES_FULL, _SERIES))
-        table = np.flatnonzero(self.kind == _TABLE)
+        self.series = sizes > _TABLE_MAX_STATES
+        table = np.flatnonzero(~self.series)
         one = table[sizes[table] == 1]
         self.blocks = np.zeros(int((sizes[table] ** 2).sum()) + 1)
         self.block_at = np.zeros(len(dts), dtype=np.intp)
         self.block_at[one] = np.arange(len(one))
         self.blocks[: len(one)] = np.exp(-self.exit[self.states[one, 0]] * dts[one])
         at = len(one)
-        tabled = np.flatnonzero(self.mask_id >= 0)
+        tabled = np.flatnonzero(self.tabled)
         terms = _series_terms(self.mu[tabled], _SWEEP_TAIL)
         for part, lay, starts, powers in self.tables(tabled, terms, lambda s, width: width + s * s):
             seg = tabled[part]
@@ -683,7 +708,7 @@ class _Propagator(_Uniformization):
             mats = powers.reshape(len(powers), -1, s * s)[:, : weights.shape[1]]
             _runs_dot(weights, mats, starts, ordered=True, out=out)
             at += len(seg) * s * s
-        series = np.flatnonzero(self.kind != _TABLE)
+        series = np.flatnonzero(self.series)
         self.terms = np.ones(len(dts), dtype=int)
         self.weight_row = np.zeros(len(dts), dtype=np.intp)
         if series.size:
@@ -694,16 +719,15 @@ class _Propagator(_Uniformization):
     def step(self, seg: np.ndarray, columns: np.ndarray) -> _Step:
         """A one-step plan: row r of the input across segment seg[r] to row r
         of the output."""
-        key = 2 * self.kind[seg] + columns
-        order = np.argsort(key, kind="stable")
-        key, starts, seg, columns = key[order], np.array([0, len(seg)]), seg[order], columns[order]
-        ends = _groups(key, starts)[0].tolist() if len(seg) else [0] * 6
-        width = int(_widths(self.sizes[seg], key, starts)[0]) if len(seg) else 0
-        return _Step(seg, columns, order, order, *self.blocks_of(seg, columns), ends, width)
+        order = np.argsort(self.series[seg], kind="stable")
+        seg, columns = seg[order], columns[order]
+        table = ~self.series[seg]
+        return _Step(seg, columns, order, order, *self.blocks_of(seg, columns), int(table.sum()),
+                     int(self.sizes[seg][table].max(initial=0)))
 
     def blocks_of(self, seg: np.ndarray, columns: np.ndarray):
         """The template rows and block starts of the table rows seg."""
-        return self.sizes[seg] + (_PADE_MAX_STATES + 1) * columns, self.block_at[seg]
+        return self.sizes[seg] + (_TABLE_MAX_STATES + 1) * columns, self.block_at[seg]
 
     def apply(self, v: np.ndarray, seg: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """The n-length rows v[r] carried across segments seg[r], as column
@@ -724,53 +748,38 @@ class _Propagator(_Uniformization):
     def propagate(self, v: np.ndarray, step: _Step, out: np.ndarray) -> None:
         """The one propagation kernel: writes the rows of ``step`` from the
         message buffer v to the buffer out. The table rows take one
-        product, their row and column messages together, the series rows
-        one per term and direction; the gather to S projects a column
-        message. Table rows read their padded blocks from ``blocks``
-        through the templates, zero past |S|, and every sum runs over j in
-        order, so a row's result does not depend on the rows beside it."""
+        product, row and column messages together, the series rows one per
+        term alike; the gather to S projects a column message. Table rows
+        read their padded blocks from ``blocks`` through the templates,
+        zero past |S|, and every sum runs over j in order, so a row's result
+        does not depend on the rows beside it."""
         n = self.masks.shape[1]
-        ends, tw = step.ends, step.width
-        if ends[1]:
-            seg = step.seg[: ends[1]]
+        tables, ends, tw = step.tables, len(step.seg), step.width
+        if tables:
+            seg = step.seg[:tables]
             idx = self.states[seg, :tw]
-            x = v.take(idx + step.src[: ends[1], None] * n, mode="clip")
-            at = _templates(_PADE_MAX_STATES)[step.tmpl[: ends[1]], :tw, :tw]
-            at += step.at[: ends[1], None, None]
+            x = v.take(idx + step.src[:tables, None] * n, mode="clip")
+            at = _templates(_TABLE_MAX_STATES)[step.tmpl[:tables], :tw, :tw]
+            at += step.at[:tables, None, None]
             y = _rows_dot(x, self.blocks.take(at, mode="clip"))
-            np.put(out, idx + step.dst[: ends[1], None] * n, y, mode="clip")
-        # Series rows go one direction at a time, so a step holds the
-        # |S| x |S| blocks of W of one direction only.
-        for lo, hi, w in ((ends[1], ends[2], self.w), (ends[2], ends[3], self.w.T)):
-            if hi > lo:
-                lay = self.cut(step.seg[lo:hi])
-                x = v.take(lay.at(step.src[lo:hi], n), mode="clip")
-                blocks = _block(w, lay.idx, lay.idx)
-                y = self._series(x, lay, lambda u, blocks=blocks: _rows_dot(u, blocks))
-                np.put(out, lay.at(step.dst[lo:hi], n), y, mode="clip")
-        for lo, hi, w in ((ends[3], ends[4], self.w), (ends[4], ends[5], self.w.T)):
-            if hi > lo:
-                seg = step.seg[lo:hi]
-                x = v[:-1].reshape(-1, n)[step.src[lo:hi]]
-                full = _Layout(seg, np.broadcast_to(self.states[seg[0]], x.shape), np.ones(x.shape, dtype=bool))
-                y = self._series(x, full, lambda u, w=w: (u[:, None, :] @ w)[:, 0])
-                out[:-1].reshape(-1, n)[step.dst[lo:hi]] = y
+            np.put(out, idx + step.dst[:tables, None] * n, y, mode="clip")
+        if ends > tables:
+            lay = self.cut(step.seg[tables:ends])
+            x = v.take(lay.at(step.src[tables:ends], n), mode="clip")
+            y = self._series(x, lay, self.times(lay, step.columns[tables:ends]))
+            np.put(out, lay.at(step.dst[tables:ends], n), y, mode="clip")
 
-    def cross(self, out: np.ndarray, row: np.ndarray, leave: np.ndarray, enter: np.ndarray, widths) -> None:
+    def cross(self, out: np.ndarray, row: np.ndarray, back: np.ndarray, r: np.ndarray, src: np.ndarray,
+              dst: np.ndarray, rate: np.ndarray) -> None:
         """Carry the rows ``row`` of the message buffer out across rate
-        boundaries, in place, from the subsystem S1 of segment leave[r] to
-        the S2 of enter[r], at most ``widths`` states each: a row message
-        (leave before enter) times W[S1, S2], a column message times
-        W^T[S1, S2]."""
+        boundaries, in place: transition e takes rate[e] times entry src[e]
+        of row row[r[e]] to dst[e] (the other way where back[r[e]])."""
         n = self.masks.shape[1]
-        a, b = self.states[leave, : widths[0]], self.states[enter, : widths[1]]
-        # Entry (j, k) is W[S1[j], S2[k]] or W[S2[k], S1[j]]; a padded
-        # state reads the zero at W's end.
-        stride = np.where(leave < enter, n, 1)[:, None, None]
-        blocks = self.w.reshape(-1).take(a[:, :, None] * stride + b[:, None, :] * (n // stride), mode="clip")
-        x = out.take(a + row[:, None] * n, mode="clip")
-        out[:-1].reshape(-1, n)[row] = 0.0
-        np.put(out, b + row[:, None] * n, _rows_dot(x, blocks), mode="clip")
+        r = r.astype(np.intp)
+        flip = back.take(r)
+        frm, to = np.where(flip, dst, src), np.where(flip, src, dst)
+        x = out.take(row.astype(np.intp).take(r) * n + frm) * rate
+        out[:-1].reshape(-1, n)[row] = np.bincount(r * n + to, x, len(row) * n).reshape(-1, n)
 
     def _series(self, x: np.ndarray, lay: _Layout, times) -> np.ndarray:
         """sum_a weights[r, a] x[r] P_r^a, with x P = x * keep + times(x) * jump;
@@ -868,17 +877,17 @@ class _Plan:
     rows, in that order, are the next step's input.
 
     Per row, in step order and by kind within a step (``_Step``): its
-    segment, direction, input and output rows; per step, the ends of its
-    kinds, its table rows' width and the offsets of its rows in ``rows``. The
+    segment, direction, input and output rows; per step, the count and the
+    width of its table rows and the offsets of its rows in ``rows``. The
     boundaries whose messages each step writes after its exponentials
     (``after``: ``bwd_post`` of a backward row, ``fwd_pre`` of a forward
     one) and after its boundary (``crossed``: ``bwd`` and ``fwd``), in the
     order of its output rows, and the segment whose mask projects
     each forward row across the boundary (``project``). The rate
-    boundaries crossed at each step: the row and the segments it leaves
-    and enters, and the widest of those subsystems. Every array is
-    O(segments) long; no padded index or block is kept, and each step
-    gathers its own blocks of W (``_Propagator.cross``).
+    boundaries crossed at each step: the row, the segments it leaves and
+    enters and the transitions between them (``_Propagator.cross``). Every
+    array is O(segments) long, the transitions O(|S1|) per boundary and
+    state's exits; no padded index or block is kept.
     """
 
     def __init__(self, prop: _Propagator, counts: np.ndarray, seg_off: np.ndarray, rate_before: np.ndarray,
@@ -903,20 +912,22 @@ class _Plan:
             dst.append(t)
             step.append(k)
         seg, cols, src, dst, step = (np.concatenate(x) for x in (seg, cols, src, dst, step))
-        key = 2 * prop.kind[seg] + cols
-        order = np.argsort(6 * step + key, kind="stable")
+        kind = prop.series[seg]
+        order = np.argsort(2 * step + kind, kind="stable")
         self.steps = steps
         self.rows = np.r_[0, np.cumsum(back + a)]
-        self.seg, self.columns, self.src, self.dst, key, step = (x[order] for x in (seg, cols, src, dst, key, step))
+        self.seg, self.columns, self.src, self.dst, kind, step = (x[order] for x in (seg, cols, src, dst, kind, step))
         del seg, cols, src, dst, order
         self.tmpl, self.at = prop.blocks_of(self.seg, self.columns)
         # The input row of each output row, for the log scales.
-        self.carry = np.empty(len(key), dtype=np.intp)
+        self.carry = np.empty(len(kind), dtype=np.intp)
         self.carry[self.rows[step] + self.dst] = self.src
-        self.ends = _groups(key, self.rows).tolist()
-        self.widths = _widths(prop.sizes[self.seg], key, self.rows).tolist()
+        # Per step (one row at least), its table rows, which come first, and
+        # the widest of them.
+        self.tables = np.add.reduceat(~kind, self.rows[:-1], dtype=np.intp).tolist()
+        self.widths = np.maximum.reduceat(np.where(kind, 0, prop.sizes[self.seg]), self.rows[:-1]).tolist()
         self.back = back.tolist()
-        del key, step
+        del kind, step
 
         # Message slots, in output-row order within each step.
         fb, bb = boff[t] + k + 1, boff[t] + cnt[t] - 1 - k
@@ -946,31 +957,32 @@ class _Plan:
         order = np.argsort(rstep, kind="stable")
         self.rate_row, self.rate_leave, self.rate_enter = row[order], leave[order], enter[order]
         self.rate_at = np.r_[0, np.cumsum(np.bincount(rstep, minlength=steps))]
-        # The widest subsystems each step's rate rows leave and enter.
-        self.rate_widths = np.zeros((steps, 2), dtype=np.intp)
-        has = np.flatnonzero(np.diff(self.rate_at))
-        if has.size:
-            sizes = np.stack([prop.sizes[self.rate_leave], prop.sizes[self.rate_enter]], axis=1)
-            self.rate_widths[has] = np.maximum.reduceat(sizes, self.rate_at[has])
+        # Each rate row's transitions from the earlier segment's subsystem
+        # into the later one's, which a backward row crosses against.
+        self.rate_back = self.rate_leave > self.rate_enter
+        self.rate_edge, self.rate_src, self.rate_dst, self.rate_w = prop.between(
+            np.minimum(self.rate_leave, self.rate_enter), np.maximum(self.rate_leave, self.rate_enter))
+        self.rate_edge_at = np.searchsorted(self.rate_edge, self.rate_at)
         # Offsets are read one at a time; the index arrays are kept in 32
         # bits.
-        self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_widths = (
-            a.tolist() for a in (self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_widths))
+        self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_edge_at = (
+            a.tolist() for a in (self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_edge_at))
         for name in ("seg", "src", "dst", "tmpl", "at", "carry", "after", "crossed", "project", "rate_row",
-                     "rate_leave", "rate_enter"):
+                     "rate_leave", "rate_enter", "rate_edge", "rate_src", "rate_dst"):
             setattr(self, name, getattr(self, name).astype(np.int32))
 
     def step(self, i: int) -> _Step:
         """The rows of step i."""
         lo, hi = self.rows[i], self.rows[i + 1]
         return _Step(self.seg[lo:hi], self.columns[lo:hi], self.src[lo:hi], self.dst[lo:hi], self.tmpl[lo:hi],
-                     self.at[lo:hi], self.ends[i], self.widths[i])
+                     self.at[lo:hi], self.tables[i], self.widths[i])
 
     def rates(self, i: int):
-        """The rate rows of step i, the segments they leave and enter, and
-        the widest subsystems among those."""
-        lo, hi = self.rate_at[i], self.rate_at[i + 1]
-        return self.rate_row[lo:hi], self.rate_leave[lo:hi], self.rate_enter[lo:hi], self.rate_widths[i]
+        """The rate rows of step i, whether each crosses backward, and their
+        transitions: the rate row of each in the step, src, dst and rate."""
+        rows, lo, hi = slice(self.rate_at[i], self.rate_at[i + 1]), self.rate_edge_at[i], self.rate_edge_at[i + 1]
+        return (self.rate_row[rows], self.rate_back[rows], self.rate_edge[lo:hi] - self.rate_at[i],
+                self.rate_src[lo:hi], self.rate_dst[lo:hi], self.rate_w[lo:hi])
 
 
 def _sweep(q: IntensityMatrix, p0, evs: list, backward: bool = True, first: int = 0) -> _Sweep:
@@ -978,7 +990,7 @@ def _sweep(q: IntensityMatrix, p0, evs: list, backward: bool = True, first: int 
     with ``backward``, backward, both in one loop over the steps of the
     batch's plan: per step one ``_Propagator.propagate`` of all its rows,
     one normalization, the boundary factors (a projection onto the next
-    mask, or a rate block) and one more normalization. Raises
+    mask, or the rates into it) and one more normalization. Raises
     ``ForwardBackwardMismatchError`` where the two sweeps' log-likelihoods
     of a trajectory disagree; its index counts from ``first``."""
     if q.kind != "proper":
@@ -1035,9 +1047,8 @@ def _sweep(q: IntensityMatrix, p0, evs: list, backward: bool = True, first: int 
 
         # Across the boundary: the rate rows first, then every forward row
         # projected onto its next mask, which leaves a rate row as it is.
-        row, leave, enter, widths = plan.rates(i)
-        if len(row):
-            prop.cross(out, row, leave, enter, widths)
+        if plan.rate_at[i + 1] > plan.rate_at[i]:
+            prop.cross(out, *plan.rates(i))
         keep = plan.crossed_at[i + 1] - plan.crossed_at[i]
         p[back:keep] *= masks[plan.project[plan.project_at[i] : plan.project_at[i + 1]]]
         p, ls = _normalize_rows(p[:keep])
@@ -1103,6 +1114,7 @@ def forward_backward_many(q: IntensityMatrix, p0, evidences) -> list[MessageCach
     for _, batch, f in _sweeps(q, p0, list(evidences), possible=False):
         swept = f._replace(prop=None)
         caches.extend(MessageCache(ev, q, swept, t) for t, ev in enumerate(batch))
+        del f, swept  # nor is the swept batch, with its propagator, held here
     return caches
 
 
@@ -1176,26 +1188,26 @@ def _convolution_batch(
 ) -> None:
     """Add the pairwise integrals J[j, k] = int_0^dt f_j(s) b_k(s) ds of
     the segments ``rows`` of the uniformization u to group groups[r]: the
-    diagonal to dwell[g] and W o J (J itself where ``rates`` is false) to
-    out[g]. Row r has f(s) = f0[r] exp(Q_S s), b(s) = exp(Q_S (dt - s))
-    beta[r] and Q_S is Q's block on the segment's subsystem S; f0 and beta
-    are n-length, and only their entries on S are read, so J vanishes
-    outside S x S, and a row with dt = 0 contributes zero.
+    diagonal to dwell[g] and J at the transitions of S times their rates
+    to out[g] (all of J where ``rates`` is false). Row r has
+    f(s) = f0[r] exp(Q_S s), b(s) = exp(Q_S (dt - s)) beta[r] and Q_S is Q
+    restricted to the segment's subsystem S; f0 and beta are n-length, and
+    only their entries on S are read, so J vanishes outside S x S, and a
+    row with dt = 0 contributes zero.
 
-    In the series of exp(Q_S s) in P, J = sum_{a,b} c_{a+b} F_a^T G_b with
-    F_a = f0 P^a, G_b = P^b beta and c_k = Pois(k + 1; mu) / lambda, the
-    sweeps' Poisson weights shifted by one. Each row's series stops where
-    its own Poisson tail is below tol * _ROW_TAIL_SHARE (at least epsilon),
-    which bounds the error of every column of J by
+    In the series of exp(Q_S s) in P, J = sum_a F_a^T H_a with F_a = f0 P^a,
+    G_b = P^b beta, H_a = sum_b c_{a+b} G_b and c_k = Pois(k + 1; mu) /
+    lambda, the sweeps' Poisson weights shifted by one. Each row's series
+    stops where its own Poisson tail is below tol * _ROW_TAIL_SHARE (at
+    least epsilon), which bounds the error of every column of J by
     tol * dt * |f0|_1 * max(beta). Rows whose mask has a power table take
     all their F_a, and all their G_b, in one product per run of one mask
-    (``_Uniformization.tables``). The other rows go by size of S and then
-    by series length, so that a slice's rows need about as many terms as
-    its longest, and take one product per term (``_powers``). Either way
-    the slices' stacks of F, G, the weighted sums H_a = sum_b c_{a+b} G_b
-    and the |S| x |S| blocks J stay within _BATCH_ELEMENTS // 8 entries; a
-    slice of rows whose S is the joint space sums F^T H over each group's
-    rows in one product instead.
+    (``_Uniformization.tables``). The other rows, the joint space
+    included, go by size of S and then by series length, so that a slice's
+    rows need about as many terms as its longest, and take one product by
+    their transitions per term (``_powers``). Either way the slices' stacks
+    of F, G, the weighted sums H and the |S| x |S| blocks J stay within
+    _BATCH_ELEMENTS // 8 entries where one row fits.
     """
     m, n = f0.shape
     if m == 0:
@@ -1212,61 +1224,56 @@ def _convolution_batch(
         c = np.pad(_poisson_weights(mu[sl], terms[sl], 1) / lam[sl, None], ((0, 0), (0, kk)))
         return sliding_window_view(c, kk + 1, axis=1)
 
-    def add(sl, lay, j, w):
-        diagonal = np.where(lay.valid, np.diagonal(j, axis1=1, axis2=2), 0.0)
+    def add(sl, lay, f, h):
+        """Add J = sum_a F_a^T H_a of the rows sl, F_a and H_a stacked
+        (rows, a, |S|), at its diagonal and at the transitions of S (at
+        every entry where ``rates`` is false)."""
+        integrals = f.transpose(0, 2, 1) @ h
+        diagonal = np.where(lay.valid, np.diagonal(integrals, axis1=1, axis2=2), 0.0)
         np.add.at(dwell.reshape(-1), groups[sl][:, None] * n + lay.idx, diagonal)
-        _add_blocks(out, groups[sl], lay, lay, w * j if rates else j)
+        if rates:
+            r, j, k, value = u.transitions(lay.seg)
+            value *= integrals[r, j, k]
+        else:
+            r, j, k = np.nonzero(lay.valid[:, :, None] & lay.valid[:, None, :])
+            value = integrals[r, j, k]
+        np.add.at(out.reshape(-1), (groups[sl][r] * n + lay.idx[r, j]) * n + lay.idx[r, k], value)
 
-    for sl, lay, starts, powers in u.tables(rows, terms, lambda s, width: width * s + s * s):
+    def row_entries(s, width):
+        return width * s + s * s
+
+    for sl, lay, starts, powers in u.tables(rows, terms, row_entries):
         s, kk = lay.idx.shape[1], int(terms[sl].max()) - 1
         p = powers[:, : kk + 1]
         f = _runs_dot(lay.gather(f0[sl]), p.transpose(0, 2, 1, 3).reshape(len(p), s, -1), starts)
         g = _runs_dot(lay.gather(beta[sl]), p.transpose(0, 3, 1, 2).reshape(len(p), s, -1), starts)
-        h = hankel(sl, kk) @ g.reshape(len(sl), kk + 1, s)
-        add(sl, lay, f.reshape(len(sl), kk + 1, s).transpose(0, 2, 1) @ h, _block(u.w, lay.idx, lay.idx))
+        add(sl, lay, f.reshape(len(sl), kk + 1, s), hankel(sl, kk) @ g.reshape(len(sl), kk + 1, s))
 
-    rest = np.flatnonzero(u.mask_id[rows] < 0)
+    rest = np.flatnonzero(~u.tabled[rows])
     if not rest.size:
         return
     order = rest[np.lexsort((terms[rest], sizes[rest]))]
-    ordered = sizes[order]
-    full = int(np.searchsorted(ordered, n))
-    width = int(terms[rest].max())
-
-    def step(s):
-        return max(1, _BATCH_ELEMENTS // 8 // (width * s + (s * s if s < n else 0)))
-
+    ends = np.cumsum(row_entries(sizes[order], int(terms[rest].max())))
     lo = 0
     while lo < len(order):
-        hi = min(full if lo < full else len(order), lo + step(ordered[lo]))
-        hi = min(hi, lo + step(ordered[hi - 1]))
-        s = int(ordered[hi - 1])
+        hi = max(lo + 1, int(np.searchsorted(ends, _BATCH_ELEMENTS // 8 + (ends[lo - 1] if lo else 0), side="right")))
         sl = order[lo:hi]
         lo = hi
         kk = int(terms[sl].max()) - 1
         lay = u.cut(rows[sl])
         keep, jump = u.keep_jump(lay)
-        if s == n:
-            f = _powers(f0[sl], u.w, keep, jump, kk)
-            h = hankel(sl, kk) @ _powers(beta[sl], u.w.T, keep, jump, kk)
-            for g, part in _grouped_products(f.reshape(-1, n), h.reshape(-1, n), np.repeat(groups[sl], kk + 1)):
-                dwell[g] += np.diagonal(part)
-                out[g] += u.w * part if rates else part
-            continue
-        w = _block(u.w, lay.idx, lay.idx)
-        f = _powers(lay.gather(f0[sl]), w, keep, jump, kk)
-        h = hankel(sl, kk) @ _powers(lay.gather(beta[sl]), w.transpose(0, 2, 1), keep, jump, kk)
-        add(sl, lay, f.transpose(0, 2, 1) @ h, w)
+        f = _powers(lay.gather(f0[sl]), u.times(lay, np.zeros(len(sl), dtype=bool)), keep, jump, kk)
+        g = _powers(lay.gather(beta[sl]), u.times(lay, np.ones(len(sl), dtype=bool)), keep, jump, kk)
+        add(sl, lay, f, hankel(sl, kk) @ g)
 
 
-def _powers(v: np.ndarray, w: np.ndarray, keep: np.ndarray, jump: np.ndarray, kk: int) -> np.ndarray:
+def _powers(v: np.ndarray, times, keep: np.ndarray, jump: np.ndarray, kk: int) -> np.ndarray:
     """The rows v P^a for a = 0 .. kk, stacked as (rows, kk + 1, width),
-    where row r has v P = v * keep[r] + (v @ w_r) * jump[r]; w is one
-    matrix for every row or a stack of per-row blocks."""
+    where row r has v P = v * keep[r] + times(v)[r] * jump[r]."""
     out = np.empty((len(v), kk + 1, v.shape[1]))
     out[:, 0] = v
     for a in range(kk):
-        v = v * keep + (v @ w if w.ndim == 2 else _rows_dot(v, w)) * jump
+        v = v * keep + times(v) * jump
         out[:, a + 1] = v
     return out
 
@@ -1300,9 +1307,12 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
     b1 = np.empty((pieces, n))
     f0[0], b1[-1] = alpha, beta
     if pieces > 1:
-        # exp(Q_S h), the unit rows carried across a piece by uniformization.
+        # exp(Q_S h), the unit rows carried across a piece by uniformization,
+        # as many at a time as hold about _BATCH_ELEMENTS // 8 transitions.
         piece = _Propagator(q_s, np.ones((1, n), dtype=bool), np.array([dt / pieces]))
-        e = piece.forward(np.eye(n), np.zeros(n, dtype=np.intp))
+        rows = max(1, _BATCH_ELEMENTS // 8 // max(1, len(piece.edges[2])))
+        e = np.concatenate([piece.forward(unit, np.zeros(len(unit), dtype=np.intp))
+                            for unit in np.split(np.eye(n), range(rows, n, rows))])
         lf = np.zeros(pieces)
         lb = np.zeros(pieces)
         for p in range(1, pieces):
@@ -1341,9 +1351,9 @@ def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _S
     A positive-length segment restricted to one state adds its duration
     where it carries mass (the integrand is constant). The factor of an
     asserted transition into segment k acts at its first boundary i, from
-    S1 = mask k - 1 into S2 = mask k; its posterior counts are the block
+    S1 = mask k - 1 into S2 = mask k; its posterior counts are
     W[S1, S2] o outer(a, b) / (a W[S1, S2] b) with a = fwd_pre[i] on S1 and
-    b = bwd_post[i] on S2. Every
+    b = bwd_post[i] on S2, read at the transitions from S1 into S2. Every
     other positive-length segment runs from fwd[i] to the end-of-segment
     message bwd[i + 1]; scaled by exp(bwd_log[i + 1] - bwd_post_log[i]),
     exp(Q_S dt) carries that to bwd_post[i], and dividing by the segment's
@@ -1372,18 +1382,14 @@ def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _S
     alive = f.fwd[start[sing], jj] * f.bwd_post[start[sing], jj] > 0.0
     np.add.at(dwell, (seg_group[sing][alive], jj[alive]), f.dts[sing][alive])
 
-    rates = np.flatnonzero(f.rate_before & seg_asked)
-    step = max(1, _BATCH_ELEMENTS // 8 // int((sizes[rates - 1] * sizes[rates]).max(initial=1)))
-    for lo in range(0, len(rates), step):
-        rate = rates[lo : lo + step]
-        src, dst = f.prop.cut(rate - 1), f.prop.cut(rate)
-        i = start[rate]
-        counts = (_block(f.prop.w, src.idx, dst.idx) * src.gather(f.fwd_pre[i])[:, :, None]
-                  * dst.gather(f.bwd_post[i])[:, None, :])
-        totals = counts.sum(axis=(1, 2))
-        # A boundary without mass has no counts, all zero already.
-        counts /= np.where(totals > 0.0, totals, 1.0)[:, None, None]
-        _add_blocks(trans, seg_group[rate], src, dst, counts)
+    into = np.flatnonzero(f.rate_before & seg_asked)
+    r, src, dst, counts = f.prop.between(into - 1, into)
+    seg = into[r]
+    counts = counts * f.fwd_pre[start[seg], src] * f.bwd_post[start[seg], dst]
+    totals = np.bincount(r, counts, len(into))
+    # A boundary without mass has no counts, all zero already.
+    counts /= np.where(totals > 0.0, totals, 1.0)[r]
+    np.add.at(trans, (seg_group[seg], src, dst), counts)
 
     general = np.flatnonzero(pos & (sizes > 1))
     i = start[general]
@@ -1406,14 +1412,6 @@ def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _S
     initial = np.zeros((n_groups, n))
     np.add.at(initial, groups[who], raw / mass[:, None])
     return _Statistics(dwell, trans, initial, f.log_probs)
-
-
-def _grouped_products(a: np.ndarray, b: np.ndarray, groups: np.ndarray):
-    """Pairs (g, a[rows].T @ b[rows]) over the runs of rows with one group
-    g = groups[row]."""
-    cuts = np.flatnonzero(np.diff(groups)) + 1
-    for lo, hi in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(a)]))):
-        yield groups[lo], a[lo:hi].T @ b[lo:hi]
 
 
 def _e_step_batches(q: IntensityMatrix, p0, evs: list, tol: float):

@@ -196,6 +196,7 @@ def score_dataset(
     out: list[float] = []
     for _, _, sweep in _sweeps(q, p0, list(dataset), backward=False):
         out.extend(sweep.log_probs.tolist())
+        del sweep  # no swept batch is held here while the next one is swept
     return out
 
 

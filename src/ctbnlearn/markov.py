@@ -165,6 +165,13 @@ class IntensityMatrix:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """W as a transition list (src, dst, rate): every positive rate (no
+        diagonal entry is), sorted by source and then destination; built once."""
+        src, dst = np.nonzero(self.entries > 0.0)
+        return src, dst, self.entries[src, dst]
+
 
 def validate_intensity(raw, kind: str = "proper") -> IntensityMatrix:
     """Validate a raw square array as an intensity matrix.

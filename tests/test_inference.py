@@ -332,21 +332,21 @@ class TestBatchSplit:
 
 
 class TestSeriesForm:
-    """Above _PADE_MAX_STATES states the sweeps apply the uniformization
-    series to a segment's messages on its subsystem; up to it, batched Pade
-    exponentials of the |S| x |S| blocks. The n = 32 data holds both."""
+    """Above _TABLE_MAX_STATES states the sweeps apply the uniformization
+    series to a segment's messages on its subsystem; up to it, exponential
+    blocks from the shared power tables. The n = 32 data holds both."""
 
     def setup_method(self):
         self.model = binary_ring_model(5)
         self.q, self.space, self.p0 = amalgamate(self.model)
         self.evs = [rec.to_evidence(self.space) for rec in ring32_records()]
         sizes = np.concatenate([ev.masks.sum(axis=1) for ev in self.evs])
-        assert (sizes > inference._PADE_MAX_STATES).any() and (sizes <= inference._PADE_MAX_STATES).any()
+        assert (sizes > inference._TABLE_MAX_STATES).any() and (sizes <= inference._TABLE_MAX_STATES).any()
 
     def test_builds_no_exponential_and_matches_taylor_forward_pass(self, monkeypatch):
         # The module has no Pade exponential to call.
         assert not hasattr(inference, "expm")
-        monkeypatch.setattr(inference, "_PADE_MAX_STATES", 0)
+        monkeypatch.setattr(inference, "_TABLE_MAX_STATES", 0)
         for ev in self.evs:
             cache = forward_backward(self.q, self.p0, ev)
             want = taylor_log_prob(self.q.entries, self.p0, ev)
@@ -357,9 +357,9 @@ class TestSeriesForm:
         assert len(first.seg_dt) > self.evs[0].n_segments
 
     def test_caches_agree_with_dense_form(self, monkeypatch):
-        monkeypatch.setattr(inference, "_PADE_MAX_STATES", 0)
+        monkeypatch.setattr(inference, "_TABLE_MAX_STATES", 0)
         series = [forward_backward(self.q, self.p0, ev) for ev in self.evs]
-        monkeypatch.setattr(inference, "_PADE_MAX_STATES", self.q.n)
+        monkeypatch.setattr(inference, "_TABLE_MAX_STATES", self.q.n)
         dense = [forward_backward(self.q, self.p0, ev) for ev in self.evs]
         for got, want in zip(series, dense):
             for name in ("times", "seg_masks", "seg_dt", "factor_kind"):
@@ -408,7 +408,7 @@ class TestSeriesForm:
 def ring64_cache():
     """The n = 64 ring's generator and the cache of one record over a split
     hidden stretch, a full observation, a partly observed stretch whose
-    subsystems exceed _PADE_MAX_STATES and a hidden tail."""
+    subsystems exceed _TABLE_MAX_STATES and a hidden tail."""
     model = binary_ring_model(6, seed=1)
     q, space, p0 = amalgamate(model)
     hidden = (None,) * 6
@@ -470,7 +470,7 @@ class TestSmoothedMarginal:
         # a fully hidden tail, against the segment exponentials by Taylor.
         q, cache = ring64_cache()
         sizes = cache.seg_masks.sum(axis=1)
-        assert (sizes > inference._PADE_MAX_STATES).any() and (sizes <= inference._PADE_MAX_STATES).any()
+        assert (sizes > inference._TABLE_MAX_STATES).any() and (sizes <= inference._TABLE_MAX_STATES).any()
         assert len(cache.seg_dt) > 4
         for t in (0.3, 2.9, 4.2, 5.5):
             i = int(np.searchsorted(cache.times, t)) - 1
@@ -499,7 +499,7 @@ class TestSmoothedMarginalTimes:
         q, cache = ring64_cache()
         sizes = cache.seg_masks.sum(axis=1)
         inside = cache.times[:-1] + 0.4 * cache.seg_dt
-        series = inside[(sizes > inference._PADE_MAX_STATES) & (cache.seg_dt > 0.0)]
+        series = inside[(sizes > inference._TABLE_MAX_STATES) & (cache.seg_dt > 0.0)]
         assert series.size
         times = [0.0, 6.0, *cache.times[1:4], 3.0, 3.5, 5.0, *series, 0.3, 2.9, 4.2, 5.5, 2.9]
         self.assert_rows_match_scalar_calls(cache, times)
@@ -747,6 +747,29 @@ class TestConvolutionIntegrals:
             assert np.isfinite(j).all()
             assert np.abs(j - oracle).max() / np.abs(oracle).max() < 1e-8
 
+    @pytest.mark.parametrize("mu", [4.0, 40.0], ids=["one-piece", "pieces"])
+    def test_sparse_ring_generator(self, mu):
+        # The joint generator of a five-variable ring, n = 32 with five
+        # transitions per state: its joint space is above the table size,
+        # so the integrals take the series on its transitions, and above
+        # the stiffness cap the pieces are carried across by the series too.
+        q = amalgamate(binary_ring_model(5))[0]
+        n = q.n
+        assert n > inference._TABLE_MAX_STATES and len(q.transitions[0]) == 5 * n
+        rng = np.random.default_rng(17)
+        alpha = random_distribution(rng, n)
+        beta = rng.uniform(0.1, 1.0, n)
+        dt = mu / np.abs(np.diagonal(q.entries)).max()
+        assert (mu > inference._SEGMENT_STIFFNESS_CAP) == (mu == 40.0)
+        j = convolution_integrals(alpha, q, beta, dt, 1e-10)
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n] = block[n:, n:] = q.entries.T
+        block[:n, n:] = np.outer(alpha, beta)
+        van_loan = taylor_expm(block * dt)[:n, n:]
+        assert np.abs(j - van_loan).max() <= 1e-8 * np.abs(van_loan).max()
+        if mu < inference._SEGMENT_STIFFNESS_CAP:
+            oracle = trapezoid_convolution(q.entries, alpha, beta, dt, m=50_000)
+            assert np.abs(j - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
     def test_long_stiff_segment_is_split(self):
         # mu = max|q_ii| dt = 1e5, far past the sweeps' stiffness cap.
@@ -935,15 +958,15 @@ class TestSubsystemOracle:
             assert rel_err(stats.transitions, trans) <= 1e-10
         return caches
 
-    @pytest.mark.parametrize("pade_max", [None, 0, 64], ids=["default", "all-series", "all-pade"])
-    def test_random_masks(self, monkeypatch, pade_max):
+    @pytest.mark.parametrize("table_max", [None, 0, 64], ids=["default", "all-series", "all-tables"])
+    def test_random_masks(self, monkeypatch, table_max):
         # A dense generator on n = 64 states, exit rates about 1.3: every
         # disjoint pair of masks has transitions between them. Subsystems
         # of one state, a few states, most of the space and all of it; at
-        # the default crossover they take Pade blocks, the series on their
-        # blocks and the series on the whole of W.
-        if pade_max is not None:
-            monkeypatch.setattr(inference, "_PADE_MAX_STATES", pade_max)
+        # the default crossover they take table blocks and the series, the
+        # joint space included.
+        if table_max is not None:
+            monkeypatch.setattr(inference, "_TABLE_MAX_STATES", table_max)
         rng = np.random.default_rng(21)
         n = 64
         q = random_proper(rng, n, 0.005, 0.05)
@@ -1125,10 +1148,10 @@ class TestSharedTables:
 
 class TestSubsystemWidth:
     def test_no_matrix_wider_than_the_largest_subsystem(self, monkeypatch):
-        # Joint n = 1024 under window occlusion: every gathered block of Q
-        # or W and every series product is at most as wide as the widest
-        # subsystem the evidence leaves, far below n. The module builds no
-        # Pade exponential.
+        # Joint n = 1024 under window occlusion: every restricted transition
+        # list and every series product of the integrals is at most as wide
+        # as the widest subsystem the evidence leaves, far below n. The
+        # module builds no Pade exponential.
         model = binary_ring_model(10, seed=3)
         q, space, p0 = amalgamate(model)
         rng = np.random.default_rng(5)
@@ -1138,21 +1161,20 @@ class TestSubsystemWidth:
             per_var = [space.project(traj, v) for v in range(space.k)]
             dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
         largest = int(max(ev.masks.sum(axis=1).max() for ev in dataset))
-        assert 2 * inference._PADE_MAX_STATES < largest < q.n // 4
+        assert 2 * inference._TABLE_MAX_STATES < largest < q.n // 4
         assert not hasattr(inference, "expm")
         widths = []
-        block, powers = inference._block, inference._powers
+        restrict, powers = inference._restrict, inference._powers
 
-        def recording_block(m, rows, cols):
-            out = block(m, rows, cols)
-            widths.extend(out.shape[1:])
-            return out
+        def recording_restrict(transitions, a, b, masks):
+            widths.extend((a.idx.shape[1], b.idx.shape[1]))
+            return restrict(transitions, a, b, masks)
 
-        def recording_powers(v, w, *rest):
-            widths.append(w.shape[-1])
-            return powers(v, w, *rest)
+        def recording_powers(v, *rest):
+            widths.append(v.shape[1])
+            return powers(v, *rest)
 
-        monkeypatch.setattr(inference, "_block", recording_block)
+        monkeypatch.setattr(inference, "_restrict", recording_restrict)
         monkeypatch.setattr(inference, "_powers", recording_powers)
         _, ll = e_step(model, dataset)
         assert widths and max(widths) <= largest

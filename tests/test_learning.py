@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -39,11 +41,19 @@ from ctbnlearn import (
     structure_search,
 )
 from ctbnlearn import inference
-from ctbnlearn.inference import DEFAULT_QUAD_TOL, FlatStatistics
+from ctbnlearn.inference import DEFAULT_QUAD_TOL, FlatStatistics, expected_statistics_many, forward_backward_many
 from ctbnlearn.learning import _flat_e_step
 from ctbnlearn.markov import IntensityMatrix
 from ctbnlearn.model import FamilyStatistics
-from helpers import binary_chain_model, binary_ring_model, chain_oracle, independent_binary_model, rel_err
+from helpers import (
+    binary_chain_model,
+    binary_ring_model,
+    chain_oracle,
+    independent_binary_model,
+    rel_err,
+    taylor_expm,
+    taylor_log_prob,
+)
 
 
 def fully_observed_dataset(model, count, horizon, seed):
@@ -225,7 +235,7 @@ class TestBatchedEStep:
         q, space, p0 = amalgamate(model)
         dataset = [rec.to_evidence(space) for rec in records] * 3
         sizes = np.concatenate([ev.masks.sum(axis=1) for ev in dataset])
-        assert (sizes > inference._PADE_MAX_STATES).any() == (q.n == 32)
+        assert (sizes > inference._TABLE_MAX_STATES).any() == (q.n == 32)
         first = forward_backward(q, p0, dataset[0])
         assert (first.factor_kind == 1).any()
         assert len(first.seg_dt) > dataset[0].n_segments
@@ -275,49 +285,48 @@ class TestBatchedEStep:
     )
     def test_off_diagonal_built_once_per_pass(self, monkeypatch, model, records, elements):
         # The sweeps, the boundary factors and the integrals of every batch
-        # share the joint generator's one off-diagonal W.
+        # share the joint generator's one transition list, built once per
+        # pass; no pass builds the dense off-diagonal W.
         space = model.space()
         dataset = [rec.to_evidence(space) for rec in records] * 3
         three_batches(monkeypatch, dataset, space.n_joint, elements)
         builds = []
-        build = IntensityMatrix.off_diagonal.func
+        build = IntensityMatrix.transitions.func
         joint = {}
 
         def counted(self):
             builds.append(self.n)
-            joint["w"], joint["q"] = build(self), self.entries
-            return joint["w"]
+            joint["list"] = build(self)
+            return joint["list"]
 
-        spy = cached_property(counted)
-        spy.__set_name__(IntensityMatrix, "off_diagonal")
-        monkeypatch.setattr(IntensityMatrix, "off_diagonal", spy)
-        # Every block of W or W^T is gathered from that one array (Pade
-        # blocks from Q's own entries), and every product by all of W reads
-        # it.
+        def dense(self):
+            raise AssertionError("the dense off-diagonal W was built")
+
+        for name, func in (("transitions", counted), ("off_diagonal", dense)):
+            spy = cached_property(func)
+            spy.__set_name__(IntensityMatrix, name)
+            monkeypatch.setattr(IntensityMatrix, name, spy)
+        # Every restricted transition list, which every product by W reads,
+        # is cut from that one list.
         used = set()
+        restrict = inference._restrict
 
-        def base(m):
-            return id(m if m.base is None else m.base)
+        def cutting(transitions, *rest):
+            used.add(id(transitions))
+            return restrict(transitions, *rest)
 
-        block, powers = inference._block, inference._powers
+        monkeypatch.setattr(inference, "_restrict", cutting)
 
-        def gathering(m, *rest):
-            used.add(base(m))
-            return block(m, *rest)
+        def caches_and_statistics(model, dataset):
+            q, _, p0 = amalgamate(model)
+            expected_statistics_many(forward_backward_many(q, p0, dataset))
 
-        def multiplying(v, w, *rest):
-            if w.ndim == 2:
-                used.add(base(w))
-            return powers(v, w, *rest)
-
-        monkeypatch.setattr(inference, "_block", gathering)
-        monkeypatch.setattr(inference, "_powers", multiplying)
-        for run in (e_step, score_dataset):
+        for run in (e_step, score_dataset, caches_and_statistics):
             builds.clear()
             used.clear()
             run(model, dataset)
             assert builds == [space.n_joint]
-            assert base(joint["w"]) in used and used <= {base(joint["w"]), base(joint["q"])}
+            assert used == {id(joint["list"])}
 
     def test_builds_no_per_trajectory_objects(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -369,6 +378,60 @@ class TestBatchedEStep:
         with pytest.raises(ForwardBackwardMismatchError) as err:
             e_step(model, dataset)
         assert err.value.trajectory_index == at
+
+    def test_swept_batches_are_let_go(self, monkeypatch):
+        # Every loop over lockstep batches drops a swept batch, and with it
+        # its propagator, before it sweeps the next one.
+        model = binary_ring_model(5)
+        q, space, p0 = amalgamate(model)
+        dataset = [rec.to_evidence(space) for rec in ring_records()] * 3
+        three_batches(monkeypatch, dataset, q.n, 500)
+        sweep = inference._sweep
+        swept = []
+
+        def watched(*args, **kwargs):
+            gc.collect()
+            assert [ref() for ref in swept] == [None] * len(swept)
+            f = sweep(*args, **kwargs)
+            swept.append(weakref.ref(f.prop))
+            return f
+
+        monkeypatch.setattr(inference, "_sweep", watched)
+        for run in (lambda: e_step(model, dataset), lambda: score_dataset(model, dataset),
+                    lambda: forward_backward_many(q, p0, dataset)):
+            swept.clear()
+            run()
+            assert len(swept) >= 3
+
+    def test_vacuous_record_on_the_joint_space(self):
+        # Joint n = 64: a record hidden throughout is held in the joint
+        # space, above the table size and split for stiffness, so its
+        # sweeps and integrals take the series on the generator's
+        # transitions. The log-likelihoods against the Taylor forward pass;
+        # the vacuous record's dwell times against Van Loan's integral of
+        # the transient distribution, and its transition counts against
+        # those dwell times times the rates.
+        model = binary_ring_model(6)
+        q, space, p0 = amalgamate(model)
+        n, horizon = q.n, 3.0
+        assert n > inference._TABLE_MAX_STATES
+        assert np.abs(np.diagonal(q.entries)).max() * horizon > inference._SEGMENT_STIFFNESS_CAP
+        vacuous = Evidence.vacuous(n, horizon)
+        partly = ObservedTrajectory(((0.0, 2.5, (None,) * 6), (2.5, horizon, (0,) + (None,) * 5)),
+                                    horizon).to_evidence(space)
+        dataset = [vacuous, partly]
+        _, ll = e_step(model, dataset)
+        want = [taylor_log_prob(q.entries, p0, ev) for ev in dataset]
+        assert abs(want[0]) <= 1e-12 and want[1] < -0.1
+        assert ll == pytest.approx(math.fsum(want), rel=1e-10, abs=1e-12)
+
+        _, tbar, mbar, _, _ = _flat_e_step(model, [vacuous], DEFAULT_QUAD_TOL, 4096)
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n] = q.entries
+        block[:n, n:] = np.eye(n)
+        dwell = p0 @ taylor_expm(block * horizon)[:n, n:]
+        assert rel_err(tbar, dwell) <= 1e-8
+        assert rel_err(mbar, dwell[:, None] * (q.entries - np.diag(np.diagonal(q.entries)))) <= 1e-8
 
 
 @st.composite
