@@ -33,11 +33,14 @@ alone), and both jobs read that: exp(Q_S dt) = sum_a Pois(a; lambda dt)
 P^a carries the messages across each segment, and the expected dwell times
 and transition counts are pairwise convolution integrals over each
 segment, read at the diagonal and at the transitions of S. Up to
-``_TABLE_MAX_STATES`` states the powers P^a are tabled once per distinct
-mask, so the segments of one mask take their exponential blocks and their
-integrals' series from one product each; above it, the joint space
-included, the series is applied to the rows term by term. One Poisson
-routine weights both series, each row cut at its own tail bound. Every
+``_TABLE_MAX_STATES`` states the sweeps table the powers P^a once per
+distinct mask, so the segments of one mask take their exponential blocks
+from one product; the integrals, linear in each segment's outer product of
+its end vectors, sum those products per bucket of one mask and one group,
+weighted per series term, and run the double series once per bucket,
+from the top term down by Horner in P. Above it, the joint space included,
+both series are applied to the rows term by term. One Poisson routine
+weights both series, each row cut at its own tail bound. Every
 product of the sweeps sums its terms in a fixed order that zero padding
 does not change, so a trajectory's sweeps do not depend on the rows swept
 beside it.
@@ -62,7 +65,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .evidence import Evidence
 from .markov import _TIME_EPS, IntensityMatrix, validate_distribution
@@ -256,14 +258,15 @@ def _split_batch(q: np.ndarray, evs: list):
 
 
 # The largest subsystem served from the shared power tables: a segment of
-# at most this many states takes its |S| x |S| exponential block, and its
-# integrals' series, from its mask's table of P^a; a larger one is applied
-# to the rows as a uniformization series, which builds no block but takes
-# one Python-level step per term. The crossover was measured for per-segment
-# dense blocks, before the tables, on rings whose every segment has one
-# |S| (30 segments per trajectory): blocks scored 1.05-1.8x faster up to
-# |S| = 16, at 32 they were 1.1x faster for one trajectory and 1.4x slower
-# for ten, at 64 and up slower throughout (CHANGES.md has the table).
+# at most this many states takes its |S| x |S| exponential block from its
+# mask's table of P^a, and its integrals from its bucket's recursion in the
+# dense P; a larger one is applied to the rows as a uniformization series,
+# which builds no block but takes one Python-level step per term. The
+# crossover was measured for per-segment dense blocks, before the tables,
+# on rings whose every segment has one |S| (30 segments per trajectory):
+# blocks scored 1.05-1.8x faster up to |S| = 16, at 32 they were 1.1x
+# faster for one trajectory and 1.4x slower for ten, at 64 and up slower
+# throughout (CHANGES.md has the table).
 _TABLE_MAX_STATES = 16
 
 # The sweeps cut their series where the Poisson tail is at most this, so the
@@ -512,10 +515,11 @@ def _series_terms(mu: np.ndarray, tol: float) -> np.ndarray:
 def _poisson_weights(mu: np.ndarray, terms: np.ndarray, skip: int = 0) -> np.ndarray:
     """Row r's weights Pois(a + skip; mu_r) for a below its cutoff terms[r],
     zero past it. Summed in log space, so e^-mu underflowing does not zero
-    them."""
+    them; log 0 is taken as -1e300, so that 0 log 0 is 0 and every higher
+    power of mu = 0 has a weight of 0."""
     a = np.arange(int(terms.max()))
-    log_mu = np.log(mu, out=np.full(mu.shape, -np.inf), where=mu > 0.0)
-    pmf = np.multiply(a + skip, log_mu[:, None], out=np.zeros((len(mu), len(a))), where=a + skip > 0)
+    log_mu = np.log(mu, out=np.full(mu.shape, -1e300), where=mu > 0.0)
+    pmf = np.multiply.outer(log_mu, a + skip)
     pmf -= mu[:, None]
     pmf -= _log_factorials(len(a) + skip)[skip:]
     np.exp(pmf, out=pmf)
@@ -538,9 +542,11 @@ class _Uniformization:
     within S (W_S^T for columns), so every term is nonnegative. lambda and P
     depend on the mask alone: each distinct mask (``mask_id``) has its
     transitions cut from Q's list once, which every product by W_S reads
-    (``transitions``, ``times``), and ``tables`` builds P^a once per mask
-    of 2 to _TABLE_MAX_STATES states. ``states`` lists every segment's
-    states once; ``cut`` lays out any segments from it."""
+    (``transitions``, ``times``) and from which ``matrices`` builds the
+    dense P of segments of 2 to _TABLE_MAX_STATES states (``tabled``):
+    the sweeps' power tables and the integrals' recursion start from it.
+    ``states`` lists every segment's states once; ``cut`` lays out any
+    segments from it."""
 
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
         self.exit = np.abs(np.diagonal(q.entries))
@@ -595,42 +601,46 @@ class _Uniformization:
         lam = self.lam[lay.seg, None]
         return np.where(lay.valid, (lam - self.exit[lay.idx]) / lam, 0.0), lay.valid / lam
 
-    def tables(self, rows: np.ndarray, terms: np.ndarray, row_entries):
-        """The segments ``rows`` with a tabled mask, sorted by size, mask
-        and ``terms`` and cut into slices, with the power tables of their
-        masks. Yields, per slice, the positions ``part`` in rows of its
-        segments, their layout, the starts of its runs of one mask (and the
-        slice's length) and the stack of those masks' tables P^a for a
-        below the slice's largest ``terms``. A slice's tables and its rows,
-        ``row_entries(s, width)`` entries each at |S| = s and ``width``
-        terms, stay within _BATCH_ELEMENTS // 8 entries where one row and
-        one table fit."""
-        ids = self.mask_id[rows]
-        pos = np.flatnonzero(self.tabled[rows])
-        pos = pos[np.lexsort((terms[pos], ids[pos], self.sizes[rows[pos]]))]
-        for grp in np.split(pos, np.flatnonzero(np.diff(self.sizes[rows[pos]])) + 1):
-            if not grp.size:
-                continue
-            s, width = int(self.sizes[rows[grp[0]]]), int(terms[grp].max())
-            table = (1 << (width - 1).bit_length()) * s * s
-            new = np.r_[True, ids[grp][1:] != ids[grp][:-1]]
-            ends = np.cumsum(row_entries(s, width) + new * table)
-            lo = 0
-            while lo < len(grp):
-                # A slice that opens inside a run builds that run's table too.
-                room = _BATCH_ELEMENTS // 8 - (0 if new[lo] else table) + (ends[lo - 1] if lo else 0)
-                hi = max(lo + 1, int(np.searchsorted(ends, room, side="right")))
-                part = grp[lo:hi]
-                lo = hi
-                seg = rows[part]
-                starts = np.flatnonzero(np.r_[True, ids[part][1:] != ids[part][:-1]])
-                lay = self.cut(seg)
-                lam = self.lam[seg[starts], None]
-                r, j, k, rate = self.transitions(seg[starts])
-                p = np.zeros((len(starts), s, s))
-                p[r, j, k] = rate / lam[r, 0]
-                p[:, np.arange(s), np.arange(s)] = (lam - self.exit[lay.idx[starts]]) / lam
-                yield part, lay, [*starts.tolist(), len(part)], _power_tables(p, int(terms[part].max()))
+    def matrices(self, seg: np.ndarray) -> np.ndarray:
+        """P of each segment seg, whose subsystems all have s states:
+        stacked (len(seg), s, s)."""
+        lay = self.cut(seg)
+        s = lay.idx.shape[1]
+        lam = self.lam[seg, None]
+        r, j, k, rate = self.transitions(seg)
+        p = np.zeros((len(seg), s, s))
+        p[r, j, k] = rate / lam[r, 0]
+        p[:, np.arange(s), np.arange(s)] = (lam - self.exit[lay.idx]) / lam
+        return p
+
+
+def _slices(pos: np.ndarray, sizes: np.ndarray, run: np.ndarray, terms: np.ndarray, run_entries):
+    """Cut the rows pos, sorted by size and, within a size, into runs of one
+    key ``run``, into slices of one size. Yields, per slice, its rows and
+    the starts of its runs (and the slice's length). A slice's rows,
+    width + s * s entries each at |S| = s and ``width`` terms, the most
+    among its rows and those after it of its size, and its runs,
+    ``run_entries(s, width)`` entries each, stay within _BATCH_ELEMENTS // 8
+    entries where one row and one run fit; a slice that opens inside a run
+    counts that run too."""
+    for grp in np.split(pos, np.flatnonzero(np.diff(sizes[pos])) + 1):
+        if not grp.size:
+            continue
+        s = int(sizes[grp[0]])
+        widths = np.maximum.accumulate(terms[grp][::-1])[::-1]
+        new = np.r_[True, run[grp][1:] != run[grp][:-1]]
+        opened = np.cumsum(new)
+        lo = 0
+        while lo < len(grp):
+            width = int(widths[lo])
+            # No more rows than this fit, so the slicing stays linear in rows.
+            end = min(len(grp), lo + _BATCH_ELEMENTS // 8 // (s * s) + 1)
+            cost = (np.arange(1, end - lo + 1) * (width + s * s)
+                    + (opened[lo:end] - opened[lo] + 1) * run_entries(s, width))
+            hi = lo + max(1, int(np.searchsorted(cost, _BATCH_ELEMENTS // 8, side="right")))
+            part = grp[lo:hi]
+            lo = hi
+            yield part, [*np.flatnonzero(np.r_[True, run[part][1:] != run[part][:-1]]).tolist(), len(part)]
 
 
 @lru_cache(maxsize=2)
@@ -697,11 +707,17 @@ class _Propagator(_Uniformization):
         self.block_at[one] = np.arange(len(one))
         self.blocks[: len(one)] = np.exp(-self.exit[self.states[one, 0]] * dts[one])
         at = len(one)
+        # The tabled segments by size and mask, each slice's runs of one
+        # mask sharing one power table P^a, a below its longest series.
         tabled = np.flatnonzero(self.tabled)
         terms = _series_terms(self.mu[tabled], _SWEEP_TAIL)
-        for part, lay, starts, powers in self.tables(tabled, terms, lambda s, width: width + s * s):
+        ids = self.mask_id[tabled]
+        pos = np.lexsort((terms, ids, sizes[tabled]))
+        for part, starts in _slices(pos, sizes[tabled], ids, terms,
+                                    lambda s, width: (1 << (width - 1).bit_length()) * s * s):
             seg = tabled[part]
-            s = lay.idx.shape[1]
+            s = int(sizes[seg[0]])
+            powers = _power_tables(self.matrices(seg[starts[:-1]]), int(terms[part].max()))
             weights = _poisson_weights(self.mu[seg], terms[part])
             self.block_at[seg] = at + np.arange(len(seg)) * s * s
             out = self.blocks[at : at + len(seg) * s * s].reshape(len(seg), s * s)
@@ -1195,19 +1211,28 @@ def _convolution_batch(
     only their entries on S are read, so J vanishes outside S x S, and a
     row with dt = 0 contributes zero.
 
-    In the series of exp(Q_S s) in P, J = sum_a F_a^T H_a with F_a = f0 P^a,
-    G_b = P^b beta, H_a = sum_b c_{a+b} G_b and c_k = Pois(k + 1; mu) /
+    In the series of exp(Q_S s) in P, with u = f0 (x) beta (on S x S),
+    J = sum_{a, b} c_{a+b} (P^T)^a u (P^T)^b and c_k = Pois(k + 1; mu) /
     lambda, the sweeps' Poisson weights shifted by one. Each row's series
     stops where its own Poisson tail is below tol * _ROW_TAIL_SHARE (at
     least epsilon), which bounds the error of every column of J by
-    tol * dt * |f0|_1 * max(beta). Rows whose mask has a power table take
-    all their F_a, and all their G_b, in one product per run of one mask
-    (``_Uniformization.tables``). The other rows, the joint space
-    included, go by size of S and then by series length, so that a slice's
-    rows need about as many terms as its longest, and take one product by
-    their transitions per term (``_powers``). Either way the slices' stacks
-    of F, G, the weighted sums H and the |S| x |S| blocks J stay within
-    _BATCH_ELEMENTS // 8 entries where one row fits.
+    tol * dt * |f0|_1 * max(beta).
+
+    Rows of 2 to _TABLE_MAX_STATES states go by bucket, the rows of one
+    mask and one group: J is linear in u, so a bucket's sum needs only
+    E_k = sum_r c_k(r) u_r, one product C^T U per bucket, and then the
+    double series once, from the top term down by Horner in P:
+    V_a = E_a + V_{a+1} P^T and Z_a = V_a + P^T Z_{a+1}, Z_0 being the
+    bucket's summed J. A slice's buckets run the recursion together. The
+    other rows, the joint space included, go by size of S and then by
+    series length, so that a slice's rows need about as many terms as its
+    longest: J = sum_a F_a^T H_a with F_a = f0 P^a and
+    H_a = c_a beta + P H_{a+1}, one product by their transitions per term
+    (``_powers``). Either way a slice's temporaries (the rows' weights C
+    and products U, its buckets' E and recursion; or the stacks F and H
+    and the blocks J) stay within _BATCH_ELEMENTS // 8 entries where one
+    row and its bucket fit, and a bucket cut across slices adds its J in
+    parts.
     """
     m, n = f0.shape
     if m == 0:
@@ -1218,53 +1243,117 @@ def _convolution_batch(
     # rows beside it.
     terms = _series_terms(mu, max(tol * _ROW_TAIL_SHARE, _SWEEP_TAIL))
 
-    def hankel(sl, kk):
-        """H_a = sum_b c_{a+b} G_b for every a in one product: the window
-        view of c padded with kk zeros is the Hankel matrix of each row."""
-        c = np.pad(_poisson_weights(mu[sl], terms[sl], 1) / lam[sl, None], ((0, 0), (0, kk)))
-        return sliding_window_view(c, kk + 1, axis=1)
+    def weights(sl):
+        """c_k of the rows sl, zero past each row's cutoff."""
+        c = _poisson_weights(mu[sl], terms[sl], 1)
+        c /= lam[sl, None]
+        return c
 
-    def add(sl, lay, f, h):
-        """Add J = sum_a F_a^T H_a of the rows sl, F_a and H_a stacked
-        (rows, a, |S|), at its diagonal and at the transitions of S (at
-        every entry where ``rates`` is false)."""
-        integrals = f.transpose(0, 2, 1) @ h
+    def add(lay, g, integrals):
+        """Add the |S| x |S| integrals of the layout's segments to their
+        groups g, at the diagonal and at the transitions of S (at every
+        entry where ``rates`` is false)."""
         diagonal = np.where(lay.valid, np.diagonal(integrals, axis1=1, axis2=2), 0.0)
-        np.add.at(dwell.reshape(-1), groups[sl][:, None] * n + lay.idx, diagonal)
+        np.add.at(dwell.reshape(-1), g[:, None] * n + lay.idx, diagonal)
         if rates:
             r, j, k, value = u.transitions(lay.seg)
             value *= integrals[r, j, k]
         else:
             r, j, k = np.nonzero(lay.valid[:, :, None] & lay.valid[:, None, :])
             value = integrals[r, j, k]
-        np.add.at(out.reshape(-1), (groups[sl][r] * n + lay.idx[r, j]) * n + lay.idx[r, k], value)
+        np.add.at(out.reshape(-1), (g[r] * n + lay.idx[r, j]) * n + lay.idx[r, k], value)
 
-    def row_entries(s, width):
-        return width * s + s * s
-
-    for sl, lay, starts, powers in u.tables(rows, terms, row_entries):
-        s, kk = lay.idx.shape[1], int(terms[sl].max()) - 1
-        p = powers[:, : kk + 1]
-        f = _runs_dot(lay.gather(f0[sl]), p.transpose(0, 2, 1, 3).reshape(len(p), s, -1), starts)
-        g = _runs_dot(lay.gather(beta[sl]), p.transpose(0, 3, 1, 2).reshape(len(p), s, -1), starts)
-        add(sl, lay, f.reshape(len(sl), kk + 1, s), hankel(sl, kk) @ g.reshape(len(sl), kk + 1, s))
+    bucket = u.mask_id[rows] * (int(groups.max(initial=0)) + 1) + groups
+    pos = np.flatnonzero(u.tabled[rows])
+    pos = pos[np.lexsort((bucket[pos], sizes[pos]))]
+    # The buckets by descending series length within a size, so that a
+    # slice's series run about as long as its first bucket's.
+    if pos.size:
+        heads = np.flatnonzero(np.r_[True, bucket[pos][1:] != bucket[pos][:-1]])
+        top = np.repeat(np.maximum.reduceat(terms[pos], heads), np.diff(np.r_[heads, len(pos)]))
+        pos = pos[np.lexsort((-top, sizes[pos]))]
+    # Per bucket its E and its share of the recursion's three stacks, a
+    # quarter more for the padding of the stacks' matrices.
+    for sl, starts in _slices(pos, sizes, bucket, terms, lambda s, width: (5 * width + 15) * s * s // 4):
+        heads, count = np.array(starts[:-1]), np.diff(starts)
+        top = np.maximum.reduceat(terms[sl], heads)
+        # One matrix of the recursion holds up to ``size`` buckets of one
+        # mask side by side, rows j first: they share P, so its products by
+        # P^T, on the right and on the left, are one each. A mask's last
+        # matrix is padded with zero buckets, a quarter of the buckets at
+        # most. The matrices go by descending series length, so that those
+        # still summing at term a are a prefix, live[a] long; bucket i sits
+        # at slot[i] // size, column block slot[i] % size.
+        mask = u.mask_id[rows[sl[heads]]]
+        order = np.lexsort((-top, mask))
+        new = np.r_[True, mask[order][1:] != mask[order][:-1]]
+        size = max(1, len(order) // (4 * int(new.sum())))
+        within = np.arange(len(order)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+        opens = within % size == 0
+        rank = np.argsort(-top[order[opens]], kind="stable")
+        place = np.empty_like(rank)
+        place[rank] = np.arange(len(rank))
+        slot = np.empty_like(order)
+        slot[order] = place[np.cumsum(opens) - 1] * size + within % size
+        live = np.searchsorted(-top[order[opens][rank]], -np.arange(int(top.max())))
+        # The rows by bucket size, for ``_bucket_sums``.
+        by = np.argsort(count, kind="stable")
+        seg = sl[_ranges(heads[by], count[by])[0]]
+        lay = u.cut(rows[seg])
+        s = lay.idx.shape[1]
+        prod = (lay.gather(f0[seg])[:, :, None] * lay.gather(beta[seg])[:, None, :]).reshape(len(seg), s * s)
+        e = _bucket_sums(weights(seg), prod, count[by], slot[by], len(rank) * size)
+        width = e.shape[1]
+        e = e.reshape(len(rank), size, width, s, s).transpose(2, 0, 3, 1, 4)
+        pt = u.matrices(rows[sl[heads[order[opens][rank]]]]).transpose(0, 2, 1)
+        v, z, tmp = np.zeros((3, len(rank), s, size * s))
+        v_rows, tmp_rows = v.reshape(len(rank), s * size, s), tmp.reshape(len(rank), s * size, s)
+        for a in range(width - 1, -1, -1):
+            k = live[a]
+            np.matmul(v_rows[:k], pt[:k], out=tmp_rows[:k])
+            np.add(tmp[:k], e[a, :k].reshape(k, s, size * s), out=v[:k])
+            np.matmul(pt[:k], z[:k], out=tmp[:k])
+            np.add(tmp[:k], v[:k], out=z[:k])
+        z = z.reshape(len(rank), s, size, s).transpose(0, 2, 1, 3).reshape(-1, s, s)
+        add(u.cut(rows[sl[heads]]), groups[sl[heads]], z[slot])
 
     rest = np.flatnonzero(~u.tabled[rows])
     if not rest.size:
         return
     order = rest[np.lexsort((terms[rest], sizes[rest]))]
-    ends = np.cumsum(row_entries(sizes[order], int(terms[rest].max())))
+    # Per row: its weights, its stacks F and H and its block J.
+    ends = np.cumsum((2 * sizes[order] + 1) * int(terms[rest].max()) + sizes[order] ** 2)
     lo = 0
     while lo < len(order):
         hi = max(lo + 1, int(np.searchsorted(ends, _BATCH_ELEMENTS // 8 + (ends[lo - 1] if lo else 0), side="right")))
         sl = order[lo:hi]
         lo = hi
-        kk = int(terms[sl].max()) - 1
         lay = u.cut(rows[sl])
         keep, jump = u.keep_jump(lay)
-        f = _powers(lay.gather(f0[sl]), u.times(lay, np.zeros(len(sl), dtype=bool)), keep, jump, kk)
-        g = _powers(lay.gather(beta[sl]), u.times(lay, np.ones(len(sl), dtype=bool)), keep, jump, kk)
-        add(sl, lay, f, hankel(sl, kk) @ g)
+        c = weights(sl)
+        f = _powers(lay.gather(f0[sl]), u.times(lay, np.zeros(len(sl), dtype=bool)), keep, jump, c.shape[1] - 1)
+        b, times = lay.gather(beta[sl]), u.times(lay, np.ones(len(sl), dtype=bool))
+        h = np.empty_like(f)
+        h[:, -1] = c[:, -1, None] * b
+        for a in range(c.shape[1] - 2, -1, -1):
+            x = h[:, a + 1]
+            h[:, a] = c[:, a, None] * b + x * keep + times(x) * jump
+        add(lay, groups[sl], f.transpose(0, 2, 1) @ h)
+
+
+def _bucket_sums(c: np.ndarray, prod: np.ndarray, count: np.ndarray, slot: np.ndarray, slots: int) -> np.ndarray:
+    """E[slot[i]] = C_i^T U_i, stacked (slots, terms, |S|^2) and zero at
+    the other slots: bucket i owns the next count[i] rows of the weights c
+    and of the products prod, and the buckets of one row count follow each
+    other, so that all their products are one."""
+    e = np.zeros((slots, c.shape[1], prod.shape[1]))
+    lo = b = 0
+    for rows, many in zip(*np.unique(count, return_counts=True)):
+        hi = lo + rows * many
+        e[slot[b : b + many]] = np.matmul(c[lo:hi].reshape(many, rows, -1).transpose(0, 2, 1),
+                                          prod[lo:hi].reshape(many, rows, -1))
+        lo, b = hi, b + many
+    return e
 
 
 def _powers(v: np.ndarray, times, keep: np.ndarray, jump: np.ndarray, kk: int) -> np.ndarray:

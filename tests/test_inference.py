@@ -872,6 +872,78 @@ class TestUniformizationKernel:
             assert np.abs(parts[g] - whole[g]).max() <= 1e-12 * np.abs(whole[g]).max(initial=1.0)
 
 
+@st.composite
+def bucket_batches(draw):
+    """A dense generator on 16 states and rows in buckets: 2 to 5 masks of
+    2 to 16 states, 2 to 4 rows each, shuffled, each row in one of 1 to 3
+    groups, with nonnegative end vectors and lambda * dt up to the
+    stiffness cap (zero for some rows)."""
+    n = 16
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_proper(rng, n, 0.05, 2.0)
+    n_groups = draw(st.integers(1, 3))
+    masks = []
+    for _ in range(draw(st.integers(2, 5))):
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, draw(st.integers(2, n)), replace=False)] = True
+        masks.extend([mask] * draw(st.integers(2, 4)))
+    masks = rng.permutation(np.array(masks))
+    m = len(masks)
+    groups = rng.integers(0, n_groups, m)
+    lam = np.where(masks, -np.diagonal(q), 0.0).max(axis=1)
+    dts = np.where(rng.random(m) < 0.1, 0.0, rng.uniform(0.0, 16.0, m)) / lam
+    f0 = np.where(rng.random((m, n)) < 0.2, 0.0, rng.random((m, n)))
+    return q, masks, dts, f0, rng.random((m, n)), groups
+
+
+class TestBucketKernel:
+    """Rows of 2 to _TABLE_MAX_STATES states are summed per bucket of one
+    mask and one group before the double series runs once per bucket."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(bucket_batches())
+    def test_group_sums_equal_lone_rows(self, batch):
+        # Each row alone is a bucket of its own; summed per group, the
+        # rows must give the buckets' sums to rounding, also where every
+        # slice holds one row, so that each bucket is cut across slices.
+        q, masks, dts, f0, beta, groups = batch
+        m, n = f0.shape
+        u = inference._Uniformization(validate_intensity(q), masks, dts)
+        assert u.tabled.all()
+
+        def sums(rows, g):
+            out = np.zeros((3, n, n))
+            _convolution_batch(u, rows, f0[rows], beta[rows], g, 1e-8, np.zeros((3, n)), out, False)
+            return out
+
+        want = np.zeros((3, n, n))
+        for r in range(m):
+            want[groups[r]] += sums(np.array([r]), np.zeros(1, dtype=np.intp))[0]
+        whole = sums(np.arange(m), groups)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_BATCH_ELEMENTS", 8)
+            parts = sums(np.arange(m), groups)
+        for got in (whole, parts):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(initial=1e-300)
+
+    def test_integrals_build_no_power_table(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n, m = 8, 12
+        masks = rng.random((m, n)) < 0.6
+        masks[:, :2] = True
+        u = inference._Uniformization(validate_intensity(random_proper(rng, n)), masks, rng.uniform(0.0, 0.5, m))
+        assert u.tabled.all()
+
+        def refuse(*args):
+            raise AssertionError("the integrals built a power table")
+
+        monkeypatch.setattr(inference, "_power_tables", refuse)
+        dwell, out = np.zeros((1, n)), np.zeros((1, n, n))
+        _convolution_batch(u, np.arange(m), rng.random((m, n)), rng.random((m, n)), np.zeros(m, dtype=np.intp),
+                           1e-8, dwell, out)
+        assert (dwell > 0.0).all() and (out > 0.0).any()
+
+
 def joint_space_oracle(q: np.ndarray, p0: np.ndarray, ev: Evidence):
     """Unscaled forward and backward passes over the unsplit segments on the
     joint space, each segment's exponential by ``taylor_expm`` and its

@@ -834,8 +834,9 @@ class TestSem:
 
 class TestBatchBudget:
     """600 window-occluded records of the n = 8 chain over a horizon of 5:
-    the E-step sweeps them in a few large batches while every power table
-    and every product by the tables stays small."""
+    the E-step sweeps them in a few large batches while every power table,
+    every product by the tables and every stack of the integrals' buckets
+    stays small."""
 
     def test_batches_and_slices_stay_within_the_budget(self, monkeypatch):
         model = binary_chain_model()
@@ -848,8 +849,8 @@ class TestBatchBudget:
             dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
 
         budget = inference._BATCH_ELEMENTS
-        sizes = {"table": [], "slice": []}
-        tables, runs_dot = inference._power_tables, inference._runs_dot
+        sizes = {"table": [], "slice": [], "bucket": []}
+        tables, runs_dot, bucket_sums = inference._power_tables, inference._runs_dot, inference._bucket_sums
 
         def recording_tables(*args):
             out = tables(*args)
@@ -861,11 +862,20 @@ class TestBatchBudget:
             sizes["slice"].append(out.size)
             return out
 
+        def recording_bucket_sums(c, prod, *args):
+            # Per slice of the integrals' buckets: the rows' weights C and
+            # products U, and the buckets' stack E.
+            out = bucket_sums(c, prod, *args)
+            sizes["bucket"].extend((c.size, prod.size, out.size))
+            return out
+
         monkeypatch.setattr(inference, "_power_tables", recording_tables)
         monkeypatch.setattr(inference, "_runs_dot", recording_runs_dot)
+        monkeypatch.setattr(inference, "_bucket_sums", recording_bucket_sums)
         e_step(model, dataset)
         assert sizes["table"] and max(sizes["table"]) <= budget // 8
         assert sizes["slice"] and max(sizes["slice"]) <= budget // 8
+        assert sizes["bucket"] and max(sizes["bucket"]) <= budget // 8
 
         width = inference._series_width()
         estimates = [int(inference._entries(np.concatenate([ev.masks.sum(axis=1) for ev in batch]),
