@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .markov import _TIME_EPS, CompleteTrajectory, IntensityMatrix
+from .markov import _TIME_EPS, CompleteTrajectory
 from .statespace import StateSpace
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "Evidence",
     "ObservedTrajectory",
     "OcclusionPolicy",
-    "restrict_intensity",
-    "transition_restrict",
     "occlude",
     "occlude_observed",
     "is_completion",
@@ -171,29 +169,6 @@ class Evidence:
     def fully_observed(cls, traj: CompleteTrajectory, n: int) -> "Evidence":
         segs = tuple((Subsystem.single(n, s), a, b) for s, a, b in traj.segments)
         return cls(segs, traj.horizon)
-
-
-def _masked(q: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Q with every entry outside rows x cols zeroed. Stacked masks of shape
-    (m, n) give a stack of m matrices."""
-    return np.where(rows[..., :, None] & cols[..., None, :], q, 0.0)
-
-
-def restrict_intensity(q: IntensityMatrix, s: Subsystem) -> IntensityMatrix:
-    """Zero every rate except transitions within s; diagonals of states in s
-    are kept in full, so rows may leak (sum negative)."""
-    if s.n != q.n:
-        raise ValueError("subsystem dimension does not match the matrix")
-    return IntensityMatrix(_masked(q.entries, s.mask, s.mask), "restricted")
-
-
-def transition_restrict(q: IntensityMatrix, s1: Subsystem, s2: Subsystem) -> np.ndarray:
-    """Rates of transitions from s1 into s2: entry (i, j) survives iff
-    i in s1, j in s2 and i != j; the diagonal is zeroed. The result is a
-    nonnegative matrix, not an intensity matrix."""
-    if s1.n != q.n or s2.n != q.n:
-        raise ValueError("subsystem dimension does not match the matrix")
-    return _masked(q.off_diagonal, s1.mask, s2.mask)
 
 
 @dataclass(frozen=True)

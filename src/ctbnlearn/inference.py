@@ -8,7 +8,8 @@ S1 into S2; when the subsystems overlap, the boundary is a projection onto
 the next subsystem (zero-length segments therefore act as plain
 indicators). W is Q's transition list, (src, dst, rate) sorted by source
 and destination, n * sum(d_v - 1) entries for a CTBN; every product by W
-reads the transitions ``_restrict`` cuts from it in subsystem coordinates.
+reads the transitions ``_restrict`` cuts from it in subsystem coordinates,
+each with its index in the list.
 The scaled boundary messages are n-length rows over the joint space; every
 segment gathers its rows to S, works on |S|-length rows, and scatters the
 result back, so a segment costs O(|S|^2) per product plus O(n) at its
@@ -50,12 +51,14 @@ and ``forward_backward_many`` and sweeps each batch with ``_sweep``. A
 swept batch has one layout: its segments, boundaries and messages
 stacked in one set of arrays. One statistics kernel reads them and returns the batch's dwell
 times, transition counts and time-zero posteriors summed over groups of
-its trajectories, and every trajectory's log-likelihood. The E-step sums
-each batch as one group and builds nothing per trajectory.
-``forward_backward_many`` cuts each batch into message caches, read-only
-views of one trajectory's rows that share the batch's arrays;
-``expected_statistics_many`` runs the kernel once per batch on those
-arrays, one group per trajectory asked for.
+its trajectories, and every trajectory's log-likelihood; a count is
+nonzero only on a transition of W, so the counts are kept by transition,
+one per entry of W's list. The E-step sums each batch as one group and
+builds nothing per trajectory. ``forward_backward_many`` cuts each batch
+into message caches, read-only views of one trajectory's rows that share
+the batch's arrays; ``expected_statistics_many`` runs the kernel once per
+batch on those arrays, one group per trajectory asked for, and scatters
+each one's counts onto an n x n matrix.
 """
 from __future__ import annotations
 
@@ -136,7 +139,8 @@ class StepUnderflowError(RuntimeError, ValueError):
 
 @dataclass
 class FlatStatistics:
-    """Expected dwell times and transition counts of the flat process."""
+    """Expected dwell times (an n-vector) and transition counts (an n x n
+    matrix) of the flat process; the E-step keeps its counts by transition."""
 
     dwell: np.ndarray
     transitions: np.ndarray
@@ -402,9 +406,9 @@ def _ranges(lo: np.ndarray, count: np.ndarray):
 def _restrict(joint: tuple, a: _Layout, b: _Layout, masks: np.ndarray):
     """The transitions (src, dst, rate) of the joint list from row r of the
     layout a into row r of b, whose segments' masks are ``masks``, in their
-    coordinates: (r, j, k, rate) for a.idx[r, j] -> b.idx[r, k], sorted by
-    r, j and k."""
-    src, dst, rate = joint
+    coordinates: (r, j, k, e) for a.idx[r, j] -> b.idx[r, k], the joint
+    list's entry e, sorted by r, j and k."""
+    src, dst, _ = joint
     r, j = np.nonzero(a.valid)
     state = a.idx[r, j]
     start = np.searchsorted(src, np.arange(int(state.max(initial=0)) + 2))
@@ -413,7 +417,7 @@ def _restrict(joint: tuple, a: _Layout, b: _Layout, masks: np.ndarray):
     r, j, e = r[at][inside], j[at][inside], e[inside]
     # Each destination's place in its row of b, whose keys ascend.
     br, k = np.nonzero(b.valid)
-    return r, j, k[np.searchsorted(br * _FAR + b.idx[br, k], r * _FAR + dst[e])], rate[e]
+    return r, j, k[np.searchsorted(br * _FAR + b.idx[br, k], r * _FAR + dst[e])], e
 
 
 def _rows_dot(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -541,10 +545,11 @@ class _Uniformization:
     v on S goes to v P = v * keep + (v W_S) * jump, with W_S the rates of W
     within S (W_S^T for columns), so every term is nonnegative. lambda and P
     depend on the mask alone: each distinct mask (``mask_id``) has its
-    transitions cut from Q's list once, which every product by W_S reads
-    (``transitions``, ``times``) and from which ``matrices`` builds the
-    dense P of segments of 2 to _TABLE_MAX_STATES states (``tabled``):
-    the sweeps' power tables and the integrals' recursion start from it.
+    transitions cut from Q's list ``joint`` once, with their indices in it,
+    which every product by W_S reads (``transitions``, ``times``) and from
+    which ``matrices`` builds the dense P of segments of 2 to
+    _TABLE_MAX_STATES states (``tabled``): the sweeps' power tables and the
+    integrals' recursion start from it.
     ``states`` lists every segment's states once; ``cut`` lays out any
     segments from it."""
 
@@ -571,28 +576,28 @@ class _Uniformization:
 
     def transitions(self, seg: np.ndarray):
         """The transitions within the subsystem of each segment seg, from
-        its mask's list: (r, j, k, rate), sorted by r, j and k."""
+        its mask's list: (r, j, k, e), e indexing the joint list, sorted by
+        r, j and k."""
         ids = self.mask_id.take(seg)
         e, r = _ranges(self.edge_at.take(ids), self.edge_count.take(ids))
         return (r, *(a.take(e) for a in self.edges))
 
     def between(self, a: np.ndarray, b: np.ndarray):
         """The transitions from the subsystem of segment a[r] into that of
-        b[r] in joint states: (r, src, dst, rate), sorted by r, src and dst,
-        cut once per distinct pair of masks."""
+        b[r]: (r, e), e indexing the joint list, sorted by r and e, cut once
+        per distinct pair of masks."""
         _, first, pair = np.unique(self.mask_id[a] * (self.mask_id.max(initial=0) + 1) + self.mask_id[b],
                                    return_index=True, return_inverse=True)
-        s1, s2 = self.cut(a[first]), self.cut(b[first])
-        p, j, k, rate = _restrict(self.joint, s1, s2, self.masks)
+        p, _, _, e = _restrict(self.joint, self.cut(a[first]), self.cut(b[first]), self.masks)
         count = np.bincount(p, minlength=len(first))
-        e, r = _ranges((np.cumsum(count) - count)[pair], count[pair])
-        return r, s1.idx[p, j][e], s2.idx[p, k][e], rate[e]
+        at, r = _ranges((np.cumsum(count) - count)[pair], count[pair])
+        return r, e[at]
 
     def times(self, lay: _Layout, columns: np.ndarray):
         """u -> the layout's rows u times their W_S (W_S^T where columns[r]),
         each entry summed over its row's transitions in (j, k) order."""
-        r, j, k, rate = self.transitions(lay.seg)
-        c, width = columns.take(r), lay.idx.shape[1]
+        r, j, k, e = self.transitions(lay.seg)
+        rate, c, width = self.joint[2].take(e), columns.take(r), lay.idx.shape[1]
         frm, to = r * width + np.where(c, k, j), r * width + np.where(c, j, k)
         return lambda u: np.bincount(to, u.reshape(-1).take(frm) * rate, u.size).reshape(-1, width)
 
@@ -607,9 +612,9 @@ class _Uniformization:
         lay = self.cut(seg)
         s = lay.idx.shape[1]
         lam = self.lam[seg, None]
-        r, j, k, rate = self.transitions(seg)
+        r, j, k, e = self.transitions(seg)
         p = np.zeros((len(seg), s, s))
-        p[r, j, k] = rate / lam[r, 0]
+        p[r, j, k] = self.joint[2].take(e) / lam[r, 0]
         p[:, np.arange(s), np.arange(s)] = (lam - self.exit[lay.idx]) / lam
         return p
 
@@ -976,8 +981,9 @@ class _Plan:
         # Each rate row's transitions from the earlier segment's subsystem
         # into the later one's, which a backward row crosses against.
         self.rate_back = self.rate_leave > self.rate_enter
-        self.rate_edge, self.rate_src, self.rate_dst, self.rate_w = prop.between(
-            np.minimum(self.rate_leave, self.rate_enter), np.maximum(self.rate_leave, self.rate_enter))
+        self.rate_edge, e = prop.between(np.minimum(self.rate_leave, self.rate_enter),
+                                         np.maximum(self.rate_leave, self.rate_enter))
+        self.rate_src, self.rate_dst, self.rate_w = (a.take(e) for a in prop.joint)
         self.rate_edge_at = np.searchsorted(self.rate_edge, self.rate_at)
         # Offsets are read one at a time; the index arrays are kept in 32
         # bits.
@@ -1204,8 +1210,10 @@ def _convolution_batch(
 ) -> None:
     """Add the pairwise integrals J[j, k] = int_0^dt f_j(s) b_k(s) ds of
     the segments ``rows`` of the uniformization u to group groups[r]: the
-    diagonal to dwell[g] and J at the transitions of S times their rates
-    to out[g] (all of J where ``rates`` is false). Row r has
+    diagonal to the n-length row dwell[g], and J at the transitions of S
+    times their rates to the group's expected counts, transition e of the
+    joint list at out.reshape(-1)[g * E + e] for E transitions in the list
+    (where ``rates`` is false, all of J to the n x n out[g]). Row r has
     f(s) = f0[r] exp(Q_S s), b(s) = exp(Q_S (dt - s)) beta[r] and Q_S is Q
     restricted to the segment's subsystem S; f0 and beta are n-length, and
     only their entries on S are read, so J vanishes outside S x S, and a
@@ -1256,12 +1264,11 @@ def _convolution_batch(
         diagonal = np.where(lay.valid, np.diagonal(integrals, axis1=1, axis2=2), 0.0)
         np.add.at(dwell.reshape(-1), g[:, None] * n + lay.idx, diagonal)
         if rates:
-            r, j, k, value = u.transitions(lay.seg)
-            value *= integrals[r, j, k]
+            r, j, k, e = u.transitions(lay.seg)
+            np.add.at(out.reshape(-1), g[r] * len(u.joint[0]) + e, u.joint[2].take(e) * integrals[r, j, k])
         else:
             r, j, k = np.nonzero(lay.valid[:, :, None] & lay.valid[:, None, :])
-            value = integrals[r, j, k]
-        np.add.at(out.reshape(-1), (g[r] * n + lay.idx[r, j]) * n + lay.idx[r, k], value)
+            np.add.at(out.reshape(-1), (g[r] * n + lay.idx[r, j]) * n + lay.idx[r, k], integrals[r, j, k])
 
     bucket = u.mask_id[rows] * (int(groups.max(initial=0)) + 1) + groups
     pos = np.flatnonzero(u.tabled[rows])
@@ -1423,7 +1430,9 @@ def _rescaled(v: np.ndarray, log_scale: float):
 
 class _Statistics(NamedTuple):
     """A swept batch's expected statistics summed over row groups of
-    trajectories, and each trajectory's log-likelihood."""
+    trajectories, and each trajectory's log-likelihood: per group an
+    n-length row of dwell times and of time-zero posteriors, and a row of
+    transition counts, one per entry of the joint list ``q.transitions``."""
 
     dwell: np.ndarray
     transitions: np.ndarray
@@ -1435,7 +1444,8 @@ def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _S
     """Expected dwell times, transition counts and time-zero posteriors of
     the stacked segments and boundaries of a swept batch, summed per
     group: trajectory t adds to group groups[t], and a trajectory whose
-    group is negative is skipped.
+    group is negative is skipped. Counts are added by their transition's
+    index in the joint list.
 
     A positive-length segment restricted to one state adds its duration
     where it carries mass (the integrand is constant). The factor of an
@@ -1462,7 +1472,7 @@ def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _S
     seg_asked = asked[seg_traj]
     start = np.arange(len(f.dts)) + seg_traj
     dwell = np.zeros((n_groups, n))
-    trans = np.zeros((n_groups, n, n))
+    trans = np.zeros((n_groups, len(f.prop.joint[0])))
     sizes = f.prop.sizes
     pos = (f.dts > 0.0) & seg_asked
 
@@ -1472,13 +1482,14 @@ def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _S
     np.add.at(dwell, (seg_group[sing][alive], jj[alive]), f.dts[sing][alive])
 
     into = np.flatnonzero(f.rate_before & seg_asked)
-    r, src, dst, counts = f.prop.between(into - 1, into)
+    r, e = f.prop.between(into - 1, into)
     seg = into[r]
-    counts = counts * f.fwd_pre[start[seg], src] * f.bwd_post[start[seg], dst]
+    src, dst, rate = (a.take(e) for a in f.prop.joint)
+    counts = rate * f.fwd_pre[start[seg], src] * f.bwd_post[start[seg], dst]
     totals = np.bincount(r, counts, len(into))
     # A boundary without mass has no counts, all zero already.
     counts /= np.where(totals > 0.0, totals, 1.0)[r]
-    np.add.at(trans, (seg_group[seg], src, dst), counts)
+    np.add.at(trans, (seg_group[seg], e), counts)
 
     general = np.flatnonzero(pos & (sizes > 1))
     i = start[general]
@@ -1516,7 +1527,8 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
     """Expected statistics for many trajectories at once. The caches cut
     from one swept batch go through the same statistics kernel as the
     E-step, once, on that batch's arrays, one group per trajectory; the
-    batch's other trajectories are skipped."""
+    batch's other trajectories are skipped. Each trajectory's counts are
+    scattered from the joint list onto its n x n matrix."""
     _check_tol(tol)
     results: list = [None] * len(caches)
     pending: dict = {}
@@ -1533,7 +1545,9 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
         groups[rows] = np.arange(len(rows))
         s = _statistics(sweep._replace(prop=_Uniformization(q, sweep.masks, sweep.dts)), tol, groups)
         for idx, g in zip(idxs, groups[rows]):
-            results[idx] = FlatStatistics(s.dwell[g], s.transitions[g])
+            trans = np.zeros((q.n, q.n))
+            trans[q.transitions[:2]] = s.transitions[g]
+            results[idx] = FlatStatistics(s.dwell[g], trans)
     return results
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .evidence import Evidence
 from .inference import (
     DEFAULT_QUAD_TOL,
-    FlatStatistics,
     _check_tol,
     _e_step_batches,
     _sweeps,
@@ -30,7 +29,6 @@ from .model import (
     CtbnModel,
     FamilyStatistics,
     _xlogy,
-    aggregate_statistics,
     amalgamate,
     family_tables,
 )
@@ -148,14 +146,16 @@ def random_parameters(model: CtbnModel, rng: np.random.Generator, rate_range=(0.
 
 
 def _flat_e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float, cap: int):
-    """One pass over the dataset: summed flat statistics, summed smoothed
-    time-zero state marginals, and per-trajectory log-likelihoods. Every
-    lockstep batch of trajectories adds its own sums."""
+    """One pass over the dataset: summed flat dwell times and transition
+    counts, listed as (src, dst, count) over the joint generator's
+    transitions, summed smoothed time-zero state marginals, and
+    per-trajectory log-likelihoods. Every lockstep batch of trajectories
+    adds its own sums."""
     q, space, p0 = amalgamate(model, cap)
-    n = space.n_joint
-    tbar = np.zeros(n)
-    mbar = np.zeros((n, n))
-    g0 = np.zeros(n)
+    src, dst, _ = q.transitions
+    tbar = np.zeros(space.n_joint)
+    mbar = np.zeros(len(src))
+    g0 = np.zeros(space.n_joint)
     lls: list[float] = []
     for batch in _e_step_batches(q, p0, list(dataset), quad_tol):
         tbar += batch.dwell[0]
@@ -163,16 +163,19 @@ def _flat_e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float,
         g0 += batch.initial[0]
         lls.extend(batch.log_probs.tolist())
     init_sums = {var.name: space.variable_state_marginal(g0, vi) for vi, var in enumerate(model.variables)}
-    return space, tbar, mbar, init_sums, lls
+    return space, tbar, (src, dst, mbar), init_sums, lls
 
 
 def _e_step(model: CtbnModel, dataset: Sequence[Evidence], quad_tol: float, cap: int):
     """One E-step: the family statistics, the total log-likelihood and a
-    provider that re-aggregates the same flat pass for other parent sets."""
-    space, tbar, mbar, init_sums, lls = _flat_e_step(model, dataset, quad_tol, cap)
-    stats = aggregate_statistics(FlatStatistics(tbar, mbar), space, model)
-    stats = replace(stats, initial=init_sums, n_records=len(dataset))
-    return stats, math.fsum(lls), FlatFamilyProvider(space, tbar, mbar)
+    provider that aggregates the same flat pass for any parent sets, the
+    model's own included."""
+    space, tbar, transitions, init_sums, lls = _flat_e_step(model, dataset, quad_tol, cap)
+    provider = FlatFamilyProvider(space, tbar, transitions)
+    time, trans = {}, {}
+    for name in model.names:
+        time[name], trans[name] = provider.family(name, model.parents(name))
+    return FamilyStatistics(time, trans, init_sums, len(dataset)), math.fsum(lls), provider
 
 
 def e_step(
@@ -320,16 +323,17 @@ def bic_score(stats: FamilyStatistics, model: CtbnModel, w: int):
 class FlatFamilyProvider:
     """Re-aggregates one flat expected-statistics pass into the family tables
     of arbitrary candidate parent sets; this is what makes a full structure
-    search per step affordable."""
+    search per step affordable. It holds the flat dwell times and the
+    counts listed as (src, dst, count) that ``family_tables`` reads."""
 
     space: StateSpace
-    flat_dwell: np.ndarray
-    flat_trans: np.ndarray
+    dwell: np.ndarray
+    transitions: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def family(self, name: str, parents: tuple[str, ...]):
         v = self.space.index_of[name]
         parent_ids = tuple(self.space.index_of[p] for p in parents)
-        return family_tables(self.space, self.flat_dwell, self.flat_trans, v, parent_ids)
+        return family_tables(self.space, self.dwell, self.transitions, v, parent_ids)
 
 
 def _search(

@@ -158,14 +158,6 @@ class IntensityMatrix:
         return -np.diag(self.entries)
 
     @cached_property
-    def off_diagonal(self) -> np.ndarray:
-        """W, the nonnegative off-diagonal rates, diagonal zeroed; built once, read-only."""
-        w = np.clip(self.entries, 0.0, None)
-        np.fill_diagonal(w, 0.0)
-        w.setflags(write=False)
-        return w
-
-    @cached_property
     def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """W as a transition list (src, dst, rate): every positive rate (no
         diagonal entry is), sorted by source and then destination; built once."""
@@ -293,7 +285,7 @@ class CompleteTrajectory:
 
     def state_at(self, t: float, side: str = "right") -> int:
         """State at time t. ``side='left'`` returns the state just before t."""
-        if t < 0 or t > self.horizon + 1e-12:
+        if t < 0 or t > self.horizon + _TIME_EPS * max(1.0, self.horizon):
             raise ValueError(f"time {t!r} outside [0, {self.horizon}]")
         if side == "right":
             i = int(np.searchsorted(self._starts, t, side="right")) - 1

@@ -309,29 +309,35 @@ class FamilyStatistics:
         return self.trans[name].sum(axis=2)
 
 
-def family_tables(space: StateSpace, flat_dwell, flat_trans, v: int, parent_ids: tuple[int, ...]):
+def family_tables(space: StateSpace, dwell, transitions, v: int, parent_ids: tuple[int, ...]):
     """Aggregate flat statistics into the (parents, variable) family tables:
     dwell per (u, x) and transitions per (u, x, x') summed over consistent
-    joint states."""
+    joint states. ``dwell`` is the n-vector of dwell times; ``transitions``
+    lists counts (src, dst, count) between joint states that differ in one
+    variable, of which those where v changes, from x to x', are read."""
     u_idx, n_u = space.family_index(parent_ids)
     dim = space.dims[v]
     t = np.zeros((n_u, dim))
-    np.add.at(t, (u_idx, space.coords[:, v]), flat_dwell)
-    j, k, x, xp = space.transitions(v)
+    np.add.at(t, (u_idx, space.coords[:, v]), dwell)
+    src, dst, count = transitions
+    x, xp = space.coords[src, v], space.coords[dst, v]
+    mine = x != xp
     m = np.zeros((n_u, dim, dim))
-    np.add.at(m, (u_idx[j], x, xp), flat_trans[j, k])
+    np.add.at(m, (u_idx[src[mine]], x[mine], xp[mine]), count[mine])
     return t, m
 
 
 def aggregate_statistics(flat: FlatStatistics, space: StateSpace, model: CtbnModel) -> FamilyStatistics:
     """Aggregate joint-process statistics into per-family tables for every
-    variable under the model's current parent sets."""
+    variable under the model's current parent sets. The dense counts are
+    read at every pair of joint states that differ in one variable, rate or
+    no rate, so that counts along a zero-rate edge reach the tables."""
     time, trans = {}, {}
     for vi, var in enumerate(model.variables):
         parent_ids = tuple(space.index_of[p] for p in model.parents(var.name))
-        t, m = family_tables(space, flat.dwell, flat.transitions, vi, parent_ids)
-        time[var.name] = t
-        trans[var.name] = m
+        j, k = space.transitions(vi)[:2]
+        time[var.name], trans[var.name] = family_tables(
+            space, flat.dwell, (j, k, flat.transitions[j, k]), vi, parent_ids)
     return FamilyStatistics(time=time, trans=trans)
 
 

@@ -9,27 +9,17 @@ from ctbnlearn import (
     ObservedTrajectory,
     OcclusionPolicy,
     Subsystem,
-    amalgamate,
     is_completion,
     occlude,
     occlude_observed,
-    restrict_intensity,
-    transition_restrict,
     validate_intensity,
 )
 from ctbnlearn.evidence import EmptySubsystemError
 from ctbnlearn.evidence import _merge_observations
 from ctbnlearn.markov import _TIME_EPS
 from ctbnlearn.statespace import StateSpace
-from helpers import independent_binary_model, random_proper, subsystem_segments
+from helpers import subsystem_segments
 from helpers import merge_observations_loop
-
-
-def product_model():
-    """Two independent binary variables y, z over the 4-state product space;
-    joint index = 2 * y + z."""
-    model = independent_binary_model(names=("y", "z"), rates=((1.0, 2.0), (0.7, 1.3)))
-    return amalgamate(model)
 
 
 class TestSubsystem:
@@ -44,75 +34,6 @@ class TestSubsystem:
     def test_mask(self):
         s = Subsystem.of(4, (0, 2))
         assert s.mask.tolist() == [True, False, True, False]
-
-
-class TestRestriction:
-    def test_full_subsystem_is_identity(self):
-        rng = np.random.default_rng(0)
-        q = validate_intensity(random_proper(rng, 4))
-        r = restrict_intensity(q, Subsystem.full(4))
-        assert np.array_equal(r.entries, q.entries)
-
-    def test_single_state_keeps_diagonal(self):
-        q = validate_intensity([[-1, 1], [2, -2]])
-        r = restrict_intensity(q, Subsystem.single(2, 0))
-        assert np.array_equal(r.entries, [[-1, 0], [0, 0]])
-        assert r.kind == "restricted"
-
-    def test_product_space_mask(self):
-        # Restricting to <., z1> keeps the two within-z1 (y-flip) rates and
-        # both diagonals; everything else is zeroed.
-        q, space, _ = product_model()
-        z1 = Subsystem.of(4, (0, 2))
-        r = restrict_intensity(q, z1).entries
-        expected = np.zeros((4, 4))
-        expected[0, 2] = q.entries[0, 2]
-        expected[2, 0] = q.entries[2, 0]
-        expected[0, 0] = q.entries[0, 0]
-        expected[2, 2] = q.entries[2, 2]
-        assert np.array_equal(r, expected)
-
-    def test_row_sums_are_negative_exit_rates(self):
-        rng = np.random.default_rng(1)
-        q = validate_intensity(random_proper(rng, 5))
-        s = Subsystem.of(5, (0, 2, 3))
-        r = restrict_intensity(q, s)
-        for i in s.members:
-            outside = [j for j in range(5) if j not in s.members]
-            assert r.entries[i].sum() == pytest.approx(-q.entries[i, outside].sum(), abs=1e-12)
-
-    def test_partition_identity(self):
-        # Within-S rows of Q_S plus the S -> complement rates sum to zero.
-        rng = np.random.default_rng(2)
-        q = validate_intensity(random_proper(rng, 5))
-        s = Subsystem.of(5, (1, 4))
-        comp = Subsystem.of(5, (0, 2, 3))
-        total = restrict_intensity(q, s).entries + transition_restrict(q, s, comp)
-        for i in s.members:
-            assert total[i].sum() == pytest.approx(0.0, abs=1e-12)
-
-
-class TestTransitionRestriction:
-    def test_identical_singletons_are_zero(self):
-        q = validate_intensity([[-1, 1], [2, -2]])
-        s = Subsystem.single(2, 0)
-        assert np.array_equal(transition_restrict(q, s, s), np.zeros((2, 2)))
-
-    def test_single_entry(self):
-        q = validate_intensity([[-1, 1], [2, -2]])
-        w = transition_restrict(q, Subsystem.single(2, 0), Subsystem.single(2, 1))
-        assert np.array_equal(w, [[0, 1], [0, 0]])
-
-    def test_product_space_cross_rates(self):
-        # z1 -> z2 keeps only the z-flipping entries; simultaneous y-and-z
-        # changes have zero rate in the flattened process.
-        q, space, _ = product_model()
-        z1 = Subsystem.of(4, (0, 2))
-        z2 = Subsystem.of(4, (1, 3))
-        w = transition_restrict(q, z1, z2)
-        nonzero = {(i, j) for i, j in zip(*np.nonzero(w))}
-        assert nonzero == {(0, 1), (2, 3)}
-        assert w[0, 1] == q.entries[0, 1]
 
 
 class TestEvidence:
@@ -181,6 +102,18 @@ class TestCompletion:
         ev = Evidence(((Subsystem.full(2), 0.0, 2.0),), 2.0)
         with pytest.raises(ValueError):
             is_completion(traj, ev)
+
+    def test_horizon_within_the_time_tolerance(self):
+        # The evidence ends 5e-10 after the trajectory, within the time
+        # tolerance at horizon 1000 (1e-9); its point evidence at its own
+        # horizon reads the trajectory's last state there.
+        traj = CompleteTrajectory(((0, 0.0, 400.0), (1, 400.0, 1000.0)), 1000.0)
+        end = 1000.0 + 5e-10
+        ev = Evidence(((Subsystem.full(2), 0.0, end), (Subsystem.single(2, 1), end, end)), end)
+        assert is_completion(traj, ev)
+        assert traj.state_at(end, side="left") == 1
+        with pytest.raises(ValueError, match="outside"):
+            traj.state_at(1000.0 + 2e-9)
 
 
 def two_variable_space():

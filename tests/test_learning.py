@@ -67,6 +67,21 @@ def fully_observed_dataset(model, count, horizon, seed):
     return dataset, trajs, space
 
 
+def scattered(n, transitions):
+    """The counts listed as (src, dst, count) on an n x n matrix."""
+    src, dst, count = transitions
+    out = np.zeros((n, n))
+    out[src, dst] = count
+    return out
+
+
+def dense_provider(space, t, m):
+    """A provider of the dense counts m, read at every pair of joint states
+    that differ in one variable."""
+    j, k = (np.concatenate(a) for a in zip(*(space.transitions(v)[:2] for v in range(space.k))))
+    return FlatFamilyProvider(space, t, (j, k, m[j, k]))
+
+
 def exact_family_stats(model, trajs, space):
     t = sum((tr.dwell_times(space.n_joint) for tr in trajs), np.zeros(space.n_joint))
     m = sum((tr.transition_counts(space.n_joint) for tr in trajs), np.zeros((space.n_joint,) * 2))
@@ -155,7 +170,8 @@ class TestEStep:
             _, d, m, _ = chain_oracle(q.entries, p0, ev, h)
             oracle_t += d
             oracle_m += m
-        space2, tbar, mbar, _, _ = _flat_e_step(model, dataset, 1e-8, 4096)
+        space2, tbar, listed, _, _ = _flat_e_step(model, dataset, 1e-8, 4096)
+        mbar = scattered(4, listed)
         assert np.abs(tbar - oracle_t).max() / oracle_t.max() < 1e-3
         assert np.abs(mbar - oracle_m).max() / oracle_m.max() < 1e-3
 
@@ -248,7 +264,8 @@ class TestBatchedEStep:
         # earlier than inside a batch (both within the tolerance); at this
         # one the cut is below rounding and only the bookkeeping is judged.
         tol = 1e-14
-        _, tbar, mbar, init, lls = _flat_e_step(model, dataset, tol, 4096)
+        _, tbar, listed, init, lls = _flat_e_step(model, dataset, tol, 4096)
+        mbar = scattered(q.n, listed)
         want_t, want_m, want_init, want_lls = public_e_step(model, dataset, tol)
         assert rel_err(tbar, want_t) <= 1e-12
         assert rel_err(mbar, want_m) <= 1e-12
@@ -270,7 +287,8 @@ class TestBatchedEStep:
         q, space, p0 = amalgamate(model)
         dataset = [rec.to_evidence(space) for rec in records] * 3
         assert len(list(inference._batches(dataset, q.n))) == 1
-        _, tbar, mbar, init, lls = _flat_e_step(model, dataset, DEFAULT_QUAD_TOL, 4096)
+        _, tbar, listed, init, lls = _flat_e_step(model, dataset, DEFAULT_QUAD_TOL, 4096)
+        mbar = scattered(q.n, listed)
         want_t, want_m, want_init, want_lls = public_e_step(model, dataset, DEFAULT_QUAD_TOL)
         assert rel_err(tbar, want_t) <= 1e-12
         assert rel_err(mbar, want_m) <= 1e-12
@@ -286,7 +304,7 @@ class TestBatchedEStep:
     def test_off_diagonal_built_once_per_pass(self, monkeypatch, model, records, elements):
         # The sweeps, the boundary factors and the integrals of every batch
         # share the joint generator's one transition list, built once per
-        # pass; no pass builds the dense off-diagonal W.
+        # pass.
         space = model.space()
         dataset = [rec.to_evidence(space) for rec in records] * 3
         three_batches(monkeypatch, dataset, space.n_joint, elements)
@@ -299,13 +317,9 @@ class TestBatchedEStep:
             joint["list"] = build(self)
             return joint["list"]
 
-        def dense(self):
-            raise AssertionError("the dense off-diagonal W was built")
-
-        for name, func in (("transitions", counted), ("off_diagonal", dense)):
-            spy = cached_property(func)
-            spy.__set_name__(IntensityMatrix, name)
-            monkeypatch.setattr(IntensityMatrix, name, spy)
+        spy = cached_property(counted)
+        spy.__set_name__(IntensityMatrix, "transitions")
+        monkeypatch.setattr(IntensityMatrix, "transitions", spy)
         # Every restricted transition list, which every product by W reads,
         # is cut from that one list.
         used = set()
@@ -425,7 +439,8 @@ class TestBatchedEStep:
         assert abs(want[0]) <= 1e-12 and want[1] < -0.1
         assert ll == pytest.approx(math.fsum(want), rel=1e-10, abs=1e-12)
 
-        _, tbar, mbar, _, _ = _flat_e_step(model, [vacuous], DEFAULT_QUAD_TOL, 4096)
+        _, tbar, listed, _, _ = _flat_e_step(model, [vacuous], DEFAULT_QUAD_TOL, 4096)
+        mbar = scattered(n, listed)
         block = np.zeros((2 * n, 2 * n))
         block[:n, :n] = q.entries
         block[:n, n:] = np.eye(n)
@@ -476,7 +491,8 @@ class TestEStepProperties:
         q, _, _ = amalgamate(model)
         # A tolerance far below the checked bounds: the dwell gap is the
         # bookkeeping's, not the series cut's (at most tol per unit time).
-        _, tbar, mbar, _, lls = _flat_e_step(model, dataset, 1e-14, 4096)
+        _, tbar, listed, _, lls = _flat_e_step(model, dataset, 1e-14, 4096)
+        mbar = scattered(q.n, listed)
         horizon = sum(ev.horizon for ev in dataset)
         assert abs(tbar.sum() - horizon) <= 1e-9 * horizon
         off_support = (q.entries == 0.0) | np.eye(q.n, dtype=bool)
@@ -682,7 +698,7 @@ class TestBic:
             dataset, trajs, space = fully_observed_dataset(model, 1000, 2.0, seed=100 + seed)
             t = sum((tr.dwell_times(4) for tr in trajs), np.zeros(4))
             m = sum((tr.transition_counts(4) for tr in trajs), np.zeros((4, 4)))
-            provider = FlatFamilyProvider(space, t, m)
+            provider = dense_provider(space, t, m)
             graph = structure_search(provider, model, 1, 1000)
             if graph["x"] == ():
                 rejected += 1
@@ -710,13 +726,13 @@ class TestStructureSearch:
         dataset, trajs, space = fully_observed_dataset(model, 50, 2.0, seed=13)
         t = sum((tr.dwell_times(8) for tr in trajs), np.zeros(8))
         m = sum((tr.transition_counts(8) for tr in trajs), np.zeros((8, 8)))
-        graph = structure_search(FlatFamilyProvider(space, t, m), model, 0, 50)
+        graph = structure_search(dense_provider(space, t, m), model, 0, 50)
         assert graph == {"a": (), "b": (), "c": ()}
 
     def test_empty_sample_is_refused(self):
         model = self.strong_dependency_model()
         space = model.space()
-        provider = FlatFamilyProvider(space, np.zeros(8), np.zeros((8, 8)))
+        provider = dense_provider(space, np.zeros(8), np.zeros((8, 8)))
         with pytest.raises(ValueError, match="sample size"):
             structure_search(provider, model, 1, 0)
         with pytest.raises(ValueError, match="sample size"):
@@ -727,7 +743,7 @@ class TestStructureSearch:
         dataset, trajs, space = fully_observed_dataset(model, 5, 2.0, seed=14)
         t = trajs[0].dwell_times(2)
         m = trajs[0].transition_counts(2)
-        graph = structure_search(FlatFamilyProvider(space, t, m), model, 2, 5)
+        graph = structure_search(dense_provider(space, t, m), model, 2, 5)
         assert graph == {"x": ()}
 
     def test_strong_dependency_recovered(self):
@@ -737,7 +753,7 @@ class TestStructureSearch:
             dataset, trajs, space = fully_observed_dataset(model, 1000, 2.0, seed=200 + seed)
             t = sum((tr.dwell_times(8) for tr in trajs), np.zeros(8))
             m = sum((tr.transition_counts(8) for tr in trajs), np.zeros((8, 8)))
-            graph = structure_search(FlatFamilyProvider(space, t, m), model, 2, 1000)
+            graph = structure_search(dense_provider(space, t, m), model, 2, 1000)
             if graph["c"] == ("b",):
                 hits += 1
         assert hits >= 18
@@ -747,7 +763,7 @@ class TestStructureSearch:
         dataset, trajs, space = fully_observed_dataset(model, 300, 2.0, seed=15)
         t = sum((tr.dwell_times(8) for tr in trajs), np.zeros(8))
         m = sum((tr.transition_counts(8) for tr in trajs), np.zeros((8, 8)))
-        provider = FlatFamilyProvider(space, t, m)
+        provider = dense_provider(space, t, m)
         full = structure_search(provider, model, 2, 300)
         narrowed = structure_search(
             provider, model, 2, 300, candidates={"a": (), "b": (), "c": ("a", "b")}
@@ -827,7 +843,8 @@ class TestSem:
         assert fit.bic_trace == tuple(score for *_, score in rounds[: len(fit.bic_trace)])
         for provider, round_model, graph, score in rounds:
             chosen = learning._rebuild_for_graph(round_model, graph, provider)
-            stats = aggregate_statistics(FlatStatistics(provider.flat_dwell, provider.flat_trans), space, chosen)
+            flat = FlatStatistics(provider.dwell, scattered(space.n_joint, provider.transitions))
+            stats = aggregate_statistics(flat, space, chosen)
             total, _ = bic_score(stats, chosen, len(dataset))
             assert total == pytest.approx(score, rel=1e-12, abs=1e-12)
 

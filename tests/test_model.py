@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctbnlearn import (
     Cim,
     CtbnModel,
     Evidence,
+    FlatFamilyProvider,
     IncompatibleSupportError,
     JointSpaceTooLargeError,
     Variable,
@@ -153,6 +156,75 @@ class TestAggregation:
         for name in model.names:
             assert fam.time[name].sum() == pytest.approx(7.0, abs=1e-9)
         assert np.allclose(fam.exits("b"), fam.trans["b"].sum(axis=2), atol=1e-12)
+
+
+@st.composite
+def phased_counts(draw):
+    """A CTBN of 2 to 4 variables of 2 or 3 states, some with 2 or 3 phases
+    per state, each with 0 to 2 parents, at most 400 joint states; random
+    dwell times and random nonnegative counts, some zero, on every pair of
+    joint states that differ in one variable."""
+    k = draw(st.integers(2, 4))
+    variables = []
+    for i in range(k):
+        states = draw(st.integers(2, 3))
+        phases = tuple(draw(st.lists(st.integers(1, 3), min_size=states, max_size=states))) \
+            if draw(st.booleans()) else None
+        variables.append(Variable(f"x{i}", tuple(f"s{s}" for s in range(states)), phases))
+    n = int(np.prod([v.dim for v in variables]))
+    if n > 400:
+        variables = [Variable(v.name, v.states) for v in variables]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cims = {}
+    for i, var in enumerate(variables):
+        others = [v for v in variables if v is not var]
+        parents = draw(st.lists(st.sampled_from(others), max_size=2, unique_by=lambda v: v.name))
+        cards = tuple(p.n_states for p in parents)
+        mats = rng.uniform(0.1, 2.0, (int(np.prod(cards, dtype=int)), var.dim, var.dim))
+        mats[:, np.arange(var.dim), np.arange(var.dim)] = 0.0
+        mats[:, np.arange(var.dim), np.arange(var.dim)] = -mats.sum(axis=2)
+        cims[var.name] = Cim(tuple(p.name for p in parents), cards, mats)
+    model = CtbnModel(tuple(variables), cims, {v.name: np.full(v.n_states, 1.0 / v.n_states) for v in variables})
+    space = model.space()
+    n = space.n_joint
+    dense = np.zeros((n, n))
+    for v in range(space.k):
+        j, k_, _, _ = space.transitions(v)
+        dense[j, k_] = np.where(rng.random(len(j)) < 0.2, 0.0, rng.exponential(1.0, len(j)))
+    return model, space, rng.exponential(1.0, n), dense
+
+
+def dense_family_tables(space, dwell, dense, v, parent_ids):
+    """The family tables read from dense counts at the pairs of joint states
+    that differ only in variable v: the reference aggregation."""
+    u_idx, n_u = space.family_index(parent_ids)
+    dim = space.dims[v]
+    t = np.zeros((n_u, dim))
+    np.add.at(t, (u_idx, space.coords[:, v]), dwell)
+    m = np.zeros((n_u, dim, dim))
+    j, k, x, xp = space.transitions(v)
+    np.add.at(m, (u_idx[j], x, xp), dense[j, k])
+    return t, m
+
+
+class TestAggregationFormula:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(phased_counts())
+    def test_count_list_and_dense_counts_equal_the_dense_formula(self, case):
+        # The list holds every pair that differs in one variable, zero
+        # counts included, sorted by source and then destination as the
+        # joint generator's transitions are.
+        model, space, dwell, dense = case
+        src, dst = (np.concatenate(a) for a in zip(*(space.transitions(v)[:2] for v in range(space.k))))
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        provider = FlatFamilyProvider(space, dwell, (src, dst, dense[src, dst]))
+        fam = aggregate_statistics(FlatStatistics(dwell, dense), space, model)
+        for v, name in enumerate(model.names):
+            parent_ids = tuple(space.index_of[p] for p in model.parents(name))
+            want_t, want_m = dense_family_tables(space, dwell, dense, v, parent_ids)
+            for t, m in (provider.family(name, model.parents(name)), (fam.time[name], fam.trans[name])):
+                assert np.array_equal(t, want_t) and np.array_equal(m, want_m)
 
 
 def exact_family_statistics(model, traj, space):
