@@ -229,9 +229,10 @@ def _max_rate(exit: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.where(masks, exit, 0.0).max(axis=1)
 
 
-def _split_batch(q: np.ndarray, evs: list):
-    """Split the evidence segments of a batch that are stiffer than the cap
-    into equal pieces, all trajectories in one step. Returns the stacked
+def _split_batch(exit: np.ndarray, evs: list):
+    """Split the evidence segments of a batch that are stiffer than the cap,
+    by the joint generator's exit rates ``exit``, into equal pieces, all
+    trajectories in one step. Returns the stacked
     split masks, durations and boundary times (trajectory t's boundaries
     start at seg_off[t] + t), the split-segment count of every trajectory,
     and the split segments entered through an asserted transition, where
@@ -242,7 +243,7 @@ def _split_batch(q: np.ndarray, evs: list):
     n_orig = np.array([ev.n_segments for ev in evs])
     traj = np.repeat(np.arange(len(evs)), n_orig)
     start = np.arange(len(dts)) + traj
-    chunks = np.maximum(1, np.ceil(_max_rate(np.abs(np.diagonal(q)), masks) * dts / _SEGMENT_STIFFNESS_CAP).astype(int))
+    chunks = np.maximum(1, np.ceil(_max_rate(exit, masks) * dts / _SEGMENT_STIFFNESS_CAP).astype(int))
     src = np.repeat(np.arange(len(dts)), chunks)
     first_piece = np.cumsum(chunks) - chunks
     piece = np.arange(len(src)) - first_piece[src]
@@ -545,7 +546,8 @@ class _Uniformization:
     v on S goes to v P = v * keep + (v W_S) * jump, with W_S the rates of W
     within S (W_S^T for columns), so every term is nonnegative. lambda and P
     depend on the mask alone: each distinct mask (``mask_id``) has its
-    transitions cut from Q's list ``joint`` once, with their indices in it,
+    lambda taken, from Q's exit rates, and its transitions cut from Q's
+    list ``joint`` once, with their indices in it,
     which every product by W_S reads (``transitions``, ``times``) and from
     which ``matrices`` builds the dense P of segments of 2 to
     _TABLE_MAX_STATES states (``tabled``): the sweeps' power tables and the
@@ -554,15 +556,15 @@ class _Uniformization:
     segments from it."""
 
     def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
-        self.exit = np.abs(np.diagonal(q.entries))
-        lam = _max_rate(self.exit, masks)
+        self.exit = q.exit_rates
+        self.mask_id, heads = _mask_ids(masks)
+        lam = _max_rate(self.exit, masks[heads])[self.mask_id]
         # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
         lam[lam == 0.0] = 1.0
         self.masks, self.joint, self.lam, self.mu = masks, q.transitions, lam, lam * dts
         self.sizes = masks.sum(axis=1)
         self.states = _states(masks)
         self.tabled = (self.sizes > 1) & (self.sizes <= _TABLE_MAX_STATES)
-        self.mask_id, heads = _mask_ids(masks)
         lay = self.cut(heads)
         d, *self.edges = _restrict(self.joint, lay, lay, masks)
         self.edge_count = np.bincount(d, minlength=len(heads))
@@ -790,13 +792,14 @@ class _Propagator(_Uniformization):
             y = self._series(x, lay, self.times(lay, step.columns[tables:ends]))
             np.put(out, lay.at(step.dst[tables:ends], n), y, mode="clip")
 
-    def cross(self, out: np.ndarray, row: np.ndarray, back: np.ndarray, r: np.ndarray, src: np.ndarray,
-              dst: np.ndarray, rate: np.ndarray) -> None:
+    def cross(self, out: np.ndarray, row: np.ndarray, back: np.ndarray, r: np.ndarray, e: np.ndarray) -> None:
         """Carry the rows ``row`` of the message buffer out across rate
-        boundaries, in place: transition e takes rate[e] times entry src[e]
-        of row row[r[e]] to dst[e] (the other way where back[r[e]])."""
+        boundaries, in place: transition i, entry e[i] (src, dst, rate) of
+        the joint list, takes rate times entry src of row row[r[i]] to dst
+        (the other way where back[r[i]])."""
         n = self.masks.shape[1]
         r = r.astype(np.intp)
+        src, dst, rate = (a.take(e) for a in self.joint)
         flip = back.take(r)
         frm, to = np.where(flip, dst, src), np.where(flip, src, dst)
         x = out.take(row.astype(np.intp).take(r) * n + frm) * rate
@@ -906,7 +909,8 @@ class _Plan:
     order of its output rows, and the segment whose mask projects
     each forward row across the boundary (``project``). The rate
     boundaries crossed at each step: the row, the segments it leaves and
-    enters and the transitions between them (``_Propagator.cross``). Every
+    enters and the transitions between them, as indices into the joint
+    list (``_Propagator.cross``). Every
     array is O(segments) long, the transitions O(|S1|) per boundary and
     state's exits; no padded index or block is kept.
     """
@@ -981,16 +985,15 @@ class _Plan:
         # Each rate row's transitions from the earlier segment's subsystem
         # into the later one's, which a backward row crosses against.
         self.rate_back = self.rate_leave > self.rate_enter
-        self.rate_edge, e = prop.between(np.minimum(self.rate_leave, self.rate_enter),
-                                         np.maximum(self.rate_leave, self.rate_enter))
-        self.rate_src, self.rate_dst, self.rate_w = (a.take(e) for a in prop.joint)
+        self.rate_edge, self.rate_e = prop.between(np.minimum(self.rate_leave, self.rate_enter),
+                                                   np.maximum(self.rate_leave, self.rate_enter))
         self.rate_edge_at = np.searchsorted(self.rate_edge, self.rate_at)
         # Offsets are read one at a time; the index arrays are kept in 32
         # bits.
         self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_edge_at = (
             a.tolist() for a in (self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_edge_at))
         for name in ("seg", "src", "dst", "tmpl", "at", "carry", "after", "crossed", "project", "rate_row",
-                     "rate_leave", "rate_enter", "rate_edge", "rate_src", "rate_dst"):
+                     "rate_leave", "rate_enter", "rate_edge", "rate_e"):
             setattr(self, name, getattr(self, name).astype(np.int32))
 
     def step(self, i: int) -> _Step:
@@ -1001,10 +1004,11 @@ class _Plan:
 
     def rates(self, i: int):
         """The rate rows of step i, whether each crosses backward, and their
-        transitions: the rate row of each in the step, src, dst and rate."""
+        transitions: the rate row of each in the step and its index in the
+        joint list."""
         rows, lo, hi = slice(self.rate_at[i], self.rate_at[i + 1]), self.rate_edge_at[i], self.rate_edge_at[i + 1]
         return (self.rate_row[rows], self.rate_back[rows], self.rate_edge[lo:hi] - self.rate_at[i],
-                self.rate_src[lo:hi], self.rate_dst[lo:hi], self.rate_w[lo:hi])
+                self.rate_e[lo:hi])
 
 
 def _sweep(q: IntensityMatrix, p0, evs: list, backward: bool = True, first: int = 0) -> _Sweep:
@@ -1021,7 +1025,7 @@ def _sweep(q: IntensityMatrix, p0, evs: list, backward: bool = True, first: int 
         raise ValueError("evidence dimension does not match the matrix")
     p0 = validate_distribution(p0, q.n)
     n = q.n
-    masks, dts, times, counts, rate_before = _split_batch(q.entries, evs)
+    masks, dts, times, counts, rate_before = _split_batch(q.exit_rates, evs)
     seg_off = np.cumsum(counts) - counts
     prop = _Propagator(q, masks, dts)
     plan = _Plan(prop, counts, seg_off, rate_before, backward)
@@ -1386,8 +1390,7 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
     pieces below it, so the work grows linearly in max|q_ii| dt.
     """
     q_s = q_s if isinstance(q_s, IntensityMatrix) else IntensityMatrix(q_s, "restricted")
-    q = q_s.entries
-    n = q.shape[0]
+    n = q_s.n
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if not (alpha.shape == beta.shape == (n,) and np.isfinite(alpha).all() and np.isfinite(beta).all()):
@@ -1395,7 +1398,7 @@ def convolution_integrals(alpha, q_s, beta, dt: float, tol: float = DEFAULT_QUAD
     if not (math.isfinite(dt) and dt >= 0):
         raise ValueError(f"dt must be finite and nonnegative, got {dt!r}")
     _check_tol(tol)
-    pieces = max(1, math.ceil(float(np.abs(np.diagonal(q)).max(initial=0.0)) * dt / _SEGMENT_STIFFNESS_CAP))
+    pieces = max(1, math.ceil(float(q_s.exit_rates.max(initial=0.0)) * dt / _SEGMENT_STIFFNESS_CAP))
     # Piece p runs from alpha exp(Q_S p h) to exp(Q_S (dt - (p + 1) h)) beta:
     # alpha is carried forward and beta backward by one piece exponential,
     # with their scales kept in log space.

@@ -2,8 +2,11 @@
 
 Intensity (rate) matrix validation, matrix exponentials, transient
 distributions and exact forward sampling of complete trajectories.
-All values are plain float64 numpy arrays; validated wrappers are
-immutable and safe to share across threads.
+An intensity matrix is held as its exit rates and its list of positive
+off-diagonal rates; its dense n x n form is a view built on request, read
+only by the dense functions (``matrix_exponential``,
+``transient_distribution`` and the phase-type helpers). All values are plain float64 numpy arrays;
+validated wrappers are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -134,35 +137,71 @@ def _validated_entries(raw, kind: str) -> np.ndarray:
     return clean
 
 
-@dataclass(frozen=True)
 class IntensityMatrix:
-    """A validated rate matrix.
+    """A validated rate matrix, held as its exit rates and its transition
+    list.
 
     ``proper`` matrices have zero row sums; ``restricted`` matrices may
     leak probability (row sums <= 0), as produced by restricting a
     proper matrix to a subsystem of states.
+
+    ``exit_rates`` holds -q_ii for every state and ``transitions`` the
+    off-diagonal rates as (src, dst, rate): every positive rate, sorted by
+    source and then destination. A CTBN transition changes one variable,
+    so the joint generator of n states lists n * sum(d_v - 1) rates at
+    most. ``entries``, the dense n x n matrix, is a view built on first
+    access; a matrix built from a dense array keeps its validated array as
+    that view. Every array is read-only.
     """
 
-    entries: np.ndarray
-    kind: str = "proper"
+    def __init__(self, entries, kind: str = "proper"):
+        clean = _validated_entries(entries, kind)
+        src, dst = np.nonzero(clean > 0.0)
+        self._set(kind, -np.diagonal(clean), (src, dst, clean[src, dst]))
+        # Seed the cached view: it is the array just validated.
+        self.__dict__["entries"] = clean
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _validated_entries(self.entries, self.kind))
+    @classmethod
+    def _from_transitions(cls, n: int, src: np.ndarray, dst: np.ndarray, rate: np.ndarray) -> "IntensityMatrix":
+        """The proper matrix of n states whose off-diagonal rates are the
+        list (src, dst, rate), sorted by source and then destination; each
+        exit rate is its row's sum."""
+        if not (np.isfinite(rate).all() and (rate >= 0.0).all()):
+            raise IntensityError("transition rates must be finite and nonnegative")
+        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise IntensityError(f"transition index outside the {n} states")
+        if (src == dst).any():
+            raise IntensityError("transition list has a self-loop")
+        if (np.diff(src * n + dst) <= 0).any():
+            raise IntensityError("transition list is not sorted by source and destination")
+        exit_rates = np.bincount(src, rate, n)
+        if not np.isfinite(exit_rates).all():
+            raise IntensityError("exit rates are not finite")
+        q = cls.__new__(cls)
+        q._set("proper", exit_rates, (src, dst, rate))
+        return q
+
+    def _set(self, kind: str, exit_rates: np.ndarray, transitions: tuple):
+        for a in (exit_rates, *transitions):
+            a.setflags(write=False)
+        self.__dict__.update(kind=kind, exit_rates=exit_rates, transitions=transitions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable IntensityMatrix")
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def exit_rates(self) -> np.ndarray:
-        return -np.diag(self.entries)
+        return len(self.exit_rates)
 
     @cached_property
-    def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """W as a transition list (src, dst, rate): every positive rate (no
-        diagonal entry is), sorted by source and then destination; built once."""
-        src, dst = np.nonzero(self.entries > 0.0)
-        return src, dst, self.entries[src, dst]
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix, built from the list on first access."""
+        src, dst, rate = self.transitions
+        out = np.zeros((self.n, self.n))
+        out[src, dst] = rate
+        np.fill_diagonal(out, -self.exit_rates)
+        out.setflags(write=False)
+        return out
 
 
 def validate_intensity(raw, kind: str = "proper") -> IntensityMatrix:
@@ -312,7 +351,8 @@ def sample_trajectory(p0, q: IntensityMatrix, horizon: float, seed) -> CompleteT
     """Sample one complete trajectory of the process over [0, horizon].
 
     Dwell times are exponential with the state's exit rate, successors are
-    drawn from the normalized off-diagonal row. Deterministic given seed.
+    drawn from the state's transitions, normalized by that rate.
+    Deterministic given seed.
     """
     if q.kind != "proper":
         raise ValueError("sampling needs a proper intensity matrix")
@@ -320,10 +360,11 @@ def sample_trajectory(p0, q: IntensityMatrix, horizon: float, seed) -> CompleteT
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p0 = validate_distribution(p0, q.n)
-    rates = q.entries
-    exit_rates = -np.diag(rates)
-    # Successor CDFs of the states visited so far, built on first visit.
-    cdfs: dict[int, np.ndarray] = {}
+    exit_rates = q.exit_rates
+    src, dst, rate = q.transitions
+    # Successors and their CDF for the states visited so far, cut from the
+    # source's slice of the transition list on first visit.
+    successors: dict[int, tuple[list, np.ndarray]] = {}
 
     state = _draw(_cdf(p0 / p0.sum()), rng)
     t = 0.0
@@ -337,12 +378,11 @@ def sample_trajectory(p0, q: IntensityMatrix, horizon: float, seed) -> CompleteT
         if t + dwell >= horizon:
             segments.append((state, t, horizon))
             break
-        cdf = cdfs.get(state)
-        if cdf is None:
-            row = rates[state].copy()
-            row[state] = 0.0
-            cdf = cdfs[state] = _cdf(row / row.sum())
-        nxt = _draw(cdf, rng)
+        found = successors.get(state)
+        if found is None:
+            lo, hi = src.searchsorted(state), src.searchsorted(state, "right")
+            found = successors[state] = (dst[lo:hi].tolist(), _cdf(rate[lo:hi] / qx))
+        nxt = found[0][_draw(found[1], rng)]
         segments.append((state, t, t + dwell))
         t += dwell
         state = nxt

@@ -269,7 +269,9 @@ def amalgamate(model: CtbnModel, cap: int = DEFAULT_JOINT_CAP):
     Returns (joint intensity matrix, state space, initial distribution).
     The joint rate between states differing in more than one variable is
     zero; within one variable it is read from that variable's CIM under the
-    parent states of the source joint state.
+    parent states of the source joint state. The matrix is built from its
+    transition list, these rates where positive, and holds no dense n x n
+    array until its ``entries`` are asked for.
     """
     size = 1
     for v in model.variables:
@@ -278,19 +280,24 @@ def amalgamate(model: CtbnModel, cap: int = DEFAULT_JOINT_CAP):
         raise JointSpaceTooLargeError(size, cap)
     space = model.space()
     n = space.n_joint
-    q = np.zeros((n, n))
+    src, dst, rate = [], [], []
     for vi, var in enumerate(model.variables):
         cim = model.cims[var.name]
         parent_ids = tuple(space.index_of[p] for p in cim.parents)
         u_idx, _ = space.family_index(parent_ids)
         j, k, x, xp = space.transitions(vi)
-        q[j, k] = cim.matrices[u_idx[j], x, xp]
-    q[np.arange(n), np.arange(n)] = -q.sum(axis=1)
+        src.append(j)
+        dst.append(k)
+        rate.append(cim.matrices[u_idx[j], x, xp])
+    src, dst, rate = (np.concatenate(a) for a in (src, dst, rate))
+    keep = np.flatnonzero(rate > 0.0)
+    keep = keep[np.argsort(src[keep] * n + dst[keep])]
+    q = IntensityMatrix._from_transitions(n, src[keep], dst[keep], rate[keep])
 
     p0 = np.ones(n)
     for vi, var in enumerate(model.variables):
         p0 *= model.local_initial(var.name)[space.coords[:, vi]]
-    return IntensityMatrix(q, "proper"), space, p0
+    return q, space, p0
 
 
 @dataclass

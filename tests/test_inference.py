@@ -311,7 +311,7 @@ class TestBatchSplit:
         model = binary_ring_model(5)
         q, space, p0 = amalgamate(model)
         evs = [rec.to_evidence(space) for rec in ring32_records()] * 2
-        masks, dts, times, counts, rate_before = inference._split_batch(q.entries, evs)
+        masks, dts, times, counts, rate_before = inference._split_batch(q.exit_rates, evs)
         want_masks, want_dts, want_times, want_rate = [], [], [], []
         for ev in evs:
             want_times.append(ev.boundaries[0])

@@ -34,6 +34,7 @@ from ctbnlearn import (
     m_step,
     occlude_observed,
     random_parameters,
+    sample_trajectories,
     sample_trajectory,
     score_dataset,
     sem,
@@ -309,17 +310,16 @@ class TestBatchedEStep:
         dataset = [rec.to_evidence(space) for rec in records] * 3
         three_batches(monkeypatch, dataset, space.n_joint, elements)
         builds = []
-        build = IntensityMatrix.transitions.func
+        build = IntensityMatrix._from_transitions.__func__
         joint = {}
 
-        def counted(self):
-            builds.append(self.n)
-            joint["list"] = build(self)
-            return joint["list"]
+        def counted(cls, n, *transitions):
+            builds.append(n)
+            q = build(cls, n, *transitions)
+            joint["list"] = q.transitions
+            return q
 
-        spy = cached_property(counted)
-        spy.__set_name__(IntensityMatrix, "transitions")
-        monkeypatch.setattr(IntensityMatrix, "transitions", spy)
+        monkeypatch.setattr(IntensityMatrix, "_from_transitions", classmethod(counted))
         # Every restricted transition list, which every product by W reads,
         # is cut from that one list.
         used = set()
@@ -341,6 +341,36 @@ class TestBatchedEStep:
             run(model, dataset)
             assert builds == [space.n_joint]
             assert used == {id(joint["list"])}
+
+    @pytest.mark.parametrize(
+        "model, records", [(binary_chain_model(), chain_records()), (binary_ring_model(5), ring_records())],
+        ids=["pade-n8", "series-n32"],
+    )
+    def test_no_dense_generator(self, monkeypatch, model, records):
+        # Every reader of an amalgamated Q takes its exit rates and its
+        # transition list: the dense n x n view is built only on request.
+        space = model.space()
+        dataset = [rec.to_evidence(space) for rec in records]
+        builds = []
+        view = IntensityMatrix.entries.func
+
+        def counted(self):
+            builds.append(self.n)
+            return view(self)
+
+        spy = cached_property(counted)
+        spy.__set_name__(IntensityMatrix, "entries")
+        monkeypatch.setattr(IntensityMatrix, "entries", spy)
+        e_step(model, dataset)
+        score_dataset(model, dataset)
+        q, _, p0 = amalgamate(model)
+        caches = forward_backward_many(q, p0, dataset)
+        expected_statistics_many(caches)
+        smoothed_marginal(caches[0], np.linspace(0.0, dataset[0].horizon, 7))
+        sample_trajectories(p0, q, 5.0, 20, seed=0)
+        assert builds == []
+        assert q.entries.shape == (q.n, q.n)
+        assert builds == [q.n]
 
     def test_builds_no_per_trajectory_objects(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -985,7 +1015,7 @@ class TestStepPlan:
         batches = list(inference._batches(dataset, q.n))
         assert len(batches) > 1
         for batch in batches:
-            masks, dts, _, counts, rate_before = inference._split_batch(q.entries, batch)
+            masks, dts, _, counts, rate_before = inference._split_batch(q.exit_rates, batch)
             prop = inference._Propagator(q, masks, dts)
             plan = inference._Plan(prop, counts, np.cumsum(counts) - counts, rate_before, True)
             assert (prop.sizes[plan.rate_leave] * prop.sizes[plan.rate_enter]).max() > 4 * q.n

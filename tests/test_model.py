@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from ctbnlearn import (
     Evidence,
     FlatFamilyProvider,
     IncompatibleSupportError,
+    IntensityMatrix,
     JointSpaceTooLargeError,
     Variable,
     aggregate_statistics,
@@ -20,8 +23,9 @@ from ctbnlearn import (
     sample_trajectory,
 )
 from ctbnlearn.inference import FlatStatistics
+from ctbnlearn.markov import IntensityError, _validated_entries
 from ctbnlearn.model import FamilyStatistics
-from helpers import binary_chain_model, independent_binary_model
+from helpers import binary_chain_model, binary_ring_model, independent_binary_model
 
 
 class TestTypes:
@@ -225,6 +229,95 @@ class TestAggregationFormula:
             want_t, want_m = dense_family_tables(space, dwell, dense, v, parent_ids)
             for t, m in (provider.family(name, model.parents(name)), (fam.time[name], fam.trans[name])):
                 assert np.array_equal(t, want_t) and np.array_equal(m, want_m)
+
+
+def dense_amalgamate(model):
+    """The joint generator as a dense n x n matrix, validated: the reference
+    formula, with each diagonal entry the sum of its row."""
+    space = model.space()
+    n = space.n_joint
+    q = np.zeros((n, n))
+    for vi, var in enumerate(model.variables):
+        cim = model.cims[var.name]
+        u_idx, _ = space.family_index(tuple(space.index_of[p] for p in cim.parents))
+        j, k, x, xp = space.transitions(vi)
+        q[j, k] = cim.matrices[u_idx[j], x, xp]
+    q[np.arange(n), np.arange(n)] = -q.sum(axis=1)
+    return _validated_entries(q, "proper")
+
+
+class TestTransitionList:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(phased_counts(), st.integers(0, 2**32 - 1))
+    def test_list_and_view_equal_the_dense_formula(self, case, seed):
+        # A fifth of the CIMs' rates are zero, which the list leaves out.
+        model = case[0]
+        rng = np.random.default_rng(seed)
+        cims = {}
+        for name, cim in model.cims.items():
+            mats = cim.matrices.copy()
+            eye = np.eye(cim.dim, dtype=bool)
+            mats[(rng.random(mats.shape) < 0.2) & ~eye] = 0.0
+            mats[:, eye] = 0.0
+            mats[:, eye] = -mats.sum(axis=2)
+            cims[name] = Cim(cim.parents, cim.parent_cards, mats)
+        model = model.with_cims(cims)
+        want = dense_amalgamate(model)
+        q, _, _ = amalgamate(model)
+        assert "entries" not in vars(q)
+        src, dst = np.nonzero(want > 0.0)
+        for got, ref in zip(q.transitions, (src, dst, want[src, dst])):
+            assert np.array_equal(got, ref)
+        view = q.entries
+        off = ~np.eye(q.n, dtype=bool)
+        assert np.array_equal(view[off], want[off])
+        diagonal = np.diagonal(want)
+        assert (np.abs(np.diagonal(view) - diagonal) <= 1e-15 * np.abs(diagonal)).all()
+        assert np.array_equal(q.exit_rates, -np.diagonal(view))
+        assert not view.flags.writeable and not q.exit_rates.flags.writeable
+        # Built from a dense array, the matrix keeps that array's validated
+        # form as its view, and derives the same list from it.
+        dense = IntensityMatrix(want)
+        assert np.array_equal(dense.entries, _validated_entries(want, "proper"))
+        for got, ref in zip(dense.transitions, q.transitions):
+            assert np.array_equal(got, ref)
+
+    def test_dense_constructor_keeps_its_validated_array(self):
+        # Rounding noise below the slack is clipped once, in the view.
+        raw = np.array([[-1.0, 1.0, -1e-13], [0.5, -0.5, 0.0], [2.0, 1e-13, -2.0]])
+        q = IntensityMatrix(raw)
+        assert np.array_equal(q.entries, _validated_entries(raw, "proper"))
+        assert q.entries[0, 2] == 0.0
+        assert np.array_equal(q.exit_rates, [1.0, 0.5, 2.0])
+        for got, want in zip(q.transitions, ([0, 1, 2, 2], [1, 0, 0, 1], [1.0, 0.5, 2.0, 1e-13])):
+            assert np.array_equal(got, want)
+
+    def test_list_constructor_checks(self):
+        build = IntensityMatrix._from_transitions
+        src, dst = np.array([0, 1]), np.array([1, 0])
+        q = build(2, src, dst, np.array([1.5, 0.5]))
+        assert q.kind == "proper" and np.array_equal(q.entries, [[-1.5, 1.5], [0.5, -0.5]])
+        for args in ((2, src, dst, np.array([1.0, -0.5])), (2, src, dst, np.array([1.0, np.nan])),
+                     (2, src, dst, np.array([1.0, np.inf])), (2, src, np.array([1, 2]), np.array([1.0, 1.0])),
+                     (2, np.array([0, 1]), np.array([1, 1]), np.array([1.0, 1.0])),
+                     (2, np.array([1, 0]), np.array([0, 1]), np.array([1.0, 1.0])),
+                     (2, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 1.0])),
+                     (3, np.array([0, 0]), np.array([1, 2]), np.array([1e308, 1e308]))):
+            with pytest.raises(IntensityError):
+                build(*args)
+
+    def test_amalgamate_of_the_twelve_ring_holds_no_dense_q(self):
+        # n = 4096: a dense n x n float array is 134 MB; the list, 49 152
+        # transitions, and the space's indices stay under an eighth of it.
+        model = binary_ring_model(12)
+        tracemalloc.start()
+        try:
+            q, _, _ = amalgamate(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(q.transitions[0]) == 4096 * 12
+        assert peak < 4096 * 4096 * 8 / 8
 
 
 def exact_family_statistics(model, traj, space):
