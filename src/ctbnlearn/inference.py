@@ -10,55 +10,60 @@ indicators). W is Q's transition list, (src, dst, rate) sorted by source
 and destination, n * sum(d_v - 1) entries for a CTBN; every product by W
 reads the transitions ``_restrict`` cuts from it in subsystem coordinates,
 each with its index in the list.
-The scaled boundary messages are n-length rows over the joint space; every
-segment gathers its rows to S, works on |S|-length rows, and scatters the
-result back, so a segment costs O(|S|^2) per product plus O(n) at its
-boundaries.
+A subsystem is an index list, its states in ascending order, read once
+from the segment's mask (``_split_batch``). Every message a sweep stores
+is a row on the subsystem of the segment it enters or leaves, in that
+subsystem's coordinates, so a segment costs O(|S|^2) per product and
+O(|S|) at its boundaries, never O(n).
 
 Many trajectories under one Q are swept in lockstep, one row each, and
 both sweeps in one loop: step i carries every forward message across its
 trajectory's i-th segment and every backward message across its i-th
 segment from the end, so the Python loop runs once per segment position of
 a batch. A plan built once per batch (``_Plan``) holds each step's rows,
-grouped by kind, where their exponential blocks sit, the message slots
-they fill and the transitions of the rate boundaries they cross. A step
-pads its table rows, forward and backward, to the largest |S| among them
-and takes one product for them all (``_Propagator.propagate``, the one
-kernel, which also serves ``smoothed_marginal`` and
-``convolution_integrals`` as one-step plans).
+grouped by kind, where their exponential blocks sit, where their messages
+are stored, and the maps that carry them across their boundaries: the
+transitions between the subsystems at a rate boundary, the common states
+at a projection. A step pads its rows, forward and backward, to the
+largest |S| among them and takes one product for them all
+(``_Propagator.propagate``, the one kernel, which also serves
+``smoothed_marginal`` and ``convolution_integrals`` as one-step plans).
 One memory budget, ``_BATCH_ELEMENTS``, sizes the batches, and the
 power tables, the exponentials and the integrals' kernel work in slices of
-an eighth of it. A batch's split segments are uniformized once (lambda =
-the largest exit rate in S, P = I + Q_S / lambda, both fixed by the mask
+an eighth of it. A segment stiffer than a cap is split into equal pieces,
+which share its list; each evidence segment is uniformized once (lambda =
+the largest exit rate in S, P = I + Q_S / lambda, both fixed by the list
 alone), and both jobs read that: exp(Q_S dt) = sum_a Pois(a; lambda dt)
-P^a carries the messages across each segment, and the expected dwell times
+P^a carries the messages across each piece, and the expected dwell times
 and transition counts are pairwise convolution integrals over each
-segment, read at the diagonal and at the transitions of S. Up to
+piece, read at the diagonal and at the transitions of S. Up to
 ``_TABLE_MAX_STATES`` states the sweeps table the powers P^a once per
-distinct mask, so the segments of one mask take their exponential blocks
-from one product; the integrals, linear in each segment's outer product of
-its end vectors, sum those products per bucket of one mask and one group,
-weighted per series term, and run the double series once per bucket,
-from the top term down by Horner in P. Above it, the joint space included,
-both series are applied to the rows term by term. One Poisson routine
-weights both series, each row cut at its own tail bound. Every
-product of the sweeps sums its terms in a fixed order that zero padding
-does not change, so a trajectory's sweeps do not depend on the rows swept
-beside it.
+distinct subsystem, so the segments of one subsystem take their
+exponential blocks from one product; the integrals, linear in each
+segment's outer product of its end vectors, sum those products per bucket
+of one subsystem and one group, weighted per series term, and run the
+double series once per bucket, from the top term down by Horner in P.
+Above it, the joint space included, both series are applied to the rows
+term by term, and the integrals are read at the transitions of S term by
+term. One Poisson routine weights both series, each row cut at its own
+tail bound. Every product and every normalizing sum of the sweeps runs in
+a fixed order that zero padding does not change, so a trajectory's sweeps
+do not depend on the rows swept beside it.
 
 One loop, ``_sweeps``, batches the trajectories for the E-step, scoring
 and ``forward_backward_many`` and sweeps each batch with ``_sweep``. A
-swept batch has one layout: its segments, boundaries and messages
-stacked in one set of arrays. One statistics kernel reads them and returns the batch's dwell
-times, transition counts and time-zero posteriors summed over groups of
-its trajectories, and every trajectory's log-likelihood; a count is
-nonzero only on a transition of W, so the counts are kept by transition,
-one per entry of W's list. The E-step sums each batch as one group and
-builds nothing per trajectory. ``forward_backward_many`` cuts each batch
-into message caches, read-only views of one trajectory's rows that share
-the batch's arrays; ``expected_statistics_many`` runs the kernel once per
-batch on those arrays, one group per trajectory asked for, and scatters
-each one's counts onto an n x n matrix.
+swept batch has one layout: its subsystems' lists, and the message rows
+of its pieces one after the other in two stores. One statistics kernel
+reads them and returns the batch's dwell times, transition counts and
+time-zero posteriors summed over groups of its trajectories, and every
+trajectory's log-likelihood; a count is nonzero only on a transition of
+W, so the counts are kept by transition, one per entry of W's list. The
+E-step sums each batch as one group and builds nothing per trajectory.
+``forward_backward_many`` cuts each batch into message caches, which
+build a trajectory's n-length messages from the batch's rows on access;
+``expected_statistics_many`` runs the kernel once per batch on those rows,
+one group per trajectory asked for, and scatters each one's counts onto an
+n x n matrix.
 """
 from __future__ import annotations
 
@@ -146,22 +151,26 @@ class FlatStatistics:
     transitions: np.ndarray
 
 
-def _rows(name: str, part: str) -> property:
-    """A cache field: its trajectory's rows of the sweep's stacked array
-    ``name`` at its boundaries or segments (``part``), as a read-only view."""
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v.flags.writeable = False
+    return v
 
-    def get(self) -> np.ndarray:
-        v = getattr(self._sweep, name)[getattr(self._sweep, part)(self._t)]
-        v.flags.writeable = False
-        return v
 
-    return property(get)
+def _message(name: str) -> property:
+    """A cache field: its trajectory's n-length message ``name`` at every
+    boundary, built from the batch's subsystem rows on access."""
+    return property(lambda self: _read_only(self._sweep.message(self._t, name)))
+
+
+def _log(name: str) -> property:
+    """A cache field: the log scales of its trajectory's message ``name``."""
+    return property(lambda self: _read_only(self._sweep.message_logs(self._t, name)))
 
 
 class MessageCache:
     """Scaled forward/backward messages at every evidence boundary of one
-    trajectory: a read-only view of trajectory ``t``'s rows of the swept
-    batch ``sweep``, so caches cut from one batch share its arrays.
+    trajectory, read from trajectory ``t``'s rows of the swept batch
+    ``sweep``; caches cut from one batch share its rows.
 
     Boundary i carries four vectors: ``fwd`` includes every evidence factor
     at and before t_i, ``fwd_pre`` excludes the factor at t_i, ``bwd``
@@ -169,7 +178,11 @@ class MessageCache:
     unit 1-norm with its log scale stored alongside; log p(sigma) is exact
     in log space regardless of trajectory length. ``bwd_post[i]`` is the
     backward message projected onto segment i's mask (the horizon's
-    ``bwd_post`` is the all-ones message).
+    ``bwd_post`` is the all-ones message); ``fwd_pre[0]`` is ``p0``.
+
+    The sweep keeps each message on the subsystem of the segment it enters
+    or leaves. The fields are read-only n-length arrays, built from those
+    rows on every access; ``seg_masks`` is built from the evidence.
 
     Long constant-evidence segments are subdivided internally (a no-op
     projection boundary onto the same subsystem) so the messages renormalize
@@ -185,17 +198,27 @@ class MessageCache:
         self.evidence, self.q, self.p0 = evidence, q, sweep.p0
         self._sweep, self._t = sweep, t
 
-    times = _rows("times", "bounds")
-    seg_masks = _rows("masks", "segments")
-    seg_dt = _rows("dts", "segments")
-    fwd = _rows("fwd", "bounds")
-    fwd_log = _rows("fwd_log", "bounds")
-    fwd_pre = _rows("fwd_pre", "bounds")
-    fwd_pre_log = _rows("fwd_pre_log", "bounds")
-    bwd = _rows("bwd", "bounds")
-    bwd_log = _rows("bwd_log", "bounds")
-    bwd_post = _rows("bwd_post", "bounds")
-    bwd_post_log = _rows("bwd_post_log", "bounds")
+    fwd = _message("fwd")
+    fwd_log = _log("fwd")
+    fwd_pre = _message("fwd_pre")
+    fwd_pre_log = _log("fwd_pre")
+    bwd = _message("bwd")
+    bwd_log = _log("bwd")
+    bwd_post = _message("bwd_post")
+    bwd_post_log = _log("bwd_post")
+
+    @property
+    def times(self) -> np.ndarray:
+        return _read_only(self._sweep.times[self._sweep.bounds(self._t)])
+
+    @property
+    def seg_dt(self) -> np.ndarray:
+        return _read_only(self._sweep.dts[self._sweep.segments(self._t)])
+
+    @property
+    def seg_masks(self) -> np.ndarray:
+        origin = self._sweep.origin[self._sweep.segments(self._t)]
+        return _read_only(self.evidence.masks[origin - origin[0]])
 
     @property
     def factor_kind(self) -> np.ndarray:
@@ -223,173 +246,11 @@ class MessageCache:
 # traverse in one stretch and the length of the uniformization series.
 _SEGMENT_STIFFNESS_CAP = 16.0
 
-
-def _max_rate(exit: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """max_{i in S} |q_ii| for every segment, from the exit rates |q_ii|."""
-    return np.where(masks, exit, 0.0).max(axis=1)
-
-
-def _split_batch(exit: np.ndarray, evs: list):
-    """Split the evidence segments of a batch that are stiffer than the cap,
-    by the joint generator's exit rates ``exit``, into equal pieces, all
-    trajectories in one step. Returns the stacked
-    split masks, durations and boundary times (trajectory t's boundaries
-    start at seg_off[t] + t), the split-segment count of every trajectory,
-    and the split segments entered through an asserted transition, where
-    consecutive evidence subsystems are disjoint."""
-    masks = np.concatenate([ev.masks for ev in evs])
-    dts = np.concatenate([ev.durations for ev in evs])
-    bounds = np.concatenate([ev.boundaries for ev in evs])
-    n_orig = np.array([ev.n_segments for ev in evs])
-    traj = np.repeat(np.arange(len(evs)), n_orig)
-    start = np.arange(len(dts)) + traj
-    chunks = np.maximum(1, np.ceil(_max_rate(exit, masks) * dts / _SEGMENT_STIFFNESS_CAP).astype(int))
-    src = np.repeat(np.arange(len(dts)), chunks)
-    first_piece = np.cumsum(chunks) - chunks
-    piece = np.arange(len(src)) - first_piece[src]
-    c = chunks[src]
-    ends = bounds[start[src]] + dts[src] * (piece + 1) / c
-    # The last piece ends exactly at the evidence boundary.
-    ends[first_piece + chunks - 1] = bounds[start + 1]
-    counts = np.bincount(traj[src], minlength=len(evs))
-    times = np.empty(len(src) + len(evs))
-    times[np.arange(len(src)) + traj[src] + 1] = ends
-    first = np.arange(len(evs))
-    times[np.cumsum(counts) - counts + first] = bounds[np.cumsum(n_orig) - n_orig + first]
-    disjoint = ~(masks[:-1] & masks[1:]).any(axis=1) & (traj[:-1] == traj[1:])
-    rate_before = np.zeros(len(src), dtype=bool)
-    rate_before[first_piece[1:][disjoint]] = True
-    return masks[src], dts[src] / c, times, counts, rate_before
-
-
-# The largest subsystem served from the shared power tables: a segment of
-# at most this many states takes its |S| x |S| exponential block from its
-# mask's table of P^a, and its integrals from its bucket's recursion in the
-# dense P; a larger one is applied to the rows as a uniformization series,
-# which builds no block but takes one Python-level step per term. The
-# crossover was measured for per-segment dense blocks, before the tables,
-# on rings whose every segment has one |S| (30 segments per trajectory):
-# blocks scored 1.05-1.8x faster up to |S| = 16, at 32 they were 1.1x
-# faster for one trajectory and 1.4x slower for ten, at 64 and up slower
-# throughout (CHANGES.md has the table).
-_TABLE_MAX_STATES = 16
-
-# The sweeps cut their series where the Poisson tail is at most this, so the
-# messages are exact to rounding.
-_SWEEP_TAIL = float(np.finfo(float).eps)
-
-# Trajectories are swept in lockstep, one batch at a time, so the Python
-# loop over segment positions runs once per batch rather than once per
-# trajectory. This is the one memory knob: a batch is a run of consecutive
-# trajectories whose estimate (``_entries``) stays within this many array
-# entries, and the power tables, the exponential blocks and the convolution
-# kernel work in slices of an eighth of it.
-_BATCH_ELEMENTS = 1 << 19
-
-
-def _entries(sizes: np.ndarray, segments: np.ndarray, n: int, width: int) -> np.ndarray:
-    """The array entries the sweeps hold for each of the trajectories of
-    ``segments`` evidence segments, whose subsystems have ``sizes`` states
-    one after the other: each segment's n-length mask row and its
-    exponential block (|S|^2), or its series weights, ``width`` of them at
-    the stiffness cap, and its |S|-length ``keep`` and ``jump`` rows. Where
-    every subsystem takes a block (n up to _TABLE_MAX_STATES) the four
-    n-length message rows per boundary are counted too. Segments split for
-    stiffness count once, and larger models count the mask row in place of
-    the message rows, as counting either in full would keep a few short
-    trajectories of a mid-size model from sharing a batch; the message
-    rows stay within four times the mask rows. The batch's state rows, one
-    row of at most n indices per segment, count as the mask row. The
-    lockstep plan (``_Plan``), a dozen indices per split segment, is not
-    counted apart; on the tests' data it held under half of this
-    count."""
-    rows = 4 * n if n <= _TABLE_MAX_STATES else 0
-    blocks = np.where(sizes <= _TABLE_MAX_STATES, sizes * sizes, width + 2 * sizes) + n + rows
-    return np.add.reduceat(blocks, np.cumsum(segments) - segments) + rows
-
-
-def _batches(evs: list, n: int):
-    """Runs of consecutive trajectories whose ``_entries`` add up to at
-    most _BATCH_ELEMENTS, always one trajectory at least. The subsystem
-    sizes are counted over runs of trajectories whose masks together hold
-    about _BATCH_ELEMENTS entries."""
-    width = _series_width()
-    segments = np.array([ev.n_segments for ev in evs], dtype=np.int64)
-    need = []
-    for run in np.split(np.arange(len(evs)), np.flatnonzero(np.diff(np.cumsum(segments) * n // _BATCH_ELEMENTS)) + 1):
-        if run.size:
-            sizes = np.concatenate([evs[t].masks for t in run]).sum(axis=1)
-            need.extend(_entries(sizes, segments[run], n, width).tolist())
-    lo, size = 0, 0
-    for t, entries in enumerate(need):
-        size += entries
-        if size > _BATCH_ELEMENTS and t > lo:
-            yield evs[lo:t]
-            lo, size = t, entries
-    if lo < len(evs):
-        yield evs[lo:]
-
-
-def _normalize_rows(v: np.ndarray):
-    """Clip the fresh array v to nonnegative and scale its rows to unit sum
-    in place. Returns v and the log scales; a row without mass stays zero
-    with log scale -inf, and so does everything swept from it."""
-    np.maximum(v, 0.0, out=v)
-    s = np.add.reduce(v, axis=1)
-    ok = s > 0.0
-    v /= np.where(ok, s, 1.0)[:, None]
-    return v, np.log(s, out=np.full_like(s, -np.inf), where=ok)
-
-
-class _Layout(NamedTuple):
-    """Segments ``seg`` in subsystem coordinates, one row each: column c of
-    row r is the joint state idx[r, c], ascending, for c below |S_r|; past
-    it the row is padded to the widest subsystem (valid False, idx 0)."""
-
-    seg: np.ndarray
-    idx: np.ndarray
-    valid: np.ndarray
-
-    def gather(self, v: np.ndarray) -> np.ndarray:
-        """The n-length rows v, one per segment, restricted to S: zero past
-        |S|."""
-        return np.where(self.valid, v[np.arange(len(v))[:, None], self.idx], 0.0)
-
-    def at(self, rows: np.ndarray, n: int) -> np.ndarray:
-        """Where the layout's entries sit in a message buffer (``_buffer``)
-        of n-length rows, segment r's in row rows[r]; _FAR past |S|."""
-        return np.where(self.valid, self.idx + rows[:, None] * n, _FAR)
-
-
-# Padding of the segments' state rows, the sweeps' gather indices and the
-# block templates: far past any array, so a clipped take reads, and a
-# clipped put writes, the zero that every message buffer and block store
-# keeps at its end. Even times n, or times a row count, it stays within 64
-# bits.
+# Padding of the sweeps' gather indices and the block templates: far past
+# any array, so a clipped take reads, and a clipped put writes, the zero
+# that every store of rows and blocks keeps at its end. Times a row count
+# plus a state it stays within 64 bits.
 _FAR = 1 << 40
-
-
-def _states(masks: np.ndarray) -> np.ndarray:
-    """The states of every segment, whose subsystems are the masks,
-    ascending, one row each, padded with _FAR to the widest subsystem."""
-    r, states = np.nonzero(masks)
-    sizes = np.bincount(r, minlength=len(masks))
-    c = np.arange(len(r)) - (np.cumsum(sizes) - sizes)[r]
-    out = np.full((len(masks), int(sizes.max(initial=1))), _FAR, dtype=np.intp)
-    out[r, c] = states
-    return out
-
-
-def _mask_ids(masks: np.ndarray):
-    """A number per mask, shared by equal masks, and the first mask of each
-    number: the masks packed into 64-bit words and numbered by sorting."""
-    packed = np.packbits(masks, axis=1)
-    words = np.zeros((len(masks), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    keys = words.view(np.uint64)
-    _, first, ids = np.unique(keys[:, 0] if keys.shape[1] == 1 else keys, axis=None if keys.shape[1] == 1 else 0,
-                              return_index=True, return_inverse=True)
-    return ids.reshape(-1), first
 
 
 def _ranges(lo: np.ndarray, count: np.ndarray):
@@ -404,21 +265,335 @@ def _ranges(lo: np.ndarray, count: np.ndarray):
     return np.cumsum(e), np.repeat(has, count)
 
 
-def _restrict(joint: tuple, a: _Layout, b: _Layout, masks: np.ndarray):
+def _find(states: np.ndarray, sizes: np.ndarray, r: np.ndarray, want: np.ndarray):
+    """Whether the state want[i] is in row r[i] of the lists (states,
+    sizes), rows one after the other and each ascending, and its place in
+    the row where it is."""
+    keys = np.repeat(np.arange(len(sizes)), sizes) * _FAR + states
+    pos = np.searchsorted(keys, r * _FAR + want)
+    found = keys.take(pos, mode="clip") == r * _FAR + want if len(keys) else np.zeros(len(r), dtype=bool)
+    return found, pos - (np.cumsum(sizes) - sizes)[r]
+
+
+def _restrict(joint: tuple, a: tuple, b: tuple):
     """The transitions (src, dst, rate) of the joint list from row r of the
-    layout a into row r of b, whose segments' masks are ``masks``, in their
-    coordinates: (r, j, k, e) for a.idx[r, j] -> b.idx[r, k], the joint
-    list's entry e, sorted by r, j and k."""
+    lists a into row r of b, each (states, sizes) with rows one after the
+    other and ascending: (r, j, k, e) for the j-th state of a's row r to the
+    k-th of b's, the joint list's entry e, sorted by r, j and k. The rows go
+    in runs whose states have about _BATCH_ELEMENTS // 8 exits in all."""
     src, dst, _ = joint
-    r, j = np.nonzero(a.valid)
-    state = a.idx[r, j]
-    start = np.searchsorted(src, np.arange(int(state.max(initial=0)) + 2))
-    e, at = _ranges(start[state], np.diff(start)[state])
-    inside = masks[b.seg[r[at]], dst[e]]
-    r, j, e = r[at][inside], j[at][inside], e[inside]
-    # Each destination's place in its row of b, whose keys ascend.
-    br, k = np.nonzero(b.valid)
-    return r, j, k[np.searchsorted(br * _FAR + b.idx[br, k], r * _FAR + dst[e])], e
+    (sa, za), (sb, zb) = a, b
+    start = np.searchsorted(src, np.arange(int(sa.max(initial=0)) + 2))
+    exits = np.diff(start)[sa]
+    lo_a, lo_b = np.cumsum(za) - za, np.cumsum(zb) - zb
+    runs = np.cumsum(np.add.reduceat(exits, lo_a)) // (_BATCH_ELEMENTS // 8) if len(za) else np.zeros(0)
+    cuts = [0, *(np.flatnonzero(np.diff(runs)) + 1).tolist(), len(za)] if len(za) else [0]
+    out = []
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        a0, a1, b0, b1 = lo_a[r0], lo_a[r1 - 1] + za[r1 - 1], lo_b[r0], lo_b[r1 - 1] + zb[r1 - 1]
+        e, at = _ranges(start[sa[a0:a1]], exits[a0:a1])
+        r = np.repeat(np.arange(r1 - r0), za[r0:r1])[at]
+        j = at - (lo_a[r0:r1] - a0)[r]
+        found, k = _find(sb[b0:b1], zb[r0:r1], r, dst[e])
+        out.append((r[found] + r0, j[found], k[found], e[found]))
+    return tuple(np.concatenate(x) for x in zip(*out)) if out else tuple(np.zeros(0, dtype=np.intp) for _ in range(4))
+
+
+def _some(states: np.ndarray, sizes: np.ndarray, rows: np.ndarray):
+    """Rows ``rows`` of the lists (states, sizes)."""
+    i, _ = _ranges((np.cumsum(sizes) - sizes)[rows], sizes[rows])
+    return states[i], sizes[rows]
+
+
+class _Lists(NamedTuple):
+    """Subsystems as index lists, a row each. Row r holds sizes[r] states,
+    ascending, rows one after the other in ``states``; ids[r], a number
+    shared by equal rows; and lam[r], the largest exit rate among its
+    states. The transitions are kept once per number: edge_count[i] within
+    the rows numbered i, numbers one after the other in ``edges``: (j, k, e)
+    from the j-th state to the k-th, e indexing Q's list, sorted by j and
+    k."""
+
+    states: np.ndarray
+    sizes: np.ndarray
+    ids: np.ndarray
+    lam: np.ndarray
+    edge_count: np.ndarray
+    edges: tuple
+
+    @classmethod
+    def read(cls, q: IntensityMatrix, masks: np.ndarray) -> _Lists:
+        """The subsystems of q given as boolean masks, a row each, read
+        once by ``np.nonzero``."""
+        r, states = np.nonzero(masks)
+        sizes = np.bincount(r, minlength=len(masks))
+        del r
+        return cls.of(q, states, sizes)
+
+    @classmethod
+    def of(cls, q: IntensityMatrix, states: np.ndarray, sizes: np.ndarray) -> _Lists:
+        """The lists (states, sizes) of subsystems of q, numbered, with their
+        lambdas and their transitions, found once per distinct list."""
+        ids, heads = _mask_ids(states, sizes)
+        hs, hz = _some(states, sizes, heads)
+        lam = np.maximum.reduceat(q.exit_rates[hs], np.cumsum(hz) - hz) if len(hz) else np.zeros(0)
+        r, *edges = _restrict(q.transitions, (hs, hz), (hs, hz))
+        return cls(states, sizes, ids, lam[ids], np.bincount(r, minlength=len(heads)),
+                   tuple(a.astype(np.int32) for a in edges))
+
+
+def _mask_ids(states: np.ndarray, sizes: np.ndarray):
+    """A number per list of the lists (states, sizes), shared by equal
+    lists, and a list of each number: each size's lists numbered in
+    lexicographic order."""
+    lo = np.cumsum(sizes) - sizes
+    ids = np.empty(len(sizes), dtype=np.intp)
+    heads, at = [], 0
+    order = np.argsort(sizes, kind="stable")
+    for grp in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        if grp.size:
+            block = states[lo[grp][:, None] + np.arange(sizes[grp[0]])]
+            first = np.lexsort(block.T[::-1])
+            new = np.r_[True, (block[first[1:]] != block[first[:-1]]).any(axis=1)]
+            ids[grp[first]] = np.cumsum(new) - 1 + at
+            at += int(new.sum())
+            heads.append(grp[first[new]])
+    return ids, np.concatenate(heads) if heads else np.zeros(0, dtype=np.intp)
+
+
+class _Split(NamedTuple):
+    """The evidence segments of a batch of trajectories ``evs``, split for
+    stiffness. ``lists`` holds every evidence segment's subsystem, read from
+    its mask once. Segment i is cut into chunks[i] equal pieces of duration
+    dts[i], which share its list; rate[i] marks a segment entered through an
+    asserted transition, where consecutive subsystems of a trajectory are
+    disjoint. link_count[i] entries of ``links``, (j, k, e), tie the j-th
+    state of the segment before to the k-th of segment i: the transitions
+    between them at a rate boundary (e indexing Q's list), their common
+    states at a projection (e = -1). ``times`` holds the boundary times of
+    the pieces, trajectory t's from seg_off[t] + t on, seg_off being the
+    running sum of the piece counts ``counts``."""
+
+    evs: list
+    lists: _Lists
+    chunks: np.ndarray
+    dts: np.ndarray
+    rate: np.ndarray
+    link_count: np.ndarray
+    links: tuple
+    times: np.ndarray
+    counts: np.ndarray
+
+
+def _split_batch(q: IntensityMatrix, evs: list) -> _Split:
+    """Read the evidence segments of a batch, each mask once, and split
+    those stiffer than the cap, by the joint generator's exit rates, into
+    equal pieces, all trajectories in one step (``_Split``)."""
+    if any(ev.n != q.n for ev in evs):
+        raise ValueError("evidence dimension does not match the matrix")
+    lists = _Lists.read(q, np.concatenate([ev.masks for ev in evs]))
+    states, sizes = lists.states, lists.sizes
+    dts = np.concatenate([ev.durations for ev in evs])
+    bounds = np.concatenate([ev.boundaries for ev in evs])
+    n_orig = np.array([ev.n_segments for ev in evs])
+    traj = np.repeat(np.arange(len(evs)), n_orig)
+    start = np.arange(len(dts)) + traj
+    chunks = np.maximum(1, np.ceil(lists.lam * dts / _SEGMENT_STIFFNESS_CAP).astype(int))
+    src = np.repeat(np.arange(len(dts)), chunks)
+    first_piece = np.cumsum(chunks) - chunks
+    piece = np.arange(len(src)) - first_piece[src]
+    c = chunks[src]
+    ends = bounds[start[src]] + dts[src] * (piece + 1) / c
+    # The last piece ends exactly at the evidence boundary.
+    ends[first_piece + chunks - 1] = bounds[start + 1]
+    counts = np.bincount(traj[src], minlength=len(evs))
+    times = np.empty(len(src) + len(evs))
+    times[np.arange(len(src)) + traj[src] + 1] = ends
+    first = np.arange(len(evs))
+    times[np.cumsum(counts) - counts + first] = bounds[np.cumsum(n_orig) - n_orig + first]
+
+    # Each segment's link to the one before, found once per distinct pair
+    # of lists: their common states, or the transitions from one into the
+    # other where they have none and the evidence asserts a transition.
+    pairs = np.flatnonzero(traj[1:] == traj[:-1])
+    _, heads, pair = np.unique(lists.ids[pairs] * (len(sizes) + 1) + lists.ids[pairs + 1], return_index=True,
+                               return_inverse=True)
+    pair = pair.reshape(-1)
+    a, b = _some(states, sizes, pairs[heads]), _some(states, sizes, pairs[heads] + 1)
+    rows = np.repeat(np.arange(len(heads)), b[1])
+    found, j = _find(*a, rows, b[0])
+    k = np.arange(len(rows)) - (np.cumsum(b[1]) - b[1])[rows]
+    disjoint = np.flatnonzero(np.bincount(rows[found], minlength=len(heads)) == 0)
+    tr, tj, tk, te = _restrict(q.transitions, _some(*a, disjoint), _some(*b, disjoint))
+    row = np.concatenate((rows[found], disjoint[tr]))
+    order = np.argsort(row, kind="stable")
+    per = tuple(np.concatenate(x)[order] for x in ((j[found], tj), (k[found], tk), (np.full(int(found.sum()), -1), te)))
+    count = np.bincount(row, minlength=len(heads))
+    at, _ = _ranges((np.cumsum(count) - count)[pair], count[pair])
+    link_count = np.zeros(len(sizes), dtype=np.intp)
+    link_count[pairs + 1] = count[pair]
+    rate = np.zeros(len(sizes), dtype=bool)
+    rate[pairs + 1] = np.isin(pair, disjoint)
+    return _Split(list(evs), lists, chunks, dts / chunks, rate, link_count, tuple(x[at].astype(np.int32) for x in per),
+                  times, counts)
+
+
+def _cut(s: _Split, a: int, b: int) -> _Split:
+    """Trajectories a up to b of the split, as a split of their own."""
+    segs = np.r_[0, np.cumsum([ev.n_segments for ev in s.evs])]
+    lo, hi = segs[a], segs[b]
+    at = {name: np.r_[0, np.cumsum(c)][[lo, hi]] for name, c in (("states", s.lists.sizes), ("links", s.link_count))}
+    bd = np.r_[0, np.cumsum(s.counts + 1)][[a, b]]
+    cut = lambda x, name: x[at[name][0] : at[name][1]]  # noqa: E731
+    # The numbers of the cut's lists, renumbered, with their transitions.
+    kept, ids = np.unique(s.lists.ids[lo:hi], return_inverse=True)
+    count = s.lists.edge_count
+    e, _ = _ranges((np.cumsum(count) - count)[kept], count[kept])
+    lists = _Lists(cut(s.lists.states, "states"), s.lists.sizes[lo:hi], ids.reshape(-1), s.lists.lam[lo:hi],
+                   count[kept], tuple(x[e] for x in s.lists.edges))
+    return _Split(s.evs[a:b], lists, *(x[lo:hi] for x in (s.chunks, s.dts, s.rate, s.link_count)),
+                  tuple(cut(x, "links") for x in s.links), s.times[bd[0] : bd[1]], s.counts[a:b])
+
+
+def _join(x, y):
+    """Two splits, or two of their fields, one after the other; the lists'
+    numbers stay apart."""
+    if isinstance(x, _Lists):
+        y = y._replace(ids=y.ids + len(x.edge_count))
+    if isinstance(x, np.ndarray):
+        return np.concatenate((x, y))
+    if isinstance(x, list):
+        return x + y
+    joined = [_join(a, b) for a, b in zip(x, y)]
+    return type(x)(*joined) if hasattr(x, "_fields") else tuple(joined)
+
+
+def _pieces(s: _Split):
+    """The evidence segment of every piece of the split, the first piece of
+    every evidence segment, and whether each piece is entered through an
+    asserted transition."""
+    origin = np.repeat(np.arange(len(s.chunks)), s.chunks)
+    first = np.cumsum(s.chunks) - s.chunks
+    rate_before = np.zeros(len(origin), dtype=bool)
+    rate_before[first[s.rate]] = True
+    return origin, first, rate_before
+
+
+# The largest subsystem served from the shared power tables: a segment of
+# at most this many states takes its |S| x |S| exponential block from its
+# subsystem's table of P^a, and its integrals from its bucket's recursion
+# in the dense P; a larger one is applied to the rows as a uniformization
+# series, which builds no block but takes one Python-level step per term.
+# The crossover was measured for per-segment dense blocks, before the
+# tables, on rings whose every segment has one |S| (30 segments per
+# trajectory): blocks scored 1.05-1.8x faster up to |S| = 16, at 32 they
+# were 1.1x faster for one trajectory and 1.4x slower for ten, at 64 and up
+# slower throughout (CHANGES.md has the table).
+_TABLE_MAX_STATES = 16
+
+# The sweeps cut their series where the Poisson tail is at most this, so the
+# messages are exact to rounding.
+_SWEEP_TAIL = float(np.finfo(float).eps)
+
+# Trajectories are swept in lockstep, one batch at a time, so the Python
+# loop over segment positions runs once per batch rather than once per
+# trajectory. This is the one memory knob: a batch is a run of consecutive
+# trajectories whose arrays (``_entries``) hold at most this many entries,
+# and the power tables, the exponential blocks and the convolution kernel
+# work in slices of an eighth of it.
+_BATCH_ELEMENTS = 1 << 19
+
+
+def _entries(split: _Split, width: int) -> np.ndarray:
+    """The array entries the split and its sweep hold for each trajectory,
+    plan and propagator included. Per evidence segment: its states, the
+    transitions within its list (three entries each) if it is its
+    trajectory's first of that list, its links to the segment before
+    (nine each: three in the split, three per direction in the plan), its
+    exponential block (|S|^2, one entry for one state) or its series
+    weights (``width`` terms, the most any piece needs), and a score of
+    numbers. Per piece: its four message rows (|S| each), the plan's maps
+    across the boundary from the piece before of the same segment (two
+    entries per state and direction) and two dozen numbers. On occluded
+    records of the n = 1024 ring the count is 3-5% above what they hold."""
+    lists, c = split.lists, split.chunks
+    s = lists.sizes
+    segments = np.array([ev.n_segments for ev in split.evs])
+    traj = np.repeat(np.arange(len(segments)), segments)
+    _, first = np.unique(traj * len(lists.edge_count) + lists.ids, return_index=True)
+    edges = np.zeros(len(s), dtype=np.intp)
+    edges[first] = lists.edge_count[lists.ids[first]]
+    block = np.where(s == 1, 1, np.where(s <= _TABLE_MAX_STATES, s * s, width))
+    per = s + 3 * edges + 9 * split.link_count + block + 20 + c * (4 * s + 26) + 4 * s * (c - 1)
+    return np.add.reduceat(per, np.cumsum(segments) - segments) + 1
+
+
+def _batches(q: IntensityMatrix, evs: list):
+    """Runs of consecutive trajectories whose entries (``_entries``) add up
+    to at most _BATCH_ELEMENTS, always one trajectory at least, each as its
+    split (``_split_batch``). The masks are read in runs of trajectories
+    that count an eighth of an entry per mask entry (a byte) and 64 entries
+    per segment, at most _BATCH_ELEMENTS in all where one trajectory fits.
+    While what is held, read and split, fits in one batch, the next run is
+    read; otherwise the first batch of it is yielded."""
+    width = _series_width()
+    read = np.cumsum([ev.masks.size // 8 + 64 * ev.n_segments for ev in evs])
+    held, lo = None, 0
+    while held is not None or lo < len(evs):
+        entries = np.cumsum(_entries(held, width)) if held is not None else np.zeros(1)
+        if entries[-1] <= _BATCH_ELEMENTS and lo < len(evs):
+            hi = max(lo + 1, int(np.searchsorted(read, (read[lo - 1] if lo else 0) + _BATCH_ELEMENTS, side="right")))
+            part = _split_batch(q, evs[lo:hi])
+            held, lo = part if held is None else _join(held, part), hi
+            del part
+            continue
+        b = max(1, int(np.searchsorted(entries, _BATCH_ELEMENTS, side="right")))
+        yield _cut(held, 0, b)
+        held = _cut(held, b, len(held.evs)) if b < len(held.evs) else None
+
+
+def _normalize_rows(v: np.ndarray, valid: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Clip the fresh padded rows v to nonnegative and scale each to unit
+    sum in place. Row r's entries are those where valid[r]; in ``v[valid]``
+    they start at starts[r]. Returns the log scales; a row without mass
+    stays zero with log scale -inf, and so does everything swept from it.
+    Each sum runs over its row's own entries (``np.add.reduceat``), so
+    neither padding nor the rows beside it change it."""
+    np.maximum(v, 0.0, out=v)
+    s = np.add.reduceat(v[valid], starts)
+    ok = s > 0.0
+    v /= np.where(ok, s, 1.0)[:, None]
+    return np.log(s, out=np.full_like(s, -np.inf), where=ok)
+
+
+class _Layout(NamedTuple):
+    """Segments ``seg`` in subsystem coordinates, one row each: column c of
+    row r is the joint state idx[r, c], ascending, for c below |S_r|; past
+    it the row is padded to the widest subsystem (valid False, idx that of
+    some state)."""
+
+    seg: np.ndarray
+    idx: np.ndarray
+    valid: np.ndarray
+
+
+class _Rows(NamedTuple):
+    """Rows of varying length one after the other: row r from flat[at[r]]
+    on, and one zero past them all, which every padded gather reads."""
+
+    flat: np.ndarray
+    at: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> _Rows:
+        """The rows of a 2-D array."""
+        rows = np.asarray(rows, dtype=float)
+        return cls(np.append(rows.reshape(-1), 0.0), np.arange(len(rows)) * rows.shape[1])
+
+    def padded(self, r: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        """Rows r, entry c of row i where valid[i, c] and zero elsewhere."""
+        at = self.at[r][:, None] + np.arange(valid.shape[1])
+        return self.flat.take(np.where(valid, at, _FAR), mode="clip")
 
 
 def _rows_dot(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -540,60 +715,50 @@ def _series_width() -> int:
 
 
 class _Uniformization:
-    """The split segments (mask S, dt) of a batch uniformized for the sweeps
-    and the integrals alike: lambda = max_{i in S} |q_ii|, mu = lambda dt,
+    """Subsystems S, each held for a time dt, uniformized for the sweeps and
+    the integrals alike: lambda = max_{i in S} |q_ii|, mu = lambda dt,
     P = I + Q_S / lambda and exp(Q_S s) = sum_a Pois(a; lambda s) P^a. A row
     v on S goes to v P = v * keep + (v W_S) * jump, with W_S the rates of W
     within S (W_S^T for columns), so every term is nonnegative. lambda and P
-    depend on the mask alone: each distinct mask (``mask_id``) has its
-    lambda taken, from Q's exit rates, and its transitions cut from Q's
-    list ``joint`` once, with their indices in it,
-    which every product by W_S reads (``transitions``, ``times``) and from
-    which ``matrices`` builds the dense P of segments of 2 to
-    _TABLE_MAX_STATES states (``tabled``): the sweeps' power tables and the
-    integrals' recursion start from it.
-    ``states`` lists every segment's states once; ``cut`` lays out any
-    segments from it."""
+    depend on the subsystem alone. The subsystems are boolean ``masks``, a
+    row each, or index lists with their lambdas and transitions
+    (``_Lists``), which the batch path passes; equal lists share a number
+    (``mask_id``). Every
+    product by W_S reads a subsystem's transitions (``transitions``,
+    ``times``), and ``matrices`` builds from them the dense P of subsystems
+    of 2 to _TABLE_MAX_STATES states (``tabled``): the sweeps' power tables
+    and the integrals' recursion start from it. ``cut`` lays out any
+    subsystems in their coordinates, padded to the widest."""
 
-    def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
-        self.exit = q.exit_rates
-        self.mask_id, heads = _mask_ids(masks)
-        lam = _max_rate(self.exit, masks[heads])[self.mask_id]
+    def __init__(self, q: IntensityMatrix, masks, dts: np.ndarray):
+        lists = masks if isinstance(masks, _Lists) else _Lists.read(q, masks)
+        self.exit, self.joint = q.exit_rates, q.transitions
+        self.sizes = lists.sizes
+        self.lo = np.cumsum(self.sizes) - self.sizes
+        self.states = lists.states
+        self.cols = np.arange(int(self.sizes.max(initial=1)))
+        self.mask_id = lists.ids
         # Q_S vanishes where no state of S has an exit; any rate uniformizes it.
-        lam[lam == 0.0] = 1.0
-        self.masks, self.joint, self.lam, self.mu = masks, q.transitions, lam, lam * dts
-        self.sizes = masks.sum(axis=1)
-        self.states = _states(masks)
+        lam = np.where(lists.lam == 0.0, 1.0, lists.lam)
+        self.lam, self.mu = lam, lam * dts
         self.tabled = (self.sizes > 1) & (self.sizes <= _TABLE_MAX_STATES)
-        lay = self.cut(heads)
-        d, *self.edges = _restrict(self.joint, lay, lay, masks)
-        self.edge_count = np.bincount(d, minlength=len(heads))
+        self.edges, self.edge_count = lists.edges, lists.edge_count
         self.edge_at = np.cumsum(self.edge_count) - self.edge_count
 
     def cut(self, seg: np.ndarray) -> _Layout:
-        """The layout of the segments seg, padded to their widest S."""
-        states = self.states.take(seg, axis=0)[:, : int(self.sizes.take(seg).max(initial=1))]
-        valid = states != _FAR
-        return _Layout(seg, np.where(valid, states, 0), valid)
+        """The layout of the subsystems seg, padded to their widest S."""
+        sizes = self.sizes.take(seg)
+        cols = self.cols[: int(sizes.max(initial=1))]
+        valid = cols < sizes[:, None]
+        idx = self.states.take(np.where(valid, self.lo.take(seg)[:, None] + cols, 0), mode="clip")
+        return _Layout(seg, idx, valid)
 
     def transitions(self, seg: np.ndarray):
-        """The transitions within the subsystem of each segment seg, from
-        its mask's list: (r, j, k, e), e indexing the joint list, sorted by
-        r, j and k."""
+        """The transitions within each subsystem seg: (r, j, k, e), e
+        indexing the joint list, sorted by r, j and k."""
         ids = self.mask_id.take(seg)
         e, r = _ranges(self.edge_at.take(ids), self.edge_count.take(ids))
         return (r, *(a.take(e) for a in self.edges))
-
-    def between(self, a: np.ndarray, b: np.ndarray):
-        """The transitions from the subsystem of segment a[r] into that of
-        b[r]: (r, e), e indexing the joint list, sorted by r and e, cut once
-        per distinct pair of masks."""
-        _, first, pair = np.unique(self.mask_id[a] * (self.mask_id.max(initial=0) + 1) + self.mask_id[b],
-                                   return_index=True, return_inverse=True)
-        p, _, _, e = _restrict(self.joint, self.cut(a[first]), self.cut(b[first]), self.masks)
-        count = np.bincount(p, minlength=len(first))
-        at, r = _ranges((np.cumsum(count) - count)[pair], count[pair])
-        return r, e[at]
 
     def times(self, lay: _Layout, columns: np.ndarray):
         """u -> the layout's rows u times their W_S (W_S^T where columns[r]),
@@ -609,8 +774,8 @@ class _Uniformization:
         return np.where(lay.valid, (lam - self.exit[lay.idx]) / lam, 0.0), lay.valid / lam
 
     def matrices(self, seg: np.ndarray) -> np.ndarray:
-        """P of each segment seg, whose subsystems all have s states:
-        stacked (len(seg), s, s)."""
+        """P of each subsystem seg, all of s states: stacked
+        (len(seg), s, s)."""
         lay = self.cut(seg)
         s = lay.idx.shape[1]
         lam = self.lam[seg, None]
@@ -665,17 +830,17 @@ def _templates(p: int) -> np.ndarray:
 
 
 class _Step(NamedTuple):
-    """The rows of one propagation: row r carries row src[r] of the input
-    across its segment seg[r], by the columns of the exponential where
-    ``columns[r]`` (a backward message), to row dst[r] of the output; a
-    table row finds its padded block in the templates' row tmpl[r] from
-    blocks[at[r]] on. Input and output are message buffers (``_buffer``).
-    The first ``tables`` rows are table rows, the rest series rows, row and
-    column messages mixed in each; ``width`` is the widest table row's S."""
+    """The rows of one propagation: row r carries row dst[r] of the input
+    across the subsystem seg[r] to row dst[r] of the output, by the columns
+    of the exponential where ``columns[r]`` (a backward message); a table
+    row finds its padded block in the templates' row tmpl[r] from
+    blocks[at[r]] on. Input and output rows are on their subsystems, padded
+    with zeros. The first ``tables`` rows are table rows, the rest series
+    rows, row and column messages mixed in each; ``width`` is the widest
+    table row's S."""
 
     seg: np.ndarray
     columns: np.ndarray
-    src: np.ndarray
     dst: np.ndarray
     tmpl: np.ndarray
     at: np.ndarray
@@ -683,27 +848,19 @@ class _Step(NamedTuple):
     width: int
 
 
-def _buffer(rows: int, n: int):
-    """A message buffer: ``rows`` n-length rows one after the other and one
-    zero past them, which every padded gather reads and every padded
-    result, a zero, is written to. Returns the flat buffer and its rows."""
-    flat = np.zeros(rows * n + 1)
-    return flat, flat[:-1].reshape(rows, n)
-
-
 class _Propagator(_Uniformization):
-    """exp(Q_S dt) of every segment (mask, dt) of a batch, applied to
+    """exp(Q_S dt) of every subsystem (mask, dt) of a batch, applied to
     message rows by one kernel, ``propagate``: a row message v goes to
-    v exp(Q_S dt), a column message to exp(Q_S dt) v projected onto the
-    mask. Up to _TABLE_MAX_STATES states each segment's |S| x |S|
-    exponential is built once, kept flat in ``blocks`` before one zero: one
-    state takes e^(q_ii dt), and the segments of one mask take
+    v exp(Q_S dt), a column message to exp(Q_S dt) v, both on S. Up to
+    _TABLE_MAX_STATES states each segment's |S| x |S| exponential is built
+    once, kept flat in ``blocks`` before one zero: one state takes
+    e^(q_ii dt), and the segments of one subsystem take
     sum_a Pois(a; mu) P^a from its power table in one product, cut where
     each segment's own Poisson tail falls to _SWEEP_TAIL. Above it the
     series in P is applied to the rows, each segment's cut alike.
     """
 
-    def __init__(self, q: IntensityMatrix, masks: np.ndarray, dts: np.ndarray):
+    def __init__(self, q: IntensityMatrix, masks, dts: np.ndarray):
         super().__init__(q, masks, dts)
         sizes = self.sizes
         self.series = sizes > _TABLE_MAX_STATES
@@ -712,10 +869,11 @@ class _Propagator(_Uniformization):
         self.blocks = np.zeros(int((sizes[table] ** 2).sum()) + 1)
         self.block_at = np.zeros(len(dts), dtype=np.intp)
         self.block_at[one] = np.arange(len(one))
-        self.blocks[: len(one)] = np.exp(-self.exit[self.states[one, 0]] * dts[one])
+        self.blocks[: len(one)] = np.exp(-self.exit[self.states[self.lo[one]]] * dts[one])
         at = len(one)
-        # The tabled segments by size and mask, each slice's runs of one
-        # mask sharing one power table P^a, a below its longest series.
+        # The tabled segments by size and subsystem, each slice's runs of
+        # one subsystem sharing one power table P^a, a below its longest
+        # series.
         tabled = np.flatnonzero(self.tabled)
         terms = _series_terms(self.mu[tabled], _SWEEP_TAIL)
         ids = self.mask_id[tabled]
@@ -740,12 +898,12 @@ class _Propagator(_Uniformization):
             self.weights = _poisson_weights(self.mu[series], self.terms[series])
 
     def step(self, seg: np.ndarray, columns: np.ndarray) -> _Step:
-        """A one-step plan: row r of the input across segment seg[r] to row r
-        of the output."""
+        """A one-step plan: row r of the input across subsystem seg[r] to
+        row r of the output."""
         order = np.argsort(self.series[seg], kind="stable")
         seg, columns = seg[order], columns[order]
         table = ~self.series[seg]
-        return _Step(seg, columns, order, order, *self.blocks_of(seg, columns), int(table.sum()),
+        return _Step(seg, columns, order, *self.blocks_of(seg, columns), int(table.sum()),
                      int(self.sizes[seg][table].max(initial=0)))
 
     def blocks_of(self, seg: np.ndarray, columns: np.ndarray):
@@ -753,13 +911,16 @@ class _Propagator(_Uniformization):
         return self.sizes[seg] + (_TABLE_MAX_STATES + 1) * columns, self.block_at[seg]
 
     def apply(self, v: np.ndarray, seg: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """The n-length rows v[r] carried across segments seg[r], as column
-        messages where columns[r]."""
-        flat, rows = _buffer(*v.shape)
-        rows[:] = v
-        out, out_rows = _buffer(*v.shape)
-        self.propagate(flat, self.step(seg, columns), out)
-        return out_rows
+        """The n-length rows v[r] carried across subsystems seg[r], as column
+        messages where columns[r]; zero off each subsystem."""
+        lay = self.cut(seg)
+        x = np.where(lay.valid, v[np.arange(len(v))[:, None], lay.idx], 0.0)
+        out = np.zeros_like(x)
+        self.propagate(x, self.step(seg, columns), out)
+        res = np.zeros(np.shape(v))
+        r, j = np.nonzero(lay.valid)
+        res[r, lay.idx[r, j]] = out[r, j]
+        return res
 
     def forward(self, v: np.ndarray, seg: np.ndarray) -> np.ndarray:
         return self.apply(v, seg, np.zeros(len(seg), dtype=bool))
@@ -770,40 +931,23 @@ class _Propagator(_Uniformization):
 
     def propagate(self, v: np.ndarray, step: _Step, out: np.ndarray) -> None:
         """The one propagation kernel: writes the rows of ``step`` from the
-        message buffer v to the buffer out. The table rows take one
-        product, row and column messages together, the series rows one per
-        term alike; the gather to S projects a column message. Table rows
+        padded rows v to the padded rows out, both on the rows' subsystems
+        and zero past them. The table rows take one product, row and column
+        messages together, the series rows one per term alike. Table rows
         read their padded blocks from ``blocks`` through the templates,
         zero past |S|, and every sum runs over j in order, so a row's result
         does not depend on the rows beside it."""
-        n = self.masks.shape[1]
-        tables, ends, tw = step.tables, len(step.seg), step.width
+        tables, tw = step.tables, step.width
         if tables:
-            seg = step.seg[:tables]
-            idx = self.states[seg, :tw]
-            x = v.take(idx + step.src[:tables, None] * n, mode="clip")
+            dst = step.dst[:tables]
             at = _templates(_TABLE_MAX_STATES)[step.tmpl[:tables], :tw, :tw]
             at += step.at[:tables, None, None]
-            y = _rows_dot(x, self.blocks.take(at, mode="clip"))
-            np.put(out, idx + step.dst[:tables, None] * n, y, mode="clip")
-        if ends > tables:
-            lay = self.cut(step.seg[tables:ends])
-            x = v.take(lay.at(step.src[tables:ends], n), mode="clip")
-            y = self._series(x, lay, self.times(lay, step.columns[tables:ends]))
-            np.put(out, lay.at(step.dst[tables:ends], n), y, mode="clip")
-
-    def cross(self, out: np.ndarray, row: np.ndarray, back: np.ndarray, r: np.ndarray, e: np.ndarray) -> None:
-        """Carry the rows ``row`` of the message buffer out across rate
-        boundaries, in place: transition i, entry e[i] (src, dst, rate) of
-        the joint list, takes rate times entry src of row row[r[i]] to dst
-        (the other way where back[r[i]])."""
-        n = self.masks.shape[1]
-        r = r.astype(np.intp)
-        src, dst, rate = (a.take(e) for a in self.joint)
-        flip = back.take(r)
-        frm, to = np.where(flip, dst, src), np.where(flip, src, dst)
-        x = out.take(row.astype(np.intp).take(r) * n + frm) * rate
-        out[:-1].reshape(-1, n)[row] = np.bincount(r * n + to, x, len(row) * n).reshape(-1, n)
+            out[dst, :tw] = _rows_dot(v[dst, :tw], self.blocks.take(at, mode="clip"))
+        if len(step.seg) > tables:
+            dst = step.dst[tables:]
+            lay = self.cut(step.seg[tables:])
+            w = lay.idx.shape[1]
+            out[dst, :w] = self._series(v[dst, :w], lay, self.times(lay, step.columns[tables:]))
 
     def _series(self, x: np.ndarray, lay: _Layout, times) -> np.ndarray:
         """sum_a weights[r, a] x[r] P_r^a, with x P = x * keep + times(x) * jump;
@@ -818,34 +962,44 @@ class _Propagator(_Uniformization):
 
 
 class _Sweep(NamedTuple):
-    """A batch of trajectories split into segments and swept forward and,
+    """A batch of trajectories split into pieces and swept forward and,
     where ``_sweep`` ran both sweeps, backward.
 
-    The rows of all trajectories are stacked: trajectory t owns segments
-    ``seg_off[t]`` up to ``seg_off[t] + counts[t]`` and boundaries
-    ``seg_off[t] + t`` up to ``seg_off[t] + t + counts[t]`` inclusive, so
-    segment s of trajectory t starts at boundary s + t in global indices.
-    ``times`` holds the boundary times, ``rate_before[k]`` marks a segment
-    entered through an asserted transition; ``prop`` is their uniformization.
-    ``log_probs_backward`` are the backward sweep's log-likelihoods.
+    Trajectory t owns pieces ``seg_off[t]`` up to ``seg_off[t] + counts[t]``
+    and boundaries ``seg_off[t] + t`` up to ``seg_off[t] + t + counts[t]``
+    inclusive, so piece s of trajectory t starts at boundary s + t in
+    global indices. ``times`` holds the boundary times, ``dts`` the piece
+    durations, ``origin`` each piece's evidence segment (its row of the
+    split's lists and of the propagator ``prop``), ``rate_before[s]`` marks a
+    piece entered through an asserted transition.
+
+    Each piece has four message rows on its subsystem: the forward message
+    at its start (in ``ins``) and at its end (in ``outs``), both at row
+    frow[s], and the backward message at its end (``ins``) and at its start
+    (``outs``), both at row brow[s]; row r starts at at[r] in its store, and
+    its log scale is in_log[r] or out_log[r]. So ``fwd`` is the forward
+    input, ``fwd_pre`` the forward output, ``bwd_post`` the backward output
+    and ``bwd`` at a rate boundary the backward input of the piece before
+    (at a projection it is ``bwd_post``). ``log_probs_backward`` are the
+    backward sweep's log-likelihoods.
     """
 
     p0: np.ndarray
-    times: np.ndarray
-    masks: np.ndarray
-    dts: np.ndarray
-    rate_before: np.ndarray
+    split: _Split
     prop: _Uniformization | None
+    times: np.ndarray
+    dts: np.ndarray
+    origin: np.ndarray
+    rate_before: np.ndarray
     counts: np.ndarray
     seg_off: np.ndarray
-    fwd: np.ndarray
-    fwd_log: np.ndarray
-    fwd_pre: np.ndarray
-    fwd_pre_log: np.ndarray
-    bwd: np.ndarray | None = None
-    bwd_log: np.ndarray | None = None
-    bwd_post: np.ndarray | None = None
-    bwd_post_log: np.ndarray | None = None
+    frow: np.ndarray
+    brow: np.ndarray | None
+    at: np.ndarray
+    ins: np.ndarray
+    outs: np.ndarray
+    in_log: np.ndarray
+    out_log: np.ndarray
     log_probs_backward: np.ndarray | None = None
 
     @property
@@ -855,7 +1009,7 @@ class _Sweep(NamedTuple):
 
     @property
     def log_probs(self) -> np.ndarray:
-        return self.fwd_log[self.starts + self.counts]
+        return self.out_log[self.frow[self.seg_off + self.counts - 1]]
 
     def bounds(self, t: int) -> slice:
         lo = self.seg_off[t] + t
@@ -865,11 +1019,11 @@ class _Sweep(NamedTuple):
         return slice(self.seg_off[t], self.seg_off[t] + self.counts[t])
 
     def log_prob(self, t: int) -> float:
-        return float(self.fwd_log[self.bounds(t).stop - 1])
+        return float(self.log_probs[t])
 
     def dead(self, t: int) -> int | None:
         """The first boundary whose forward message has no mass, if any."""
-        hit = np.flatnonzero(np.isneginf(self.fwd_log[self.bounds(t)]))
+        hit = np.flatnonzero(np.isneginf(self.message_logs(t, "fwd")))
         return int(hit[0]) if hit.size else None
 
     def raise_if_impossible(self, first: int = 0):
@@ -879,6 +1033,61 @@ class _Sweep(NamedTuple):
         if dead.size:
             t = int(dead[0])
             raise ZeroProbabilityEvidenceError(self.dead(t), first + t)
+
+    def slots(self, t: int, name: str):
+        """Where trajectory t's message ``name`` sits at each of its
+        boundaries: the store (0 for ``ins``, 1 for ``outs``, -1 for p0 and
+        -2 for the uniform 1/n), the row in it and the piece whose subsystem
+        the row is on."""
+        s = np.arange(self.seg_off[t], self.seg_off[t] + self.counts[t])
+        last, one, zero = s[-1:], np.ones(len(s), dtype=int), np.zeros(len(s), dtype=int)
+        if name == "fwd":
+            return np.r_[zero, 1], self.frow[np.r_[s, last]], np.r_[s, last]
+        if name == "fwd_pre":
+            return np.r_[-1, one], self.frow[np.r_[s[:1], s]], np.r_[s[:1], s]
+        if name == "bwd_post":
+            return np.r_[one, -2], self.brow[np.r_[s, last]], np.r_[s, last]
+        rate = self.rate_before[s]
+        piece = np.where(rate, s - 1, s)
+        return np.r_[np.where(rate, 0, 1), -2], self.brow[np.r_[piece, last]], np.r_[piece, last]
+
+    def message_logs(self, t: int, name: str) -> np.ndarray:
+        """The log scales of trajectory t's message ``name``."""
+        store, row, _ = self.slots(t, name)
+        logs = np.where(store == 0, self.in_log[row], self.out_log[row])
+        logs[store == -1] = 0.0
+        logs[store == -2] = math.log(len(self.p0))
+        return logs
+
+    def states_of(self, piece: np.ndarray):
+        """Every state of each piece's subsystem, piece by piece: (r, j,
+        state) for the j-th state of piece[r]."""
+        lists = self.split.lists
+        lo = (np.cumsum(lists.sizes) - lists.sizes)[self.origin[piece]]
+        i, r = _ranges(lo, lists.sizes[self.origin[piece]])
+        return r, i - lo[r], lists.states[i]
+
+    def message(self, t: int, name: str) -> np.ndarray:
+        """Trajectory t's message ``name``, one n-length row per boundary."""
+        store, row, piece = self.slots(t, name)
+        out = np.zeros((len(store), len(self.p0)))
+        kept = np.flatnonzero(store >= 0)
+        r, j, state = self.states_of(piece[kept])
+        at = self.at[row[kept]][r] + j
+        out[kept[r], state] = np.where(store[kept][r] == 0, self.ins.take(at), self.outs.take(at))
+        out[store == -1] = self.p0
+        out[store == -2] = 1.0 / len(self.p0)
+        return out
+
+    def posterior(self, piece: np.ndarray, end: np.ndarray):
+        """fwd * bwd_post at the first boundary of each piece, or at its
+        last where ``end``, on the piece's subsystem: (r, state, value) for
+        every state of each piece[r]."""
+        r, j, state = self.states_of(piece)
+        at = self.at[self.frow[piece]][r] + j
+        fwd = np.where(end[r], self.outs.take(at), self.ins.take(at))
+        bwd = np.where(end[r], 1.0 / len(self.p0), self.outs.take(self.at[self.brow[piece]][r] + j))
+        return r, state, fwd * bwd
 
 
 def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
@@ -893,218 +1102,207 @@ def _lockstep(counts: np.ndarray, seg_off: np.ndarray):
 class _Plan:
     """The steps of a batch's lockstep loop, planned once and shared by its
     two sweeps. Step i carries the forward messages of every trajectory
-    with a segment i across it, and with ``backward`` the backward messages
-    across the i-th segment from the end, a row each: the backward rows
-    first, then the forward ones, in lockstep order (``_lockstep``). After
-    the step, every backward row and the forward rows of trajectories with
-    a segment i + 1 cross the boundary to their next segment, and those
-    rows, in that order, are the next step's input.
+    with a piece i across it, and with ``backward`` the backward messages
+    across the i-th piece from the end, a row each: the backward rows first,
+    then the forward ones, in lockstep order (``_lockstep``). This is the
+    step's row order, in which its messages are stored. After the step,
+    the rows of trajectories with a piece i + 1 cross the boundary to their
+    next piece, and in that order are the next step's input.
 
     Per row, in step order and by kind within a step (``_Step``): its
-    segment, direction, input and output rows; per step, the count and the
-    width of its table rows and the offsets of its rows in ``rows``. The
-    boundaries whose messages each step writes after its exponentials
-    (``after``: ``bwd_post`` of a backward row, ``fwd_pre`` of a forward
-    one) and after its boundary (``crossed``: ``bwd`` and ``fwd``), in the
-    order of its output rows, and the segment whose mask projects
-    each forward row across the boundary (``project``). The rate
-    boundaries crossed at each step: the row, the segments it leaves and
-    enters and the transitions between them, as indices into the joint
-    list (``_Propagator.cross``). Every
-    array is O(segments) long, the transitions O(|S1|) per boundary and
-    state's exits; no padded index or block is kept.
+    subsystem, direction, row in the step and block; per step, the count
+    and the width of its table rows, the width of all its rows and the
+    offsets of its rows in ``rows``. Per row in step order: its size, where
+    it is stored (``at``) and where that is from its step's first row
+    (``within``); per piece, its forward row and backward row. The crossing
+    of each step as flat indices into the step's padded rows and the next
+    step's: at rate boundaries ``rate_frm``, ``rate_to`` and the transition
+    ``rate_e`` (the rows leave subsystem ``rate_leave`` and enter
+    ``rate_enter``), elsewhere the common states (``copy_frm``,
+    ``copy_to``). Every array is O(pieces) long, or O(|S|) per boundary and
+    the transitions across it; no padded index or block is kept.
     """
 
-    def __init__(self, prop: _Propagator, counts: np.ndarray, seg_off: np.ndarray, rate_before: np.ndarray,
-                 backward: bool):
-        cnt, soff, boff, sizes = _lockstep(counts, seg_off)
+    def __init__(self, prop: _Propagator, split: _Split, backward: bool):
+        counts = split.counts
+        cnt, soff, _, sizes = _lockstep(counts, np.cumsum(counts) - counts)
         steps = int(cnt[0])
         a, cont = sizes[:steps], sizes[1:]
         back = a if backward else np.zeros_like(a)
-        # Every (step k, lockstep row t) pair, step by step. A forward row's
-        # input follows the backward rows of the step before.
+        origin, first, _ = _pieces(split)
+        # Every (step k, lockstep row t) pair, step by step, and the row of
+        # each forward and backward message in step order.
         k = np.repeat(np.arange(steps), a)
         t = np.arange(len(k)) - np.repeat(np.cumsum(a) - a, a)
-        fseg = soff[t] + k
-        fdst = back[k] + t
-        going = t < cont[k]
-        seg, cols, src, dst, step = [fseg], [np.zeros(len(k), dtype=bool)], [np.r_[back[:1], back[:-1]][k] + t], [fdst], [k]
+        rows = np.r_[0, np.cumsum(back + a)]
+        fpiece = soff[t] + k
+        piece = np.empty(rows[-1], dtype=np.intp)
+        piece[rows[k] + back[k] + t] = fpiece
+        columns = np.zeros(rows[-1], dtype=bool)
+        self.frow = np.empty(len(origin), dtype=np.intp)
+        self.frow[fpiece] = rows[k] + back[k] + t
+        self.brow = None
         if backward:
-            bseg = soff[t] + cnt[t] - 1 - k
-            seg.append(bseg)
-            cols.append(np.ones(len(k), dtype=bool))
-            src.append(t)
-            dst.append(t)
-            step.append(k)
-        seg, cols, src, dst, step = (np.concatenate(x) for x in (seg, cols, src, dst, step))
+            bpiece = soff[t] + cnt[t] - 1 - k
+            piece[rows[k] + t] = bpiece
+            columns[rows[k] + t] = True
+            self.brow = np.empty(len(origin), dtype=np.intp)
+            self.brow[bpiece] = rows[k] + t
+        seg = origin[piece]
+        self.sizes = prop.sizes[seg]
+        self.at = np.cumsum(self.sizes) - self.sizes
+        step = np.repeat(np.arange(steps), back + a)
+        self.within = self.at - self.at[rows[step]]
         kind = prop.series[seg]
         order = np.argsort(2 * step + kind, kind="stable")
+        self.seg, self.columns = seg[order], columns[order]
+        self.dst = (np.arange(rows[-1]) - rows[step])[order]
+        self.tmpl, self.block = prop.blocks_of(self.seg, self.columns)
         self.steps = steps
-        self.rows = np.r_[0, np.cumsum(back + a)]
-        self.seg, self.columns, self.src, self.dst, kind, step = (x[order] for x in (seg, cols, src, dst, kind, step))
-        del seg, cols, src, dst, order
-        self.tmpl, self.at = prop.blocks_of(self.seg, self.columns)
-        # The input row of each output row, for the log scales.
-        self.carry = np.empty(len(kind), dtype=np.intp)
-        self.carry[self.rows[step] + self.dst] = self.src
-        # Per step (one row at least), its table rows, which come first, and
-        # the widest of them.
-        self.tables = np.add.reduceat(~kind, self.rows[:-1], dtype=np.intp).tolist()
-        self.widths = np.maximum.reduceat(np.where(kind, 0, prop.sizes[self.seg]), self.rows[:-1]).tolist()
-        self.back = back.tolist()
-        del kind, step
+        # Past the last step, one step without rows.
+        self.rows = rows.tolist() + [rows[-1]]
+        self.stored = np.r_[self.at[rows[:-1]], self.at[-1] + self.sizes[-1]].tolist()
+        self.stored.append(self.stored[-1])
+        self.tables = np.add.reduceat(~kind, rows[:-1], dtype=np.intp).tolist()
+        self.widths = np.maximum.reduceat(np.where(kind, 0, self.sizes), rows[:-1]).tolist()
+        self.wide = np.maximum.reduceat(self.sizes, rows[:-1]).tolist() + [0]
+        self.back, self.cont = back.tolist(), cont[:steps].tolist()
+        del seg, kind, step, order, columns
 
-        # Message slots, in output-row order within each step.
-        fb, bb = boff[t] + k + 1, boff[t] + cnt[t] - 1 - k
-        self.after = np.empty(len(self.seg), dtype=np.intp)
-        self.after[self.rows[k] + fdst] = fb
-        self.crossed_at = np.r_[0, np.cumsum(back + cont)]
-        self.crossed = np.empty(self.crossed_at[-1], dtype=np.intp)
-        self.crossed[(self.crossed_at[k] + fdst)[going]] = fb[going]
+        # The crossings: every row of a trajectory with a next piece, its
+        # row in the step and in the next, and the later piece of the two,
+        # whose first piece of its evidence segment starts at a link.
+        go = np.flatnonzero(t < cont[k])
+        kk, tt = k[go], t[go]
+        nxt = np.r_[back[1:], 0][kk]
+        step, orow, vrow, later, flip = [kk], [back[kk] + tt], [nxt + tt], [fpiece[go] + 1], [np.zeros(len(go), bool)]
         if backward:
-            self.after[self.rows[k] + t] = bb
-            self.crossed[self.crossed_at[k] + t] = bb
-        self.project = fseg[going] + 1
-        self.project_at = np.r_[0, np.cumsum(cont)]
-
-        # Rate boundaries: forward rows entering segment fseg + 1, backward
-        # rows leaving segment bseg backward through the boundary before it.
-        fr = np.flatnonzero(going)
-        fr = fr[rate_before[fseg[fr] + 1]]
-        row, leave, enter, rstep = [fdst[fr]], [fseg[fr]], [fseg[fr] + 1], [k[fr]]
-        if backward:
-            br = np.flatnonzero(rate_before[bseg])
-            row.append(t[br])
-            leave.append(bseg[br])
-            enter.append(bseg[br] - 1)
-            rstep.append(k[br])
-        row, leave, enter, rstep = (np.concatenate(x) for x in (row, leave, enter, rstep))
-        order = np.argsort(rstep, kind="stable")
-        self.rate_row, self.rate_leave, self.rate_enter = row[order], leave[order], enter[order]
-        self.rate_at = np.r_[0, np.cumsum(np.bincount(rstep, minlength=steps))]
-        # Each rate row's transitions from the earlier segment's subsystem
-        # into the later one's, which a backward row crosses against.
-        self.rate_back = self.rate_leave > self.rate_enter
-        self.rate_edge, self.rate_e = prop.between(np.minimum(self.rate_leave, self.rate_enter),
-                                                   np.maximum(self.rate_leave, self.rate_enter))
-        self.rate_edge_at = np.searchsorted(self.rate_edge, self.rate_at)
+            step.append(kk)
+            orow.append(tt)
+            vrow.append(tt)
+            later.append(bpiece[go])
+            flip.append(np.ones(len(go), bool))
+        step, orow, vrow, later, flip = (np.concatenate(x) for x in (step, orow, vrow, later, flip))
+        order = np.argsort(step, kind="stable")
+        step, later, flip = step[order], later[order], flip[order]
+        wide = np.asarray(self.wide)
+        frm, to = (orow[order] * wide[step]).astype(np.int32), (vrow[order] * wide[step + 1]).astype(np.int32)
+        # Each row's entries, as flat indices into its step's padded rows
+        # and the next step's: its link's, or at a boundary between pieces
+        # of one segment its states themselves.
+        seg = origin[later]
+        link = first[seg] == later
+        rows = np.flatnonzero(link)
+        at, r = _ranges((np.cumsum(split.link_count) - split.link_count)[seg[rows]], split.link_count[seg[rows]])
+        r = rows[r]
+        j, k, e = (x[at] for x in split.links)
+        del at
+        f = flip[r]
+        src, dst = np.where(f, k, j), np.where(f, j, k)
+        del j, k, f
+        src += frm[r]
+        dst += to[r]
+        rate = e >= 0
+        self.rate_frm, self.rate_to, self.rate_e = src[rate], dst[rate], e[rate]
+        self.rate_at = np.searchsorted(step[r[rate]], np.arange(steps + 1)).tolist()
+        rows = np.flatnonzero(~link)
+        i, ir = _ranges(np.zeros(len(rows), dtype=np.intp), prop.sizes[seg[rows]])
+        ir = rows[ir]
+        cstep = np.concatenate((step[r[~rate]], step[ir]))
+        order = np.argsort(cstep, kind="stable")
+        self.copy_frm = np.concatenate((src[~rate], frm[ir] + i))[order]
+        self.copy_to = np.concatenate((dst[~rate], to[ir] + i))[order]
+        self.copy_at = np.searchsorted(cstep[order], np.arange(steps + 1)).tolist()
+        del r, e, src, dst, rate, i, ir, cstep, order
+        crossing = np.flatnonzero(split.rate[seg] & link)
+        self.rate_leave = origin[np.where(flip[crossing], later[crossing], later[crossing] - 1)]
+        self.rate_enter = origin[np.where(flip[crossing], later[crossing] - 1, later[crossing])]
         # Offsets are read one at a time; the index arrays are kept in 32
-        # bits.
-        self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_edge_at = (
-            a.tolist() for a in (self.rows, self.crossed_at, self.project_at, self.rate_at, self.rate_edge_at))
-        for name in ("seg", "src", "dst", "tmpl", "at", "carry", "after", "crossed", "project", "rate_row",
-                     "rate_leave", "rate_enter", "rate_edge", "rate_e"):
-            setattr(self, name, getattr(self, name).astype(np.int32))
+        # bits where they fit.
+        for name in ("seg", "dst", "tmpl", "block", "sizes", "within", "frow", "brow", "rate_frm", "rate_to", "rate_e",
+                     "copy_frm", "copy_to", "rate_leave", "rate_enter"):
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name).astype(np.int32))
 
     def step(self, i: int) -> _Step:
         """The rows of step i."""
         lo, hi = self.rows[i], self.rows[i + 1]
-        return _Step(self.seg[lo:hi], self.columns[lo:hi], self.src[lo:hi], self.dst[lo:hi], self.tmpl[lo:hi],
-                     self.at[lo:hi], self.tables[i], self.widths[i])
+        return _Step(self.seg[lo:hi], self.columns[lo:hi], self.dst[lo:hi], self.tmpl[lo:hi], self.block[lo:hi],
+                     self.tables[i], self.widths[i])
 
-    def rates(self, i: int):
-        """The rate rows of step i, whether each crosses backward, and their
-        transitions: the rate row of each in the step and its index in the
-        joint list."""
-        rows, lo, hi = slice(self.rate_at[i], self.rate_at[i + 1]), self.rate_edge_at[i], self.rate_edge_at[i + 1]
-        return (self.rate_row[rows], self.rate_back[rows], self.rate_edge[lo:hi] - self.rate_at[i],
-                self.rate_e[lo:hi])
+    def valid(self, i: int, cols: np.ndarray) -> np.ndarray:
+        """Which entries of step i's padded rows are on their subsystems."""
+        return cols[: self.wide[i]] < self.sizes[self.rows[i] : self.rows[i + 1], None]
 
 
-def _sweep(q: IntensityMatrix, p0, evs: list, backward: bool = True, first: int = 0) -> _Sweep:
-    """Split the evidence segments of a batch and sweep them forward and,
-    with ``backward``, backward, both in one loop over the steps of the
-    batch's plan: per step one ``_Propagator.propagate`` of all its rows,
-    one normalization, the boundary factors (a projection onto the next
-    mask, or the rates into it) and one more normalization. Raises
-    ``ForwardBackwardMismatchError`` where the two sweeps' log-likelihoods
-    of a trajectory disagree; its index counts from ``first``."""
+def _sweep(q: IntensityMatrix, p0, split: _Split, backward: bool = True, first: int = 0) -> _Sweep:
+    """Sweep the pieces of a split batch forward and, with ``backward``,
+    backward, both in one loop over the steps of the batch's plan: per step
+    one ``_Propagator.propagate`` of all its rows, one normalization, the
+    boundary factors (the common states of the next subsystem, or the rates
+    into it) and one more normalization. Every row is on its subsystem,
+    padded to the step's widest. Raises ``ForwardBackwardMismatchError``
+    where the two sweeps' log-likelihoods of a trajectory disagree; its
+    index counts from ``first``."""
     if q.kind != "proper":
         raise ValueError("forward-backward needs a proper intensity matrix")
-    if any(ev.n != q.n for ev in evs):
-        raise ValueError("evidence dimension does not match the matrix")
     p0 = validate_distribution(p0, q.n)
     n = q.n
-    masks, dts, times, counts, rate_before = _split_batch(q.exit_rates, evs)
-    seg_off = np.cumsum(counts) - counts
-    prop = _Propagator(q, masks, dts)
-    plan = _Plan(prop, counts, seg_off, rate_before, backward)
-    cnt, soff, boff, _ = _lockstep(counts, seg_off)
+    prop = _Propagator(q, split.lists, split.dts)
+    plan = _Plan(prop, split, backward)
+    rates, cols = prop.joint[2], prop.cols
+    ins, outs = np.zeros(plan.stored[-1] + 1), np.zeros(plan.stored[-1] + 1)
 
-    nb = len(dts) + len(evs)
-    # One array per message slot: one array of all four, freed as one large
-    # block after each batch, raised the peak RSS of the sweeps of 20 ring
-    # records at n = 1024 from 76 to 92 MB, with equal traced peaks (an
-    # effect of the allocator).
-    fwd, fwd_pre = np.zeros((nb, n)), np.zeros((nb, n))
-    bwd, bwd_post = (np.zeros((nb, n)), np.zeros((nb, n))) if backward else (None, None)
-    fwd_log, fwd_pre_log, bwd_log, bwd_post_log = (np.full(nb, -np.inf) for _ in range(4))
-    # Boundary 0 projects p0 onto the first subsystem; at the horizon the
-    # backward message is all ones.
-    fwd_pre[boff] = p0
-    fwd_pre_log[boff] = 0.0
-    first_rows, lf = _normalize_rows(p0 * masks[soff])
-    fwd[boff] = first_rows
-    fwd_log[boff] = lf
+    # Step 0's input: the backward rows all 1/n at the horizon, the forward
+    # rows p0 projected onto the first subsystem.
     back = plan.back[0]
-    v, v_rows = _buffer(back + len(cnt), n)
-    v_rows[back:] = first_rows
-    lv = np.r_[np.full(back, math.log(n)), lf]
-    if backward:
-        v_rows[:back] = 1.0 / n
-        bwd[boff + cnt] = bwd_post[boff + cnt] = 1.0 / n
-        bwd_log[boff + cnt] = bwd_post_log[boff + cnt] = math.log(n)
+    valid = plan.valid(0, cols)
+    v = np.zeros(valid.shape)
+    v[:back] = valid[:back] / n
+    seg = np.empty(plan.rows[1], dtype=np.intp)
+    seg[plan.dst[: plan.rows[1]]] = plan.seg[: plan.rows[1]]
+    lay = prop.cut(seg[back:])
+    v[back:, : lay.idx.shape[1]] = np.where(lay.valid, p0[lay.idx], 0.0)
+    within = plan.within[back : plan.rows[1]]
+    lv = np.r_[np.full(back, math.log(n)), _normalize_rows(v[back:], valid[back:], within - within[:1])]
+    ins[plan.stored[0] : plan.stored[1]] = v[valid]
+    in_logs, out_logs = [lv], []
 
-    # Each step's log scales, written to their slots after the loop.
-    after_logs, crossed_logs = [], []
     for i in range(plan.steps):
-        step = plan.step(i)
-        out, p = _buffer(len(step.seg), n)
-        prop.propagate(v, step, out)
-        p, ls = _normalize_rows(p)
         lo, hi = plan.rows[i], plan.rows[i + 1]
-        lp = lv.take(plan.carry[lo:hi]) + ls
-        after_logs.append(lp)
-        back = plan.back[i]
-        after = plan.after[lo:hi]
-        fwd_pre[after[back:]] = p[back:]
-        if back:
-            bwd_post[after[:back]] = p[:back]
+        out = np.zeros(valid.shape)
+        prop.propagate(v, plan.step(i), out)
+        lp = lv + _normalize_rows(out, valid, plan.within[lo:hi])
+        outs[plan.stored[i] : plan.stored[i + 1]] = out[valid]
+        out_logs.append(lp)
 
-        # Across the boundary: the rate rows first, then every forward row
-        # projected onto its next mask, which leaves a rate row as it is.
-        if plan.rate_at[i + 1] > plan.rate_at[i]:
-            prop.cross(out, *plan.rates(i))
-        keep = plan.crossed_at[i + 1] - plan.crossed_at[i]
-        p[back:keep] *= masks[plan.project[plan.project_at[i] : plan.project_at[i + 1]]]
-        p, ls = _normalize_rows(p[:keep])
-        lv = lp[:keep] + ls
-        crossed_logs.append(lv)
-        crossed = plan.crossed[plan.crossed_at[i] : plan.crossed_at[i + 1]]
-        fwd[crossed[back:]] = p[back:]
-        if back:
-            bwd[crossed[:back]] = p[:back]
-        v = out
+        # Across the boundary: the rates into the next subsystem, or its
+        # states found in this one.
+        back, c = plan.back[i], plan.cont[i]
+        valid = plan.valid(i + 1, cols)
+        flat = out.reshape(-1)
+        r0, r1, c0, c1 = plan.rate_at[i], plan.rate_at[i + 1], plan.copy_at[i], plan.copy_at[i + 1]
+        v = (np.bincount(plan.rate_to[r0:r1], flat.take(plan.rate_frm[r0:r1]) * rates.take(plan.rate_e[r0:r1]),
+                         valid.size) if r1 > r0 else np.zeros(valid.size))
+        v[plan.copy_to[c0:c1]] = flat.take(plan.copy_frm[c0:c1])
+        v = v.reshape(valid.shape)
+        ls = _normalize_rows(v, valid, plan.within[hi : plan.rows[i + 2]])
+        ins[plan.stored[i + 1] : plan.stored[i + 2]] = v[valid]
+        lv = (np.concatenate((lp[:c], lp[back : back + c])) if backward else lp[:c]) + ls
+        in_logs.append(lv)
 
-    for logs, at, starts, (f_log, b_log) in ((after_logs, plan.after, plan.rows, (fwd_pre_log, bwd_post_log)),
-                                             (crossed_logs, plan.crossed, plan.crossed_at, (fwd_log, bwd_log))):
-        # Each step's first rows are its backward ones.
-        within = np.arange(len(at)) - np.repeat(starts[:-1], np.diff(starts))
-        back = within < np.repeat(plan.back, np.diff(starts))
-        logs = np.concatenate(logs)
-        f_log[at[~back]] = logs[~back]
-        b_log[at[back]] = logs[back]
-    # A trajectory's last message is not crossed over.
-    end = boff + cnt
-    fwd[end] = fwd_pre[end]
-    fwd_log[end] = fwd_pre_log[end]
-    f = _Sweep(p0, times, masks, dts, rate_before, prop, counts, seg_off, fwd, fwd_log, fwd_pre, fwd_pre_log)
+    origin, _, rate_before = _pieces(split)
+    seg_off = np.cumsum(split.counts) - split.counts
+    f = _Sweep(p0, split, prop, split.times, split.dts[origin], origin, rate_before, split.counts, seg_off,
+               plan.frow, plan.brow, plan.at, ins, outs, np.concatenate(in_logs), np.concatenate(out_logs))
     if not backward:
         return f
 
-    b0 = f.starts
-    mass = np.einsum("tj,j->t", bwd[b0], p0)
-    log_probs = np.log(mass, out=np.full(len(mass), -np.inf), where=mass > 0.0) + bwd_log[b0]
+    # Boundary 0 never asserts a transition: its ``bwd`` is ``bwd_post``.
+    r, j, state = f.states_of(seg_off)
+    sizes = prop.sizes[origin[seg_off]]
+    mass = np.add.reduceat(p0[state] * outs.take(plan.at[plan.brow[seg_off]][r] + j), np.cumsum(sizes) - sizes)
+    log_probs = np.log(mass, out=np.full(len(mass), -np.inf), where=mass > 0.0) + f.out_log[f.brow[seg_off]]
     forward = f.log_probs
     with np.errstate(invalid="ignore"):
         ok = np.abs(forward - log_probs) <= FORWARD_BACKWARD_TOL * np.maximum(1.0, np.abs(forward))
@@ -1112,8 +1310,7 @@ def _sweep(q: IntensityMatrix, p0, evs: list, backward: bool = True, first: int 
     if bad.size:
         t = int(bad[0])
         raise ForwardBackwardMismatchError(first + t, float(forward[t]), float(log_probs[t]))
-    return f._replace(bwd=bwd, bwd_log=bwd_log, bwd_post=bwd_post, bwd_post_log=bwd_post_log,
-                      log_probs_backward=log_probs)
+    return f._replace(log_probs_backward=log_probs)
 
 
 def _sweeps(q: IntensityMatrix, p0, evs: list, backward: bool = True, possible: bool = True):
@@ -1123,14 +1320,14 @@ def _sweeps(q: IntensityMatrix, p0, evs: list, backward: bool = True, possible: 
     first trajectory. With ``possible``, evidence without mass raises.
     Every error counts trajectories across batches."""
     first = 0
-    for batch in _batches(evs, q.n):
-        f = _sweep(q, p0, batch, backward, first)
+    for split in _batches(q, evs):
+        f = _sweep(q, p0, split, backward, first)
         if possible:
             f.raise_if_impossible(first)
-        yield first, batch, f
+        yield first, split.evs, f
         # No batch is held here while the next one is swept.
         del f
-        first += len(batch)
+        first += len(split.evs)
 
 
 def forward_backward_many(q: IntensityMatrix, p0, evidences) -> list[MessageCache]:
@@ -1138,7 +1335,9 @@ def forward_backward_many(q: IntensityMatrix, p0, evidences) -> list[MessageCach
     a time; each cache equals its lone sweep bitwise."""
     caches: list[MessageCache] = []
     for _, batch, f in _sweeps(q, p0, list(evidences), possible=False):
-        swept = f._replace(prop=None)
+        # The caches keep the lists but not their transitions, which the
+        # statistics and the marginals cut again.
+        swept = f._replace(prop=None, split=f.split._replace(lists=f.split.lists._replace(edge_count=None, edges=None)))
         caches.extend(MessageCache(ev, q, swept, t) for t, ev in enumerate(batch))
         del f, swept  # nor is the swept batch, with its propagator, held here
     return caches
@@ -1166,19 +1365,33 @@ def smoothed_marginal(cache: MessageCache, t) -> np.ndarray:
     outside = np.flatnonzero(~((times >= -tol) & (times <= horizon + tol)))
     if outside.size:
         raise ValueError(f"query time {float(times[outside[0]])!r} outside [0, {horizon}]")
+    f = cache._sweep
     bounds = cache.times
     # Each time's last boundary within tol, or else the segment it is in.
     i = np.maximum(np.searchsorted(bounds, times + tol, side="right") - 1, 0)
-    raw = cache.fwd[i] * cache.bwd_post[i]
+    last = len(bounds) - 1
+    piece = f.seg_off[cache._t] + np.minimum(i, last - 1)
+    raw = np.zeros((len(times), cache.q.n))
+    r, state, value = f.posterior(piece, i == last)
+    raw[r, state] = value
     inner = np.flatnonzero(bounds[i] < times - tol)
     if inner.size:
-        # One propagator: the piece over [bounds[k], t] carries fwd[k] to t,
-        # the one over [t, bounds[k + 1]] carries bwd[k + 1] back to it.
+        # One propagator: the piece over [bounds[k], t] carries the forward
+        # message at its start to t, the one over [t, bounds[k + 1]] the
+        # backward message at its end back to t.
         k, m, ti = i[inner], len(inner), times[inner]
         dts = np.concatenate((ti - bounds[k], bounds[k + 1] - ti))
-        prop = _Propagator(cache.q, cache.seg_masks[np.concatenate((k, k))], dts)
-        ab = prop.apply(np.concatenate((cache.fwd[k], cache.bwd[k + 1])), np.arange(2 * m), np.arange(2 * m) >= m)
-        raw[inner] = np.clip(ab[:m], 0.0, None) * np.clip(ab[m:], 0.0, None)
+        s = np.concatenate((piece[inner], piece[inner]))
+        lists = f.split.lists
+        prop = _Propagator(cache.q, _Lists.of(cache.q, *_some(lists.states, lists.sizes, f.origin[s])), dts)
+        seg = np.arange(2 * m)
+        lay = prop.cut(seg)
+        x = _Rows(f.ins, f.at).padded(np.concatenate((f.frow[s[:m]], f.brow[s[m:]])), lay.valid)
+        ab = np.zeros_like(x)
+        prop.propagate(x, prop.step(seg, seg >= m), ab)
+        raw[inner] = 0.0
+        rr, jj = np.nonzero(lay.valid[:m])
+        raw[inner[rr], lay.idx[rr, jj]] = np.clip(ab[rr, jj], 0.0, None) * np.clip(ab[m + rr, jj], 0.0, None)
     s = raw.sum(axis=1)
     dead = np.flatnonzero(~(s > 0.0))
     if dead.size:
@@ -1204,8 +1417,8 @@ _ROW_TAIL_SHARE = 0.01
 def _convolution_batch(
     u: _Uniformization,
     rows: np.ndarray,
-    f0: np.ndarray,
-    beta: np.ndarray,
+    f0,
+    beta,
     groups: np.ndarray,
     tol: float,
     dwell: np.ndarray,
@@ -1213,15 +1426,16 @@ def _convolution_batch(
     rates: bool = True,
 ) -> None:
     """Add the pairwise integrals J[j, k] = int_0^dt f_j(s) b_k(s) ds of
-    the segments ``rows`` of the uniformization u to group groups[r]: the
+    the subsystems ``rows`` of the uniformization u to group groups[r]: the
     diagonal to the n-length row dwell[g], and J at the transitions of S
     times their rates to the group's expected counts, transition e of the
     joint list at out.reshape(-1)[g * E + e] for E transitions in the list
     (where ``rates`` is false, all of J to the n x n out[g]). Row r has
     f(s) = f0[r] exp(Q_S s), b(s) = exp(Q_S (dt - s)) beta[r] and Q_S is Q
-    restricted to the segment's subsystem S; f0 and beta are n-length, and
-    only their entries on S are read, so J vanishes outside S x S, and a
-    row with dt = 0 contributes zero.
+    restricted to the row's subsystem S. f0 and beta are in S's
+    coordinates: row r holds the end vectors in its first |S| entries, of a
+    2-D array (the rest is not read) or of ``_Rows``. So J vanishes outside
+    S x S, and a row with dt = 0 contributes zero.
 
     In the series of exp(Q_S s) in P, with u = f0 (x) beta (on S x S),
     J = sum_{a, b} c_{a+b} (P^T)^a u (P^T)^b and c_k = Pois(k + 1; mu) /
@@ -1231,7 +1445,7 @@ def _convolution_batch(
     tol * dt * |f0|_1 * max(beta).
 
     Rows of 2 to _TABLE_MAX_STATES states go by bucket, the rows of one
-    mask and one group: J is linear in u, so a bucket's sum needs only
+    subsystem and one group: J is linear in u, so a bucket's sum needs only
     E_k = sum_r c_k(r) u_r, one product C^T U per bucket, and then the
     double series once, from the top term down by Horner in P:
     V_a = E_a + V_{a+1} P^T and Z_a = V_a + P^T Z_{a+1}, Z_0 being the
@@ -1240,13 +1454,16 @@ def _convolution_batch(
     series length, so that a slice's rows need about as many terms as its
     longest: J = sum_a F_a^T H_a with F_a = f0 P^a and
     H_a = c_a beta + P H_{a+1}, one product by their transitions per term
-    (``_powers``). Either way a slice's temporaries (the rows' weights C
-    and products U, its buckets' E and recursion; or the stacks F and H
-    and the blocks J) stay within _BATCH_ELEMENTS // 8 entries where one
-    row and its bucket fit, and a bucket cut across slices adds its J in
-    parts.
+    (``_powers``); the dwell is sum_a F_a o H_a and a transition (j, k)
+    takes sum_a F_a[j] H_a[k], term by term, so no |S| x |S| J is formed
+    but where ``rates`` is false. Either way a slice's temporaries (the
+    rows' weights C and products U, its buckets' E and recursion; or the
+    stacks F and H and three numbers per transition) stay within
+    _BATCH_ELEMENTS // 8 entries where one row and its bucket fit, and a
+    bucket cut across slices adds its J in parts.
     """
-    m, n = f0.shape
+    f0, beta = (x if isinstance(x, _Rows) else _Rows.of(x) for x in (f0, beta))
+    m, n = len(rows), dwell.shape[1]
     if m == 0:
         return
     mu, lam, sizes = u.mu[rows], u.lam[rows], u.sizes[rows]
@@ -1261,18 +1478,18 @@ def _convolution_batch(
         c /= lam[sl, None]
         return c
 
-    def add(lay, g, integrals):
-        """Add the |S| x |S| integrals of the layout's segments to their
-        groups g, at the diagonal and at the transitions of S (at every
-        entry where ``rates`` is false)."""
-        diagonal = np.where(lay.valid, np.diagonal(integrals, axis1=1, axis2=2), 0.0)
-        np.add.at(dwell.reshape(-1), g[:, None] * n + lay.idx, diagonal)
+    def add(lay, g, diagonal, value):
+        """Add the integrals of the layout's rows to their groups g: the
+        diagonal to the dwell times, and value(r, j, k), J of row r at
+        (j, k), at the transitions of S times their rates (at every entry
+        where ``rates`` is false)."""
+        np.add.at(dwell.reshape(-1), g[:, None] * n + lay.idx, np.where(lay.valid, diagonal, 0.0))
         if rates:
             r, j, k, e = u.transitions(lay.seg)
-            np.add.at(out.reshape(-1), g[r] * len(u.joint[0]) + e, u.joint[2].take(e) * integrals[r, j, k])
+            np.add.at(out.reshape(-1), g[r] * len(u.joint[0]) + e, u.joint[2].take(e) * value(r, j, k))
         else:
             r, j, k = np.nonzero(lay.valid[:, :, None] & lay.valid[:, None, :])
-            np.add.at(out.reshape(-1), (g[r] * n + lay.idx[r, j]) * n + lay.idx[r, k], integrals[r, j, k])
+            np.add.at(out.reshape(-1), (g[r] * n + lay.idx[r, j]) * n + lay.idx[r, k], value(r, j, k))
 
     bucket = u.mask_id[rows] * (int(groups.max(initial=0)) + 1) + groups
     pos = np.flatnonzero(u.tabled[rows])
@@ -1289,12 +1506,12 @@ def _convolution_batch(
         heads, count = np.array(starts[:-1]), np.diff(starts)
         top = np.maximum.reduceat(terms[sl], heads)
         # One matrix of the recursion holds up to ``size`` buckets of one
-        # mask side by side, rows j first: they share P, so its products by
-        # P^T, on the right and on the left, are one each. A mask's last
-        # matrix is padded with zero buckets, a quarter of the buckets at
-        # most. The matrices go by descending series length, so that those
-        # still summing at term a are a prefix, live[a] long; bucket i sits
-        # at slot[i] // size, column block slot[i] % size.
+        # subsystem side by side, rows j first: they share P, so its
+        # products by P^T, on the right and on the left, are one each. A
+        # subsystem's last matrix is padded with zero buckets, a quarter of
+        # the buckets at most. The matrices go by descending series length,
+        # so that those still summing at term a are a prefix, live[a] long;
+        # bucket i sits at slot[i] // size, column block slot[i] % size.
         mask = u.mask_id[rows[sl[heads]]]
         order = np.lexsort((-top, mask))
         new = np.r_[True, mask[order][1:] != mask[order][:-1]]
@@ -1312,7 +1529,7 @@ def _convolution_batch(
         seg = sl[_ranges(heads[by], count[by])[0]]
         lay = u.cut(rows[seg])
         s = lay.idx.shape[1]
-        prod = (lay.gather(f0[seg])[:, :, None] * lay.gather(beta[seg])[:, None, :]).reshape(len(seg), s * s)
+        prod = (f0.padded(seg, lay.valid)[:, :, None] * beta.padded(seg, lay.valid)[:, None, :]).reshape(len(seg), s * s)
         e = _bucket_sums(weights(seg), prod, count[by], slot[by], len(rank) * size)
         width = e.shape[1]
         e = e.reshape(len(rank), size, width, s, s).transpose(2, 0, 3, 1, 4)
@@ -1325,15 +1542,18 @@ def _convolution_batch(
             np.add(tmp[:k], e[a, :k].reshape(k, s, size * s), out=v[:k])
             np.matmul(pt[:k], z[:k], out=tmp[:k])
             np.add(tmp[:k], v[:k], out=z[:k])
-        z = z.reshape(len(rank), s, size, s).transpose(0, 2, 1, 3).reshape(-1, s, s)
-        add(u.cut(rows[sl[heads]]), groups[sl[heads]], z[slot])
+        z = z.reshape(len(rank), s, size, s).transpose(0, 2, 1, 3).reshape(-1, s, s)[slot]
+        add(u.cut(rows[sl[heads]]), groups[sl[heads]], np.diagonal(z, axis1=1, axis2=2), lambda r, j, k: z[r, j, k])
 
     rest = np.flatnonzero(~u.tabled[rows])
     if not rest.size:
         return
     order = rest[np.lexsort((terms[rest], sizes[rest]))]
-    # Per row: its weights, its stacks F and H and its block J.
-    ends = np.cumsum((2 * sizes[order] + 1) * int(terms[rest].max()) + sizes[order] ** 2)
+    # Per row: its weights and its stacks F and H, and its J at the
+    # transitions of S with two per transition read from F and H per term
+    # (its block J where ``rates`` is false).
+    at_pairs = 3 * u.edge_count[u.mask_id[rows[order]]] if rates else sizes[order] ** 2
+    ends = np.cumsum((2 * sizes[order] + 1) * int(terms[rest].max()) + at_pairs)
     lo = 0
     while lo < len(order):
         hi = max(lo + 1, int(np.searchsorted(ends, _BATCH_ELEMENTS // 8 + (ends[lo - 1] if lo else 0), side="right")))
@@ -1342,14 +1562,30 @@ def _convolution_batch(
         lay = u.cut(rows[sl])
         keep, jump = u.keep_jump(lay)
         c = weights(sl)
-        f = _powers(lay.gather(f0[sl]), u.times(lay, np.zeros(len(sl), dtype=bool)), keep, jump, c.shape[1] - 1)
-        b, times = lay.gather(beta[sl]), u.times(lay, np.ones(len(sl), dtype=bool))
+        f = _powers(f0.padded(sl, lay.valid), u.times(lay, np.zeros(len(sl), dtype=bool)), keep, jump, c.shape[1] - 1)
+        b, times = beta.padded(sl, lay.valid), u.times(lay, np.ones(len(sl), dtype=bool))
         h = np.empty_like(f)
         h[:, -1] = c[:, -1, None] * b
         for a in range(c.shape[1] - 2, -1, -1):
             x = h[:, a + 1]
             h[:, a] = c[:, a, None] * b + x * keep + times(x) * jump
-        add(lay, groups[sl], f.transpose(0, 2, 1) @ h)
+        if rates:
+            add(lay, groups[sl], np.einsum("rak,rak->rk", f, h), lambda r, j, k: _pair_sums(f, h, r, j, k))
+        else:
+            jj = f.transpose(0, 2, 1) @ h
+            add(lay, groups[sl], np.diagonal(jj, axis1=1, axis2=2), lambda r, j, k: jj[r, j, k])
+
+
+def _pair_sums(f: np.ndarray, h: np.ndarray, r: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_a f[r, a, j] h[r, a, k] for every (r, j, k), term by term, so
+    that no more than one term's entries are gathered at a time."""
+    terms, width = f.shape[1:]
+    at_f, at_h = r * (terms * width) + j, r * (terms * width) + k
+    ff, hh = f.reshape(-1), h.reshape(-1)
+    out = np.zeros(len(r))
+    for a in range(terms):
+        out += ff.take(at_f + a * width) * hh.take(at_h + a * width)
+    return out
 
 
 def _bucket_sums(c: np.ndarray, prod: np.ndarray, count: np.ndarray, slot: np.ndarray, slots: int) -> np.ndarray:
@@ -1445,75 +1681,82 @@ class _Statistics(NamedTuple):
 
 def _statistics(f: _Sweep, tol: float, groups: np.ndarray, first: int = 0) -> _Statistics:
     """Expected dwell times, transition counts and time-zero posteriors of
-    the stacked segments and boundaries of a swept batch, summed per
-    group: trajectory t adds to group groups[t], and a trajectory whose
-    group is negative is skipped. Counts are added by their transition's
-    index in the joint list.
+    the pieces of a swept batch, summed per group: trajectory t adds to
+    group groups[t], and a trajectory whose group is negative is skipped.
+    Counts are added by their transition's index in the joint list. Every
+    message is read on its piece's subsystem.
 
-    A positive-length segment restricted to one state adds its duration
+    A positive-length piece restricted to one state adds its duration
     where it carries mass (the integrand is constant). The factor of an
-    asserted transition into segment k acts at its first boundary i, from
-    S1 = mask k - 1 into S2 = mask k; its posterior counts are
-    W[S1, S2] o outer(a, b) / (a W[S1, S2] b) with a = fwd_pre[i] on S1 and
-    b = bwd_post[i] on S2, read at the transitions from S1 into S2. Every
-    other positive-length segment runs from fwd[i] to the end-of-segment
-    message bwd[i + 1]; scaled by exp(bwd_log[i + 1] - bwd_post_log[i]),
-    exp(Q_S dt) carries that to bwd_post[i], and dividing by the segment's
-    evidence mass fwd[i] . bwd_post[i] (zero where it has none) makes it
-    the right vector of the segment's convolution integrals, all of which
-    go through one call of the uniformization kernel. The time-zero
-    posterior is fwd * bwd_post, normalized, at the last boundary at t = 0.
-    The trajectories of the groups must have mass (the callers check);
+    asserted transition into piece s acts at its first boundary, from S1,
+    the subsystem of piece s - 1, into S2, piece s's; its posterior counts
+    are W[S1, S2] o outer(a, b) / (a W[S1, S2] b) with a the forward
+    message at the end of piece s - 1 and b the backward message at the
+    start of piece s, read at the split's links, the transitions from S1
+    into S2. Every other positive-length piece runs from its forward input
+    to its backward input, the backward message at its end; scaled by
+    exp(in_log - out_log) of its backward row, exp(Q_S dt) carries that to
+    the backward message at its start, and dividing by the piece's
+    evidence mass (the dot product of the forward input and that message,
+    zero where it has none) makes it the right vector of the piece's
+    convolution integrals, all of which go through one call of the
+    uniformization kernel. The time-zero posterior is fwd * bwd_post,
+    normalized, at the last boundary at t = 0. The trajectories of the
+    groups must have mass (the callers check);
     ``ZeroProbabilityEvidenceError`` is raised for one whose time-zero
     posterior has none, its index counted from ``first``.
     """
     asked = groups >= 0
-    n = f.fwd.shape[1]
+    n = len(f.p0)
     n_groups = int(groups.max(initial=-1)) + 1
+    u = f.prop
     seg_traj = np.repeat(np.arange(len(f.counts)), f.counts)
     seg_group = groups[seg_traj]
     seg_asked = asked[seg_traj]
-    start = np.arange(len(f.dts)) + seg_traj
     dwell = np.zeros((n_groups, n))
-    trans = np.zeros((n_groups, len(f.prop.joint[0])))
-    sizes = f.prop.sizes
+    trans = np.zeros((n_groups, len(u.joint[0])))
+    sizes = u.sizes[f.origin]
     pos = (f.dts > 0.0) & seg_asked
 
     sing = np.flatnonzero(pos & (sizes == 1))
-    jj = f.masks[sing].argmax(axis=1)
-    alive = f.fwd[start[sing], jj] * f.bwd_post[start[sing], jj] > 0.0
-    np.add.at(dwell, (seg_group[sing][alive], jj[alive]), f.dts[sing][alive])
+    alive = f.ins[f.at[f.frow[sing]]] * f.outs[f.at[f.brow[sing]]] > 0.0
+    np.add.at(dwell, (seg_group[sing][alive], u.states[u.lo[f.origin[sing]]][alive]), f.dts[sing][alive])
 
     into = np.flatnonzero(f.rate_before & seg_asked)
-    r, e = f.prop.between(into - 1, into)
+    link_count = f.split.link_count
+    li, r = _ranges((np.cumsum(link_count) - link_count)[f.origin[into]], link_count[f.origin[into]])
     seg = into[r]
-    src, dst, rate = (a.take(e) for a in f.prop.joint)
-    counts = rate * f.fwd_pre[start[seg], src] * f.bwd_post[start[seg], dst]
+    j, k, e = (a[li] for a in f.split.links)
+    counts = u.joint[2].take(e) * f.outs[f.at[f.frow[seg - 1]] + j] * f.outs[f.at[f.brow[seg]] + k]
     totals = np.bincount(r, counts, len(into))
     # A boundary without mass has no counts, all zero already.
     counts /= np.where(totals > 0.0, totals, 1.0)[r]
     np.add.at(trans, (seg_group[seg], e), counts)
 
     general = np.flatnonzero(pos & (sizes > 1))
-    i = start[general]
-    inner = np.einsum("mi,mi->m", f.fwd[i], f.bwd_post[i])
+    held = f.origin[general]
+    r, j, _ = f.states_of(general)
+    fwd, bwd = f.at[f.frow[general]], f.at[f.brow[general]]
+    starts = np.cumsum(sizes[general]) - sizes[general]
+    inner = np.add.reduceat(f.ins[fwd[r] + j] * f.outs[bwd[r] + j], starts)
     ok = inner > 0.0
-    log_scale = f.bwd_log[i + 1] - np.where(ok, f.bwd_post_log[i], 0.0)
-    beta = f.bwd[i + 1] * np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)[:, None]
-    _convolution_batch(f.prop, general, f.fwd[i], beta, seg_group[general], tol, dwell, trans)
+    log_scale = f.in_log[f.brow[general]] - np.where(ok, f.out_log[f.brow[general]], 0.0)
+    scale = np.where(ok, np.exp(log_scale) / np.where(ok, inner, 1.0), 0.0)
+    beta = _Rows(np.append(f.ins[bwd[r] + j] * scale[r], 0.0), starts)
+    _convolution_batch(u, held, _Rows(f.ins, fwd), beta, seg_group[general], tol, dwell, trans)
 
     horizons = f.times[f.starts + f.counts]
     at_zero = np.abs(f.times) <= _TIME_EPS * np.maximum(1.0, np.repeat(horizons, f.counts + 1))
     who = np.flatnonzero(asked)
-    i = np.maximum.reduceat(np.where(at_zero, np.arange(len(f.times)), -1), f.starts)[who]
-    raw = f.fwd[i] * f.bwd_post[i]
-    mass = raw.sum(axis=1)
+    i = np.maximum.reduceat(np.where(at_zero, np.arange(len(f.times)), -1), f.starts)[who] - f.starts[who]
+    end = i == f.counts[who]
+    r, state, raw = f.posterior(f.seg_off[who] + i - end, end)
+    mass = np.bincount(r, raw, len(who))
     if not (mass > 0.0).all():
         k = int(np.flatnonzero(~(mass > 0.0))[0])
-        t = int(who[k])
-        raise ZeroProbabilityEvidenceError(int(i[k] - f.starts[t]), first + t)
+        raise ZeroProbabilityEvidenceError(int(i[k]), first + int(who[k]))
     initial = np.zeros((n_groups, n))
-    np.add.at(initial, groups[who], raw / mass[:, None])
+    np.add.at(initial, (groups[who][r], state), raw / mass[r])
     return _Statistics(dwell, trans, initial, f.log_probs)
 
 
@@ -1529,7 +1772,7 @@ def _e_step_batches(q: IntensityMatrix, p0, evs: list, tol: float):
 def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[FlatStatistics]:
     """Expected statistics for many trajectories at once. The caches cut
     from one swept batch go through the same statistics kernel as the
-    E-step, once, on that batch's arrays, one group per trajectory; the
+    E-step, once, on that batch's rows, one group per trajectory; the
     batch's other trajectories are skipped. Each trajectory's counts are
     scattered from the joint list onto its n x n matrix."""
     _check_tol(tol)
@@ -1546,7 +1789,9 @@ def expected_statistics_many(caches, tol: float = DEFAULT_QUAD_TOL) -> list[Flat
         # A trajectory asked for twice takes the group of its last entry.
         groups = np.full(len(sweep.counts), -1)
         groups[rows] = np.arange(len(rows))
-        s = _statistics(sweep._replace(prop=_Uniformization(q, sweep.masks, sweep.dts)), tol, groups)
+        lists = sweep.split.lists
+        u = _Uniformization(q, _Lists.of(q, lists.states, lists.sizes), sweep.split.dts)
+        s = _statistics(sweep._replace(prop=u), tol, groups)
         for idx, g in zip(idxs, groups[rows]):
             trans = np.zeros((q.n, q.n))
             trans[q.transitions[:2]] = s.transitions[g]
@@ -1566,4 +1811,3 @@ def expected_statistics(cache: MessageCache, tol: float = DEFAULT_QUAD_TOL) -> F
     its rate is.
     """
     return expected_statistics_many([cache], tol)[0]
-

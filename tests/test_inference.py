@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from ctbnlearn import (
     score_dataset,
     validate_intensity,
 )
-from ctbnlearn import inference
+from ctbnlearn import inference, learning
 from ctbnlearn.inference import _convolution_batch
 from helpers import (
     binary_ring_model,
@@ -204,7 +205,9 @@ class TestLockstepSweep:
     def test_batched_caches_match_single_sweeps(self):
         # Joint n = 64, so the batch budget spans several batches. The
         # trajectories differ in segment count; one has a rate boundary and
-        # a split segment, one dies at a simultaneous double flip.
+        # a split segment, one dies at a simultaneous double flip. A record
+        # held in one state throughout, swept beside a vacuous one, has its
+        # rows padded to the whole joint space at every step.
         names = tuple(f"x{i}" for i in range(6))
         model = independent_binary_model(names, ((1.0, 2.0),) * 6)
         q, space, p0 = amalgamate(model)
@@ -216,24 +219,27 @@ class TestLockstepSweep:
             ((0.0, 1.0, zeros), (1.0, 2.0, (1, 1, 0, 0, 0, 0)), (2.0, 6.0, hidden)),
             ((0.0, 2.0, (0, None, 0, None, 0, None)), (2.0, 2.0, zeros), (2.0, 6.0, hidden)),
         ] * 3
-        evs = [ObservedTrajectory(segs, 6.0).to_evidence(space) for segs in records]
-        batched = forward_backward_many(q, p0, evs)
-        assert [c.impossible for c in batched] == [False, False, True, False] * 3
-        # A trajectory's messages do not depend on its batch-mates: every
-        # power comes out of its doubling step alike and every per-row
-        # product sums in a fixed order, so they agree bitwise.
-        for got, ev in zip(batched, evs):
-            want = forward_backward(q, p0, ev)
-            assert got.dead_boundary == want.dead_boundary
-            for name in ("times", "seg_masks", "seg_dt", "factor_kind", "fwd", "fwd_log", "fwd_pre", "fwd_pre_log",
-                         "bwd", "bwd_log", "bwd_post", "bwd_post_log", "log_prob", "log_prob_backward"):
-                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+        for records, dead in ((records, [False, False, True, False] * 3),
+                              ([((0.0, 6.0, zeros),), ((0.0, 6.0, hidden),)], [False, False])):
+            evs = [ObservedTrajectory(segs, 6.0).to_evidence(space) for segs in records]
+            batched = forward_backward_many(q, p0, evs)
+            assert [c.impossible for c in batched] == dead
+            # A trajectory's messages do not depend on its batch-mates: every
+            # power comes out of its doubling step alike and every per-row
+            # product sums in a fixed order, so they agree bitwise.
+            for got, ev in zip(batched, evs):
+                want = forward_backward(q, p0, ev)
+                assert got.dead_boundary == want.dead_boundary
+                for name in ("times", "seg_masks", "seg_dt", "factor_kind", "fwd", "fwd_log", "fwd_pre",
+                             "fwd_pre_log", "bwd", "bwd_log", "bwd_post", "bwd_post_log", "log_prob",
+                             "log_prob_backward"):
+                    assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
 
     def test_statistics_of_caches_cut_from_one_batch(self):
         # The kernel runs on the batch the caches were cut from and skips
         # the trajectories not asked for, the dead one among them.
         q, p0, evs = lockstep_batch()
-        assert len(list(inference._batches(evs, q.n))) == 1
+        assert len(list(inference._batches(q, evs))) == 1
         live = [0, 1, 3]
         want = {t: expected_statistics(forward_backward(q, p0, evs[t])) for t in live}
         for asked in ([0, 1, 3], [3, 0], [0], [1], [3]):
@@ -247,13 +253,19 @@ class TestLockstepSweep:
                 expected_statistics_many([caches[t] for t in asked])
             assert err.value.trajectory_index == index
 
-    def test_caches_of_one_batch_share_its_arrays(self):
+    def test_caches_of_one_batch_share_its_rows(self):
+        # The caches of one batch read its message rows, each on its
+        # subsystem, fewer entries than four n-length rows per boundary;
+        # their n-length fields are read-only arrays built on access.
         q, p0, evs = lockstep_batch()
         caches = forward_backward_many(q, p0, evs)
+        assert all(c._sweep is caches[0]._sweep for c in caches)
+        boundaries = sum(len(c.times) for c in caches)
+        rows = caches[0]._sweep
+        assert rows.ins.size + rows.outs.size < 4 * boundaries * q.n
         for name in ("fwd", "bwd_post"):
-            first, second = getattr(caches[0], name), getattr(caches[1], name)
-            assert first.base is not None and first.base is second.base, name
-            assert not first.flags.writeable, name
+            first = getattr(caches[0], name)
+            assert first.shape == (len(caches[0].times), q.n) and not first.flags.writeable, name
 
 
 class TestFixedOrderProducts:
@@ -311,7 +323,13 @@ class TestBatchSplit:
         model = binary_ring_model(5)
         q, space, p0 = amalgamate(model)
         evs = [rec.to_evidence(space) for rec in ring32_records()] * 2
-        masks, dts, times, counts, rate_before = inference._split_batch(q.exit_rates, evs)
+        split = inference._split_batch(q, evs)
+        origin, _, rate_before = inference._pieces(split)
+        dts, times, counts = split.dts[origin], split.times, split.counts
+        masks = np.zeros((len(origin), q.n), dtype=bool)
+        for piece, o in enumerate(origin):
+            lo = split.lists.sizes[:o].sum()
+            masks[piece, split.lists.states[lo : lo + split.lists.sizes[o]]] = True
         want_masks, want_dts, want_times, want_rate = [], [], [], []
         for ev in evs:
             want_times.append(ev.boundaries[0])
@@ -371,7 +389,7 @@ class TestSeriesForm:
 
     def test_score_dataset_equals_lone_sweeps_bitwise(self):
         dataset = self.evs * 2
-        assert len(list(inference._batches(dataset, self.q.n))) == 1
+        assert len(list(inference._batches(self.q, dataset))) == 1
         assert score_dataset(self.model, dataset) == [forward_backward(self.q, self.p0, ev).log_prob
                                                       for ev in dataset]
 
@@ -380,11 +398,11 @@ class TestSeriesForm:
         # early moves both log-likelihoods alike; a backward sweep whose
         # series is cut at 1e-3 after an exact forward sweep does not.
         ev = self.evs[0]
-        sweep = inference._sweep(self.q, self.p0, [ev], backward=False)
+        sweep = inference._sweep(self.q, self.p0, inference._split_batch(self.q, [ev]), backward=False)
         assert forward_backward(self.q, self.p0, ev).log_prob == sweep.log_prob(0)
         with monkeypatch.context() as patch:
             patch.setattr(inference, "_SWEEP_TAIL", 1e-3)
-            loose = inference._Propagator(self.q, sweep.masks, sweep.dts)
+            loose = inference._Propagator(self.q, sweep.split.lists, sweep.split.dts)
         propagate = inference._Propagator.propagate
 
         def loose_backward(prop, v, step, out):
@@ -393,12 +411,11 @@ class TestSeriesForm:
             propagate(prop, v, step, out)
             cut = np.zeros_like(out)
             propagate(loose, v, step, cut)
-            rows = out[:-1].reshape(-1, self.q.n)
-            rows[step.dst[step.columns]] = cut[:-1].reshape(-1, self.q.n)[step.dst[step.columns]]
+            out[step.dst[step.columns]] = cut[step.dst[step.columns]]
 
         monkeypatch.setattr(inference._Propagator, "propagate", loose_backward)
         with pytest.raises(ForwardBackwardMismatchError) as err:
-            inference._sweep(self.q, self.p0, [ev], first=7)
+            inference._sweep(self.q, self.p0, inference._split_batch(self.q, [ev]), first=7)
         assert err.value.trajectory_index == 7
         assert err.value.log_prob == sweep.log_prob(0)
         gap = abs(err.value.log_prob - err.value.log_prob_backward)
@@ -817,7 +834,10 @@ class TestUniformizationKernel:
         tol = 1e-8
         js = np.zeros((m, n, n))
         u = inference._Uniformization(validate_intensity(q), masks, dts)
-        _convolution_batch(u, np.arange(m), f0, beta, np.arange(m), tol, np.zeros((m, n)), js, False)
+        # The kernel reads the end vectors in each subsystem's coordinates.
+        on_s = [np.r_[v[r][masks[r]], np.zeros(n - masks[r].sum())] for v in (f0, beta) for r in range(m)]
+        _convolution_batch(u, np.arange(m), np.array(on_s[:m]), np.array(on_s[m:]), np.arange(m), tol,
+                           np.zeros((m, n)), js, False)
         for r in range(m):
             s = masks[r]
             q_s = np.where(np.outer(s, s), q, 0.0)
@@ -1218,29 +1238,36 @@ class TestSharedTables:
         assert any((c.factor_kind == 1).any() for c in caches)
 
 
+def ring1024_records(count):
+    """The n = 1024 ring and ``count`` of its records over a horizon of 2,
+    window-occluded."""
+    model = binary_ring_model(10, seed=3)
+    q, space, p0 = amalgamate(model)
+    rng = np.random.default_rng(5)
+    dataset = []
+    for _ in range(count):
+        traj = sample_trajectory(p0, q, 2.0, rng)
+        per_var = [space.project(traj, v) for v in range(space.k)]
+        dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
+    return model, q, dataset
+
+
 class TestSubsystemWidth:
     def test_no_matrix_wider_than_the_largest_subsystem(self, monkeypatch):
         # Joint n = 1024 under window occlusion: every restricted transition
         # list and every series product of the integrals is at most as wide
         # as the widest subsystem the evidence leaves, far below n. The
         # module builds no Pade exponential.
-        model = binary_ring_model(10, seed=3)
-        q, space, p0 = amalgamate(model)
-        rng = np.random.default_rng(5)
-        dataset = []
-        for _ in range(2):
-            traj = sample_trajectory(p0, q, 2.0, rng)
-            per_var = [space.project(traj, v) for v in range(space.k)]
-            dataset.append(occlude_observed(per_var, OcclusionPolicy(0.25, 0.25), rng).to_evidence(space))
+        model, q, dataset = ring1024_records(2)
         largest = int(max(ev.masks.sum(axis=1).max() for ev in dataset))
         assert 2 * inference._TABLE_MAX_STATES < largest < q.n // 4
         assert not hasattr(inference, "expm")
         widths = []
         restrict, powers = inference._restrict, inference._powers
 
-        def recording_restrict(transitions, a, b, masks):
-            widths.extend((a.idx.shape[1], b.idx.shape[1]))
-            return restrict(transitions, a, b, masks)
+        def recording_restrict(transitions, a, b):
+            widths.extend((int(a[1].max(initial=0)), int(b[1].max(initial=0))))
+            return restrict(transitions, a, b)
 
         def recording_powers(v, *rest):
             widths.append(v.shape[1])
@@ -1253,3 +1280,24 @@ class TestSubsystemWidth:
         widths.clear()
         assert math.fsum(score_dataset(model, dataset)) == pytest.approx(ll, rel=1e-12)
         assert widths and max(widths) <= largest
+
+    def test_memory_follows_the_batch_budget_not_n(self, monkeypatch):
+        # Twelve records, 664 evidence segments: one n-length row per segment
+        # would take 5.4 MB and an n x n matrix 8.4 MB. With the batches held
+        # to 2^14 entries and the generator built beforehand, the E-step and
+        # the scores peak below a quarter of either (1.1 and 0.8 MB), most of
+        # it the largest record's own lists: every row and list the sweeps
+        # and the statistics hold is on a subsystem.
+        model, q, dataset = ring1024_records(12)
+        segments = sum(ev.n_segments for ev in dataset)
+        built = amalgamate(model)
+        monkeypatch.setattr(learning, "amalgamate", lambda *args: built)
+        monkeypatch.setattr(inference, "_BATCH_ELEMENTS", 1 << 14)
+        for run in (lambda: e_step(model, dataset), lambda: score_dataset(model, dataset)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak * 4 < min(segments * q.n, q.n * q.n) * 8

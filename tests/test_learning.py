@@ -230,11 +230,11 @@ def public_e_step(model, dataset, tol):
     return tbar, mbar, init, [c.log_prob for c in caches]
 
 
-def three_batches(monkeypatch, dataset, n, elements):
+def three_batches(monkeypatch, dataset, q, elements):
     """Patch the batch budget; returns the batch sizes, at least three, some
     holding several trajectories."""
     monkeypatch.setattr(inference, "_BATCH_ELEMENTS", elements)
-    sizes = [len(b) for b in inference._batches(dataset, n)]
+    sizes = [len(b.evs) for b in inference._batches(q, dataset)]
     assert len(sizes) >= 3 and max(sizes) > 1
     return sizes
 
@@ -245,7 +245,7 @@ class TestBatchedEStep:
 
     @pytest.mark.parametrize(
         "model, records, elements",
-        [(binary_chain_model(), chain_records(), 1000), (binary_ring_model(5), ring_records(), 500)],
+        [(binary_chain_model(), chain_records(), 1000), (binary_ring_model(5), ring_records(), 5000)],
         ids=["pade-n8", "series-n32"],
     )
     def test_sums_equal_public_per_trajectory_calls(self, monkeypatch, model, records, elements):
@@ -258,7 +258,7 @@ class TestBatchedEStep:
         assert len(first.seg_dt) > dataset[0].n_segments
         assert first.seg_dt[0] == 0.0 and first.times[1] == 0.0
         assert any((ev.masks.sum(axis=1) == 1).any() & (ev.durations > 0).any() for ev in dataset)
-        three_batches(monkeypatch, dataset, q.n, elements)
+        three_batches(monkeypatch, dataset, q, elements)
 
         # The series of a batch's integrals runs to the cutoff of its
         # largest mu, so at a loose tolerance a lone trajectory is cut
@@ -287,7 +287,7 @@ class TestBatchedEStep:
         # all rows share one batch and kernel slices hold many rows.
         q, space, p0 = amalgamate(model)
         dataset = [rec.to_evidence(space) for rec in records] * 3
-        assert len(list(inference._batches(dataset, q.n))) == 1
+        assert len(list(inference._batches(q, dataset))) == 1
         _, tbar, listed, init, lls = _flat_e_step(model, dataset, DEFAULT_QUAD_TOL, 4096)
         mbar = scattered(q.n, listed)
         want_t, want_m, want_init, want_lls = public_e_step(model, dataset, DEFAULT_QUAD_TOL)
@@ -299,7 +299,7 @@ class TestBatchedEStep:
 
     @pytest.mark.parametrize(
         "model, records, elements",
-        [(binary_chain_model(), chain_records(), 1000), (binary_ring_model(5), ring_records(), 500)],
+        [(binary_chain_model(), chain_records(), 1000), (binary_ring_model(5), ring_records(), 5000)],
         ids=["pade-n8", "series-n32"],
     )
     def test_off_diagonal_built_once_per_pass(self, monkeypatch, model, records, elements):
@@ -308,7 +308,7 @@ class TestBatchedEStep:
         # pass.
         space = model.space()
         dataset = [rec.to_evidence(space) for rec in records] * 3
-        three_batches(monkeypatch, dataset, space.n_joint, elements)
+        three_batches(monkeypatch, dataset, amalgamate(model)[0], elements)
         builds = []
         build = IntensityMatrix._from_transitions.__func__
         joint = {}
@@ -390,10 +390,10 @@ class TestBatchedEStep:
         dataset = [rec.to_evidence(space) for rec in chain_records()] * 3
         # A simultaneous flip of a and b has probability zero.
         bad = ObservedTrajectory(((0.0, 1.0, (0, 0, 0)), (1.0, 9.0, (1, 1, 0))), 9.0).to_evidence(space)
-        sizes = three_batches(monkeypatch, dataset, q.n, 1000)
+        sizes = three_batches(monkeypatch, dataset, q, 1000)
         at = sizes[0] + sizes[1] + 1
         dataset.insert(at, bad)
-        assert at < sum(three_batches(monkeypatch, dataset, q.n, 1000)[:3])
+        assert at < sum(three_batches(monkeypatch, dataset, q, 1000)[:3])
         with pytest.raises(ZeroProbabilityEvidenceError) as err:
             e_step(model, dataset)
         assert err.value.trajectory_index == at
@@ -405,18 +405,19 @@ class TestBatchedEStep:
         q, space, p0 = amalgamate(model)
         dataset = [rec.to_evidence(space) for rec in chain_records()] * 3
         odd = ObservedTrajectory(((0.0, 1.0, (1, 1, 1)), (1.0, 9.0, (None, 1, None))), 9.0).to_evidence(space)
-        sizes = three_batches(monkeypatch, dataset, q.n, 1000)
+        sizes = three_batches(monkeypatch, dataset, q, 1000)
         at = sizes[0] + sizes[1] + 1
         dataset.insert(at, odd)
-        assert at < sum(three_batches(monkeypatch, dataset, q.n, 1000)[:3])
+        assert at < sum(three_batches(monkeypatch, dataset, q, 1000)[:3])
         e_step(model, dataset)
         propagate = inference._Propagator.propagate
-        target = odd.masks[0]
+        target = np.flatnonzero(odd.masks[0])
 
         def perturbed(self, v, step, out):
             propagate(self, v, step, out)
-            hit = step.columns & (self.masks[step.seg] == target).all(axis=1)
-            out[:-1].reshape(-1, q.n)[step.dst[hit]] *= 1.0 + 1e-6
+            held = [self.states[self.lo[s] : self.lo[s] + self.sizes[s]] for s in step.seg]
+            hit = step.columns & np.array([np.array_equal(states, target) for states in held], dtype=bool)
+            out[step.dst[hit]] *= 1.0 + 1e-6
 
         monkeypatch.setattr(inference._Propagator, "propagate", perturbed)
         with pytest.raises(ForwardBackwardMismatchError) as err:
@@ -429,7 +430,7 @@ class TestBatchedEStep:
         model = binary_ring_model(5)
         q, space, p0 = amalgamate(model)
         dataset = [rec.to_evidence(space) for rec in ring_records()] * 3
-        three_batches(monkeypatch, dataset, q.n, 500)
+        three_batches(monkeypatch, dataset, q, 5000)
         sweep = inference._sweep
         swept = []
 
@@ -925,9 +926,7 @@ class TestBatchBudget:
         assert sizes["bucket"] and max(sizes["bucket"]) <= budget // 8
 
         width = inference._series_width()
-        estimates = [int(inference._entries(np.concatenate([ev.masks.sum(axis=1) for ev in batch]),
-                                            np.array([ev.n_segments for ev in batch]), q.n, width).sum())
-                     for batch in inference._batches(dataset, q.n)]
+        estimates = [int(inference._entries(batch, width).sum()) for batch in inference._batches(q, dataset)]
         assert len(estimates) > 1
         assert max(estimates) <= budget
         assert len(estimates) <= math.ceil(sum(estimates) / budget) + 1
@@ -956,6 +955,24 @@ def phase_model():
         {"w": [1.0, 0.0], "x": [0.5, 0.5], "y": [0.5, 0.5]},
     )
     return expand_phases(base, PhaseSpec({"w": 3}, topology="unrestricted"))[0]
+
+
+def _arrays(obj, seen):
+    """Every array reachable from obj, each once, none of those in seen."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return
+    for item in items:
+        yield from _arrays(item, seen)
 
 
 def recorded_plans(monkeypatch):
@@ -989,16 +1006,15 @@ class TestStepPlan:
         else:
             model = phase_model()
             dataset = occluded_dataset(model, 200, 5.0, 7)
-        n = model.space().n_joint
+        q = amalgamate(model)[0]
         plans = recorded_plans(monkeypatch)
         e_step(model, dataset)
-        batches = list(inference._batches(dataset, n))
+        batches = list(inference._batches(q, dataset))
         assert len(plans) == len(batches) and (len(batches) > 1) == (case != "ring-n32")
         width = inference._series_width()
         for plan, batch in zip(plans, batches):
             held = sum(a.size for a in vars(plan).values() if isinstance(a, np.ndarray))
-            sizes = np.concatenate([ev.masks.sum(axis=1) for ev in batch])
-            estimate = inference._entries(sizes, np.array([ev.n_segments for ev in batch]), n, width).sum()
+            estimate = inference._entries(batch, width).sum()
             assert 0 < held <= estimate
 
     def test_plan_of_wide_subsystems_stays_within_the_batch_estimate(self):
@@ -1012,17 +1028,35 @@ class TestStepPlan:
         q, _, _ = amalgamate(model)
         dataset = occluded_dataset(model, 20, 5.0, 0, OcclusionPolicy(0.6, 1.0))
         width = inference._series_width()
-        batches = list(inference._batches(dataset, q.n))
+        batches = list(inference._batches(q, dataset))
         assert len(batches) > 1
         for batch in batches:
-            masks, dts, _, counts, rate_before = inference._split_batch(q.exit_rates, batch)
-            prop = inference._Propagator(q, masks, dts)
-            plan = inference._Plan(prop, counts, np.cumsum(counts) - counts, rate_before, True)
+            prop = inference._Propagator(q, batch.lists, batch.dts)
+            plan = inference._Plan(prop, batch, True)
             assert (prop.sizes[plan.rate_leave] * prop.sizes[plan.rate_enter]).max() > 4 * q.n
             held = sum(a.size for a in vars(plan).values() if isinstance(a, np.ndarray))
-            sizes = np.concatenate([ev.masks.sum(axis=1) for ev in batch])
-            estimate = inference._entries(sizes, np.array([ev.n_segments for ev in batch]), q.n, width).sum()
+            estimate = inference._entries(batch, width).sum()
             assert 0 < held <= estimate
+
+    def test_batches_hold_what_they_count(self, monkeypatch):
+        # Joint n = 1024, twenty records under window occlusion: the
+        # records share batches, and each batch's split, propagator, plan
+        # and sweep hold at most the entries ``_entries`` counts for it and
+        # at least half of them. The joint generator's arrays and the
+        # evidence are not the batch's.
+        model = binary_ring_model(10, seed=3)
+        dataset = occluded_dataset(model, 20, 5.0, 0)
+        plans, sweeps = recorded_plans(monkeypatch), []
+        sweep = inference._sweep
+        monkeypatch.setattr(inference, "_sweep", lambda *args: sweeps.append(sweep(*args)) or sweeps[-1])
+        e_step(model, dataset)
+        assert 1 < len(sweeps) < len(dataset)
+        width = inference._series_width()
+        for plan, f in zip(plans, sweeps):
+            seen = {id(a) for a in (f.split.evs, f.prop.exit, f.prop.joint, *f.prop.joint)}
+            held = sum(a.size for part in (f.split, f.prop, plan, f) for a in _arrays(part, seen))
+            counted = int(inference._entries(f.split, width).sum())
+            assert held <= counted <= 2 * held
 
     def test_one_step_per_segment_position(self, monkeypatch):
         # Each step carries the forward and the backward rows together: one
