@@ -62,12 +62,8 @@ class Subsystem:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Subsystem":
-        mask = np.array(mask, dtype=bool)
-        mask.setflags(write=False)
-        sub = cls(mask.shape[0], frozenset(mask.nonzero()[0].tolist()))
-        # Seed the cached mask: rebuilding it from the members is slower.
-        sub.__dict__["mask"] = mask
-        return sub
+        mask = np.asarray(mask, dtype=bool)
+        return cls(mask.shape[0], frozenset(np.flatnonzero(mask).tolist()))
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -87,11 +83,14 @@ class Evidence:
     """An observed trajectory: subsystems S_i over [t_i, t_{i+1}) covering
     [0, horizon] with no gaps. t_i == t_{i+1} encodes point evidence.
 
-    It is held as read-only arrays: ``masks`` (segments x n, each subsystem
-    as a boolean row), ``durations`` and ``boundaries`` (the start and every
-    segment end). The tuple ``segments`` of (Subsystem, start, end) is a
-    view built on first access; equality and hashing compare it and the
-    horizon. ``ObservedTrajectory.to_evidence`` builds the arrays directly.
+    It is held as read-only arrays: each S_i as an index list, sizes[i]
+    states of ``states`` in ascending order, segments one after the other;
+    ``durations`` and ``boundaries`` (the start and every segment end); and
+    the joint size ``n``. ``masks`` (segments x n boolean rows) is built
+    from the lists on every access. The tuple ``segments`` of (Subsystem,
+    start, end) is a view built on first access; equality and hashing
+    compare it and the horizon. ``ObservedTrajectory.to_evidence`` builds
+    the arrays directly.
     """
 
     def __init__(self, segments, horizon: float):
@@ -102,18 +101,23 @@ class Evidence:
         if any(s.n != n for s, _, _ in segs):
             raise ValueError("all subsystems must share one state space")
         spans = np.array([(a, b) for _, a, b in segs])
-        self._set(np.stack([s.mask for s, _, _ in segs]), spans[:, 0], spans[:, 1], horizon)
+        states = np.array([i for s, _, _ in segs for i in sorted(s.members)], dtype=np.intp)
+        sizes = np.array([len(s.members) for s, _, _ in segs], dtype=np.intp)
+        self._set(states, sizes, n, spans[:, 0], spans[:, 1], horizon)
         self.__dict__["segments"] = segs
 
     @classmethod
-    def _from_arrays(cls, masks: np.ndarray, starts: np.ndarray, ends: np.ndarray, horizon: float) -> "Evidence":
-        """Evidence whose segment i holds the mask row masks[i] over
-        [starts[i], ends[i]]; every mask must be non-empty."""
+    def _from_arrays(cls, states: np.ndarray, sizes: np.ndarray, n: int, starts: np.ndarray, ends: np.ndarray,
+                     horizon: float) -> "Evidence":
+        """Evidence on the joint space {0..n-1} whose segment i holds the
+        sizes[i] states of ``states`` after those of the segments before it,
+        ascending, over [starts[i], ends[i]]; every size must be positive."""
         ev = cls.__new__(cls)
-        ev._set(masks, starts, ends, horizon)
+        ev._set(states, sizes, n, starts, ends, horizon)
         return ev
 
-    def _set(self, masks: np.ndarray, starts: np.ndarray, ends: np.ndarray, horizon: float):
+    def _set(self, states: np.ndarray, sizes: np.ndarray, n: int, starts: np.ndarray, ends: np.ndarray,
+             horizon: float):
         horizon = float(horizon)
         tol = _TIME_EPS * max(1.0, horizon)
         if abs(starts[0]) > tol:
@@ -125,14 +129,15 @@ class Evidence:
         if (np.abs(starts[1:] - ends[:-1]) > tol).any():
             raise ValueError("evidence segments must be contiguous")
         arrays = {
-            "masks": masks,
+            "states": states,
+            "sizes": sizes,
             "_starts": starts,
             "durations": np.clip(ends - starts, 0.0, None),
             "boundaries": np.concatenate((starts[:1], ends)),
         }
         for a in arrays.values():
             a.setflags(write=False)
-        self.__dict__.update(arrays, horizon=horizon)
+        self.__dict__.update(arrays, n=int(n), horizon=horizon)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of immutable Evidence")
@@ -150,12 +155,18 @@ class Evidence:
 
     @cached_property
     def segments(self) -> tuple[tuple[Subsystem, float, float], ...]:
-        ends = self.boundaries[1:].tolist()
-        return tuple((Subsystem.from_mask(m), a, b) for m, a, b in zip(self.masks, self._starts.tolist(), ends))
+        states, ends = self.states.tolist(), np.cumsum(self.sizes).tolist()
+        spans = zip([0, *ends], ends, self._starts.tolist(), self.boundaries[1:].tolist())
+        return tuple((Subsystem(self.n, frozenset(states[lo:hi])), a, b) for lo, hi, a, b in spans)
 
     @property
-    def n(self) -> int:
-        return self.masks.shape[1]
+    def masks(self) -> np.ndarray:
+        """The subsystems as boolean rows (segments x n), read-only, built
+        on every access."""
+        m = np.zeros((len(self.sizes), self.n), dtype=bool)
+        m[np.repeat(np.arange(len(self.sizes)), self.sizes), self.states] = True
+        m.setflags(write=False)
+        return m
 
     @property
     def n_segments(self) -> int:
@@ -256,7 +267,9 @@ class ObservedTrajectory:
         first = np.ones(len(masks), dtype=bool)
         first[1:] = (masks[1:] != masks[:-1]).any(axis=1)
         last = np.append(first[1:], True)
-        return Evidence._from_arrays(masks[first], spans[first, 0], spans[last, 1], self.horizon)
+        masks = masks[first]
+        return Evidence._from_arrays(np.nonzero(masks)[1], np.count_nonzero(masks, axis=1), space.n_joint,
+                                     spans[first, 0], spans[last, 1], self.horizon)
 
     @classmethod
     def fully_observed(cls, trajs: Sequence[CompleteTrajectory]) -> "ObservedTrajectory":

@@ -10,8 +10,8 @@ indicators). W is Q's transition list, (src, dst, rate) sorted by source
 and destination, n * sum(d_v - 1) entries for a CTBN; every product by W
 reads the transitions ``_restrict`` cuts from it in subsystem coordinates,
 each with its index in the list.
-A subsystem is an index list, its states in ascending order, read once
-from the segment's mask (``_split_batch``). Every message a sweep stores
+A subsystem is an index list, its states in ascending order, as the
+evidence holds it (``Evidence.states``). Every message a sweep stores
 is a row on the subsystem of the segment it enters or leaves, in that
 subsystem's coordinates, so a segment costs O(|S|^2) per product and
 O(|S|) at its boundaries, never O(n).
@@ -182,7 +182,7 @@ class MessageCache:
 
     The sweep keeps each message on the subsystem of the segment it enters
     or leaves. The fields are read-only n-length arrays, built from those
-    rows on every access; ``seg_masks`` is built from the evidence.
+    rows on every access; ``seg_masks`` is built from the evidence's lists.
 
     Long constant-evidence segments are subdivided internally (a no-op
     projection boundary onto the same subsystem) so the messages renormalize
@@ -341,6 +341,18 @@ class _Lists(NamedTuple):
         return cls(states, sizes, ids, lam[ids], np.bincount(r, minlength=len(heads)),
                    tuple(a.astype(np.int32) for a in edges))
 
+    def join(self, other: _Lists) -> _Lists:
+        """These lists, then other's, numbered as ``of`` numbers them: equal
+        lists of either share one number and its transitions."""
+        ids = np.concatenate((self.ids, other.ids + len(self.edge_count)))
+        states, sizes = np.concatenate((self.states, other.states)), np.concatenate((self.sizes, other.sizes))
+        _, rows = np.unique(ids, return_index=True)
+        number, heads = _mask_ids(*_some(states, sizes, rows))
+        count = np.concatenate((self.edge_count, other.edge_count))
+        e, _ = _ranges((np.cumsum(count) - count)[heads], count[heads])
+        return _Lists(states, sizes, number[ids], np.concatenate((self.lam, other.lam)), count[heads],
+                      tuple(np.concatenate(x)[e] for x in zip(self.edges, other.edges)))
+
 
 def _mask_ids(states: np.ndarray, sizes: np.ndarray):
     """A number per list of the lists (states, sizes), shared by equal
@@ -363,8 +375,8 @@ def _mask_ids(states: np.ndarray, sizes: np.ndarray):
 
 class _Split(NamedTuple):
     """The evidence segments of a batch of trajectories ``evs``, split for
-    stiffness. ``lists`` holds every evidence segment's subsystem, read from
-    its mask once. Segment i is cut into chunks[i] equal pieces of duration
+    stiffness. ``lists`` holds every evidence segment's subsystem, as the
+    evidence lists it. Segment i is cut into chunks[i] equal pieces of duration
     dts[i], which share its list; rate[i] marks a segment entered through an
     asserted transition, where consecutive subsystems of a trajectory are
     disjoint. link_count[i] entries of ``links``, (j, k, e), tie the j-th
@@ -386,12 +398,12 @@ class _Split(NamedTuple):
 
 
 def _split_batch(q: IntensityMatrix, evs: list) -> _Split:
-    """Read the evidence segments of a batch, each mask once, and split
-    those stiffer than the cap, by the joint generator's exit rates, into
-    equal pieces, all trajectories in one step (``_Split``)."""
+    """Number the evidence lists of a batch and split the segments stiffer
+    than the cap, by the joint generator's exit rates, into equal pieces,
+    all trajectories in one step (``_Split``)."""
     if any(ev.n != q.n for ev in evs):
         raise ValueError("evidence dimension does not match the matrix")
-    lists = _Lists.read(q, np.concatenate([ev.masks for ev in evs]))
+    lists = _Lists.of(q, np.concatenate([ev.states for ev in evs]), np.concatenate([ev.sizes for ev in evs]))
     states, sizes = lists.states, lists.sizes
     dts = np.concatenate([ev.durations for ev in evs])
     bounds = np.concatenate([ev.boundaries for ev in evs])
@@ -456,10 +468,11 @@ def _cut(s: _Split, a: int, b: int) -> _Split:
 
 
 def _join(x, y):
-    """Two splits, or two of their fields, one after the other; the lists'
-    numbers stay apart."""
+    """Two splits, or two of their fields, one after the other; the lists
+    are numbered anew (``_Lists.join``), so a batch cut from the joined
+    split equals its own split."""
     if isinstance(x, _Lists):
-        y = y._replace(ids=y.ids + len(x.edge_count))
+        return x.join(y)
     if isinstance(x, np.ndarray):
         return np.concatenate((x, y))
     if isinstance(x, list):
@@ -516,28 +529,38 @@ def _entries(split: _Split, width: int) -> np.ndarray:
     across the boundary from the piece before of the same segment (two
     entries per state and direction) and two dozen numbers. On occluded
     records of the n = 1024 ring the count is 3-5% above what they hold."""
-    lists, c = split.lists, split.chunks
-    s = lists.sizes
+    lists = split.lists
     segments = np.array([ev.n_segments for ev in split.evs])
     traj = np.repeat(np.arange(len(segments)), segments)
     _, first = np.unique(traj * len(lists.edge_count) + lists.ids, return_index=True)
-    edges = np.zeros(len(s), dtype=np.intp)
+    edges = np.zeros(len(lists.sizes), dtype=np.intp)
     edges[first] = lists.edge_count[lists.ids[first]]
-    block = np.where(s == 1, 1, np.where(s <= _TABLE_MAX_STATES, s * s, width))
-    per = s + 3 * edges + 9 * split.link_count + block + 20 + c * (4 * s + 26) + 4 * s * (c - 1)
+    per = _segment_entries(lists.sizes, width, split.chunks, edges, split.link_count)
     return np.add.reduceat(per, np.cumsum(segments) - segments) + 1
+
+
+def _segment_entries(s: np.ndarray, width: int, c=1, edges=0, links=0) -> np.ndarray:
+    """``_entries``' count of an evidence segment of |S| = s states cut into
+    c pieces, with ``edges`` transitions and ``links`` links counted."""
+    block = np.where(s == 1, 1, np.where(s <= _TABLE_MAX_STATES, s * s, width))
+    return s + 3 * edges + 9 * links + block + 20 + c * (4 * s + 26) + 4 * s * (c - 1)
 
 
 def _batches(q: IntensityMatrix, evs: list):
     """Runs of consecutive trajectories whose entries (``_entries``) add up
     to at most _BATCH_ELEMENTS, always one trajectory at least, each as its
-    split (``_split_batch``). The masks are read in runs of trajectories
-    that count an eighth of an entry per mask entry (a byte) and 64 entries
-    per segment, at most _BATCH_ELEMENTS in all where one trajectory fits.
-    While what is held, read and split, fits in one batch, the next run is
-    read; otherwise the first batch of it is yielded."""
+    split (``_split_batch``). The evidence lists are split in runs of
+    trajectories whose count from the lists alone, each segment one piece
+    without transitions or links (a lower bound of ``_entries``), is at
+    most _BATCH_ELEMENTS where one trajectory fits. While what is held,
+    read and split, fits in one batch, the next run is split; otherwise
+    the first batch of it is yielded."""
+    if not evs:
+        return
     width = _series_width()
-    read = np.cumsum([ev.masks.size // 8 + 64 * ev.n_segments for ev in evs])
+    segments = [ev.n_segments for ev in evs]
+    per = _segment_entries(np.concatenate([ev.sizes for ev in evs]), width)
+    read = np.cumsum(np.add.reduceat(per, np.cumsum(segments) - segments) + 1)
     held, lo = None, 0
     while held is not None or lo < len(evs):
         entries = np.cumsum(_entries(held, width)) if held is not None else np.zeros(1)
@@ -607,19 +630,14 @@ def _rows_dot(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.einsum("tj,tjk->tk", x, blocks)
 
 
-def _runs_dot(x: np.ndarray, mats: np.ndarray, starts: list, ordered: bool = False,
-              out: np.ndarray | None = None) -> np.ndarray:
+def _runs_dot(x: np.ndarray, mats: np.ndarray, starts: list, out: np.ndarray | None = None) -> np.ndarray:
     """The rows x[r] @ mats[g] for the rows of run g, starts[g] <= r <
-    starts[g + 1]: one product per run. ``ordered`` sums over j in order,
-    as ``_rows_dot`` does, so a row's result does not depend on the rows
-    beside it nor on zeros past its own columns of x; otherwise each run is
-    one GEMM."""
+    starts[g + 1]: one product per run, summed over j in order as
+    ``_rows_dot`` does, so a row's result does not depend on the rows beside
+    it nor on zeros past its own columns of x."""
     out = np.empty((len(x), mats.shape[-1])) if out is None else out
     for g, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        if ordered:
-            np.einsum("rj,jk->rk", x[lo:hi], mats[g], out=out[lo:hi])
-        else:
-            np.matmul(x[lo:hi], mats[g], out=out[lo:hi])
+        np.einsum("rj,jk->rk", x[lo:hi], mats[g], out=out[lo:hi])
     return out
 
 
@@ -887,7 +905,7 @@ class _Propagator(_Uniformization):
             self.block_at[seg] = at + np.arange(len(seg)) * s * s
             out = self.blocks[at : at + len(seg) * s * s].reshape(len(seg), s * s)
             mats = powers.reshape(len(powers), -1, s * s)[:, : weights.shape[1]]
-            _runs_dot(weights, mats, starts, ordered=True, out=out)
+            _runs_dot(weights, mats, starts, out=out)
             at += len(seg) * s * s
         series = np.flatnonzero(self.series)
         self.terms = np.ones(len(dts), dtype=int)

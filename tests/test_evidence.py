@@ -223,6 +223,8 @@ class TestArrayLowering:
         ev = record.to_evidence(space)
         segs = subsystem_segments(record, space)
         want = {
+            "states": np.concatenate([sorted(sub.members) for sub, _, _ in segs]),
+            "sizes": np.array([len(sub.members) for sub, _, _ in segs]),
             "masks": np.stack([sub.mask for sub, _, _ in segs]),
             "durations": np.clip(np.array([b - a for _, a, b in segs]), 0.0, None),
             "boundaries": np.array([segs[0][1]] + [b for _, _, b in segs]),

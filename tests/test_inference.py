@@ -1280,6 +1280,10 @@ class TestSubsystemWidth:
         widths.clear()
         assert math.fsum(score_dataset(model, dataset)) == pytest.approx(ll, rel=1e-12)
         assert widths and max(widths) <= largest
+        # The evidence holds its subsystems as lists, no n-length row each.
+        for ev in dataset:
+            sizes = [a.size for a in _arrays(ev, set())]
+            assert sizes and max(sizes) < ev.n_segments * q.n
 
     def test_memory_follows_the_batch_budget_not_n(self, monkeypatch):
         # Twelve records, 664 evidence segments: one n-length row per segment

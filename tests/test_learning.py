@@ -372,6 +372,64 @@ class TestBatchedEStep:
         assert q.entries.shape == (q.n, q.n)
         assert builds == [q.n]
 
+    def test_no_pass_reads_the_masks(self, monkeypatch):
+        # The passes read the evidence's subsystems as the lists it holds;
+        # its boolean masks are a view for callers, built on access.
+        model = binary_ring_model(5)
+        q, space, p0 = amalgamate(model)
+        dataset = occluded_dataset(model, 12, 5.0, 7, OcclusionPolicy(0.5, 0.5))
+        sizes = np.concatenate([ev.sizes for ev in dataset])
+        assert (sizes == 1).any() and (sizes > inference._TABLE_MAX_STATES).any()
+        three_batches(monkeypatch, dataset, q, 40000)
+
+        def forbidden(self):
+            raise AssertionError("evidence masks read by a pass")
+
+        monkeypatch.setattr(Evidence, "masks", property(forbidden))
+        e_step(model, dataset)
+        score_dataset(model, dataset)
+        caches = forward_backward_many(q, p0, dataset)
+        expected_statistics_many(caches)
+        smoothed_marginal(caches[0], np.linspace(0.0, dataset[0].horizon, 7))
+        em(model, dataset, EmConfig(max_iter=1, init="given"))
+
+    @pytest.mark.parametrize(
+        "model, records, elements",
+        [(binary_chain_model(), chain_records(), 1000), (binary_ring_model(5), ring_records(), 5000)],
+        ids=["pade-n8", "series-n32"],
+    )
+    def test_batches_equal_their_own_split(self, monkeypatch, model, records, elements):
+        # The evidence is split in runs that batches straddle; a batch cut
+        # from runs joined equals the split of its trajectories alone, its
+        # lists numbered as one, so the runs change no result.
+        q, space, _ = amalgamate(model)
+        dataset = [rec.to_evidence(space) for rec in records] * 4
+        split = inference._split_batch
+        runs = []
+
+        def recording_split(q, evs):
+            runs.append(len(evs))
+            return split(q, evs)
+
+        monkeypatch.setattr(inference, "_split_batch", recording_split)
+        three_batches(monkeypatch, dataset, q, elements)
+        runs.clear()
+        batches = list(inference._batches(q, dataset))
+        sizes = [len(b.evs) for b in batches]
+        ends = np.cumsum(sizes)
+        assert any(lo < cut < hi for cut in np.cumsum(runs) for lo, hi in zip(ends - sizes, ends))
+
+        def same(a, b):
+            if isinstance(a, np.ndarray):
+                return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+
+        for batch in batches:
+            alone = split(q, batch.evs)
+            assert all(x is y for x, y in zip(batch.evs, alone.evs))
+            for name in inference._Split._fields[1:]:
+                assert same(getattr(batch, name), getattr(alone, name)), name
+
     def test_builds_no_per_trajectory_objects(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("built on the E-step path")
