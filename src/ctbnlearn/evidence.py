@@ -262,14 +262,10 @@ class ObservedTrajectory:
     def to_evidence(self, space: StateSpace) -> Evidence:
         """Lower onto the joint space, merging adjacent segments whose
         subsystems coincide."""
-        masks = space.observation_masks([vals for _, _, vals in self.segments])
+        first, states, sizes = space.subsystem_lists([vals for _, _, vals in self.segments])
         spans = np.array([(a, b) for a, b, _ in self.segments])
-        first = np.ones(len(masks), dtype=bool)
-        first[1:] = (masks[1:] != masks[:-1]).any(axis=1)
         last = np.append(first[1:], True)
-        masks = masks[first]
-        return Evidence._from_arrays(np.nonzero(masks)[1], np.count_nonzero(masks, axis=1), space.n_joint,
-                                     spans[first, 0], spans[last, 1], self.horizon)
+        return Evidence._from_arrays(states, sizes, space.n_joint, spans[first, 0], spans[last, 1], self.horizon)
 
     @classmethod
     def fully_observed(cls, trajs: Sequence[CompleteTrajectory]) -> "ObservedTrajectory":

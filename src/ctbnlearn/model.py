@@ -296,7 +296,7 @@ def amalgamate(model: CtbnModel, cap: int = DEFAULT_JOINT_CAP):
 
     p0 = np.ones(n)
     for vi, var in enumerate(model.variables):
-        p0 *= model.local_initial(var.name)[space.coords[:, vi]]
+        p0 *= model.local_initial(var.name)[space.local_index(vi)]
     return q, space, p0
 
 
@@ -321,13 +321,15 @@ def family_tables(space: StateSpace, dwell, transitions, v: int, parent_ids: tup
     dwell per (u, x) and transitions per (u, x, x') summed over consistent
     joint states. ``dwell`` is the n-vector of dwell times; ``transitions``
     lists counts (src, dst, count) between joint states that differ in one
-    variable, of which those where v changes, from x to x', are read."""
+    variable, of which those where v changes, from x to x', are read; an
+    index past n - 1 raises IndexError."""
     u_idx, n_u = space.family_index(parent_ids)
     dim = space.dims[v]
     t = np.zeros((n_u, dim))
-    np.add.at(t, (u_idx, space.coords[:, v]), dwell)
+    local = space.local_index(v)
+    np.add.at(t, (u_idx, local), dwell)
     src, dst, count = transitions
-    x, xp = space.coords[src, v], space.coords[dst, v]
+    x, xp = local[src], local[dst]
     mine = x != xp
     m = np.zeros((n_u, dim, dim))
     np.add.at(m, (u_idx[src[mine]], x[mine], xp[mine]), count[mine])

@@ -314,16 +314,10 @@ def hidden_parent_to_phase(model: CtbnModel, x_name: str, h_name: str):
 
     old_space = model.space()
     new_space = out.space()
-    xi_old = old_space.index_of[x_name]
-    hi_old = old_space.index_of[h_name]
     perm = np.zeros(old_space.n_joint, dtype=np.int64)
-    for j in range(old_space.n_joint):
-        coords = old_space.coords[j]
-        locals_new = []
-        for v in out.variables:
-            if v.name == x_name:
-                locals_new.append(int(coords[xi_old]) * n_h + int(coords[hi_old]))
-            else:
-                locals_new.append(int(coords[old_space.index_of[v.name]]))
-        perm[j] = new_space.joint_index(tuple(locals_new))
+    for v, stride in zip(out.names, new_space.strides):
+        local = old_space.local_index(old_space.index_of[v])
+        if v == x_name:
+            local = local * n_h + old_space.local_index(old_space.index_of[h_name])
+        perm += local * stride
     return out, perm

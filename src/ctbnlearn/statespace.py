@@ -1,13 +1,17 @@
 """Joint state-space indexing for factored models.
 
-Maps between flat joint-state indices and per-variable local indices,
-where a variable's local space enumerates (state, phase) pairs. Evidence
-constrains only the state coordinate; phases are always hidden. The last
-variable varies fastest (C order), and parent instantiations are indexed
-the same way over parent *states*.
+A variable's local space enumerates its (state, phase) pairs. A joint
+state is numbered in mixed radix over the local sizes ``dims``, the last
+variable fastest (C order): variable v's local index is digit v,
+``joint // strides[v] % dims[v]``, and parent instantiations are indexed
+the same way over parent *states*. The space keeps no table with a row
+per joint state. Evidence constrains only the state coordinate; phases
+are always hidden.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +34,8 @@ class StateSpace:
         object.__setattr__(
             self, "phase_counts", tuple(tuple(int(p) for p in pc) for pc in self.phase_counts)
         )
+        if not len(self.names) == len(self.n_states) == len(self.phase_counts):
+            raise ValueError("names, n_states and phase_counts must have one entry per variable")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
         for name, card, pc in zip(self.names, self.n_states, self.phase_counts):
@@ -57,57 +63,79 @@ class StateSpace:
 
     @property
     def n_joint(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
     @cached_property
     def state_of(self) -> tuple[np.ndarray, ...]:
         """Per variable: local index -> observable state index."""
-        out = []
-        for pc in self.phase_counts:
-            out.append(np.repeat(np.arange(len(pc)), pc))
-        return tuple(out)
+        return tuple(np.repeat(np.arange(len(pc)), pc) for pc in self.phase_counts)
 
-    @cached_property
+    @property
     def coords(self) -> np.ndarray:
-        """(n_joint, k) local index of each variable in each joint state."""
-        grids = np.indices(self.dims).reshape(self.k, -1)
-        return np.ascontiguousarray(grids.T)
+        """(n_joint, k) local index of each variable in each joint state,
+        built on every access; the library reads ``local_index`` instead."""
+        return np.ascontiguousarray(np.indices(self.dims).reshape(self.k, -1).T)
 
-    def joint_index(self, locals_: tuple[int, ...]) -> int:
-        return int(sum(l * s for l, s in zip(locals_, self.strides)))
+    def local_index(self, v: int, joint=None) -> np.ndarray:
+        """Variable v's local index in each joint state of ``joint``, or in
+        every joint state when it is None. An index outside 0..n_joint-1
+        raises IndexError rather than wrap into a digit."""
+        if joint is None:
+            joint = np.arange(self.n_joint)
+        else:
+            joint = np.asarray(joint)
+            if joint.size and (joint.min() < 0 or joint.max() >= self.n_joint):
+                raise IndexError(f"joint state index out of range for n_joint={self.n_joint}")
+        return joint // self.strides[v] % self.dims[v]
 
     @cached_property
-    def observation_tables(self) -> tuple[np.ndarray, ...]:
-        """Per variable v, a read-only (n_states[v] + 1, n_joint) table: row
-        s flags the joint states whose state of v is s, and the last row,
-        all true, stands for v hidden."""
-        out = []
-        for v in range(self.k):
-            states = self.state_of[v][self.coords[:, v]]
-            table = np.arange(self.n_states[v] + 1)[:, None] == states
-            table[-1] = True
-            table.setflags(write=False)
-            out.append(table)
-        return tuple(out)
+    def _observation_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The range of local indices, as a row (lo, width), that each value
+        of each variable allows: its state's phases, then all of them for
+        hidden. Variable v's rows start at first_row[v]; there are
+        sum(n_states[v] + 1) rows, whatever the joint size."""
+        ranges = np.array([r for pc, d in zip(self.phase_counts, self.dims)
+                           for r in (*zip(itertools.accumulate(pc[:-1], initial=0), pc), (0, d))], dtype=np.intp)
+        return ranges, np.cumsum((0, *self.n_states[:-1])) + np.arange(self.k)
 
-    def observation_masks(self, rows) -> np.ndarray:
-        """(m, n_joint) joint-state masks for m tuples of per-variable
-        observations (state index, or None for hidden), one table lookup
-        per variable."""
-        vals = np.array([[np.nan if x is None else x for x in r] for r in rows], dtype=float)
+    def subsystem_lists(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lower m tuples of per-variable observations (state index, or None
+        for hidden), in time order, onto the joint space.
+
+        Each tuple allows one contiguous range of local indices per
+        variable, so its subsystem is a box. Neighbours with equal boxes
+        merge into a run. Returns which tuples start a run (a boolean
+        m-vector), and every run's joint states in ascending order, one run
+        after the other, with their counts.
+        """
+        vals = np.array(rows, dtype=float)  # None reads as nan
         if vals.shape != (len(rows), self.k):
             raise ValueError(f"every observation must cover the {self.k} variables")
         n_states = np.array(self.n_states)
         if ((vals < 0) | (vals >= n_states)).any():
             raise ValueError("observed state index out of range")
-        codes = np.where(np.isnan(vals), n_states, vals).astype(np.intp)
-        masks = np.ones((len(rows), self.n_joint), dtype=bool)
-        for v, table in enumerate(self.observation_tables):
-            masks &= table[codes[:, v]]
-        return masks
+        ranges, first_row = self._observation_ranges
+        boxes = ranges[np.where(np.isnan(vals), n_states, vals).astype(np.intp) + first_row]
+        first = np.ones(len(boxes), dtype=bool)
+        first[1:] = (boxes[1:] != boxes[:-1]).any(axis=(1, 2))
+        lo, width = boxes[first].transpose(2, 0, 1)
+        # Enumerate each box in C order, which is ascending joint order:
+        # entry r of a box holds digit v = r // prod(width[v+1:]) % width[v].
+        sizes = width.prod(axis=1)
+        box = np.repeat(np.arange(len(sizes)), sizes)
+        states = lo @ self.strides
+        if len(box) == len(sizes):  # one state per box, as in complete records
+            return first, states, sizes
+        states = states[box]
+        r = np.arange(len(box)) - (np.cumsum(sizes) - sizes)[box]
+        digit = np.empty_like(r)
+        inner = sizes
+        for v, stride in enumerate(self.strides):
+            inner = inner // width[:, v]
+            np.divmod(r, inner[box], out=(digit, r))
+            digit *= stride
+            states += digit
+        return first, states, sizes
 
     def family_index(self, parent_ids: tuple[int, ...]) -> tuple[np.ndarray, int]:
         """Per joint state, the mixed-radix index of the parents' states.
@@ -117,59 +145,34 @@ class StateSpace:
         u = np.zeros(self.n_joint, dtype=np.int64)
         n_u = 1
         for p in parent_ids:
-            u = u * self.n_states[p] + self.state_of[p][self.coords[:, p]]
+            u = u * self.n_states[p] + self.state_of[p][self.local_index(p)]
             n_u *= self.n_states[p]
         return u, n_u
 
-    @cached_property
-    def _transition_cache(self) -> dict:
-        return {}
-
     def transitions(self, v: int):
-        """All joint-state pairs differing only in variable v.
+        """All joint-state pairs differing only in variable v, built on
+        every call, by target local index and then source.
 
         Returns arrays (j, k, x, xp): source/target joint indices and the
         corresponding source/target local indices of v.
         """
-        cached = self._transition_cache.get(v)
-        if cached is not None:
-            return cached
-        d = self.dims[v]
-        stride = self.strides[v]
-        x = self.coords[:, v]
-        js, ks, xs, xps = [], [], [], []
-        base = np.arange(self.n_joint, dtype=np.int64)
-        for xp in range(d):
-            keep = x != xp
-            j = base[keep]
-            js.append(j)
-            ks.append(j + (xp - x[keep]) * stride)
-            xs.append(x[keep])
-            xps.append(np.full(j.shape[0], xp, dtype=np.int64))
-        out = (
-            np.concatenate(js),
-            np.concatenate(ks),
-            np.concatenate(xs),
-            np.concatenate(xps),
-        )
-        self._transition_cache[v] = out
-        return out
+        x = self.local_index(v)
+        xp, j = np.nonzero(np.arange(self.dims[v])[:, None] != x)
+        return j, j + (xp - x[j]) * self.strides[v], x[j], xp
 
     def variable_state_marginal(self, vec: np.ndarray, v: int) -> np.ndarray:
         """Sum a joint-state vector down to variable v's observable states."""
-        states = self.state_of[v][self.coords[:, v]]
         out = np.zeros(self.n_states[v])
-        np.add.at(out, states, vec)
+        np.add.at(out, self.state_of[v][self.local_index(v)], vec)
         return out
 
     def project(self, traj: CompleteTrajectory, v: int) -> CompleteTrajectory:
         """Project a joint complete trajectory onto variable v's states,
         merging segments where only hidden coordinates (other variables,
         phases) change."""
-        states = self.state_of[v]
+        states = self.state_of[v][self.local_index(v, [j for j, _, _ in traj.segments])]
         segs = []
-        for j, a, b in traj.segments:
-            s = int(states[self.coords[j, v]])
+        for s, (_, a, b) in zip(states.tolist(), traj.segments):
             if segs and segs[-1][0] == s:
                 segs[-1] = (s, segs[-1][1], b)
             else:

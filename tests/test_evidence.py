@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +11,18 @@ from ctbnlearn import (
     ObservedTrajectory,
     OcclusionPolicy,
     Subsystem,
+    amalgamate,
     is_completion,
     occlude,
     occlude_observed,
+    sample_trajectory,
     validate_intensity,
 )
 from ctbnlearn.evidence import EmptySubsystemError
 from ctbnlearn.evidence import _merge_observations
 from ctbnlearn.markov import _TIME_EPS
 from ctbnlearn.statespace import StateSpace
-from helpers import subsystem_segments
+from helpers import binary_ring_model, subsystem_segments
 from helpers import merge_observations_loop
 
 
@@ -249,6 +253,24 @@ class TestArrayLowering:
         ev = ObservedTrajectory(((0.0, 1.0, (0, None)),), 1.0).to_evidence(two_variable_space())
         with pytest.raises(AttributeError):
             ev.horizon = 2.0
+
+
+class TestBoxLowering:
+    def test_occluded_k16_ring_records_stay_below_a_mask_per_segment(self):
+        # Lowering lists each segment's box from the strides, so no step
+        # holds n entries per segment: the traced peak of one record stays
+        # below its segments x n booleans.
+        q, space, p0 = amalgamate(binary_ring_model(16), cap=2**16)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            traj = sample_trajectory(p0, q, 5.0, rng)
+            record = occlude_observed([space.project(traj, v) for v in range(space.k)], OcclusionPolicy(0.25, 0.25), rng)
+            tracemalloc.start()
+            ev = record.to_evidence(space)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert (ev.sizes > 1).any() and (ev.sizes == 1).any()
+            assert peak < ev.n_segments * space.n_joint
 
 
 @st.composite

@@ -31,6 +31,7 @@ from ctbnlearn import (
     expected_statistics,
     family_log_likelihood,
     forward_backward,
+    hidden_parent_to_phase,
     m_step,
     occlude_observed,
     random_parameters,
@@ -46,6 +47,7 @@ from ctbnlearn.inference import DEFAULT_QUAD_TOL, FlatStatistics, expected_stati
 from ctbnlearn.learning import _flat_e_step
 from ctbnlearn.markov import IntensityMatrix
 from ctbnlearn.model import FamilyStatistics
+from ctbnlearn.statespace import StateSpace
 from helpers import (
     binary_chain_model,
     binary_ring_model,
@@ -242,6 +244,29 @@ def three_batches(monkeypatch, dataset, q, elements):
 class TestBatchedEStep:
     """The E-step sums its statistics over whole lockstep batches; they must
     equal the sums of the public per-trajectory calls."""
+
+    def test_no_library_path_reads_coords(self, monkeypatch):
+        # Every local index is read from the strides; the (n x k) table of
+        # them is a view for callers, built on access.
+        model = binary_ring_model(5)
+        records = ring_records()
+
+        def forbidden(self):
+            raise AssertionError("StateSpace.coords read by the library")
+
+        monkeypatch.setattr(StateSpace, "coords", property(forbidden))
+        q, space, p0 = amalgamate(model)
+        dataset = [rec.to_evidence(space) for rec in records]
+        e_step(model, dataset)
+        sem(model, dataset, SemConfig(em=EmConfig(max_iter=1, init="given"), em_iters=1, max_rounds=1))
+        score_dataset(model, dataset)
+        space.variable_state_marginal(p0, 2)
+        traj = sample_trajectory(p0, q, 5.0, np.random.default_rng(0))
+        for v in range(space.k):
+            space.project(traj, v)
+        phased, _ = expand_phases(model, PhaseSpec({"v0": 3}, topology="chain"))
+        e_step(phased, [rec.to_evidence(phased.space()) for rec in records])
+        hidden_parent_to_phase(model, "v1", "v0")
 
     @pytest.mark.parametrize(
         "model, records, elements",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctbnlearn import (
     Cim,
+    CompleteTrajectory,
     CtbnModel,
     Evidence,
     FlatFamilyProvider,
@@ -24,7 +25,8 @@ from ctbnlearn import (
 )
 from ctbnlearn.inference import FlatStatistics
 from ctbnlearn.markov import IntensityError, _validated_entries
-from ctbnlearn.model import FamilyStatistics
+from ctbnlearn.model import FamilyStatistics, family_tables
+from ctbnlearn.statespace import StateSpace
 from helpers import binary_chain_model, binary_ring_model, independent_binary_model
 
 
@@ -55,6 +57,12 @@ class TestTypes:
 
 
 class TestAmalgamate:
+    def test_space_holds_no_arrays(self):
+        # Every joint index comes from the strides, so the space that
+        # amalgamate returns keeps no table of the joint size.
+        _, space, _ = amalgamate(binary_ring_model(12))
+        assert not [name for name, x in vars(space).items() if isinstance(x, np.ndarray)]
+
     def test_single_variable_unchanged(self):
         m = np.array([[-1.0, 0.6, 0.4], [2.0, -2.5, 0.5], [0.1, 0.2, -0.3]])
         v = Variable("x", ("a", "b", "c"))
@@ -229,6 +237,53 @@ class TestAggregationFormula:
             want_t, want_m = dense_family_tables(space, dwell, dense, v, parent_ids)
             for t, m in (provider.family(name, model.parents(name)), (fam.time[name], fam.trans[name])):
                 assert np.array_equal(t, want_t) and np.array_equal(m, want_m)
+
+
+class TestStateSpace:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(phased_counts())
+    def test_local_and_family_index_equal_the_coordinate_table(self, case):
+        # The reference reads every local index from the (n x k) grid of
+        # ``np.indices``, not from the strides.
+        model, space, _, _ = case
+        coords = space.coords
+        joint = np.random.default_rng(space.n_joint).permutation(space.n_joint)
+        for v in range(space.k):
+            assert np.array_equal(space.local_index(v), coords[:, v])
+            assert np.array_equal(space.local_index(v, joint), coords[joint, v])
+        parent_sets = [tuple(space.index_of[p] for p in model.parents(name)) for name in model.names]
+        for parent_ids in parent_sets + [tuple(range(space.k)), tuple(reversed(range(space.k)))]:
+            want = np.zeros(space.n_joint, dtype=np.int64)
+            for p in parent_ids:
+                want = want * space.n_states[p] + space.state_of[p][coords[:, p]]
+            u, n_u = space.family_index(parent_ids)
+            assert u.dtype == want.dtype and np.array_equal(u, want)
+            assert n_u == int(np.prod([space.n_states[p] for p in parent_ids], dtype=int))
+
+    def test_rejects_fields_of_different_lengths(self):
+        for args in ((("a",), (2, 3), ((1, 1), (1, 1, 1))), (("a", "b"), (2,), ((1, 1),))):
+            with pytest.raises(ValueError):
+                StateSpace(*args)
+
+    def test_indices_outside_the_space_raise(self):
+        # Stride arithmetic would read a digit of any integer; an index
+        # outside 0..n-1 is refused instead, and the family tables gather
+        # the local indices of their transitions from an n-vector.
+        model = binary_chain_model()
+        space = model.space()
+        n = space.n_joint
+        for bad in (n, -1):
+            with pytest.raises(IndexError):
+                space.local_index(0, [0, bad])
+            with pytest.raises(IndexError):
+                space.project(CompleteTrajectory(((0, 0.0, 1.0), (bad, 1.0, 2.0)), 2.0), 0)
+        dwell = np.ones(n)
+        for src, dst in (([0, n], [1, 0]), ([1, 0], [0, n])):
+            listed = (np.array(src), np.array(dst), np.ones(2))
+            with pytest.raises(IndexError):
+                family_tables(space, dwell, listed, 0, ())
+            with pytest.raises(IndexError):
+                FlatFamilyProvider(space, dwell, listed).family(model.names[1], model.parents(model.names[1]))
 
 
 def dense_amalgamate(model):
